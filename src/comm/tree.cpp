@@ -10,19 +10,7 @@ namespace eslurm::comm {
 
 std::vector<Range> partition_range(std::size_t begin, std::size_t end, int width) {
   std::vector<Range> groups;
-  const std::size_t len = end - begin;
-  if (len == 0) return groups;
-  if (width < 1) throw std::invalid_argument("partition_range: width must be >= 1");
-  const std::size_t g = std::min<std::size_t>(static_cast<std::size_t>(width), len);
-  const std::size_t base = len / g;
-  const std::size_t rem = len % g;
-  std::size_t cursor = begin;
-  groups.reserve(g);
-  for (std::size_t i = 0; i < g; ++i) {
-    const std::size_t take = base + (i < rem ? 1 : 0);
-    groups.push_back(Range{cursor, cursor + take});
-    cursor += take;
-  }
+  for_each_group(begin, end, width, [&groups](Range group) { groups.push_back(group); });
   return groups;
 }
 
@@ -55,111 +43,123 @@ std::shared_ptr<const std::vector<NodeId>> TreeBroadcaster::prepare(
   return targets;
 }
 
+TreeBroadcaster::State* TreeBroadcaster::find(std::uint64_t id, std::uint32_t index) {
+  State& state = states_[index];
+  return state.id == id ? &state : nullptr;
+}
+
 void TreeBroadcaster::broadcast(NodeId root,
                                 std::shared_ptr<const std::vector<NodeId>> targets,
                                 const BroadcastOptions& options, Callback done) {
-  auto state = std::make_shared<State>();
-  state->id = next_broadcast_id_++;
-  state->root = root;
-  state->list = prepare(std::move(targets), options);
-  state->opts = options;
-  state->done = std::move(done);
-  state->started = net_.engine().now();
-  state->delivered.assign(net_.node_count(), false);
-  active_.emplace(state->id, state);
+  const std::uint32_t index = states_.acquire();
+  State& state = states_[index];
+  state.id = next_broadcast_id_++;
+  state.index = index;
+  state.root = root;
+  state.list = prepare(std::move(targets), options);
+  state.opts = options;
+  state.done = std::move(done);
+  state.started = net_.engine().now();
+  state.delivered.assign(net_.node_count(), false);
+  state.delivered_count = 0;
+  // Grow only: a recycled state keeps every position's slot capacity.
+  const std::size_t n = state.list->size();
+  if (state.ctx.size() < n + 1) state.ctx.resize(n + 1);
 
-  NodeCtx& ctx = state->ctx[root];
-  ctx.self = root;
-  ctx.parent = net::kNoNode;
-  fan_out(*state, ctx, Range{0, state->list->size()});
-  maybe_finish_node(*state, ctx);
+  const auto root_pos = static_cast<Pos>(n);
+  state.ctx[root_pos].reset(kNoPos);
+  fan_out(state, root_pos, Range{0, n});
+  maybe_finish_node(state, root_pos);
 }
 
-void TreeBroadcaster::fan_out(State& state, NodeCtx& ctx, Range range) {
-  const auto groups = partition_range(range.begin, range.end, state.opts.tree_width);
+void TreeBroadcaster::fan_out(State& state, Pos pos, Range range) {
   // Create every slot before issuing any send so `pending` can never dip
   // to zero while work remains.
+  NodeCtx& ctx = state.ctx[pos];
   const std::size_t first_slot = ctx.slots.size();
-  for (const Range& group : groups) {
-    ChildSlot slot;
-    slot.child = (*state.list)[group.begin];
-    slot.subtree = Range{group.begin + 1, group.end};
-    ctx.slots.push_back(slot);
+  for_each_group(range.begin, range.end, state.opts.tree_width, [&](Range group) {
+    ctx.slots.push_back(ChildSlot{(*state.list)[group.begin],
+                                  Range{group.begin + 1, group.end}});
     ++ctx.pending;
-  }
-  for (std::size_t i = 0; i < groups.size(); ++i)
-    attempt_child(state, ctx, first_slot + i, state.opts.retries);
+  });
+  const std::size_t end_slot = ctx.slots.size();
+  for (std::size_t i = first_slot; i < end_slot; ++i)
+    attempt_child(state, pos, static_cast<std::uint32_t>(i), state.opts.retries);
 }
 
-void TreeBroadcaster::attempt_child(State& state, NodeCtx& ctx, std::size_t slot_index,
+void TreeBroadcaster::attempt_child(State& state, Pos pos, std::uint32_t slot_index,
                                     int attempts_left) {
-  const std::uint64_t id = state.id;
-  const NodeId self = ctx.self;
-  const ChildSlot& slot = ctx.slots[slot_index];
+  const ChildSlot& slot = state.ctx[pos].slots[slot_index];
   net::Message msg;
   msg.type = relay_type_;
   // The relay carries the payload plus the serialized subtree list.
   msg.bytes = state.opts.payload_bytes + 8 * slot.subtree.size();
-  msg.payload = RelayBody{id, slot.subtree};
-  relay_send(self, slot.child, std::move(msg), state.opts.timeout,
-             [this, id, self, slot_index, attempts_left](bool ok) {
-              const auto it = active_.find(id);
-              if (it == active_.end()) return;  // broadcast already finished
-              State& st = *it->second;
-              NodeCtx& c = st.ctx[self];
-              ChildSlot& s = c.slots[slot_index];
-              if (s.done) return;
-              if (ok) {
-                // Accepted: arm a completion watchdog scaled to the
-                // subtree's depth; if the child dies mid-relay its whole
-                // subtree is adopted when this fires.
-                const int depth = tree_depth_estimate(s.subtree.size() + 1,
-                                                      st.opts.tree_width);
-                // contact_budget covers the transport's retransmit
-                // schedule (== timeout raw), so a watchdog never fires
-                // while a descendant is still legitimately retrying.
-                const SimTime deadline =
-                    contact_budget(st.opts.timeout) * (st.opts.retries + 1) * (depth + 1);
-                s.watchdog = net_.engine().schedule_after(
-                    deadline, [this, id, self, slot_index] {
-                      const auto it2 = active_.find(id);
-                      if (it2 == active_.end()) return;
-                      State& st2 = *it2->second;
-                      NodeCtx& c2 = st2.ctx[self];
-                      ChildSlot& s2 = c2.slots[slot_index];
-                      if (s2.done) return;
-                      ESLURM_DEBUG("tree: watchdog adoption of subtree under node ",
-                                   s2.child);
-                      ++c2.agg_repairs;
-                      ++total_repairs_;
-                      adopt_subtree(st2, c2, s2.subtree);
-                      child_finished(st2, c2, slot_index, /*unreachable=*/1,
-                                     /*repairs=*/0);
-                    });
-                return;
-              }
-              if (attempts_left > 1) {
-                record_retry();
-                attempt_child(st, c, slot_index, attempts_left - 1);
-                return;
-              }
-              // Child unreachable: adopt its subtree directly.
-              if (s.subtree.size() > 0) {
-                ++c.agg_repairs;
-                ++total_repairs_;
-                adopt_subtree(st, c, s.subtree);
-              }
-              child_finished(st, c, slot_index, /*unreachable=*/1, /*repairs=*/0);
-            });
+  msg.payload = RelayBody{state.id, state.index, pos, slot.subtree};
+  relay_send(node_at(state, pos), slot.child, std::move(msg), state.opts.timeout,
+             [this, id = state.id, index = state.index, pos, slot_index,
+              attempts_left](bool ok) {
+               child_accepted(id, index, pos, slot_index, attempts_left, ok);
+             });
 }
 
-void TreeBroadcaster::adopt_subtree(State& state, NodeCtx& ctx, Range subtree) {
-  if (subtree.size() == 0) return;
-  fan_out(state, ctx, subtree);
+void TreeBroadcaster::child_accepted(std::uint64_t id, std::uint32_t index, Pos pos,
+                                     std::uint32_t slot_index, int attempts_left,
+                                     bool ok) {
+  State* st = find(id, index);
+  if (!st) return;  // broadcast already finished
+  NodeCtx& c = st->ctx[pos];
+  ChildSlot& s = c.slots[slot_index];
+  if (s.done) return;
+  if (ok) {
+    // Accepted: arm a completion watchdog scaled to the subtree's depth;
+    // if the child dies mid-relay its whole subtree is adopted when this
+    // fires.
+    const int depth = tree_depth_estimate(s.subtree.size() + 1, st->opts.tree_width);
+    // contact_budget covers the transport's retransmit schedule (==
+    // timeout raw), so a watchdog never fires while a descendant is still
+    // legitimately retrying.
+    const SimTime deadline =
+        contact_budget(st->opts.timeout) * (st->opts.retries + 1) * (depth + 1);
+    s.watchdog = net_.engine().schedule_after(
+        deadline, [this, id, index, pos, slot_index] {
+          watchdog_fired(id, index, pos, slot_index);
+        });
+    return;
+  }
+  if (attempts_left > 1) {
+    record_retry();
+    attempt_child(*st, pos, slot_index, attempts_left - 1);
+    return;
+  }
+  // Child unreachable: adopt its subtree directly.  fan_out may grow
+  // c.slots, so `s` is not used past this point.
+  const Range subtree = s.subtree;
+  if (subtree.size() > 0) {
+    ++c.agg_repairs;
+    ++total_repairs_;
+    fan_out(*st, pos, subtree);
+  }
+  child_finished(*st, pos, slot_index, /*unreachable=*/1, /*repairs=*/0);
 }
 
-void TreeBroadcaster::child_finished(State& state, NodeCtx& ctx, std::size_t slot_index,
+void TreeBroadcaster::watchdog_fired(std::uint64_t id, std::uint32_t index, Pos pos,
+                                     std::uint32_t slot_index) {
+  State* st = find(id, index);
+  if (!st) return;
+  NodeCtx& c = st->ctx[pos];
+  const ChildSlot& s = c.slots[slot_index];
+  if (s.done) return;
+  ESLURM_DEBUG("tree: watchdog adoption of subtree under node ", s.child);
+  ++c.agg_repairs;
+  ++total_repairs_;
+  const Range subtree = s.subtree;
+  if (subtree.size() > 0) fan_out(*st, pos, subtree);
+  child_finished(*st, pos, slot_index, /*unreachable=*/1, /*repairs=*/0);
+}
+
+void TreeBroadcaster::child_finished(State& state, Pos pos, std::size_t slot_index,
                                      std::size_t unreachable, int repairs) {
+  NodeCtx& ctx = state.ctx[pos];
   ChildSlot& slot = ctx.slots[slot_index];
   if (slot.done) return;
   slot.done = true;
@@ -171,74 +171,77 @@ void TreeBroadcaster::child_finished(State& state, NodeCtx& ctx, std::size_t slo
   ctx.agg_repairs += repairs;
   assert(ctx.pending > 0);
   --ctx.pending;
-  maybe_finish_node(state, ctx);
+  maybe_finish_node(state, pos);
 }
 
-void TreeBroadcaster::maybe_finish_node(State& state, NodeCtx& ctx) {
+void TreeBroadcaster::maybe_finish_node(State& state, Pos pos) {
+  NodeCtx& ctx = state.ctx[pos];
   if (ctx.pending > 0 || ctx.done_sent) return;
   ctx.done_sent = true;
-  if (ctx.parent == net::kNoNode) {
-    finish_root(state, ctx);
+  if (ctx.parent == kNoPos) {
+    finish_root(state);
     return;
   }
+  send_done(state, pos, ctx.parent, ctx.agg_unreachable, ctx.agg_repairs);
+}
+
+void TreeBroadcaster::send_done(State& state, Pos from, Pos to, std::size_t unreachable,
+                                int repairs) {
   net::Message msg;
   msg.type = done_type_;
   msg.bytes = 64;
-  msg.payload = DoneBody{state.id, ctx.agg_unreachable, ctx.agg_repairs};
-  relay_send(ctx.self, ctx.parent, std::move(msg), state.opts.timeout);
+  msg.payload = DoneBody{state.id, state.index, to, unreachable, repairs};
+  relay_send(node_at(state, from), node_at(state, to), std::move(msg), state.opts.timeout);
 }
 
-void TreeBroadcaster::finish_root(State& state, NodeCtx& ctx) {
+void TreeBroadcaster::finish_root(State& state) {
+  const NodeCtx& ctx = state.ctx[state.list->size()];
   BroadcastResult result;
   result.broadcast_id = state.id;
   result.started = state.started;
   result.finished = net_.engine().now();
   result.targets = state.list->size();
-  result.delivered = static_cast<std::size_t>(
-      std::count(state.delivered.begin(), state.delivered.end(), true));
+  result.delivered = state.delivered_count;
   result.unreachable = ctx.agg_unreachable;
   result.repairs = ctx.agg_repairs;
   record_result(result);
-  const std::uint64_t id = state.id;
-  if (state.done) state.done(result);
-  active_.erase(id);
+  // Recycle the state before the callback, which may start the next
+  // broadcast (and reuse this very slot).
+  Callback done = std::move(state.done);
+  state.list.reset();
+  state.id = 0;
+  states_.release(state.index);
+  if (done) done(result);
 }
 
 void TreeBroadcaster::on_relay(NodeId self, const net::Message& msg) {
   const auto& body = msg.body<RelayBody>();
-  const auto it = active_.find(body.broadcast_id);
-  if (it == active_.end()) return;
-  State& state = *it->second;
-  if (state.delivered[self]) {
+  State* state = find(body.broadcast_id, body.state);
+  if (!state) return;
+  if (state->delivered[self]) {
     // Duplicate relay from an adoption: acknowledge completion without
     // re-relaying (the original relay is already covering the subtree).
-    net::Message done_msg;
-    done_msg.type = done_type_;
-    done_msg.bytes = 64;
-    done_msg.payload = DoneBody{state.id, 0, 0};
-    relay_send(self, msg.src, std::move(done_msg), state.opts.timeout);
+    send_done(*state, static_cast<Pos>(body.subtree.begin - 1), body.parent, 0, 0);
     return;
   }
-  mark_delivered(state.id, state.delivered, self);
-  NodeCtx& ctx = state.ctx[self];
-  ctx.self = self;
-  ctx.parent = msg.src;
-  fan_out(state, ctx, body.subtree);
-  maybe_finish_node(state, ctx);
+  mark_delivered(state->id, state->delivered, self);
+  ++state->delivered_count;
+  // The relay for subtree [b, e) went to the node at position b - 1.
+  const auto pos = static_cast<Pos>(body.subtree.begin - 1);
+  state->ctx[pos].reset(body.parent);
+  fan_out(*state, pos, body.subtree);
+  maybe_finish_node(*state, pos);
 }
 
-void TreeBroadcaster::on_done(NodeId self, const net::Message& msg) {
+void TreeBroadcaster::on_done(NodeId, const net::Message& msg) {
   const auto& body = msg.body<DoneBody>();
-  const auto it = active_.find(body.broadcast_id);
-  if (it == active_.end()) return;
-  State& state = *it->second;
-  const auto ctx_it = state.ctx.find(self);
-  if (ctx_it == state.ctx.end()) return;
-  NodeCtx& ctx = ctx_it->second;
+  State* state = find(body.broadcast_id, body.state);
+  if (!state) return;
+  NodeCtx& ctx = state->ctx[body.parent];
   // Match the first unfinished slot for this child.
   for (std::size_t i = 0; i < ctx.slots.size(); ++i) {
     if (!ctx.slots[i].done && ctx.slots[i].child == msg.src) {
-      child_finished(state, ctx, i, body.unreachable, body.repairs);
+      child_finished(*state, body.parent, i, body.unreachable, body.repairs);
       return;
     }
   }

@@ -15,12 +15,24 @@
 // subtree is *adopted* by the parent (re-partitioned among new children).
 // A child that accepts but never reports completion is caught by a
 // watchdog sized to the subtree depth, and its subtree is adopted too.
+//
+// Per-broadcast state is indexed by list position, not node id: the node
+// at position p keeps its relay context in ctx[p] (the root sits at
+// list.size()), and since a relay for subtree [b, e) goes to the node at
+// position b - 1, relay and completion messages name their parent by
+// position.  Broadcast states -- the ctx vector, its child-slot vectors
+// and the delivered bitmap -- are recycled, and relay bodies carry the
+// state's pool index, so a steady-state broadcast neither hashes nor
+// allocates.
 #pragma once
 
+#include <algorithm>
 #include <memory>
-#include <unordered_map>
+#include <stdexcept>
+#include <vector>
 
 #include "comm/broadcaster.hpp"
+#include "util/pool.hpp"
 
 namespace eslurm::comm {
 
@@ -35,6 +47,24 @@ struct Range {
 /// (earlier groups take the remainder).  Shared by the live broadcaster
 /// and the FP-Tree leaf locator so both see the same tree shape.
 std::vector<Range> partition_range(std::size_t begin, std::size_t end, int width);
+
+/// Calls `visit(Range)` for each group partition_range would return, in
+/// order, without building the vector.
+template <typename Visit>
+void for_each_group(std::size_t begin, std::size_t end, int width, Visit&& visit) {
+  const std::size_t len = end - begin;
+  if (len == 0) return;
+  if (width < 1) throw std::invalid_argument("partition_range: width must be >= 1");
+  const std::size_t g = std::min<std::size_t>(static_cast<std::size_t>(width), len);
+  const std::size_t base = len / g;
+  const std::size_t rem = len % g;
+  std::size_t cursor = begin;
+  for (std::size_t i = 0; i < g; ++i) {
+    const std::size_t take = base + (i < rem ? 1 : 0);
+    visit(Range{cursor, cursor + take});
+    cursor += take;
+  }
+}
 
 /// Tree depth estimate used to size completion watchdogs.
 int tree_depth_estimate(std::size_t n, int width);
@@ -60,56 +90,90 @@ class TreeBroadcaster : public Broadcaster {
       std::shared_ptr<const std::vector<NodeId>> targets, const BroadcastOptions& options);
 
  private:
+  /// A list position (the root's is list.size()); kNoPos marks "none".
+  using Pos = std::uint32_t;
+  static constexpr Pos kNoPos = UINT32_MAX;
+
   struct ChildSlot {
     NodeId child = net::kNoNode;
     Range subtree;
     bool done = false;
     sim::EventId watchdog = sim::kInvalidEvent;
   };
+  /// Relay context of the node at one list position.  Reset when that
+  /// node takes its first relay; `slots` keeps its capacity across
+  /// broadcasts.
   struct NodeCtx {
-    NodeId self = net::kNoNode;
-    NodeId parent = net::kNoNode;  ///< kNoNode marks the root
+    Pos parent = kNoPos;  ///< kNoPos marks the root
     std::vector<ChildSlot> slots;
     std::size_t pending = 0;
     bool done_sent = false;
     // Subtree aggregates reported upward with the completion message.
     std::size_t agg_unreachable = 0;
     int agg_repairs = 0;
+
+    void reset(Pos parent_pos) {
+      parent = parent_pos;
+      slots.clear();
+      pending = 0;
+      done_sent = false;
+      agg_unreachable = 0;
+      agg_repairs = 0;
+    }
   };
+  /// One broadcast; pooled and recycled.  `id` is 0 while the slot is
+  /// free, so a stale message or callback (ids start at 1) never matches.
   struct State {
     std::uint64_t id = 0;
+    std::uint32_t index = 0;  ///< this state's pool index
     NodeId root = net::kNoNode;
     std::shared_ptr<const std::vector<NodeId>> list;
     BroadcastOptions opts;
     Callback done;
     SimTime started = 0;
     std::vector<bool> delivered;  ///< indexed by node id
-    std::unordered_map<NodeId, NodeCtx> ctx;
+    std::size_t delivered_count = 0;
+    std::vector<NodeCtx> ctx;     ///< indexed by position; only [0, n] in use
   };
 
   struct RelayBody {
     std::uint64_t broadcast_id;
+    std::uint32_t state;
+    Pos parent;
     Range subtree;
   };
   struct DoneBody {
     std::uint64_t broadcast_id;
+    std::uint32_t state;
+    Pos parent;
     std::size_t unreachable;
     int repairs;
   };
 
+  /// The live state `id` in pool slot `index`, or nullptr if finished.
+  State* find(std::uint64_t id, std::uint32_t index);
+  static NodeId node_at(const State& state, Pos pos) {
+    return pos == state.list->size() ? state.root : (*state.list)[pos];
+  }
   void on_relay(NodeId self, const net::Message& msg);
   void on_done(NodeId self, const net::Message& msg);
-  void fan_out(State& state, NodeCtx& ctx, Range range);
-  void attempt_child(State& state, NodeCtx& ctx, std::size_t slot_index, int attempts_left);
-  void adopt_subtree(State& state, NodeCtx& ctx, Range subtree);
-  void child_finished(State& state, NodeCtx& ctx, std::size_t slot_index,
+  void fan_out(State& state, Pos pos, Range range);
+  void attempt_child(State& state, Pos pos, std::uint32_t slot_index, int attempts_left);
+  void child_accepted(std::uint64_t id, std::uint32_t index, Pos pos,
+                      std::uint32_t slot_index, int attempts_left, bool ok);
+  void watchdog_fired(std::uint64_t id, std::uint32_t index, Pos pos,
+                      std::uint32_t slot_index);
+  void child_finished(State& state, Pos pos, std::size_t slot_index,
                       std::size_t unreachable, int repairs);
-  void maybe_finish_node(State& state, NodeCtx& ctx);
-  void finish_root(State& state, NodeCtx& ctx);
+  void maybe_finish_node(State& state, Pos pos);
+  void finish_root(State& state);
+  void send_done(State& state, Pos from, Pos to, std::size_t unreachable, int repairs);
 
   net::MessageType relay_type_;
   net::MessageType done_type_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<State>> active_;
+  /// Stable storage: a delivery hook may start another broadcast while
+  /// on_relay still holds its State.
+  util::SlabPool<State, /*StableStorage=*/true> states_;
   std::uint64_t total_repairs_ = 0;
 };
 

@@ -113,9 +113,14 @@ rm::EslurmRm* Experiment::eslurm() {
 void Experiment::submit_trace(const std::vector<sched::Job>& jobs) {
   for (const auto& job : jobs) {
     if (job.submit_time >= config_.horizon) continue;
-    engine_->schedule_at(job.submit_time, [this, job] {
-      auto copy = job;
-      manager_->submit(std::move(copy));
+    // The arrival event captures only {this, index}: a whole Job would
+    // overflow the engine's inline capture budget.  Each job is freed
+    // when it arrives, so the trace does not outlive its arrivals.
+    const std::size_t index = trace_.size();
+    trace_.push_back(std::make_unique<sched::Job>(job));
+    engine_->schedule_at(job.submit_time, [this, index] {
+      manager_->submit(std::move(*trace_[index]));
+      trace_[index].reset();
     });
   }
 }

@@ -127,6 +127,9 @@ class Experiment {
   std::unique_ptr<cluster::MonitoringSystem> monitoring_;
   std::unique_ptr<rm::ResourceManager> manager_;
   std::unique_ptr<frontend::FrontEnd> frontend_;
+  /// Jobs submit_trace scheduled, by arrival-event index; each is moved
+  /// into the RM when its arrival fires.
+  std::vector<std::unique_ptr<sched::Job>> trace_;
   bool started_ = false;
 };
 

@@ -2,8 +2,10 @@
 // structures and RM daemons.
 #pragma once
 
-#include <any>
+#include <cstddef>
 #include <cstdint>
+
+#include "util/inplace_any.hpp"
 
 namespace eslurm::net {
 
@@ -24,15 +26,23 @@ using MessageType = int;
 /// Network::alloc_message_types (the comm structures' 100-199 block).
 inline constexpr MessageType kDynamicTypeBase = 100;
 
+/// Inline body budget: the control-plane bodies (tree relay/completion,
+/// RM task, RPC request ...) are a few ids and fit; larger or
+/// non-trivially-copyable bodies take one heap allocation.
+inline constexpr std::size_t kMessageInlineBytes = 32;
+
 struct Message {
   MessageType type = 0;
-  std::uint64_t id = 0;      ///< unique per send, assigned by the network
   NodeId src = kNoNode;
+  std::uint64_t id = 0;      ///< unique per send, assigned by the network
+  /// Per-channel sequence number, set by ReliableTransport::send (0 for
+  /// raw Network traffic); the receiver's anti-replay window reads it.
+  std::uint64_t seq = 0;
   std::size_t bytes = 256;   ///< serialized size driving the link model
-  std::any payload;          ///< typed body, owned by the message
+  util::InplaceAny<kMessageInlineBytes> payload;  ///< typed body, owned by the message
 
   template <typename T>
-  const T& body() const { return std::any_cast<const T&>(payload); }
+  const T& body() const { return payload.get<T>(); }
 };
 
 }  // namespace eslurm::net

@@ -20,7 +20,8 @@
 // or delay individual message/ack legs and cut timed partitions -- see
 // net/chaos.hpp.  A dropped ack means the receiver processed the message
 // but the sender still observes a failure, which is exactly the ambiguity
-// the reliable transport (net/transport.hpp) resolves with dedup windows.
+// the reliable transport (net/transport.hpp) resolves with its anti-replay
+// window.
 #pragma once
 
 #include <functional>
@@ -29,6 +30,7 @@
 #include "net/message.hpp"
 #include "net/topology.hpp"
 #include "sim/engine.hpp"
+#include "util/inplace_function.hpp"
 #include "util/pool.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -56,8 +58,14 @@ struct LinkModel {
 /// serialization).  Handlers are registered per (node, message type).
 using Handler = std::function<void(const Message&)>;
 
+/// Inline capture budget of a send-completion callback: the tree's and
+/// the RM's {this, ids...} captures fit, so a steady-state send
+/// allocates nothing; larger captures take one heap allocation.
+inline constexpr std::size_t kSendCallbackInlineBytes = 48;
+
 /// Completion callback of a send: ok=true means processed by the peer.
-using SendCallback = std::function<void(bool ok)>;
+/// Move-only and invoked at most once, like an engine event.
+using SendCallback = util::InplaceFunction<void(bool ok), kSendCallbackInlineBytes>;
 
 class Network {
  public:

@@ -1,24 +1,12 @@
 #include "net/transport.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "telemetry/telemetry.hpp"
 
 namespace eslurm::net {
-
-namespace {
-
-/// Packs a (sender, receiver, type) channel into one map key.  Node ids
-/// stay well under 2^24 and message types under 2^16 for every world the
-/// simulator builds, so the fields cannot collide.
-std::uint64_t channel_key(NodeId from, NodeId to, MessageType type) {
-  return (static_cast<std::uint64_t>(from) << 40) |
-         (static_cast<std::uint64_t>(to) << 16) |
-         static_cast<std::uint64_t>(static_cast<std::uint16_t>(type));
-}
-
-}  // namespace
 
 SimTime worst_case_send_time(const TransportOptions& options,
                              SimTime per_attempt_timeout) {
@@ -32,15 +20,6 @@ SimTime worst_case_send_time(const TransportOptions& options,
   return per_attempt_timeout * (options.max_retries + 1) +
          static_cast<SimTime>(backoff_sum);
 }
-
-struct ReliableTransport::PendingSend {
-  NodeId from = kNoNode;
-  NodeId to = kNoNode;
-  Message frame;
-  SimTime timeout = 0;
-  SendCallback on_complete;
-  int attempt = 0;  ///< attempts started (1 = the initial send)
-};
 
 ReliableTransport::ReliableTransport(Network& network, Rng rng,
                                      TransportOptions options, std::string name)
@@ -63,8 +42,9 @@ ReliableTransport::ReliableTransport(Network& network, Rng rng,
 }
 
 ReliableTransport::~ReliableTransport() {
-  for (const auto& [node, type] : registered_) {
-    network_.unregister_handler(node, type);
+  for (const auto& registration : registrations_) {
+    if (registration->node != kNoNode)
+      network_.unregister_handler(registration->node, registration->type);
   }
 }
 
@@ -80,97 +60,136 @@ SimTime ReliableTransport::backoff_delay(int attempt) {
   return std::max<SimTime>(1, static_cast<SimTime>(rto));
 }
 
-void ReliableTransport::attempt(std::shared_ptr<PendingSend> pending) {
-  ++pending->attempt;
-  Message copy = pending->frame;
-  network_.send(pending->from, pending->to, std::move(copy), pending->timeout,
-                [this, pending](bool ok) {
-                  if (ok) {
-                    if (pending->on_complete) pending->on_complete(true);
-                    return;
-                  }
-                  if (pending->attempt > options_.max_retries) {
-                    ++permanent_failures_;
-                    if (failures_counter_) failures_counter_->inc();
-                    if (pending->on_complete) pending->on_complete(false);
-                    return;
-                  }
-                  ++retransmits_;
-                  if (retransmits_counter_) retransmits_counter_->inc();
-                  network_.engine().schedule_after(
-                      backoff_delay(pending->attempt),
-                      [this, pending] { attempt(pending); });
-                });
+std::uint32_t ReliableTransport::slot_of(MessageType type) {
+  if (type < 0) throw std::out_of_range("ReliableTransport: negative message type");
+  const auto t = static_cast<std::size_t>(type);
+  if (t >= slot_by_type_.size()) slot_by_type_.resize(t + 1, 0);
+  if (slot_by_type_[t] == 0) {
+    channels_.emplace_back();
+    slot_by_type_[t] = static_cast<std::uint32_t>(channels_.size());
+  }
+  return slot_by_type_[t] - 1;
+}
+
+ReliableTransport::Channel& ReliableTransport::channel(std::uint32_t slot, NodeId from,
+                                                      NodeId to) {
+  // Rows grow on use, only as far as the receivers a type actually
+  // reaches: most types serve the master and a few satellites, which
+  // hold the lowest node ids.
+  auto& row = channels_[slot];
+  if (to >= row.size()) {
+    if (to >= network_.node_count())
+      throw std::out_of_range("ReliableTransport: bad node id");
+    row.resize(static_cast<std::size_t>(to) + 1);
+  }
+  auto& channels = row[to];
+  for (Channel& c : channels)
+    if (c.from == from) return c;
+  Channel& added = channels.emplace_back();
+  added.from = from;
+  return added;
+}
+
+bool ReliableTransport::admit(Channel& ch, std::uint64_t seq) {
+  if (seq > ch.hi) {
+    // Newer than anything seen: slide the window forward.
+    const std::uint64_t shift = seq - ch.hi;
+    ch.mask = shift >= kDedupWindow ? 0 : ch.mask << shift;
+    ch.mask |= 1;
+    ch.hi = seq;
+    return true;
+  }
+  const std::uint64_t age = ch.hi - seq;
+  if (age >= kDedupWindow) {
+    // The window no longer covers seqs this old: if this frame is a late
+    // retransmit it will be re-processed.  Count the wrap (the guarantee
+    // boundary) but deliver -- the transport cannot tell it from a
+    // never-seen frame.
+    ++dedup_window_wraps_;
+    if (wraps_counter_) wraps_counter_->inc();
+    return true;
+  }
+  const unsigned __int128 bit = static_cast<unsigned __int128>(1) << age;
+  if (ch.mask & bit) return false;
+  ch.mask |= bit;
+  return true;
+}
+
+void ReliableTransport::attempt(std::uint32_t index) {
+  PendingSend& pending = pending_[index];
+  ++pending.attempt;
+  network_.send(pending.from, pending.to, pending.frame, pending.timeout,
+                [this, index](bool ok) { attempt_done(index, ok); });
+}
+
+void ReliableTransport::attempt_done(std::uint32_t index, bool ok) {
+  PendingSend& pending = pending_[index];
+  if (!ok && pending.attempt <= options_.max_retries) {
+    ++retransmits_;
+    if (retransmits_counter_) retransmits_counter_->inc();
+    network_.engine().schedule_after(backoff_delay(pending.attempt),
+                                     [this, index] { attempt(index); });
+    return;
+  }
+  if (!ok) {
+    ++permanent_failures_;
+    if (failures_counter_) failures_counter_->inc();
+  }
+  // Release before the callback: it may send() reentrantly, which can
+  // reuse (or, growing the pool, move) this very slot.
+  SendCallback done = std::move(pending.on_complete);
+  pending.frame.payload.reset();
+  pending_.release(index);
+  if (done) done(ok);
 }
 
 void ReliableTransport::send(NodeId from, NodeId to, Message msg,
                              SimTime timeout, SendCallback on_complete) {
   ++sends_;
   if (sends_counter_) sends_counter_->inc();
+  msg.seq = channel(slot_of(msg.type), from, to).next_seq++;
 
-  const std::uint64_t key = channel_key(from, to, msg.type);
-  Envelope envelope;
-  envelope.seq = next_seq_[key]++;
-  envelope.inner = std::move(msg.payload);
+  const std::uint32_t index = pending_.acquire();
+  PendingSend& pending = pending_[index];
+  pending.frame = std::move(msg);
+  pending.on_complete = std::move(on_complete);
+  pending.timeout = timeout;
+  pending.from = from;
+  pending.to = to;
+  pending.attempt = 0;
+  attempt(index);
+}
 
-  auto pending = std::make_shared<PendingSend>();
-  pending->from = from;
-  pending->to = to;
-  pending->frame = std::move(msg);
-  pending->frame.payload = std::move(envelope);
-  pending->frame.bytes += options_.header_bytes;
-  pending->timeout = timeout;
-  pending->on_complete = std::move(on_complete);
-  attempt(std::move(pending));
+void ReliableTransport::deliver(const Registration& registration, const Message& frame) {
+  if (!admit(channel(registration.slot, frame.src, registration.node), frame.seq)) {
+    // Retransmit after a lost ack, or a chaos duplicate: ack it (the
+    // network already does) but do not re-process.
+    ++duplicates_suppressed_;
+    if (duplicates_counter_) duplicates_counter_->inc();
+    return;
+  }
+  registration.handler(frame);
 }
 
 void ReliableTransport::register_handler(NodeId node, MessageType type,
                                          Handler handler) {
-  network_.register_handler(
-      node, type, [this, node, type, handler = std::move(handler)](const Message& frame) {
-        const Envelope& envelope = frame.body<Envelope>();
-        const std::uint64_t key = channel_key(frame.src, node, type);
-        DedupWindow& window = windows_[key];
-        if (window.seen.count(envelope.seq)) {
-          // Retransmit after a lost ack, or a chaos duplicate: ack it
-          // (the network already does) but do not re-process.
-          ++duplicates_suppressed_;
-          if (duplicates_counter_) duplicates_counter_->inc();
-          return;
-        }
-        if (window.evicted_any && envelope.seq <= window.evicted_max) {
-          // The window has already forgotten sequence numbers this old:
-          // if this frame is a late retransmit it will be re-processed.
-          // Count the wrap (the guarantee boundary) but deliver -- the
-          // transport cannot distinguish it from a never-seen frame.
-          ++dedup_window_wraps_;
-          if (wraps_counter_) wraps_counter_->inc();
-        }
-        window.seen.insert(envelope.seq);
-        window.order.push_back(envelope.seq);
-        if (window.order.size() > options_.dedup_window) {
-          const std::uint64_t evicted = window.order.front();
-          window.evicted_max = std::max(window.evicted_max, evicted);
-          window.evicted_any = true;
-          window.seen.erase(evicted);
-          window.order.pop_front();
-        }
-        Message inner = frame;
-        inner.payload = envelope.inner;
-        if (inner.bytes >= options_.header_bytes) {
-          inner.bytes -= options_.header_bytes;
-        }
-        handler(inner);
-      });
-  registered_.emplace_back(node, type);
+  if (node >= network_.node_count())
+    throw std::out_of_range("ReliableTransport::register_handler: bad node");
+  const Registration& registration = *registrations_.emplace_back(
+      std::make_unique<Registration>(Registration{std::move(handler), node, type, slot_of(type)}));
+  network_.register_handler(node, type, [this, &registration](const Message& frame) {
+    deliver(registration, frame);
+  });
 }
 
 void ReliableTransport::unregister_handler(NodeId node, MessageType type) {
   network_.unregister_handler(node, type);
-  registered_.erase(
-      std::remove(registered_.begin(), registered_.end(),
-                  std::make_pair(node, type)),
-      registered_.end());
+  for (auto& registration : registrations_) {
+    if (registration->node == node && registration->type == type) {
+      registration->handler = nullptr;
+      registration->node = kNoNode;
+    }
+  }
 }
 
 }  // namespace eslurm::net

@@ -7,32 +7,44 @@
 // a usable contract for RM control traffic:
 //
 //   * sender side: every logical message carries a per-channel sequence
-//     number and is retransmitted on failure with exponential backoff +
-//     jitter, up to a retry cap; only after the cap is exhausted does the
-//     caller observe a permanent failure (so transient loss is absorbed,
-//     while a genuinely dead satellite still surfaces as one).
+//     number in its header (Message::seq) and is retransmitted on failure
+//     with exponential backoff + jitter, up to a retry cap; only after the
+//     cap is exhausted does the caller observe a permanent failure (so
+//     transient loss is absorbed, while a genuinely dead satellite still
+//     surfaces as one).
 //   * receiver side: handlers registered through the transport sit behind
-//     a bounded dedup window keyed by (sender, channel, seq), so a
-//     retransmit-after-lost-ack or a chaos-duplicated frame is acked but
-//     not re-processed -- job-load, job-terminate and heartbeat messages
-//     become idempotent.
+//     a sliding anti-replay window per (sender, receiver, type) channel,
+//     as in RFC 4303 section 3.4.3: the highest seq delivered plus a
+//     128-bit mask of the seqs below it.  A retransmit-after-lost-ack or a
+//     chaos-duplicated frame is acked but not re-processed -- job-load,
+//     job-terminate and heartbeat messages become idempotent.  A frame
+//     more than 127 seqs behind the highest is older than the window: it
+//     is delivered and counted (dedup_window_wraps).
 //
 // The result is at-least-once delivery on the wire, exactly-once
-// processing at the handler (within the dedup window).  With no chaos
-// injector attached the first attempt always succeeds, no retransmit
-// timers fire and no extra rng draws happen, so existing runs stay
-// bit-identical when a subsystem migrates onto the transport.
+// processing at the handler (within the window).  With no chaos injector
+// attached the first attempt always succeeds, no retransmit timers fire
+// and no extra rng draws happen, and the frame is the caller's message
+// byte for byte, so existing runs stay bit-identical when a subsystem
+// migrates onto the transport.
+//
+// The per-message path neither hashes nor allocates once warm: message
+// types map to dense slots, each slot keeps one row indexed by receiver
+// (grown on first use up to the receivers actually reached), and a row
+// entry is a tiny vector of per-sender channels {next_seq, window} -- one
+// lookup serves the sender's seq and the receiver's window alike.  The
+// network handler of a registration captures only {this, registration}.
+// Pending sends live in a slab pool and the network completion captures
+// only {this, index}.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "net/network.hpp"
+#include "util/pool.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
@@ -48,11 +60,6 @@ struct TransportOptions {
   SimTime rto_max = seconds(8);             ///< backoff ceiling
   double jitter_frac = 0.25;                ///< +/- fraction on each rto
   int max_retries = 6;                      ///< retransmits after attempt 1
-  std::size_t dedup_window = 128;           ///< seqs remembered per channel
-  /// Extra bytes the reliability header adds to each frame.  Defaults to
-  /// 0 so migrating a subsystem onto the transport does not perturb the
-  /// link-model timing of existing (chaos-free) experiments.
-  std::size_t header_bytes = 0;
 };
 
 /// Upper bound on one reliable send's duration before it reports a
@@ -69,6 +76,9 @@ SimTime worst_case_send_time(const TransportOptions& options,
 /// through it.
 class ReliableTransport {
  public:
+  /// Seqs remembered per channel below (and including) the highest one.
+  static constexpr std::uint64_t kDedupWindow = 128;
+
   /// `name` labels this transport's telemetry counters so several
   /// instances (rm, frontend, a test) stay distinguishable.
   ReliableTransport(Network& network, Rng rng, TransportOptions options = {},
@@ -84,14 +94,14 @@ class ReliableTransport {
   /// Reliable counterpart of Network::send: retransmits on failure until
   /// the retry cap, then reports `ok=false` (permanent failure).
   /// `timeout` <= 0 uses the link-model default and bounds each attempt,
-  /// not the whole exchange.
+  /// not the whole exchange.  Overwrites msg.seq.
   void send(NodeId from, NodeId to, Message msg, SimTime timeout = 0,
             SendCallback on_complete = {});
 
-  /// Registers `handler` for `type` on `node`, behind the dedup window.
-  /// Frames arriving through this transport are unwrapped, deduplicated
-  /// and handed to the handler with the original payload (msg.src / type
-  /// preserved; msg.id is the network id of the delivering frame).
+  /// Registers `handler` for `type` on `node`, behind the anti-replay
+  /// window.  The handler receives the delivered frame itself (msg.src /
+  /// type / payload as sent; msg.id is the network id of the delivering
+  /// frame).
   void register_handler(NodeId node, MessageType type, Handler handler);
   void unregister_handler(NodeId node, MessageType type);
 
@@ -99,40 +109,52 @@ class ReliableTransport {
   std::uint64_t retransmits() const { return retransmits_; }
   std::uint64_t permanent_failures() const { return permanent_failures_; }
   std::uint64_t duplicates_suppressed() const { return duplicates_suppressed_; }
-  /// Frames that arrived with a sequence number at or below the highest
-  /// seq already evicted from their channel's dedup window.  Such a frame
-  /// is *processed* (the window no longer remembers it), so a nonzero
-  /// count means a sufficiently delayed retransmit -- e.g. released by a
-  /// long partition after > dedup_window newer messages -- was NOT
+  /// Arrivals of frames at least kDedupWindow seqs behind the highest seq
+  /// delivered on their channel.  Such a frame is *processed* (the window
+  /// no longer remembers it), every time it arrives, so a nonzero count
+  /// means a sufficiently delayed retransmit -- e.g. released by a long
+  /// partition after >= kDedupWindow newer messages -- was NOT
   /// deduplicated.  The exactly-once guarantee is bounded by the window;
   /// this counter makes the boundary observable instead of silent.
   std::uint64_t dedup_window_wraps() const { return dedup_window_wraps_; }
 
-  /// Reliability header: the logical sequence number on its channel.
-  /// `channel` disambiguates (from, type) streams at one receiver; the
-  /// sender id comes from msg.src.  Public so tests can forge delayed
-  /// frames when provoking dedup-window wrap.
-  struct Envelope {
-    std::uint64_t seq = 0;
-    std::any inner;  ///< the caller's original payload
-  };
-
  private:
-  /// Bounded remembered-seq set per (receiver, sender, type): O(1)
-  /// membership plus FIFO eviction once `dedup_window` entries exist.
-  /// `evicted_max` tracks the highest seq ever evicted, so a late frame
-  /// older than the window's memory is detectable (see
-  /// dedup_window_wraps()).
-  struct DedupWindow {
-    std::unordered_set<std::uint64_t> seen;
-    std::deque<std::uint64_t> order;
-    std::uint64_t evicted_max = 0;
-    bool evicted_any = false;
+  /// One (sender -> receiver, type) stream.  The sender side uses
+  /// next_seq; the receiver side keeps the anti-replay window: bit d of
+  /// `mask` is set when seq `hi - d` was delivered.  The initial state
+  /// (hi 0, empty mask) accepts seq 0 like any unseen seq.
+  struct Channel {
+    unsigned __int128 mask = 0;
+    std::uint64_t hi = 0;
+    std::uint64_t next_seq = 0;
+    NodeId from = kNoNode;
+  };
+  /// A handler registered through the transport.  Heap-held, so the
+  /// network-side wrapper can point at it and registering more handlers
+  /// (even from inside a handler) never moves it.
+  struct Registration {
+    Handler handler;
+    NodeId node = kNoNode;  ///< kNoNode once unregistered
+    MessageType type = 0;
+    std::uint32_t slot = 0;
+  };
+  struct PendingSend {
+    Message frame;
+    SendCallback on_complete;
+    SimTime timeout = 0;
+    NodeId from = kNoNode;
+    NodeId to = kNoNode;
+    int attempt = 0;  ///< attempts started (1 = the initial send)
   };
 
-  struct PendingSend;
-
-  void attempt(std::shared_ptr<PendingSend> pending);
+  std::uint32_t slot_of(MessageType type);
+  /// The (from -> to) channel of `slot`, created on first use.
+  Channel& channel(std::uint32_t slot, NodeId from, NodeId to);
+  /// Anti-replay check; false means `seq` is a duplicate to suppress.
+  bool admit(Channel& channel, std::uint64_t seq);
+  void deliver(const Registration& registration, const Message& frame);
+  void attempt(std::uint32_t index);
+  void attempt_done(std::uint32_t index, bool ok);
   SimTime backoff_delay(int attempt);
 
   Network& network_;
@@ -140,9 +162,11 @@ class ReliableTransport {
   TransportOptions options_;
   std::string name_;
 
-  std::unordered_map<std::uint64_t, std::uint64_t> next_seq_;  ///< channel -> seq
-  std::unordered_map<std::uint64_t, DedupWindow> windows_;     ///< channel -> window
-  std::vector<std::pair<NodeId, MessageType>> registered_;
+  std::vector<std::uint32_t> slot_by_type_;  ///< type -> slot + 1 (0: none)
+  /// [slot][receiver] -> channels from each sender, in first-use order.
+  std::vector<std::vector<std::vector<Channel>>> channels_;
+  std::vector<std::unique_ptr<Registration>> registrations_;
+  util::SlabPool<PendingSend> pending_;
 
   std::uint64_t sends_ = 0;
   std::uint64_t retransmits_ = 0;

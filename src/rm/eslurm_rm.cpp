@@ -263,19 +263,21 @@ void EslurmRm::assign_subtask(std::uint64_t dispatch_id, std::size_t subtask_ind
   master_stats_->charge_cpu_us(
       static_cast<double>(config_.master_subtask_service) / 1000.0);
 
-  net::Message msg;
-  msg.type = kMsgSatelliteTask;
-  msg.bytes = 256 + 8 * subtask.list->size();
-  msg.payload = TaskBody{dispatch_id, static_cast<std::uint32_t>(subtask_index)};
-  engine_.schedule_at(master_busy_until_, [this, sat_node = sat.node,
-                                           msg = std::move(msg), dispatch_id,
-                                           subtask_index, sat_index]() mutable {
-    send_task(sat_node, std::move(msg), dispatch_id, subtask_index, sat_index);
-  });
+  // The event captures ids and the byte count, not a Message, so it
+  // stays within the engine's inline capture budget.
+  engine_.schedule_at(master_busy_until_,
+                      [this, sat_node = sat.node, bytes = 256 + 8 * subtask.list->size(),
+                       dispatch_id, subtask_index, sat_index] {
+                        send_task(sat_node, bytes, dispatch_id, subtask_index, sat_index);
+                      });
 }
 
-void EslurmRm::send_task(NodeId sat_node, net::Message msg, std::uint64_t dispatch_id,
+void EslurmRm::send_task(NodeId sat_node, std::size_t bytes, std::uint64_t dispatch_id,
                          std::size_t subtask_index, std::size_t sat_index) {
+  net::Message msg;
+  msg.type = kMsgSatelliteTask;
+  msg.bytes = bytes;
+  msg.payload = TaskBody{dispatch_id, static_cast<std::uint32_t>(subtask_index)};
   rm_send(deployment_.master, sat_node, std::move(msg), config_.bcast.timeout,
           [this, dispatch_id, subtask_index, sat_index](bool ok) {
               const auto it2 = dispatches_.find(dispatch_id);

@@ -117,7 +117,7 @@ class EslurmRm final : public ResourceManager {
   };
 
   void apply_event(std::size_t sat_index, SatelliteEvent event);
-  void send_task(NodeId sat_node, net::Message msg, std::uint64_t dispatch_id,
+  void send_task(NodeId sat_node, std::size_t bytes, std::uint64_t dispatch_id,
                  std::size_t subtask_index, std::size_t sat_index);
   void start_relay(std::uint64_t dispatch_id, std::uint32_t subtask_index,
                    std::size_t sat_index, NodeId sat_node);

@@ -3,7 +3,7 @@
 // A SlabPool hands out 32-bit slot indices into a growable slab.  Freed
 // slots go on an intrusive LIFO free list and are *recycled as-is*:
 // release() never destroys the stored T, so buffers the slot accumulated
-// (std::any payloads, callback captures, vector capacity) survive into
+// (heap message bodies, callback captures, vector capacity) survive into
 // the next acquire and the steady state allocates nothing.  Callers
 // overwrite the fields they use -- a recycled slot's old values are
 // stale data, not cleared state.

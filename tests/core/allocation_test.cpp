@@ -8,7 +8,12 @@
 //   * engine: pooled event slots + inline captures, so schedule/execute
 //     cycles touch no allocator;
 //   * network: recycled SendOp slots, flat handler tables and inline
-//     {this, op} event captures across all legs of a send.
+//     {this, op} event captures across all legs of a send;
+//   * transport: pooled pending sends, dense per-channel anti-replay
+//     windows and inline message bodies, so a reliable round trip
+//     hashes nothing and allocates nothing;
+//   * tree broadcast through the transport: recycled broadcast state
+//     (position-indexed relay contexts, child slots, delivered bitmap).
 //
 // Under ASan/TSan the runtime owns operator new, so the hook is compiled
 // out and the tests skip (the sanitizer jobs cover memory correctness;
@@ -21,7 +26,9 @@
 #include <cstdlib>
 #include <new>
 
+#include "comm/tree.hpp"
 #include "net/network.hpp"
+#include "net/transport.hpp"
 #include "sim/engine.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -101,6 +108,7 @@ namespace eslurm {
 namespace {
 
 constexpr net::MessageType kPing = 7;
+constexpr net::MessageType kPong = 8;
 
 TEST(ZeroAllocation, EngineSteadyStateChurn) {
   if (!ESLURM_ALLOC_HOOK) GTEST_SKIP() << "allocation hook disabled under sanitizers";
@@ -203,6 +211,105 @@ TEST(ZeroAllocation, NetworkSteadyStatePingPong) {
   EXPECT_EQ(engine.heap_fallback_events(), 0u);
   EXPECT_GT(pinger.sent, warm_sent + 100);  // traffic actually flowed
   EXPECT_EQ(network.failed_sends(), 0u);
+}
+
+TEST(ZeroAllocation, TransportSteadyStatePingPong) {
+  if (!ESLURM_ALLOC_HOOK) GTEST_SKIP() << "allocation hook disabled under sanitizers";
+
+  sim::Engine engine;
+  net::Network network(engine, 4, net::LinkModel{}, Rng(42));
+  net::ReliableTransport transport(network, Rng(43));
+
+  // Node 0 pings node 1, whose handler pongs back; each pong launches
+  // the next ping.  The body rides inline in the message.
+  struct Round {
+    std::uint64_t n;
+  };
+  struct PingPong {
+    net::ReliableTransport& transport;
+    std::uint64_t rounds = 0;
+    std::uint64_t failures = 0;
+    void send(net::NodeId from, net::NodeId to, net::MessageType type, std::uint64_t n) {
+      net::Message msg;
+      msg.type = type;
+      msg.bytes = 64;
+      msg.payload = Round{n};
+      transport.send(from, to, std::move(msg), /*timeout=*/0, [this](bool ok) {
+        if (!ok) ++failures;
+      });
+    }
+  };
+  PingPong pp{transport};
+  transport.register_handler(1, kPing, [&pp](const net::Message& m) {
+    pp.send(1, 0, kPong, m.body<Round>().n);
+  });
+  transport.register_handler(0, kPong, [&pp](const net::Message& m) {
+    ++pp.rounds;
+    pp.send(0, 1, kPing, m.body<Round>().n + 1);
+  });
+  pp.send(0, 1, kPing, 0);
+  engine.run_until(milliseconds(50));  // warm-up
+  const std::size_t warm_ops = network.send_op_pool_capacity();
+  const std::uint64_t warm_rounds = pp.rounds;
+
+  std::uint64_t allocated;
+  {
+    CountingScope scope;
+    engine.run_until(seconds(1));
+    allocated = CountingScope::count();
+  }
+  EXPECT_EQ(allocated, 0u) << "a reliable send, its dedup check and its "
+                              "completion must not touch the allocator";
+  EXPECT_EQ(network.send_op_pool_capacity(), warm_ops);
+  EXPECT_EQ(engine.heap_fallback_events(), 0u);
+  EXPECT_GT(pp.rounds, warm_rounds + 100);  // traffic actually flowed
+  EXPECT_EQ(pp.failures, 0u);
+  EXPECT_EQ(transport.duplicates_suppressed(), 0u);
+}
+
+TEST(ZeroAllocation, TreeBroadcastThroughTransport) {
+  if (!ESLURM_ALLOC_HOOK) GTEST_SKIP() << "allocation hook disabled under sanitizers";
+
+  constexpr std::size_t kTargets = 4096;
+  sim::Engine engine;
+  // No jitter: every broadcast replays the same timing, so the pools'
+  // high-water marks are reached by the first one.
+  net::LinkModel model;
+  model.jitter_frac = 0.0;
+  net::Network network(engine, kTargets + 1, model, Rng(42));
+  net::ReliableTransport transport(network, Rng(43));
+  comm::TreeBroadcaster tree(network, "tree", &transport);
+
+  std::vector<net::NodeId> list(kTargets);
+  for (std::size_t i = 0; i < kTargets; ++i) list[i] = static_cast<net::NodeId>(i + 1);
+  const auto targets = std::make_shared<const std::vector<net::NodeId>>(std::move(list));
+  const comm::BroadcastOptions options;
+
+  comm::BroadcastResult last;
+  auto broadcast_once = [&] {
+    tree.broadcast(0, targets, options,
+                   [out = &last](const comm::BroadcastResult& r) { *out = r; });
+    engine.run();
+  };
+  broadcast_once();  // warm-up: state, channels and pools reach capacity
+  broadcast_once();
+  const std::size_t warm_ops = network.send_op_pool_capacity();
+  const std::size_t warm_events = engine.event_pool_capacity();
+
+  std::uint64_t allocated;
+  {
+    CountingScope scope;
+    broadcast_once();
+    allocated = CountingScope::count();
+  }
+  EXPECT_EQ(allocated, 0u) << "a steady-state tree broadcast through the "
+                              "transport must recycle all of its state";
+  EXPECT_EQ(last.delivered, kTargets);
+  EXPECT_EQ(last.unreachable, 0u);
+  EXPECT_EQ(network.send_op_pool_capacity(), warm_ops);
+  EXPECT_EQ(engine.event_pool_capacity(), warm_events);
+  EXPECT_EQ(engine.heap_fallback_events(), 0u);
+  EXPECT_EQ(transport.sends(), 3 * 2 * kTargets);  // one relay + one done per target
 }
 
 }  // namespace

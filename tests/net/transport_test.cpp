@@ -1,5 +1,5 @@
 // Behavioural tests of the reliable transport: retry/backoff, permanent
-// failure, the dedup window, and timing-neutrality without chaos.
+// failure, the anti-replay window, and timing-neutrality without chaos.
 #include "net/transport.hpp"
 
 #include <gtest/gtest.h>
@@ -54,8 +54,8 @@ TEST_F(TransportFixture, DeliversPayloadAndAcks) {
 TEST_F(TransportFixture, NoChaosTimingMatchesRawSend) {
   // The bit-identity contract that let the RM migrate with transport on
   // by default: with jitter enabled and no chaos, a transport send acks
-  // at exactly the time the raw send would (header_bytes defaults to 0,
-  // no retransmit timers, no extra rng draws).
+  // at exactly the time the raw send would (the frame is the caller's
+  // message, no retransmit timers, no extra rng draws).
   LinkModel jittery;  // default jitter_frac > 0
   auto run_raw = [&] {
     sim::Engine world;
@@ -205,54 +205,127 @@ TEST_F(TransportFixture, ChannelsKeepIndependentSequenceSpaces) {
   EXPECT_EQ(transport.duplicates_suppressed(), 0u);
 }
 
+/// Forges one frame on channel (0 -> 1, type 7) with an explicit seq,
+/// bypassing the sender side: a delayed retransmit as the receiver sees it.
+void forge(sim::Engine& engine, Network& net, std::uint64_t seq) {
+  Message frame;
+  frame.type = 7;
+  frame.seq = seq;
+  net.send(0, 1, std::move(frame));
+  engine.run();
+}
+
 TEST_F(TransportFixture, DedupWindowWrapIsCountedAndReprocessed) {
-  // The exactly-once guarantee is bounded by the dedup window.  A frame
-  // delayed long enough that > dedup_window newer frames passed it (a
-  // long partition releasing a stale retransmit) arrives after its seq
-  // was evicted: the receiver cannot distinguish it from a fresh frame,
-  // so it IS re-processed -- and the wrap counter must record that the
+  // The exactly-once guarantee is bounded by the window.  A frame delayed
+  // long enough that >= 128 newer seqs passed it (a long partition
+  // releasing a stale retransmit) falls behind the window: the receiver
+  // cannot distinguish it from a fresh frame, so it IS re-processed --
+  // every time it arrives -- and the wrap counter must record that the
   // guarantee boundary was crossed instead of staying silent.
   Network net = make(2);
-  TransportOptions opts = exact_options();
-  opts.dedup_window = 2;
-  ReliableTransport transport(net, Rng(9), opts);
+  ReliableTransport transport(net, Rng(9), exact_options());
   int got = 0;
   transport.register_handler(1, 7, [&](const Message&) { ++got; });
 
-  // Three sends on one channel: seqs 0,1,2; the window holds {1,2} and
-  // seq 0 has been evicted (evicted_max = 0).
-  for (int i = 0; i < 3; ++i) transport.send(0, 1, Message{.type = 7});
+  // 130 sends on one channel: seqs 0..129; the window covers 2..129.
+  for (int i = 0; i < 130; ++i) transport.send(0, 1, Message{.type = 7});
   engine.run();
-  ASSERT_EQ(got, 3);
+  ASSERT_EQ(got, 130);
   EXPECT_EQ(transport.dedup_window_wraps(), 0u);
 
-  // A late duplicate of seq 2 is still inside the window: suppressed,
-  // not a wrap.
-  auto forge = [&](std::uint64_t seq) {
-    ReliableTransport::Envelope stale;
-    stale.seq = seq;
-    Message frame;
-    frame.type = 7;
-    frame.payload = std::move(stale);
-    net.send(0, 1, std::move(frame));
-  };
-  forge(2);
-  engine.run();
-  EXPECT_EQ(got, 3);
-  EXPECT_EQ(transport.duplicates_suppressed(), 1u);
+  // Late duplicates of the newest and the oldest seq still inside the
+  // window: suppressed, not wraps.
+  forge(engine, net, 129);
+  forge(engine, net, 2);
+  EXPECT_EQ(got, 130);
+  EXPECT_EQ(transport.duplicates_suppressed(), 2u);
   EXPECT_EQ(transport.dedup_window_wraps(), 0u);
 
-  // A late duplicate of the evicted seq 0 wraps: the handler fires a 4th
-  // time for 3 logical sends, and the counter exposes the violation.
-  forge(0);
-  engine.run();
-  EXPECT_EQ(got, 4);
+  // A late duplicate of seq 1 is behind the window: the handler fires a
+  // 131st time for 130 logical sends, and the counter exposes it.  The
+  // window does not start remembering it, so a second copy wraps again.
+  forge(engine, net, 1);
+  EXPECT_EQ(got, 131);
   EXPECT_EQ(transport.dedup_window_wraps(), 1u);
+  forge(engine, net, 1);
+  EXPECT_EQ(got, 132);
+  EXPECT_EQ(transport.dedup_window_wraps(), 2u);
+  EXPECT_EQ(transport.duplicates_suppressed(), 2u);
+}
+
+TEST_F(TransportFixture, OutOfOrderSeqInsideWindowIsAcceptedOnce) {
+  Network net = make(2);
+  ReliableTransport transport(net, Rng(9));
+  std::vector<std::uint64_t> seen;
+  transport.register_handler(1, 7, [&](const Message& m) { seen.push_back(m.seq); });
+  for (const std::uint64_t seq : {0, 5, 3, 3, 5, 4, 0}) forge(engine, net, seq);
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 5, 3, 4}));
+  EXPECT_EQ(transport.duplicates_suppressed(), 3u);
+  EXPECT_EQ(transport.dedup_window_wraps(), 0u);
+}
+
+TEST_F(TransportFixture, WindowEdgeRemembers127SeqsBack) {
+  // After seq 127 the window spans 0..127 exactly: seq 0 is its last bit.
+  Network net = make(2);
+  ReliableTransport transport(net, Rng(9));
+  int got = 0;
+  transport.register_handler(1, 7, [&](const Message&) { ++got; });
+  forge(engine, net, 0);
+  forge(engine, net, 127);
+  forge(engine, net, 0);
+  EXPECT_EQ(got, 2);
   EXPECT_EQ(transport.duplicates_suppressed(), 1u);
+  EXPECT_EQ(transport.dedup_window_wraps(), 0u);
+}
+
+TEST_F(TransportFixture, JumpOf128OrMoreClearsTheMask) {
+  Network net = make(2);
+  ReliableTransport transport(net, Rng(9));
+  int got = 0;
+  transport.register_handler(1, 7, [&](const Message&) { ++got; });
+  forge(engine, net, 0);
+  forge(engine, net, 1);
+  // A jump of exactly 128 shifts every remembered seq out of the window;
+  // none of the old bits may linger as "seen" (seq 128 was never sent).
+  forge(engine, net, 129);
+  forge(engine, net, 128);
+  // Same for a longer jump of 201 (= 128 + 73): seqs 257 and 256, where
+  // a shift taken modulo 128 would leave the old bits, are fresh.
+  forge(engine, net, 330);
+  forge(engine, net, 257);
+  forge(engine, net, 256);
+  EXPECT_EQ(got, 7);
+  EXPECT_EQ(transport.duplicates_suppressed(), 0u);
+  EXPECT_EQ(transport.dedup_window_wraps(), 0u);
+  // The window still dedups what it holds, and 129 is now behind it:
+  // delivered and counted on each arrival.
+  forge(engine, net, 330);
+  forge(engine, net, 257);
+  forge(engine, net, 129);
+  forge(engine, net, 129);
+  EXPECT_EQ(got, 9);
+  EXPECT_EQ(transport.duplicates_suppressed(), 2u);
+  EXPECT_EQ(transport.dedup_window_wraps(), 2u);
+}
+
+TEST_F(TransportFixture, SenderStampsPerChannelSeqs) {
+  Network net = make(3);
+  ReliableTransport transport(net, Rng(9));
+  std::vector<std::pair<NodeId, std::uint64_t>> seen;
+  transport.register_handler(1, 7,
+                             [&](const Message& m) { seen.emplace_back(m.src, m.seq); });
+  for (int i = 0; i < 2; ++i) {
+    transport.send(0, 1, Message{.type = 7});
+    engine.run();
+    transport.send(2, 1, Message{.type = 7});
+    engine.run();
+  }
+  EXPECT_EQ(seen, (std::vector<std::pair<NodeId, std::uint64_t>>{
+                      {0, 0}, {2, 0}, {0, 1}, {2, 1}}));
 }
 
 TEST_F(TransportFixture, LargeWindowNeverWrapsUnderChaosDuplicates) {
-  // With the default window (128) and duplicates that arrive promptly,
+  // With the 128-seq window and duplicates that arrive promptly,
   // every duplicate lands while its seq is still remembered: suppression
   // fires, the wrap counter stays zero.
   Network net = make(2);
