@@ -8,7 +8,7 @@
 #include <queue>
 
 #include "bench_common.hpp"
-#include "sched/priority_scheduler.hpp"
+#include "sched/scheduler.hpp"
 
 using namespace eslurm;
 
@@ -18,8 +18,7 @@ enum class EstimateSource { User, Perfect, DoubleActual };
 
 sched::SchedulingReport replay(const std::vector<sched::Job>& jobs, int nodes,
                                sched::Scheduler& scheduler, SimTime horizon,
-                               EstimateSource estimates,
-                               sched::PriorityBackfillScheduler* fairshare_sink = nullptr) {
+                               EstimateSource estimates) {
   sched::JobPool pool;
   int free_nodes = nodes;
 
@@ -77,7 +76,7 @@ sched::SchedulingReport replay(const std::vector<sched::Job>& jobs, int nodes,
                                    : sched::JobState::Completed);
       pool.mark_released(id, now);
       free_nodes += job.nodes;
-      if (fairshare_sink) fairshare_sink->on_job_released(pool.get(id), now);
+      scheduler.on_job_released(pool.get(id), now);
     }
     run_cycle(now);
   }
@@ -86,6 +85,7 @@ sched::SchedulingReport replay(const std::vector<sched::Job>& jobs, int nodes,
 
 struct Variant {
   const char* policy;
+  const char* preset;  ///< sched::make_scheduler name
   const char* estimates_label;
   EstimateSource estimates;
   sched::SchedulingReport report;
@@ -104,29 +104,17 @@ int main(int argc, char** argv) {
               to_seconds(horizon) / 3600.0);
 
   std::vector<Variant> variants{
-      {"FCFS", "user", EstimateSource::User, {}},
-      {"EASY backfill", "user", EstimateSource::User, {}},
-      {"EASY backfill", "2x actual", EstimateSource::DoubleActual, {}},
-      {"EASY backfill", "perfect", EstimateSource::Perfect, {}},
-      {"conservative backfill", "user", EstimateSource::User, {}},
-      {"priority backfill", "user", EstimateSource::User, {}}};
+      {"FCFS", "fcfs", "user", EstimateSource::User, {}},
+      {"EASY backfill", "easy", "user", EstimateSource::User, {}},
+      {"EASY backfill", "easy", "2x actual", EstimateSource::DoubleActual, {}},
+      {"EASY backfill", "easy", "perfect", EstimateSource::Perfect, {}},
+      {"conservative backfill", "conservative", "user", EstimateSource::User, {}},
+      {"priority backfill", "priority", "user", EstimateSource::User, {}}};
 
   core::parallel_for(variants.size(), harness.jobs(), [&](std::size_t i) {
     Variant& v = variants[i];
-    const std::string policy = v.policy;
-    if (policy == "FCFS") {
-      sched::FcfsScheduler fcfs;
-      v.report = replay(jobs, 1024, fcfs, horizon, v.estimates);
-    } else if (policy == "EASY backfill") {
-      sched::EasyBackfillScheduler easy;
-      v.report = replay(jobs, 1024, easy, horizon, v.estimates);
-    } else if (policy == "conservative backfill") {
-      sched::ConservativeBackfillScheduler conservative;
-      v.report = replay(jobs, 1024, conservative, horizon, v.estimates);
-    } else {
-      sched::PriorityBackfillScheduler priority(sched::PriorityWeights{}, 1024);
-      v.report = replay(jobs, 1024, priority, horizon, v.estimates, &priority);
-    }
+    sched::Scheduler scheduler = sched::make_scheduler(v.preset, 1024);
+    v.report = replay(jobs, 1024, scheduler, horizon, v.estimates);
   });
 
   Table table({"policy", "estimates", "utilization %", "avg wait (s)",

@@ -5,7 +5,7 @@
 // Arms:
 //   * fcfs            -- strict arrival order, no backfill (the floor);
 //   * priority        -- multifactor priority + EASY backfill, no policy;
-//   * policy-limits   -- PolicyScheduler: QoS boosts, fair tree, account
+//   * policy-limits   -- "policy" preset: QoS boosts, fair tree, account
 //                        limits, a qos=high advance reservation;
 //   * policy-preempt  -- policy-limits plus requeue preemption for the
 //                        high class.

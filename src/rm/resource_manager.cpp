@@ -4,32 +4,10 @@
 #include <sstream>
 
 #include "rm/ha_master.hpp"
-#include "sched/priority_scheduler.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/log.hpp"
 
 namespace eslurm::rm {
-
-namespace {
-
-/// Scheduler selection; the "easy" default is byte-identical to the
-/// pre-policy hardwired member.
-std::unique_ptr<sched::Scheduler> make_scheduler(
-    const RmRuntimeConfig& config, int cluster_nodes,
-    const sched::PartitionSet* partitions) {
-  if (config.scheduler == "fcfs") return std::make_unique<sched::FcfsScheduler>();
-  if (config.scheduler == "conservative")
-    return std::make_unique<sched::ConservativeBackfillScheduler>();
-  if (config.scheduler == "priority")
-    return std::make_unique<sched::PriorityBackfillScheduler>(
-        config.policy.weights, cluster_nodes, days(7), partitions);
-  if (config.scheduler == "policy")
-    return std::make_unique<sched::policy::PolicyScheduler>(config.policy,
-                                                            cluster_nodes, partitions);
-  return std::make_unique<sched::EasyBackfillScheduler>();
-}
-
-}  // namespace
 
 ResourceManager::ResourceManager(sim::Engine& engine, net::Network& network,
                                  cluster::ClusterModel& cluster, RmCostProfile profile,
@@ -54,11 +32,10 @@ ResourceManager::ResourceManager(sim::Engine& engine, net::Network& network,
   for (const NodeId node : free_) free_mark_.set(node);
   master_stats_ = std::make_unique<DaemonStats>(engine_, net_, deployment_.master,
                                                 profile_.accounting);
-  scheduler_ =
-      make_scheduler(config_, static_cast<int>(deployment_.compute.size()),
-                     config_.partitions.empty() ? nullptr : &config_.partitions);
-  policy_sched_ = dynamic_cast<sched::policy::PolicyScheduler*>(scheduler_.get());
-  scheduler_->set_telemetry(telemetry_);
+  scheduler_ = sched::make_scheduler(
+      config_.scheduler, static_cast<int>(deployment_.compute.size()),
+      config_.partitions.empty() ? nullptr : &config_.partitions, config_.policy);
+  scheduler_.set_telemetry(telemetry_);
   if (config_.use_runtime_estimation) {
     estimator_ = std::make_unique<predict::RuntimeEstimator>(
         config_.estimator, Rng(config_.seed ^ 0xE5), telemetry_);
@@ -174,8 +151,9 @@ void ResourceManager::start(SimTime horizon) {
   // Reservation audit probes: sample each window at its start and its
   // midpoint, when payloads of excluded jobs must leave the reserved
   // capacity spare.
-  if (policy_sched_ && !policy_sched_->reservations().empty()) {
-    for (const auto& r : policy_sched_->reservations().all()) {
+  const auto* policy = scheduler_.policy();
+  if (policy && !policy->reservations().empty()) {
+    for (const auto& r : policy->reservations().all()) {
       for (const SimTime at : {r.start, r.start + (r.end - r.start) / 2}) {
         if (at < horizon) engine_.schedule_at(at, [this] { probe_reservations(); });
       }
@@ -256,14 +234,14 @@ void ResourceManager::run_sched_cycle() {
     accounting_db_.record(pool_.get(id));
   }
   try_start_jobs();
-  if (policy_sched_) policy_sched_->audit(pool_);
+  if (auto* policy = scheduler_.policy()) policy->audit(pool_);
 }
 
 void ResourceManager::try_start_jobs() {
   // Compact the free list: drop nodes that died while idle (they return
   // via the cluster observer path when allocatable again).
   const auto decisions =
-      scheduler_->schedule(pool_, static_cast<int>(free_.size()), engine_.now());
+      scheduler_.schedule(pool_, static_cast<int>(free_.size()), engine_.now());
   for (const sched::JobId id : decisions) start_job(id);
   apply_preemptions();
 }
@@ -445,7 +423,7 @@ void ResourceManager::release_job(sched::JobId id) {
     clear_allocation(id);
     // Stateful schedulers (fair-share ledgers, account usage) charge the
     // observed consumption on the release path.
-    scheduler_->on_job_released(job, engine_.now());
+    scheduler_.on_job_released(job, engine_.now());
     on_job_finished(job);
     master_stats_->set_tracked_jobs(pool_.pending().size() + pool_.active().size());
     // Freed resources: give the scheduler an immediate chance.
@@ -454,13 +432,14 @@ void ResourceManager::release_job(sched::JobId id) {
 }
 
 void ResourceManager::apply_preemptions() {
-  if (!policy_sched_ || !master_up_) return;
-  const auto orders = policy_sched_->preemption_orders(
+  sched::policy::PolicyState* policy = scheduler_.policy();
+  if (!policy || !master_up_) return;
+  const auto orders = scheduler_.preemption_orders(
       pool_, static_cast<int>(free_.size()), engine_.now());
   for (const auto& order : orders) {
     // Bracket the grace window so later cycles do not re-order the same
     // victim while it winds down.
-    policy_sched_->note_preemption_pending(order.victim);
+    policy->note_preemption_pending(order.victim);
     engine_.schedule_after(order.grace, [this, order] {
       finish_preemption(order.victim, order.mode);
     });
@@ -469,7 +448,7 @@ void ResourceManager::apply_preemptions() {
 
 void ResourceManager::finish_preemption(sched::JobId id,
                                         sched::policy::PreemptMode mode) {
-  if (policy_sched_) policy_sched_->note_preemption_done(id);
+  if (auto* policy = scheduler_.policy()) policy->note_preemption_done(id);
   if (!master_up_) return;  // reprieved: the eviction died with the master
   // Only a job still physically running with its run timer armed can be
   // stopped; anything else completed (possibly deferred) during grace.
@@ -479,7 +458,7 @@ void ResourceManager::finish_preemption(sched::JobId id,
   engine_.cancel(event->second);
   end_events_.erase(event);
 
-  scheduler_->on_job_preempted(pool_.get(id), engine_.now());
+  scheduler_.on_job_preempted(pool_.get(id), engine_.now());
   if (auto* t = telemetry_)
     t->metrics
         .counter("sched.policy.preemptions",
@@ -633,7 +612,7 @@ void ResourceManager::kill_allocation(sched::JobId id, bool proactive) {
       }
       pool_.mark_released(id, engine_.now());
       occupation_.add(to_seconds(job.release_time - job.submit_time));
-      scheduler_->on_job_released(job, engine_.now());
+      scheduler_.on_job_released(job, engine_.now());
       on_job_finished(job);
     }
     master_stats_->set_tracked_jobs(pool_.pending().size() + pool_.active().size());
@@ -720,9 +699,10 @@ std::vector<NodeId> ResourceManager::job_nodes(sched::JobId id) const {
 }
 
 void ResourceManager::probe_reservations() {
-  if (!policy_sched_) return;
+  const auto* policy = scheduler_.policy();
+  if (!policy) return;
   const SimTime now = engine_.now();
-  for (const auto& r : policy_sched_->reservations().all()) {
+  for (const auto& r : policy->reservations().all()) {
     if (!r.active_at(now)) continue;
     // Capacity held by *payloads* (Starting/Running) the window excludes;
     // Completing jobs are already being torn down by their termination

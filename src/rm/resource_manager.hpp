@@ -81,14 +81,16 @@ struct RmRuntimeConfig {
   /// promotion).  Off by default; when off, no HA code path runs and
   /// behaviour is bit-identical to earlier builds.
   ha::HaOptions ha;
-  /// Scheduling policy: "easy" (default, the paper's backfill), "fcfs",
-  /// "conservative", "priority" (multifactor EASY), or "policy" (the full
-  /// QoS/limits/reservations/preemption suite driven by `policy`).
+  /// Scheduler preset, built by sched::make_scheduler: "easy" (default,
+  /// the paper's backfill), "fcfs", "conservative", "priority"
+  /// (multifactor EASY), or "policy" (the full QoS/limits/reservations/
+  /// preemption suite driven by `policy`).  Any other name runs "easy".
   std::string scheduler = "easy";
   /// Partitions validated at submit time and feeding the priority boost;
   /// the empty default skips validation entirely.
   sched::PartitionSet partitions;
-  /// Policy-suite knobs; only read when scheduler == "policy".
+  /// Policy-suite knobs: "policy" reads all of them, "priority" only
+  /// `policy.weights`, the other presets none.
   sched::policy::PolicyConfig policy;
   /// Job fault tolerance: node-death retry/requeue state machine,
   /// checkpoint model, proactive drain and failure-aware placement.
@@ -174,10 +176,10 @@ class ResourceManager {
   std::vector<NodeId> job_nodes(sched::JobId id) const;
 
   // --- policy suite ----------------------------------------------------
-  sched::Scheduler& scheduler() { return *scheduler_; }
-  /// The policy scheduler, or nullptr unless config.scheduler == "policy".
-  sched::policy::PolicyScheduler* policy() { return policy_sched_; }
-  const sched::policy::PolicyScheduler* policy() const { return policy_sched_; }
+  sched::Scheduler& scheduler() { return scheduler_; }
+  /// The policy stage state, or nullptr unless config.scheduler == "policy".
+  sched::policy::PolicyState* policy() { return scheduler_.policy(); }
+  const sched::policy::PolicyState* policy() const { return scheduler_.policy(); }
   /// Preemption outcomes executed by this RM (requeue / cancel mode).
   std::uint64_t preempt_requeues() const { return preempt_requeued_; }
   std::uint64_t preempt_cancels() const { return preempt_cancelled_; }
@@ -329,11 +331,9 @@ class ResourceManager {
   void clear_allocation(sched::JobId id);
 
   sched::JobPool pool_;
-  /// Built by config_.scheduler; the default "easy" keeps the exact
-  /// pre-policy EasyBackfillScheduler behaviour.
-  std::unique_ptr<sched::Scheduler> scheduler_;
-  /// Downcast view of scheduler_, non-null only for "policy".
-  sched::policy::PolicyScheduler* policy_sched_ = nullptr;
+  /// The config_.scheduler preset; the default "easy" is the paper's
+  /// EASY backfill in submit order.
+  sched::Scheduler scheduler_;
   /// Armed run timers of running jobs: preemption cancels them.  An entry
   /// disappears when its timer fires (job_ended) or is preempted.
   std::unordered_map<sched::JobId, sim::EventId> end_events_;

@@ -2,46 +2,44 @@
 
 #include <algorithm>
 
+#include "sched/scheduler.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace eslurm::sched::policy {
 
-namespace {
+PolicyState::PolicyState(PolicyConfig config) : config_(std::move(config)) {}
 
-PriorityWeights weights_with_partition_default(PriorityWeights weights,
-                                               const PartitionSet* partitions) {
-  if (partitions && !partitions->empty() && weights.partition == 0.0)
-    weights.partition = kDefaultPartitionWeight;
-  return weights;
+void PolicyState::refresh_factors(const JobPool& pool, SimTime now) {
+  for (const JobId id : pool.pending()) {
+    const Job& job = pool.get(id);
+    config_.accounts.ensure_user(job.user, job.account);
+  }
+  factors_ = config_.accounts.fair_tree_factors(now);
 }
 
-}  // namespace
-
-PolicyScheduler::PolicyScheduler(PolicyConfig config, int cluster_nodes,
-                                 const PartitionSet* partitions)
-    : config_(std::move(config)),
-      calculator_(weights_with_partition_default(config_.weights, partitions),
-                  cluster_nodes,
-                  static_cast<double>(cluster_nodes) * to_seconds(days(7))),
-      partitions_(partitions) {}
-
-double PolicyScheduler::share_factor(const std::string& user) const {
+double PolicyState::share_factor(const std::string& user) const {
   const auto it = factors_.find(user);
   return it == factors_.end() ? 1.0 : it->second;
 }
 
-double PolicyScheduler::priority_of(const Job& job, SimTime now) const {
-  double partition_factor = 0.0;
-  if (partitions_) {
-    if (const Partition* partition = partitions_->find(job.partition))
-      partition_factor = partition->priority_factor;
-  }
-  return calculator_.priority_from_factors(job, now, share_factor(job.user),
-                                           partition_factor) +
-         config_.qos_weight * config_.qos.resolve(job.qos).priority_boost;
+void PolicyState::begin_admission(const JobPool& pool) {
+  usage_ = config_.enforce_limits ? config_.accounts.usage_from(pool) : LiveUsage{};
 }
 
-SimTime PolicyScheduler::kill_window_end(const Job& job, SimTime now) const {
+bool PolicyState::held_by_limits(const Job& job) {
+  if (!config_.enforce_limits) return false;
+  const auto reason =
+      config_.accounts.may_start(job, config_.qos.resolve(job.qos), usage_);
+  if (!reason) return false;
+  ++limit_holds_;
+  if (telemetry_)
+    telemetry_->metrics.counter("sched.policy.limit_holds", {{"reason", *reason}}).inc();
+  return true;
+}
+
+void PolicyState::admit(const Job& job) { config_.accounts.add_usage(usage_, job); }
+
+SimTime PolicyState::kill_window_end(const Job& job, SimTime now) const {
   const SimTime limit = job.user_estimate > 0
                             ? std::max(job.user_estimate, job.estimate_used)
                             : job.estimate_used;
@@ -49,142 +47,55 @@ SimTime PolicyScheduler::kill_window_end(const Job& job, SimTime now) const {
   return now + limit + config_.reservation_margin;
 }
 
-int PolicyScheduler::carve_for(const Job& job, SimTime now) const {
-  if (config_.reservations.empty()) return 0;
-  return config_.reservations.carve_out(job, now, kill_window_end(job, now));
-}
-
-std::vector<JobId> PolicyScheduler::schedule(const JobPool& pool, int free_nodes,
-                                             SimTime now) {
-  // The tree self-assembles: first sight of a user registers them under
-  // their job's account tag, so fair-tree and account limits cover the
-  // whole population without explicit sacctmgr-style setup.
-  for (const JobId id : pool.pending()) {
-    const Job& job = pool.get(id);
-    config_.accounts.ensure_user(job.user, job.account);
-  }
-  factors_ = config_.accounts.fair_tree_factors(now);
-
-  auto& ranked = ranked_scratch_;
-  ranked.clear();
-  ranked.reserve(pool.pending().size());
-  for (const JobId id : pool.pending()) {
-    const Job& job = pool.get(id);
-    if (!dependency_ready(pool, job)) continue;  // held
-    ranked.emplace_back(-priority_of(job, now), id);
-  }
-  // Stable: equal priorities keep submission order (ids ascend with time).
-  std::stable_sort(ranked.begin(), ranked.end());
-  auto& ordered = ordered_scratch_;
-  ordered.clear();
-  ordered.reserve(ranked.size());
-  for (const auto& [neg_priority, id] : ranked) ordered.push_back(id);
-
-  LiveUsage usage;
-  if (config_.enforce_limits) usage = config_.accounts.usage_from(pool);
-  const auto held_by_limits = [&](const Job& job) -> bool {
-    if (!config_.enforce_limits) return false;
-    const auto reason =
-        config_.accounts.may_start(job, config_.qos.resolve(job.qos), usage);
-    if (!reason) return false;
-    ++limit_holds_;
+bool PolicyState::carve_blocks(const Job& job, int free_nodes, SimTime now) {
+  const int carve =
+      config_.reservations.empty()
+          ? 0
+          : config_.reservations.carve_out(job, now, kill_window_end(job, now));
+  if (job.nodes <= free_nodes - carve) return false;
+  if (job.nodes <= free_nodes) {
+    // It is specifically the reservation carve-out that blocks it.
+    ++carve_skips_;
     if (telemetry_)
-      telemetry_->metrics.counter("sched.policy.limit_holds", {{"reason", *reason}})
-          .inc();
-    return true;
-  };
-  const auto carve_blocks = [&](const Job& job) -> bool {
-    const int carve = carve_for(job, now);
-    if (job.nodes <= free_nodes - carve) return false;
-    if (job.nodes <= free_nodes) {
-      // It is specifically the reservation carve-out that blocks it.
-      ++carve_skips_;
-      if (telemetry_)
-        telemetry_->metrics.counter("sched.policy.reservation_carve_skips").inc();
-    }
-    return true;
-  };
-
-  std::vector<JobId> out;
-  blocked_head_ = kNoJob;
-  std::size_t cursor = 0;
-
-  // Start phase: launch in priority order while candidates fit.  A
-  // limit-held job is skipped outright -- as in Slurm, a held job gets
-  // no reservation and never blocks the queue behind it.
-  while (cursor < ordered.size()) {
-    const Job& job = pool.get(ordered[cursor]);
-    if (held_by_limits(job)) {
-      ++cursor;
-      continue;
-    }
-    if (carve_blocks(job)) break;  // blocked head
-    free_nodes -= job.nodes;
-    config_.accounts.add_usage(usage, job);
-    out.push_back(job.id);
-    ++cursor;
+      telemetry_->metrics.counter("sched.policy.reservation_carve_skips").inc();
   }
-  if (cursor >= ordered.size()) return out;
-  blocked_head_ = ordered[cursor];
-  if (free_nodes <= 0) return out;
-
-  // Shadow reservation for the blocked head, exactly as the EASY pass:
-  // walk active jobs in expected-end order until the head fits.
-  const Job& head = pool.get(blocked_head_);
-  auto& releases = scratch_.releases;
-  releases.clear();
-  releases.reserve(pool.active().size());
-  for (const JobId id : pool.active()) {
-    const Job& job = pool.get(id);
-    releases.emplace_back(expected_end(job, now), job.nodes);
-  }
-  std::sort(releases.begin(), releases.end());
-  SimTime shadow = kTimeNever;
-  int avail = free_nodes;
-  int spare = 0;
-  for (const auto& [end, nodes] : releases) {
-    avail += nodes;
-    if (avail >= head.nodes) {
-      shadow = end;
-      spare = avail - head.nodes;
-      break;
-    }
-  }
-  ++cursor;
-
-  // Backfill phase: fits now, cannot delay the head's shadow start, and
-  // never crosses a reservation window it is not allowed into.
-  for (; cursor < ordered.size(); ++cursor) {
-    if (free_nodes <= 0) break;
-    const Job& job = pool.get(ordered[cursor]);
-    if (job.nodes > free_nodes) continue;
-    if (held_by_limits(job)) continue;
-    if (carve_blocks(job)) continue;
-    const SimTime est = job.estimate_used > 0 ? job.estimate_used : job.user_estimate;
-    const bool ends_before_shadow = shadow == kTimeNever || now + est <= shadow;
-    const bool fits_spare = shadow == kTimeNever || job.nodes <= spare;
-    if (ends_before_shadow || fits_spare) {
-      free_nodes -= job.nodes;
-      if (fits_spare && !ends_before_shadow) spare -= job.nodes;
-      config_.accounts.add_usage(usage, job);
-      out.push_back(job.id);
-      ++backfilled_;
-      if (telemetry_) telemetry_->metrics.counter("sched.backfill_decisions").inc();
-    }
-  }
-  return out;
+  return true;
 }
 
-std::vector<PreemptionOrder> PolicyScheduler::preemption_orders(const JobPool& pool,
-                                                                int free_nodes,
-                                                                SimTime now) {
-  if (!config_.enable_preemption || config_.preempt_mode == PreemptMode::Off)
+void PolicyState::charge(const Job& job, SimTime ran, SimTime now) {
+  config_.accounts.ensure_user(job.user, job.account);
+  config_.accounts.charge(job, static_cast<double>(job.nodes) * to_seconds(ran), now);
+}
+
+void PolicyState::audit(const JobPool& pool) {
+  if (!config_.enforce_limits) return;
+  const std::size_t bad = config_.accounts.violations(config_.accounts.usage_from(pool));
+  if (bad == 0) return;
+  violations_ += bad;
+  if (telemetry_)
+    telemetry_->metrics.counter("sched.policy.limit_violations")
+        .inc(static_cast<double>(bad));
+}
+
+}  // namespace eslurm::sched::policy
+
+namespace eslurm::sched {
+
+// Preemption victim selection is the last policy stage; it lives with the
+// others but prices victims by the pipeline's ordering.
+std::vector<policy::PreemptionOrder> Scheduler::preemption_orders(const JobPool& pool,
+                                                                  int free_nodes,
+                                                                  SimTime now) {
+  if (!policy_) return {};
+  policy::PolicyState& state = *policy_;
+  const policy::PolicyConfig& config = state.config_;
+  if (!config.enable_preemption || config.preempt_mode == policy::PreemptMode::Off)
     return {};
-  if (blocked_head_ == kNoJob || !pool.contains(blocked_head_)) return {};
-  const Job& head = pool.get(blocked_head_);
+  if (state.blocked_head_ == kNoJob || !pool.contains(state.blocked_head_)) return {};
+  const Job& head = pool.get(state.blocked_head_);
   if (head.state != JobState::Pending) return {};
-  if (now - head.submit_time < config_.preempt_wait) return {};
-  const QosClass& head_qos = config_.qos.resolve(head.qos);
+  if (now - head.submit_time < config.preempt_wait) return {};
+  const policy::QosClass& head_qos = config.qos.resolve(head.qos);
   if (head_qos.preempts.empty()) return {};
 
   // Victims already in their grace window will free their nodes shortly;
@@ -201,13 +112,13 @@ std::vector<PreemptionOrder> PolicyScheduler::preemption_orders(const JobPool& p
   for (const JobId id : pool.active()) {
     const Job& job = pool.get(id);
     if (job.state != JobState::Running) continue;
-    if (pending_preempt_.count(id)) {
+    if (state.pending_preempt_.count(id)) {
       incoming += job.nodes;
       continue;
     }
-    if (!config_.qos.may_preempt(head.qos, job.qos)) continue;
+    if (!config.qos.may_preempt(head.qos, job.qos)) continue;
     candidates.push_back({priority_of(job, now), job.start_time, id, job.nodes,
-                          config_.qos.resolve(job.qos).grace_period});
+                          config.qos.resolve(job.qos).grace_period});
   }
   int attainable = free_nodes + incoming;
   for (const Candidate& c : candidates) attainable += c.nodes;
@@ -221,45 +132,20 @@ std::vector<PreemptionOrder> PolicyScheduler::preemption_orders(const JobPool& p
               if (a.started != b.started) return a.started > b.started;
               return a.id > b.id;
             });
-  std::vector<PreemptionOrder> orders;
+  std::vector<policy::PreemptionOrder> orders;
   int gained = free_nodes + incoming;
   for (const Candidate& c : candidates) {
     if (gained >= head.nodes) break;
-    orders.push_back({c.id, config_.preempt_mode, c.grace});
+    orders.push_back({c.id, config.preempt_mode, c.grace});
     gained += c.nodes;
-    ++orders_issued_;
+    ++state.orders_issued_;
     if (telemetry_)
       telemetry_->metrics
           .counter("sched.policy.preempt_orders",
-                   {{"mode", preempt_mode_name(config_.preempt_mode)}})
+                   {{"mode", policy::preempt_mode_name(config.preempt_mode)}})
           .inc();
   }
   return orders;
 }
 
-void PolicyScheduler::audit(const JobPool& pool) {
-  if (!config_.enforce_limits) return;
-  const std::size_t bad = config_.accounts.violations(config_.accounts.usage_from(pool));
-  if (bad == 0) return;
-  violations_ += bad;
-  if (telemetry_)
-    telemetry_->metrics.counter("sched.policy.limit_violations")
-        .inc(static_cast<double>(bad));
-}
-
-void PolicyScheduler::on_job_released(const Job& job, SimTime now) {
-  const SimTime runtime = job.observed_runtime();
-  if (runtime <= 0) return;
-  config_.accounts.ensure_user(job.user, job.account);
-  config_.accounts.charge(job, static_cast<double>(job.nodes) * to_seconds(runtime),
-                          now);
-}
-
-void PolicyScheduler::on_job_preempted(const Job& job, SimTime now) {
-  if (job.start_time < 0 || now <= job.start_time) return;
-  config_.accounts.ensure_user(job.user, job.account);
-  config_.accounts.charge(
-      job, static_cast<double>(job.nodes) * to_seconds(now - job.start_time), now);
-}
-
-}  // namespace eslurm::sched::policy
+}  // namespace eslurm::sched

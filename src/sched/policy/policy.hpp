@@ -1,21 +1,27 @@
-// The production policy layer, assembled: admission (QoS + account
-// limits) -> multifactor priority with QoS boost and fair-tree
-// fair-share -> reservation carve-out -> EASY backfill -> preemption
-// victim selection.  PolicyScheduler is a drop-in sched::Scheduler; the
-// RM executes its start decisions as usual and additionally asks for
-// preemption orders after each pass (the scheduler itself never kills
-// anything -- schedulers stay pure decision functions).
+// The production policy layer of the "policy" scheduler preset: admission
+// (QoS + account limits) -> multifactor priority with QoS boost and
+// fair-tree fair-share -> reservation carve-out -> EASY backfill ->
+// preemption victim selection.  The sched::Scheduler pipeline runs these
+// stages; the RM executes its start decisions as usual and additionally
+// asks for preemption orders after each pass (the scheduler itself never
+// kills anything -- schedulers stay pure decision functions).
 #pragma once
 
 #include <unordered_map>
 #include <unordered_set>
 
-#include "sched/partition.hpp"
 #include "sched/policy/accounts.hpp"
 #include "sched/policy/qos.hpp"
 #include "sched/policy/reservation.hpp"
 #include "sched/priority.hpp"
-#include "sched/scheduler.hpp"
+
+namespace eslurm::telemetry {
+struct Telemetry;
+}  // namespace eslurm::telemetry
+
+namespace eslurm::sched {
+class Scheduler;
+}  // namespace eslurm::sched
 
 namespace eslurm::sched::policy {
 
@@ -23,8 +29,10 @@ namespace eslurm::sched::policy {
 /// default-constructed config is inert: no limits registered, no
 /// reservations, preemption off.
 struct PolicyConfig {
-  /// Master switch read by the Experiment/RM wiring: false keeps the
-  /// plain EASY scheduler and runs zero policy code.
+  /// Read only by Experiment's `sched.policy.enabled` config-text key,
+  /// which also switches an "easy" scheduler to "policy".  Neither the
+  /// scheduler nor the RM reads it: RmRuntimeConfig::scheduler alone
+  /// decides whether the policy stages run.
   bool enabled = false;
   /// Enforce QoS/user/account admission limits (holds, never rejects).
   bool enforce_limits = true;
@@ -52,30 +60,15 @@ struct PreemptionOrder {
   SimTime grace = 0;
 };
 
-class PolicyScheduler final : public Scheduler {
+/// State of the policy stages of the "policy" preset: limit admission,
+/// reservation carve-out and preemption victim selection.  The
+/// sched::Scheduler pipeline drives the stages; this object owns their
+/// configuration, the fair-tree factors of the latest pass, the
+/// preemption bookkeeping and the decision counters.
+class PolicyState {
  public:
-  /// `partitions` (optional, must outlive the scheduler) contributes the
-  /// per-partition boost, with the same weight-default promotion as
-  /// PriorityBackfillScheduler.
-  PolicyScheduler(PolicyConfig config, int cluster_nodes,
-                  const PartitionSet* partitions = nullptr);
+  explicit PolicyState(PolicyConfig config);
 
-  std::vector<JobId> schedule(const JobPool& pool, int free_nodes,
-                              SimTime now) override;
-  const char* name() const override { return "policy"; }
-
-  void set_telemetry(telemetry::Telemetry* telemetry) override {
-    telemetry_ = telemetry;
-  }
-  void on_job_released(const Job& job, SimTime now) override;
-  void on_job_preempted(const Job& job, SimTime now) override;
-
-  /// Victims to evict so the currently blocked head can start: empty when
-  /// preemption is off, nothing is blocked, the head has not waited
-  /// `preempt_wait` yet, or eviction cannot possibly free enough nodes.
-  /// Ordered cheapest-victim-first (lowest priority, youngest start).
-  std::vector<PreemptionOrder> preemption_orders(const JobPool& pool,
-                                                 int free_nodes, SimTime now);
   /// RM bracketing of a victim's grace window, so repeated scheduling
   /// cycles do not stack duplicate orders on the same job.
   void note_preemption_pending(JobId id) { pending_preempt_.insert(id); }
@@ -85,9 +78,6 @@ class PolicyScheduler final : public Scheduler {
   /// (must stay 0 while admission is enforced).  Called by the RM each
   /// cycle; cheap (one pass over active jobs).
   void audit(const JobPool& pool);
-
-  /// Full multifactor priority of one job right now (introspection).
-  double priority_of(const Job& job, SimTime now) const;
 
   // --- state access ----------------------------------------------------
   const PolicyConfig& config() const { return config_; }
@@ -99,37 +89,46 @@ class PolicyScheduler final : public Scheduler {
   std::uint64_t limit_holds() const { return limit_holds_; }
   std::uint64_t reservation_carve_skips() const { return carve_skips_; }
   std::uint64_t limit_violations() const { return violations_; }
-  std::uint64_t backfilled_jobs() const { return backfilled_; }
   std::uint64_t preempt_orders_issued() const { return orders_issued_; }
 
  private:
+  friend class sched::Scheduler;
+
+  /// Fair-tree ordering input: registers first-seen users under their
+  /// job's account tag (the tree self-assembles, so fair-tree and account
+  /// limits cover the whole population without sacctmgr-style setup),
+  /// then recomputes the per-user factors.
+  void refresh_factors(const JobPool& pool, SimTime now);
+  double share_factor(const std::string& user) const;
+  /// Snapshot of live usage for this pass's admission decisions.
+  void begin_admission(const JobPool& pool);
+  /// True (and counted) when the job's QoS/user/account limits hold it.
+  bool held_by_limits(const Job& job);
+  /// Books an admitted start into this pass's usage snapshot.
+  void admit(const Job& job);
+  /// True when the job does not fit `free_nodes` minus the reserved
+  /// capacity it may not touch; counted when the carve-out alone blocks it.
+  bool carve_blocks(const Job& job, int free_nodes, SimTime now);
   /// End of the job's kill-limit window for reservation math (the RM
   /// kills at max(user_estimate, estimate_used)); kTimeNever when the
   /// job has no enforceable limit.
   SimTime kill_window_end(const Job& job, SimTime now) const;
-  /// Reserved capacity this job may not touch over its window.
-  int carve_for(const Job& job, SimTime now) const;
-  double share_factor(const std::string& user) const;
+  /// Charges consumed node-seconds to the job's account chain.
+  void charge(const Job& job, SimTime ran, SimTime now);
 
   PolicyConfig config_;
-  PriorityCalculator calculator_;
-  const PartitionSet* partitions_;
   telemetry::Telemetry* telemetry_ = nullptr;
 
   /// Fair-tree factors from the latest pass (also used to price victims).
   std::unordered_map<std::string, double> factors_;
+  LiveUsage usage_;
   std::unordered_set<JobId> pending_preempt_;
   JobId blocked_head_ = kNoJob;  ///< highest-priority job that could not start
 
   std::uint64_t limit_holds_ = 0;
   std::uint64_t carve_skips_ = 0;
   std::uint64_t violations_ = 0;
-  std::uint64_t backfilled_ = 0;
   std::uint64_t orders_issued_ = 0;
-
-  std::vector<std::pair<double, JobId>> ranked_scratch_;
-  std::vector<JobId> ordered_scratch_;
-  BackfillScratch scratch_;
 };
 
 }  // namespace eslurm::sched::policy

@@ -6,8 +6,27 @@
 
 namespace eslurm::sched {
 
+namespace {
+
+/// Fair-share usage decays with a one-week half-life (Slurm's default
+/// PriorityDecayHalfLife).
+constexpr SimTime kFairshareHalfLife = days(7);
+
+PriorityWeights with_partition_default(PriorityWeights weights,
+                                       const PartitionSet* partitions) {
+  if (partitions && !partitions->empty() && weights.partition == 0.0)
+    weights.partition = kDefaultPartitionWeight;
+  return weights;
+}
+
+SimTime estimate_of(const Job& job) {
+  return job.estimate_used > 0 ? job.estimate_used : job.user_estimate;
+}
+
+}  // namespace
+
 SimTime expected_end(const Job& job, SimTime now) {
-  const SimTime est = job.estimate_used > 0 ? job.estimate_used : job.user_estimate;
+  const SimTime est = estimate_of(job);
   const SimTime base = job.start_time >= 0 ? job.start_time : now;
   const SimTime nominal = base + est;
   if (nominal > now) return nominal;
@@ -31,118 +50,203 @@ bool dependency_ready(const JobPool& pool, const Job& job, bool* failed) {
   return false;
 }
 
-std::vector<JobId> FcfsScheduler::schedule(const JobPool& pool, int free_nodes,
-                                           SimTime /*now*/) {
-  std::vector<JobId> out;
+Scheduler make_scheduler(std::string_view preset, int cluster_nodes,
+                         const PartitionSet* partitions,
+                         const policy::PolicyConfig& policy,
+                         std::size_t planning_depth) {
+  using Ordering = Scheduler::Ordering;
+  using Backfill = Scheduler::Backfill;
+  const auto build = [&](Ordering ordering, Backfill backfill) {
+    return Scheduler(ordering, backfill, cluster_nodes, partitions, policy.weights,
+                     planning_depth);
+  };
+  if (preset == "fcfs") return build(Ordering::Submit, Backfill::None);
+  if (preset == "conservative") return build(Ordering::Submit, Backfill::Conservative);
+  if (preset == "priority") return build(Ordering::Multifactor, Backfill::Easy);
+  if (preset == "policy") {
+    Scheduler scheduler = build(Ordering::FairTree, Backfill::Easy);
+    scheduler.policy_ = std::make_unique<policy::PolicyState>(policy);
+    return scheduler;
+  }
+  return Scheduler();
+}
+
+Scheduler::Scheduler()
+    : Scheduler(Ordering::Submit, Backfill::Easy, 1, nullptr, PriorityWeights{},
+                kConservativePlanningDepth) {}
+
+Scheduler::Scheduler(Ordering ordering, Backfill backfill, int cluster_nodes,
+                     const PartitionSet* partitions, const PriorityWeights& weights,
+                     std::size_t planning_depth)
+    : ordering_(ordering),
+      backfill_(backfill),
+      planning_depth_(planning_depth),
+      calculator_(with_partition_default(weights, partitions), cluster_nodes,
+                  static_cast<double>(cluster_nodes) * to_seconds(kFairshareHalfLife)),
+      fairshare_(kFairshareHalfLife),
+      partitions_(partitions) {}
+
+void Scheduler::set_telemetry(telemetry::Telemetry* telemetry) {
+  telemetry_ = telemetry;
+  if (policy_) policy_->telemetry_ = telemetry;
+}
+
+double Scheduler::priority_of(const Job& job, SimTime now) const {
+  double partition_factor = 0.0;
+  if (partitions_) {
+    if (const Partition* partition = partitions_->find(job.partition))
+      partition_factor = partition->priority_factor;
+  }
+  if (ordering_ != Ordering::FairTree)
+    return calculator_.priority(job, now, fairshare_, partition_factor);
+  const policy::PolicyConfig& config = policy_->config_;
+  return calculator_.priority_from_factors(job, now, policy_->share_factor(job.user),
+                                           partition_factor) +
+         config.qos_weight * config.qos.resolve(job.qos).priority_boost;
+}
+
+void Scheduler::on_job_released(const Job& job, SimTime now) {
+  if (ordering_ == Ordering::Submit) return;
+  const SimTime runtime = job.observed_runtime();
+  if (runtime <= 0) return;
+  if (policy_)
+    policy_->charge(job, runtime, now);
+  else
+    fairshare_.record_usage(job.user,
+                            static_cast<double>(job.nodes) * to_seconds(runtime), now);
+}
+
+void Scheduler::on_job_preempted(const Job& job, SimTime now) {
+  if (ordering_ == Ordering::Submit) return;
+  if (job.start_time < 0 || now <= job.start_time) return;
+  if (policy_)
+    policy_->charge(job, now - job.start_time, now);
+  else
+    fairshare_.record_usage(
+        job.user, static_cast<double>(job.nodes) * to_seconds(now - job.start_time),
+        now);
+}
+
+std::vector<JobId> Scheduler::schedule(const JobPool& pool, int free_nodes,
+                                       SimTime now) {
+  if (backfill_ == Backfill::Conservative)
+    return conservative_pass(pool, free_nodes, now);
+  rank(pool, now);
+  return start_and_backfill(pool, free_nodes, now);
+}
+
+void Scheduler::rank(const JobPool& pool, SimTime now) {
+  ordered_.clear();
+  ordered_.reserve(pool.pending().size());
+  if (ordering_ == Ordering::Submit) {
+    for (const JobId id : pool.pending())
+      if (dependency_ready(pool, pool.get(id))) ordered_.push_back(id);
+    return;
+  }
+  if (ordering_ == Ordering::FairTree) policy_->refresh_factors(pool, now);
+  ranked_.clear();
+  ranked_.reserve(pool.pending().size());
   for (const JobId id : pool.pending()) {
     const Job& job = pool.get(id);
-    if (!dependency_ready(pool, job)) continue;  // held, does not block
-    if (job.nodes > free_nodes) break;
-    free_nodes -= job.nodes;
-    out.push_back(id);
+    if (!dependency_ready(pool, job)) continue;  // held
+    ranked_.emplace_back(-priority_of(job, now), id);
   }
-  return out;
+  // Stable: equal priorities keep submission order (ids ascend with time).
+  std::stable_sort(ranked_.begin(), ranked_.end());
+  for (const auto& [neg_priority, id] : ranked_) ordered_.push_back(id);
 }
 
-std::vector<JobId> easy_backfill_pass(const JobPool& pool,
-                                      const std::vector<JobId>& ordered_pending,
-                                      int free_nodes, SimTime now,
-                                      std::uint64_t* backfilled_counter,
-                                      telemetry::Telemetry* telemetry,
-                                      BackfillScratch* scratch) {
-  BackfillScratch local;
-  BackfillScratch& work = scratch ? *scratch : local;
-  std::vector<JobId> out;
-  std::size_t cursor = 0;
-
-  // Start the head of the (ordered) queue while it fits.
-  while (cursor < ordered_pending.size()) {
-    const Job& head = pool.get(ordered_pending[cursor]);
-    if (head.nodes > free_nodes) break;
-    free_nodes -= head.nodes;
-    out.push_back(head.id);
-    ++cursor;
-  }
-  if (cursor >= ordered_pending.size() || free_nodes <= 0) return out;
-
-  // Reservation for the blocked head: walk active jobs in expected-end
-  // order, accumulating released nodes until the head fits.  `shadow` is
-  // the head's reserved start time; `spare` is what is left over at that
-  // moment after the head takes its share.
-  const Job& head = pool.get(ordered_pending[cursor]);
-  auto& releases = work.releases;  // (expected end, nodes)
-  releases.clear();
-  releases.reserve(pool.active().size());
-  for (const JobId id : pool.active()) {
-    const Job& job = pool.get(id);
-    releases.emplace_back(expected_end(job, now), job.nodes);
-  }
-  std::sort(releases.begin(), releases.end());
-
-  SimTime shadow = kTimeNever;
-  int avail = free_nodes;
-  int spare = 0;
-  for (const auto& [end, nodes] : releases) {
-    avail += nodes;
-    if (avail >= head.nodes) {
-      shadow = end;
-      spare = avail - head.nodes;
-      break;
-    }
-  }
-  // If running jobs can never free enough nodes the head is unsatisfiable
-  // right now (machine too small / draining); no reservation constrains
-  // the backfill in that case.
-  ++cursor;
-
-  // Backfill pass: a candidate may start if it fits now AND either ends
-  // before the shadow time or only uses nodes spare at the shadow time.
-  for (; cursor < ordered_pending.size(); ++cursor) {
-    if (free_nodes <= 0) break;
-    const Job& job = pool.get(ordered_pending[cursor]);
-    if (job.nodes > free_nodes) continue;
-    const SimTime est = job.estimate_used > 0 ? job.estimate_used : job.user_estimate;
-    const bool ends_before_shadow = shadow == kTimeNever || now + est <= shadow;
-    const bool fits_spare = shadow == kTimeNever || job.nodes <= spare;
-    if (ends_before_shadow || fits_spare) {
-      free_nodes -= job.nodes;
-      if (fits_spare && !ends_before_shadow) spare -= job.nodes;
-      out.push_back(job.id);
-      if (backfilled_counter) ++(*backfilled_counter);
-      if (telemetry)
-        telemetry->metrics.counter("sched.backfill_decisions").inc();
-    }
-  }
-  return out;
-}
-
-std::vector<JobId> EasyBackfillScheduler::schedule(const JobPool& pool, int free_nodes,
-                                                   SimTime now) {
-  ordered_scratch_.clear();
-  ordered_scratch_.reserve(pool.pending().size());
-  for (const JobId id : pool.pending())
-    if (dependency_ready(pool, pool.get(id))) ordered_scratch_.push_back(id);
-  return easy_backfill_pass(pool, ordered_scratch_, free_nodes, now, &backfilled_,
-                            telemetry_, &scratch_);
-}
-
-ConservativeBackfillScheduler::ConservativeBackfillScheduler(std::size_t planning_depth)
-    : planning_depth_(planning_depth) {}
-
-std::vector<JobId> ConservativeBackfillScheduler::schedule(const JobPool& pool,
-                                                           int free_nodes,
-                                                           SimTime now) {
-  // Free-node timeline as a step function: time -> available nodes from
-  // that instant on, seeded by the expected ends of active jobs.  Both
-  // scratch vectors persist across cycles, so the steady state rebuilds
-  // in place without allocating.
+void Scheduler::sort_releases(const JobPool& pool, SimTime now) {
   releases_.clear();
+  releases_.reserve(pool.active().size());
   for (const JobId id : pool.active()) {
     const Job& job = pool.get(id);
     releases_.emplace_back(expected_end(job, now), job.nodes);
   }
   std::sort(releases_.begin(), releases_.end());
+}
 
+std::vector<JobId> Scheduler::start_and_backfill(const JobPool& pool, int free_nodes,
+                                                 SimTime now) {
+  // The policy stages are fixed for the scheduler's lifetime: one pointer
+  // test per candidate, no indirect call.
+  policy::PolicyState* const policy = policy_.get();
+  if (policy) policy->begin_admission(pool);
+  const auto blocked = [&](const Job& job) {
+    return policy ? policy->carve_blocks(job, free_nodes, now) : job.nodes > free_nodes;
+  };
+
+  std::vector<JobId> out;
+  std::size_t cursor = 0;
+
+  // Start the head of the ordered queue while it fits.  A limit-held job
+  // is skipped outright -- as in Slurm, a held job gets no reservation and
+  // never blocks the queue behind it.
+  for (; cursor < ordered_.size(); ++cursor) {
+    const Job& job = pool.get(ordered_[cursor]);
+    if (policy && policy->held_by_limits(job)) continue;
+    if (blocked(job)) break;
+    free_nodes -= job.nodes;
+    if (policy) policy->admit(job);
+    out.push_back(job.id);
+  }
+  if (policy)
+    policy->blocked_head_ = cursor < ordered_.size() ? ordered_[cursor] : kNoJob;
+  if (backfill_ == Backfill::None || cursor >= ordered_.size() || free_nodes <= 0)
+    return out;
+
+  // Shadow reservation for the blocked head: walk active jobs in
+  // expected-end order, accumulating released nodes until the head fits.
+  // `shadow` is the head's reserved start time; `spare` is what is left
+  // over at that moment after the head takes its share.  If running jobs
+  // can never free enough nodes the head is unsatisfiable right now
+  // (machine too small / draining) and no reservation constrains the
+  // backfill.
+  const int head_nodes = pool.get(ordered_[cursor++]).nodes;
+  sort_releases(pool, now);
+  SimTime shadow = kTimeNever;
+  int spare = 0;
+  int avail = free_nodes;
+  for (const auto& [end, nodes] : releases_) {
+    avail += nodes;
+    if (avail >= head_nodes) {
+      shadow = end;
+      spare = avail - head_nodes;
+      break;
+    }
+  }
+
+  // Backfill: a candidate may start if it fits now AND either ends before
+  // the shadow time or only uses nodes spare at the shadow time -- judged
+  // by the *runtime estimates*, which is exactly why the quality of
+  // runtime estimation drives utilization (Sections V and VII-D).  The
+  // policy stages additionally keep it out of reserved windows.
+  for (; cursor < ordered_.size() && free_nodes > 0; ++cursor) {
+    const Job& job = pool.get(ordered_[cursor]);
+    if (job.nodes > free_nodes) continue;
+    if (policy && (policy->held_by_limits(job) || blocked(job))) continue;
+    const bool ends_before_shadow =
+        shadow == kTimeNever || now + estimate_of(job) <= shadow;
+    const bool fits_spare = shadow == kTimeNever || job.nodes <= spare;
+    if (ends_before_shadow || fits_spare) {
+      free_nodes -= job.nodes;
+      if (fits_spare && !ends_before_shadow) spare -= job.nodes;
+      if (policy) policy->admit(job);
+      out.push_back(job.id);
+      ++backfilled_;
+      if (telemetry_) telemetry_->metrics.counter("sched.backfill_decisions").inc();
+    }
+  }
+  return out;
+}
+
+std::vector<JobId> Scheduler::conservative_pass(const JobPool& pool, int free_nodes,
+                                                SimTime now) {
+  // Free-node timeline as a step function: time -> available nodes from
+  // that instant on, seeded by the expected ends of active jobs.  No job
+  // can be delayed by a later arrival, at the cost of more planning work
+  // per cycle.
+  sort_releases(pool, now);
   timeline_.clear();
   timeline_.push_back({now, free_nodes});
   int level = free_nodes;
@@ -173,8 +277,7 @@ std::vector<JobId> ConservativeBackfillScheduler::schedule(const JobPool& pool,
     if (++planned > planning_depth_) break;
     const Job& job = pool.get(id);
     if (!dependency_ready(pool, job)) continue;  // held jobs reserve nothing
-    const SimTime est = std::max<SimTime>(
-        job.estimate_used > 0 ? job.estimate_used : job.user_estimate, seconds(1));
+    const SimTime est = std::max<SimTime>(estimate_of(job), seconds(1));
 
     // Earliest t where `nodes` are free across [t, t + est).
     SimTime start = now;

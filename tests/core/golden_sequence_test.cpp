@@ -13,6 +13,7 @@
 // expects the identical hash: event order must not depend on the thread
 // the world runs on.
 #include <cstdint>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -55,14 +56,32 @@ ExperimentConfig golden_config() {
   return config;
 }
 
-/// Runs the golden scenario and returns the stream hash.
-std::uint64_t run_golden(const ExperimentConfig& config) {
+/// Policy-stage decision counts of one run (left zero for presets
+/// without policy stages).
+struct PolicyCounts {
+  std::uint64_t limit_holds = 0;
+  std::uint64_t carve_skips = 0;
+  std::uint64_t preempt_orders = 0;
+};
+
+/// Runs the golden scenario and returns the stream hash.  `jobs_per_hour`
+/// sets the load; `tag_qos` tags the jobs at multiples of 7 "high" and
+/// the other multiples of 3 "low", so QoS boosts and preemption have work
+/// to do.
+std::uint64_t run_golden(const ExperimentConfig& config, double jobs_per_hour = 40,
+                         bool tag_qos = false, PolicyCounts* counts = nullptr) {
   trace::WorkloadProfile profile = trace::tianhe2a_profile();
-  profile.jobs_per_hour = 40;
+  profile.jobs_per_hour = jobs_per_hour;
   profile.max_nodes_per_job = 128;
   profile.seed = 0x60'1D;
   trace::TraceGenerator generator(profile);
-  const auto jobs = generator.generate(hours(1));
+  auto jobs = generator.generate(hours(1));
+  if (tag_qos) {
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (i % 7 == 0) jobs[i].qos = "high";
+      else if (i % 3 == 0) jobs[i].qos = "low";
+    }
+  }
 
   StreamHasher hasher;
   Experiment experiment(config);
@@ -78,6 +97,13 @@ std::uint64_t run_golden(const ExperimentConfig& config) {
   hasher.add(experiment.engine().executed_events());
   hasher.add(experiment.network().total_messages());
   hasher.add(experiment.network().total_bytes());
+  if (counts) {
+    if (const auto* policy = experiment.manager().policy()) {
+      counts->limit_holds = policy->limit_holds();
+      counts->carve_skips = policy->reservation_carve_skips();
+      counts->preempt_orders = policy->preempt_orders_issued();
+    }
+  }
   return hasher.hash;
 }
 
@@ -110,9 +136,11 @@ TEST(GoldenSequence, HaDisabledIsInert) {
 
 TEST(GoldenSequence, PolicyDisabledIsInert) {
   // The policy suite (QoS, account limits, reservations, preemption) must
-  // run zero code while disabled: every knob below is set aggressively,
-  // but with enabled=false the scheduler stays plain EASY and the pinned
-  // hash must reproduce bit-for-bit.
+  // run zero code unless its preset is chosen: every knob below is set
+  // aggressively, but the scheduler string stays "easy", so no policy
+  // stage is built and the pinned hash must reproduce bit-for-bit.
+  // (enabled=false is incidental: only Experiment's config-text alias
+  // reads it.)
   ExperimentConfig config = golden_config();
   config.rm_config.policy.enabled = false;
   config.rm_config.policy.enable_preemption = true;
@@ -143,6 +171,60 @@ TEST(GoldenSequence, RecoveryDisabledIsInert) {
   config.rm_config.recovery.fault_aware_placement = true;
   config.rm_config.recovery.placement_risk_weight = 100.0;
   EXPECT_EQ(run_golden(config), kGoldenHash);
+}
+
+// Per-preset decision pins.  At the golden load of 40 jobs/h the queue
+// rarely blocks, so fcfs, easy and conservative all reproduce kGoldenHash
+// and a broken backfill stage would go unnoticed.  At 400 jobs/h every
+// preset makes different decisions and hashes differently.  Captured
+// before the five scheduler classes became one pipeline; the pipeline
+// must reproduce each preset bit-for-bit.
+constexpr double kPresetLoad = 400;
+
+std::uint64_t run_preset(const std::string& scheduler) {
+  ExperimentConfig config = golden_config();
+  config.rm_config.scheduler = scheduler;
+  return run_golden(config, kPresetLoad);
+}
+
+TEST(GoldenSequence, PresetFcfs) {
+  EXPECT_EQ(run_preset("fcfs"), 0x4ae734a4d0587c07ull);
+}
+
+TEST(GoldenSequence, PresetEasy) {
+  EXPECT_EQ(run_preset("easy"), 0x333e801a4b1b4018ull);
+}
+
+TEST(GoldenSequence, PresetConservative) {
+  EXPECT_EQ(run_preset("conservative"), 0x3f3708e31dce8622ull);
+}
+
+TEST(GoldenSequence, PresetPriority) {
+  EXPECT_EQ(run_preset("priority"), 0xd51e31b1cab9ab19ull);
+}
+
+TEST(GoldenSequence, PresetPolicy) {
+  // Every policy stage fires: a one-job cap on user1 holds its jobs, a
+  // 256-node maintenance window carves capacity out of the backfill, and
+  // QoS-tagged "high" jobs preempt "low" ones after a 10 s wait.
+  ExperimentConfig config = golden_config();
+  config.rm_config.scheduler = "policy";
+  auto& policy = config.rm_config.policy;
+  policy.enabled = true;
+  policy.enable_preemption = true;
+  policy.preempt_mode = sched::policy::PreemptMode::Requeue;
+  policy.preempt_wait = seconds(10);
+  policy.qos_weight = 100.0;
+  policy.accounts.set_user("user1", "acct0", 1.0,
+                           sched::policy::UserLimits{.max_running_jobs = 1});
+  policy.reservations.add(sched::policy::Reservation{
+      .name = "maint", .start = minutes(10), .end = hours(1), .nodes = 256});
+  PolicyCounts counts;
+  EXPECT_EQ(run_golden(config, kPresetLoad, /*tag_qos=*/true, &counts),
+            0xe9e2007892f67ab1ull);
+  EXPECT_EQ(counts.limit_holds, 265u);
+  EXPECT_EQ(counts.carve_skips, 1471u);
+  EXPECT_EQ(counts.preempt_orders, 28u);
 }
 
 TEST(GoldenSequence, RerunIsBitIdentical) {

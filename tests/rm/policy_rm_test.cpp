@@ -7,7 +7,7 @@
 #include <optional>
 
 #include "rm/centralized_rm.hpp"
-#include "sched/priority_scheduler.hpp"
+#include "sched/scheduler.hpp"
 
 namespace eslurm::rm {
 namespace {
@@ -54,7 +54,7 @@ struct PolicyRmFixture : ::testing::Test {
 TEST_F(PolicyRmFixture, ReleasePathFeedsFairshareLedger) {
   // Regression for the priority-scheduler plumbing: a completed job's
   // usage must reach the fair-share tracker via the RM's release path
-  // (scheduler_->on_job_released), not only in scheduler unit tests.
+  // (scheduler_.on_job_released), not only in scheduler unit tests.
   config.scheduler = "priority";
   CentralizedRm manager(engine, *net, *cluster_model, slurm_profile(), deployment,
                         config);
@@ -63,13 +63,11 @@ TEST_F(PolicyRmFixture, ReleasePathFeedsFairshareLedger) {
                      [&] { manager.submit(make_job(1, "heavy", 16, seconds(120))); });
   engine.run_until(minutes(20));
   ASSERT_EQ(manager.pool().get(1).state, sched::JobState::Completed);
-  auto* sched =
-      dynamic_cast<sched::PriorityBackfillScheduler*>(&manager.scheduler());
-  ASSERT_NE(sched, nullptr);
+  sched::FairshareTracker& fairshare = manager.scheduler().fairshare();
   // 16 nodes x 120 s, modestly decayed since release.
-  EXPECT_NEAR(sched->fairshare().raw_usage("heavy", engine.now()), 16.0 * 120.0,
+  EXPECT_NEAR(fairshare.raw_usage("heavy", engine.now()), 16.0 * 120.0,
               16.0 * 120.0 * 0.01);
-  EXPECT_DOUBLE_EQ(sched->fairshare().raw_usage("idle", engine.now()), 0.0);
+  EXPECT_DOUBLE_EQ(fairshare.raw_usage("idle", engine.now()), 0.0);
 }
 
 TEST_F(PolicyRmFixture, PreemptionRequeuesVictimAndLosesNoJob) {

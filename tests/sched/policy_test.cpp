@@ -1,10 +1,11 @@
 // Unit tests for the policy suite: QoS classes, the account hierarchy
 // (admission + fair tree), advance reservations, and the assembled
-// PolicyScheduler (admission -> priority -> carve-out -> backfill ->
-// preemption orders).
+// "policy" scheduler preset (admission -> priority -> carve-out ->
+// backfill -> preemption orders).
 #include <gtest/gtest.h>
 
 #include "sched/policy/policy.hpp"
+#include "sched/scheduler.hpp"
 
 namespace eslurm::sched::policy {
 namespace {
@@ -308,7 +309,7 @@ TEST(PolicySchedulerTest, QosBoostJumpsTheQueue) {
   JobPool pool;
   pool.submit(make_job(1, "a", 8, minutes(10), 0));
   pool.submit(make_job(2, "b", 8, minutes(10), seconds(1), "high"));
-  PolicyScheduler sched(flat_config(), 16);
+  Scheduler sched = make_scheduler("policy", 16, nullptr, flat_config());
   const auto decisions = sched.schedule(pool, 8, seconds(2));
   ASSERT_FALSE(decisions.empty());
   EXPECT_EQ(decisions.front(), 2u);
@@ -326,10 +327,10 @@ TEST(PolicySchedulerTest, LimitHeldJobIsSkippedNotBlocking) {
   pool.mark_running(1, 0);
   pool.submit(make_job(2, "capped", 4, minutes(10), 0));
   pool.submit(make_job(3, "other", 4, minutes(10), seconds(1)));
-  PolicyScheduler sched(config, 16);
+  Scheduler sched = make_scheduler("policy", 16, nullptr, config);
   const auto decisions = sched.schedule(pool, 12, seconds(2));
   EXPECT_EQ(decisions, (std::vector<JobId>{3}));
-  EXPECT_GE(sched.limit_holds(), 1u);
+  EXPECT_GE(sched.policy()->limit_holds(), 1u);
 }
 
 TEST(PolicySchedulerTest, DisabledEnforcementStartsEverything) {
@@ -339,9 +340,9 @@ TEST(PolicySchedulerTest, DisabledEnforcementStartsEverything) {
   JobPool pool;
   pool.submit(make_job(1, "capped", 4, minutes(10)));
   pool.submit(make_job(2, "capped", 4, minutes(10)));
-  PolicyScheduler sched(config, 16);
+  Scheduler sched = make_scheduler("policy", 16, nullptr, config);
   EXPECT_EQ(sched.schedule(pool, 16, 0).size(), 2u);
-  EXPECT_EQ(sched.limit_holds(), 0u);
+  EXPECT_EQ(sched.policy()->limit_holds(), 0u);
 }
 
 TEST(PolicySchedulerTest, ReservationCarveBlocksOverlappingStart) {
@@ -355,24 +356,24 @@ TEST(PolicySchedulerTest, ReservationCarveBlocksOverlappingStart) {
     // and 16 > 16 - 8: it may not start even though the machine is empty.
     JobPool pool;
     pool.submit(make_job(1, "u", 16, seconds(300)));
-    PolicyScheduler sched(config, 16);
+    Scheduler sched = make_scheduler("policy", 16, nullptr, config);
     EXPECT_TRUE(sched.schedule(pool, 16, 0).empty());
-    EXPECT_EQ(sched.reservation_carve_skips(), 1u);
+    EXPECT_EQ(sched.policy()->reservation_carve_skips(), 1u);
   }
   {
     // The allowed population is not carved against.
     JobPool pool;
     pool.submit(make_job(2, "u", 16, seconds(300), 0, "high"));
-    PolicyScheduler sched(config, 16);
+    Scheduler sched = make_scheduler("policy", 16, nullptr, config);
     EXPECT_EQ(sched.schedule(pool, 16, 0), (std::vector<JobId>{2}));
   }
   {
     // A short job whose window closes before the reservation opens fits.
     JobPool pool;
     pool.submit(make_job(3, "u", 16, seconds(10)));
-    PolicyScheduler sched(config, 16);
+    Scheduler sched = make_scheduler("policy", 16, nullptr, config);
     EXPECT_EQ(sched.schedule(pool, 16, 0), (std::vector<JobId>{3}));
-    EXPECT_EQ(sched.reservation_carve_skips(), 0u);
+    EXPECT_EQ(sched.policy()->reservation_carve_skips(), 0u);
   }
 }
 
@@ -400,7 +401,7 @@ struct PreemptFixture : ::testing::Test {
 TEST_F(PreemptFixture, EvictsCheapestVictimForBlockedHighHead) {
   fill_machine_with_low();
   pool.submit(make_job(3, "vip", 8, minutes(10), 0, "high"));
-  PolicyScheduler sched(config, 16);
+  Scheduler sched = make_scheduler("policy", 16, nullptr, config);
   const SimTime now = minutes(3);  // head has outwaited preempt_wait
   EXPECT_TRUE(sched.schedule(pool, 0, now).empty());
   const auto orders = sched.preemption_orders(pool, 0, now);
@@ -408,16 +409,17 @@ TEST_F(PreemptFixture, EvictsCheapestVictimForBlockedHighHead) {
   EXPECT_EQ(orders[0].victim, 2u);  // youngest start = cheapest
   EXPECT_EQ(orders[0].mode, PreemptMode::Requeue);
   EXPECT_EQ(orders[0].grace, config.qos.resolve("low").grace_period);
-  EXPECT_EQ(sched.preempt_orders_issued(), 1u);
+  EXPECT_EQ(sched.policy()->preempt_orders_issued(), 1u);
 }
 
 TEST_F(PreemptFixture, PendingGraceWindowsAreNotDoubleOrdered) {
   fill_machine_with_low();
   pool.submit(make_job(3, "vip", 8, minutes(10), 0, "high"));
-  PolicyScheduler sched(config, 16);
+  Scheduler sched = make_scheduler("policy", 16, nullptr, config);
   const SimTime now = minutes(3);
   sched.schedule(pool, 0, now);
-  sched.note_preemption_pending(sched.preemption_orders(pool, 0, now)[0].victim);
+  const JobId victim = sched.preemption_orders(pool, 0, now)[0].victim;
+  sched.policy()->note_preemption_pending(victim);
   // The victim's nodes are incoming capacity; a second cycle must not
   // stack another eviction for the same head.
   sched.schedule(pool, 0, now + seconds(5));
@@ -427,7 +429,7 @@ TEST_F(PreemptFixture, PendingGraceWindowsAreNotDoubleOrdered) {
 TEST_F(PreemptFixture, HeadMustOutwaitPreemptWait) {
   fill_machine_with_low();
   pool.submit(make_job(3, "vip", 8, minutes(10), seconds(30), "high"));
-  PolicyScheduler sched(config, 16);
+  Scheduler sched = make_scheduler("policy", 16, nullptr, config);
   const SimTime now = seconds(60);  // waited 30 s < 2 min
   sched.schedule(pool, 0, now);
   EXPECT_TRUE(sched.preemption_orders(pool, 0, now).empty());
@@ -436,16 +438,16 @@ TEST_F(PreemptFixture, HeadMustOutwaitPreemptWait) {
 TEST_F(PreemptFixture, SparesEveryoneWhenEvictionCannotFreeEnough) {
   fill_machine_with_low();
   pool.submit(make_job(3, "vip", 32, minutes(10), 0, "high"));  // > machine
-  PolicyScheduler sched(config, 16);
+  Scheduler sched = make_scheduler("policy", 16, nullptr, config);
   sched.schedule(pool, 0, minutes(5));
   EXPECT_TRUE(sched.preemption_orders(pool, 0, minutes(5)).empty());
-  EXPECT_EQ(sched.preempt_orders_issued(), 0u);
+  EXPECT_EQ(sched.policy()->preempt_orders_issued(), 0u);
 }
 
 TEST_F(PreemptFixture, NormalHeadNeverTriggersEvictions) {
   fill_machine_with_low();
   pool.submit(make_job(3, "user", 8, minutes(10), 0, "normal"));
-  PolicyScheduler sched(config, 16);
+  Scheduler sched = make_scheduler("policy", 16, nullptr, config);
   sched.schedule(pool, 0, minutes(5));
   EXPECT_TRUE(sched.preemption_orders(pool, 0, minutes(5)).empty());
 }
@@ -459,24 +461,24 @@ TEST(PolicySchedulerTest, AuditCountsLimitViolations) {
     pool.mark_starting(id);
     pool.mark_running(id, 0);
   }
-  PolicyScheduler sched(config, 16);
-  sched.audit(pool);
-  EXPECT_EQ(sched.limit_violations(), 1u);
+  Scheduler sched = make_scheduler("policy", 16, nullptr, config);
+  sched.policy()->audit(pool);
+  EXPECT_EQ(sched.policy()->limit_violations(), 1u);
 }
 
 TEST(PolicySchedulerTest, ReleaseAndPreemptChargeTheLedger) {
-  PolicyScheduler sched(flat_config(), 64);
+  Scheduler sched = make_scheduler("policy", 64, nullptr, flat_config());
   Job done = make_job(1, "u", 4, minutes(10), 0, "", "proj");
   done.start_time = 0;
   done.end_time = minutes(10);
   done.state = JobState::Completed;
   sched.on_job_released(done, minutes(10));
-  EXPECT_NEAR(sched.accounts().charged_node_seconds("proj"), 4.0 * 600.0, 1e-6);
+  EXPECT_NEAR(sched.policy()->accounts().charged_node_seconds("proj"), 4.0 * 600.0, 1e-6);
 
   Job evicted = make_job(2, "u", 4, hours(1), 0, "low", "proj");
   evicted.start_time = minutes(10);
   sched.on_job_preempted(evicted, minutes(15));  // ran 5 of 60 minutes
-  EXPECT_NEAR(sched.accounts().charged_node_seconds("proj"),
+  EXPECT_NEAR(sched.policy()->accounts().charged_node_seconds("proj"),
               4.0 * 600.0 + 4.0 * 300.0, 1e-6);
 }
 

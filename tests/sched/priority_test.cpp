@@ -4,7 +4,7 @@
 
 #include "sched/partition.hpp"
 #include "sched/priority.hpp"
-#include "sched/priority_scheduler.hpp"
+#include "sched/scheduler.hpp"
 
 namespace eslurm::sched {
 namespace {
@@ -21,6 +21,14 @@ Job make_job(JobId id, const std::string& user, int nodes, SimTime estimate,
   job.actual_runtime = estimate;
   job.user_estimate = estimate;
   return job;
+}
+
+/// The "priority" preset (multifactor EASY) with the given weights.
+Scheduler priority_preset(const PriorityWeights& weights, int cluster_nodes,
+                          const PartitionSet* partitions = nullptr) {
+  policy::PolicyConfig config;
+  config.weights = weights;
+  return make_scheduler("priority", cluster_nodes, partitions, config);
 }
 
 TEST(FairshareTest, UsageDecaysWithHalfLife) {
@@ -150,7 +158,7 @@ TEST(PrioritySchedulerTest, HighPriorityJumpsTheQueue) {
   weights.age_per_day = 0.0;
   weights.job_size = 0.0;
   weights.fairshare = 1000.0;
-  PriorityBackfillScheduler sched(weights, 16, days(7));
+  Scheduler sched = priority_preset(weights, 16);
   sched.fairshare().record_usage("hog", 1e9, 0);
   const auto decisions = sched.schedule(pool, 8, seconds(2));
   ASSERT_FALSE(decisions.empty());
@@ -164,7 +172,7 @@ TEST(PrioritySchedulerTest, PartitionBoostApplies) {
   weights.job_size = 0.0;
   weights.fairshare = 0.0;
   weights.partition = 100.0;
-  PriorityBackfillScheduler sched(weights, 128, days(7), &partitions);
+  Scheduler sched = priority_preset(weights, 128, &partitions);
   Job debug_job = make_job(1, "u", 4, minutes(5));
   debug_job.partition = "debug";
   Job batch_job = make_job(2, "u", 4, minutes(5));
@@ -178,21 +186,21 @@ TEST(PrioritySchedulerTest, PartitionSetPromotesDefaultWeight) {
   // otherwise be silently ignored.
   const PartitionSet partitions = PartitionSet::tianhe_default();
   PriorityWeights weights;  // partition left at 0.0
-  PriorityBackfillScheduler promoted(weights, 128, days(7), &partitions);
+  Scheduler promoted = priority_preset(weights, 128, &partitions);
   EXPECT_DOUBLE_EQ(promoted.weights().partition, kDefaultPartitionWeight);
 
   // An explicit weight wins over the promotion...
   weights.partition = 42.0;
-  PriorityBackfillScheduler pinned(weights, 128, days(7), &partitions);
+  Scheduler pinned = priority_preset(weights, 128, &partitions);
   EXPECT_DOUBLE_EQ(pinned.weights().partition, 42.0);
 
   // ...and without partitions the zero default stays untouched.
-  PriorityBackfillScheduler bare(PriorityWeights{}, 128, days(7));
+  Scheduler bare = priority_preset(PriorityWeights{}, 128);
   EXPECT_DOUBLE_EQ(bare.weights().partition, 0.0);
 }
 
 TEST(PrioritySchedulerTest, ReleasedUsageFeedsFairshare) {
-  PriorityBackfillScheduler sched(PriorityWeights{}, 64, days(7));
+  Scheduler sched = priority_preset(PriorityWeights{}, 64);
   Job job = make_job(1, "u", 4, minutes(10));
   job.start_time = 0;
   job.end_time = minutes(10);
@@ -214,7 +222,7 @@ TEST(ConservativeTest, NeverDelaysEarlierJobs) {
   pool.mark_running(1, 0);
   pool.submit(make_job(2, "u", 10, seconds(50)));
   pool.submit(make_job(3, "u", 2, seconds(1000)));
-  ConservativeBackfillScheduler sched;
+  Scheduler sched = make_scheduler("conservative", 10);
   const auto decisions = sched.schedule(pool, 2, 0);
   EXPECT_TRUE(decisions.empty());  // J3 would collide with J2's reservation
 }
@@ -228,7 +236,7 @@ TEST(ConservativeTest, BackfillsWhenSafe) {
   pool.mark_running(1, 0);
   pool.submit(make_job(2, "u", 10, seconds(50)));
   pool.submit(make_job(3, "u", 2, seconds(60)));  // ends before J2's slot
-  ConservativeBackfillScheduler sched;
+  Scheduler sched = make_scheduler("conservative", 10);
   const auto decisions = sched.schedule(pool, 2, 0);
   EXPECT_EQ(decisions, (std::vector<JobId>{3}));
 }
@@ -237,7 +245,7 @@ TEST(ConservativeTest, StartsHeadWhenItFits) {
   JobPool pool;
   pool.submit(make_job(1, "u", 4, seconds(100)));
   pool.submit(make_job(2, "u", 4, seconds(100)));
-  ConservativeBackfillScheduler sched;
+  Scheduler sched = make_scheduler("conservative", 10);
   const auto decisions = sched.schedule(pool, 8, 0);
   EXPECT_EQ(decisions, (std::vector<JobId>{1, 2}));
 }
@@ -246,7 +254,8 @@ TEST(ConservativeTest, PlanningDepthBoundsWork) {
   JobPool pool;
   pool.submit(make_job(1, "u", 100, seconds(100)));  // blocks everything
   for (JobId id = 2; id <= 20; ++id) pool.submit(make_job(id, "u", 1, seconds(10)));
-  ConservativeBackfillScheduler sched(/*planning_depth=*/5);
+  Scheduler sched = make_scheduler("conservative", 10, nullptr, policy::PolicyConfig(),
+                                   /*planning_depth=*/5);
   const auto decisions = sched.schedule(pool, 10, 0);
   // Only the first 5 queue entries were planned; 4 narrow ones fit now.
   EXPECT_EQ(decisions.size(), 4u);

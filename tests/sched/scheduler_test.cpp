@@ -64,7 +64,7 @@ TEST(FcfsTest, StartsHeadWhileItFits) {
   pool.submit(make_job(1, 4, seconds(10)));
   pool.submit(make_job(2, 4, seconds(10)));
   pool.submit(make_job(3, 4, seconds(10)));
-  FcfsScheduler fcfs;
+  Scheduler fcfs = make_scheduler("fcfs", 12);
   const auto decisions = fcfs.schedule(pool, 8, 0);
   EXPECT_EQ(decisions, (std::vector<JobId>{1, 2}));
 }
@@ -73,13 +73,13 @@ TEST(FcfsTest, HeadBlocksQueueEvenIfLaterJobsFit) {
   JobPool pool;
   pool.submit(make_job(1, 10, seconds(10)));
   pool.submit(make_job(2, 1, seconds(10)));
-  FcfsScheduler fcfs;
+  Scheduler fcfs = make_scheduler("fcfs", 8);
   EXPECT_TRUE(fcfs.schedule(pool, 8, 0).empty());
 }
 
 struct BackfillFixture : ::testing::Test {
   JobPool pool;
-  EasyBackfillScheduler sched;
+  Scheduler sched = make_scheduler("easy", 10);
 
   void start(JobId id, SimTime start_at, SimTime estimate) {
     Job& job = pool.get(id);
