@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
       args.push_back(argv[i]);
   }
   bench::Harness harness("fig9_fullscale", "Fig. 9",
-                         "full-scale Tianhe-2A (16K nodes): Slurm vs ESLURM, 24 h",
+                         "Slurm vs ESLURM on a Tianhe-2A workload",
                          static_cast<int>(args.size()), args.data());
   const std::size_t nodes =
       nodes_override ? nodes_override : (harness.smoke() ? 2048 : 16384);
@@ -46,6 +46,8 @@ int main(int argc, char** argv) {
   const SimTime horizon =
       harness.smoke() ? (huge ? hours(1) : hours(6)) : hours(24);
   const std::size_t job_count = harness.smoke() ? (huge ? 200 : 400) : 2500;
+  std::printf("scale: %zu nodes, %.0f h, %zu target jobs\n", nodes,
+              to_seconds(horizon) / 3600.0, job_count);
 
   core::SweepSpec spec = harness.sweep_spec();
   for (const char* rm : {"slurm", "eslurm"}) {

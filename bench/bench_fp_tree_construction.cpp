@@ -102,49 +102,6 @@ int main(int argc, char** argv) {
   }
   ratio_table.print();
 
-  std::printf("\nincremental flip vs full rebuild (2%% predicted, width 50)\n");
-  // The 64K row runs even in smoke mode: the CI perf job asserts the
-  // flip/rebuild ratio there, and a flip is cheap enough that the row
-  // costs almost nothing beyond its rebuild reference timing.
-  const std::vector<std::size_t> inc_sizes = {4096, 16384, 65536};
-  Table inc({"n", "full rebuild (ns)", "incremental flip (ns)", "flip/rebuild"});
-  for (const std::size_t n : inc_sizes) {
-    const auto list = node_list(n);
-    auto predictor = predictor_for(n, 0.02);
-    const comm::LeafLayout layout = comm::build_leaf_layout(n, 50);
-    comm::IncrementalFpList inc_list(list, &layout, predictor);
-    const double rebuild_ns = time_ns(
-        [&] { g_sink = g_sink + comm::rearrange_nodelist(list, 50, predictor).size(); },
-        min_seconds);
-    // Random victims so the rank-shift distance varies across flips; each
-    // call toggles one node's prediction and patches the arrangement.
-    Rng victims(7);
-    std::vector<net::NodeId> victim(1024);
-    for (auto& v : victim)
-      v = static_cast<net::NodeId>(
-          victims.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-    std::size_t vi = 0;
-    const double update_ns = time_ns(
-        [&] {
-          const net::NodeId v = victim[vi++ & 1023];
-          const bool now = !predictor.predicted_failed(v);
-          predictor.set_predicted(v, now);
-          inc_list.apply_flip(v, now);
-          g_sink = g_sink + inc_list.predicted_count();
-        },
-        min_seconds);
-    inc.add_row({std::to_string(n), format_double(rebuild_ns, 4),
-                 format_double(update_ns, 4),
-                 format_double(update_ns / rebuild_ns, 4)});
-    harness.record_point("incremental n=" + std::to_string(n),
-                         {{"n", std::to_string(n)}},
-                         {{"fp_rebuild_ns", rebuild_ns},
-                          {"fp_update_ns", update_ns},
-                          {"fp_update_over_rebuild", update_ns / rebuild_ns}});
-  }
-  inc.print();
-  std::printf("[expect: flip cost flat in n, well under 5%% of a rebuild at 64K]\n");
-
   const double depth_ns = time_ns(
       [&] {
         g_sink = g_sink + static_cast<std::size_t>(comm::tree_depth_estimate(1 << 20, 50));

@@ -39,7 +39,6 @@ std::vector<NodeId> ClusterModel::ids_in_state(NodeState state) const {
 void ClusterModel::set_state(NodeId id, NodeState state) {
   const NodeState old = soa_.state.at(id);
   if (!soa_.apply_state(id, state, engine_.now())) return;
-  ++state_epoch_;
   for (const auto& obs : observers_) obs(id, old, state);
 }
 

@@ -68,11 +68,6 @@ class ClusterModel {
   const NodeSoa& soa() const { return soa_; }
   NodeSoa& soa() { return soa_; }
 
-  /// Monotonic counter bumped on every real state transition; lets
-  /// derived caches (FP-Tree ground-truth stats) detect staleness in
-  /// O(1) instead of rescanning the cluster.
-  std::uint64_t state_epoch() const { return state_epoch_; }
-
   /// All node ids currently in the given state.
   std::vector<NodeId> ids_in_state(NodeState state) const;
 
@@ -96,7 +91,6 @@ class ClusterModel {
   std::string name_prefix_;
   int cores_per_node_;
   std::int64_t memory_mb_;
-  std::uint64_t state_epoch_ = 0;
   std::vector<StateObserver> observers_;
 };
 

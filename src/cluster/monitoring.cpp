@@ -24,9 +24,10 @@ StaticFailurePredictor::StaticFailurePredictor(std::vector<NodeId> nodes)
     : set_(nodes.begin(), nodes.end()) {}
 
 void StaticFailurePredictor::set_predicted(NodeId node, bool predicted) {
-  const bool changed = predicted ? set_.insert(node).second : set_.erase(node) > 0;
-  if (!changed) return;
-  for (const auto& hook : hooks_) hook(node, predicted);
+  if (predicted)
+    set_.insert(node);
+  else
+    set_.erase(node);
 }
 
 MonitoringSystem::MonitoringSystem(ClusterModel& cluster, FailureModel& failures,
@@ -81,7 +82,7 @@ void MonitoringSystem::raise_alert(NodeId node, bool genuine, SimTime expires_at
     ++genuine_;
   else
     ++false_;
-  if (predicted_.set(node)) fire_hooks(node, true);
+  predicted_.set(node);
   Entry& entry = active_[node];
   entry.alert.node = node;
   entry.alert.kind = static_cast<IndicatorKind>(rng_.uniform_int(0, 7));
@@ -103,17 +104,12 @@ void MonitoringSystem::expire_alert(NodeId node, std::uint64_t token) {
   const auto it = active_.find(node);
   if (it != active_.end() && it->second.token == token) {
     active_.erase(it);
-    if (predicted_.reset(node)) fire_hooks(node, false);
+    predicted_.reset(node);
   }
 }
 
 void MonitoringSystem::clear_alert(NodeId node) {
-  if (active_.erase(node) > 0 && predicted_.reset(node))
-    fire_hooks(node, false);
-}
-
-void MonitoringSystem::fire_hooks(NodeId node, bool now_predicted) {
-  for (const auto& hook : hooks_) hook(node, now_predicted);
+  if (active_.erase(node) > 0) predicted_.reset(node);
 }
 
 std::vector<Alert> MonitoringSystem::active_alerts() const {

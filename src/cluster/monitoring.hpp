@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -62,56 +61,37 @@ struct MonitoringParams {
 
 /// Abstract failure predictor consumed by the FP-Tree constructor.  The
 /// paper implements prediction as a plugin; this interface is that plugin
-/// boundary.
-///
-/// Incremental consumers (the FP-Tree maintenance cache) subscribe to
-/// prediction flips through change hooks.  A predictor that fires exactly
-/// one hook per actual change advertises supports_change_hooks(); anyone
-/// else keeps the default and consumers fall back to full rebuilds.
+/// boundary.  Consumers query it afresh on every broadcast, so a
+/// predictor only has to answer for the present.
 class FailurePredictor {
  public:
-  /// `now_predicted` is the node's state *after* the change.
-  using ChangeHook = std::function<void(NodeId, bool now_predicted)>;
-
   virtual ~FailurePredictor() = default;
   /// True if `node` is currently predicted to fail.
   virtual bool predicted_failed(NodeId node) const = 0;
   /// Number of currently predicted nodes (diagnostics only).
   virtual std::size_t predicted_count() const = 0;
-  /// Whether every prediction change fires the registered hooks.
-  virtual bool supports_change_hooks() const { return false; }
-  /// Const because consumers hold const references; registration does not
-  /// alter the predictor's observable prediction state.
-  virtual void add_change_hook(ChangeHook hook) const { (void)hook; }
 };
 
 /// Predictor that never predicts: turns an FP-Tree into a plain tree.
-/// Trivially hook-complete (there is never a change to report).
 class NullFailurePredictor final : public FailurePredictor {
  public:
   bool predicted_failed(NodeId) const override { return false; }
   std::size_t predicted_count() const override { return 0; }
-  bool supports_change_hooks() const override { return true; }
 };
 
 /// Oracle predictor for tests/benches: exactly a fixed set, mutable via
-/// set_predicted so incremental-maintenance paths can be exercised.
+/// set_predicted so prediction changes between broadcasts can be exercised.
 class StaticFailurePredictor final : public FailurePredictor {
  public:
   explicit StaticFailurePredictor(std::vector<NodeId> nodes);
   bool predicted_failed(NodeId node) const override { return set_.count(node) > 0; }
   std::size_t predicted_count() const override { return set_.size(); }
-  bool supports_change_hooks() const override { return true; }
-  void add_change_hook(ChangeHook hook) const override {
-    hooks_.push_back(std::move(hook));
-  }
 
-  /// Flips one node's prediction; fires hooks only on a real change.
+  /// Adds or removes one node's prediction.
   void set_predicted(NodeId node, bool predicted);
 
  private:
   std::unordered_set<NodeId> set_;
-  mutable std::vector<ChangeHook> hooks_;
 };
 
 class MonitoringSystem final : public FailurePredictor {
@@ -130,10 +110,6 @@ class MonitoringSystem final : public FailurePredictor {
     return predicted_.test(node);
   }
   std::size_t predicted_count() const override { return active_.size(); }
-  bool supports_change_hooks() const override { return true; }
-  void add_change_hook(ChangeHook hook) const override {
-    hooks_.push_back(std::move(hook));
-  }
   /// The live predicted-failed bitset (for word-level scans).
   const NodeBitset& predicted_bits() const { return predicted_; }
 
@@ -149,7 +125,6 @@ class MonitoringSystem final : public FailurePredictor {
   void expire_alert(NodeId node, std::uint64_t token);
   void arm_false_alarm(SimTime horizon);
   void clear_alert(NodeId node);
-  void fire_hooks(NodeId node, bool now_predicted);
 
   ClusterModel& cluster_;
   Rng rng_;
@@ -162,7 +137,6 @@ class MonitoringSystem final : public FailurePredictor {
   };
   std::unordered_map<NodeId, Entry> active_;
   NodeBitset predicted_;  ///< bit per node: an alert is live
-  mutable std::vector<ChangeHook> hooks_;
   std::uint64_t next_token_ = 1;
   std::uint64_t raised_ = 0, genuine_ = 0, false_ = 0;
 };

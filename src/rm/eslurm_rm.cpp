@@ -66,10 +66,7 @@ EslurmRm::EslurmRm(sim::Engine& engine, net::Network& network,
         "eslurm-fp-tree", transport_.get());
     // Ground-truth instrumentation for the Section VII-A placement
     // metric: count genuinely-down nodes encountered during construction.
-    // The state epoch lets cached lists skip the O(n) recount while the
-    // cluster (and the arrangement) are unchanged between broadcasts.
-    fp->set_ground_truth([this](NodeId node) { return !cluster_.alive(node); },
-                         [this] { return cluster_.state_epoch(); });
+    fp->set_ground_truth([this](NodeId node) { return !cluster_.alive(node); });
     relay_ = std::move(fp);
   } else {
     relay_ = std::make_unique<comm::TreeBroadcaster>(net_, "eslurm-tree",

@@ -139,7 +139,6 @@ TEST(NodeSoaChurnTest, RandomChurnMatchesNaiveModel) {
   ReferenceModel ref(kNodes);
   Rng rng(0xC0FFEE);
 
-  std::uint64_t last_epoch = cluster.state_epoch();
   for (int step = 0; step < kSteps; ++step) {
     const auto victim =
         static_cast<NodeId>(rng.uniform_int(0, static_cast<std::int64_t>(kNodes) - 1));
@@ -149,13 +148,8 @@ TEST(NodeSoaChurnTest, RandomChurnMatchesNaiveModel) {
     const NodeState to = roll < 0.45   ? NodeState::Down
                          : roll < 0.85 ? NodeState::Up
                                        : NodeState::Maintenance;
-    const bool was_real = cluster.state(victim) != to;
     cluster.set_state(victim, to);
     ref.apply(victim, to);
-
-    // Epoch moves exactly on real transitions.
-    EXPECT_EQ(cluster.state_epoch() != last_epoch, was_real);
-    last_epoch = cluster.state_epoch();
 
     if (step % 37 != 0) continue;  // full-scan checks on a subsample
     EXPECT_EQ(cluster.alive_count(), ref.up.size());

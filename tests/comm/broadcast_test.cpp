@@ -17,6 +17,7 @@ namespace {
 
 struct CommFixture : ::testing::Test {
   static constexpr std::size_t kNodes = 200;
+  std::size_t nodes = kNodes;
   sim::Engine engine;
   net::LinkModel model;
   std::optional<net::Network> net;
@@ -24,8 +25,8 @@ struct CommFixture : ::testing::Test {
 
   void SetUp() override {
     model.jitter_frac = 0.0;
-    net.emplace(engine, kNodes, model, Rng(1));
-    cluster_model.emplace(engine, kNodes);
+    net.emplace(engine, nodes, model, Rng(1));
+    cluster_model.emplace(engine, nodes);
     net->set_liveness(cluster_model->liveness());
   }
 
@@ -152,6 +153,47 @@ TEST_F(CommFixture, FpTreeBeatsPlainTreeWhenPredictedInternalNodesFail) {
   EXPECT_LT(fp_result.elapsed(), plain_result.elapsed());
   EXPECT_EQ(fp_result.repairs, 0);       // failures are all on leaves
   EXPECT_GE(plain_result.repairs, 4);    // plain tree must adopt subtrees
+}
+
+// Satellite-sized node lists: 600 targets on an 800-node cluster.
+struct SatelliteListFixture : CommFixture {
+  SatelliteListFixture() { nodes = 800; }
+};
+
+TEST_F(SatelliteListFixture, FpTreeFollowsPredictionFlipsBetweenBroadcasts) {
+  cluster::StaticFailurePredictor predictor({5, 9});
+  FpTreeBroadcaster fp(*net, predictor);
+
+  EXPECT_EQ(run(fp, targets(600)).delivered, 600u);
+  EXPECT_EQ(run(fp, targets(600)).delivered, 600u);
+  EXPECT_EQ(fp.trees_constructed(), 2u);
+
+  // Every broadcast re-reads the predictor, so a change between rounds
+  // is placed by the next arrangement.
+  predictor.set_predicted(42, true);
+  predictor.set_predicted(9, false);
+  EXPECT_EQ(run(fp, targets(600)).delivered, 600u);
+  EXPECT_EQ(fp.trees_constructed(), 3u);
+  EXPECT_EQ(fp.cumulative_stats().predicted, 2u + 2u + 2u);
+  EXPECT_EQ(fp.cumulative_stats().predicted_on_leaf, fp.cumulative_stats().predicted);
+}
+
+TEST_F(SatelliteListFixture, FpTreeGroundTruthCountsEachBroadcast) {
+  cluster::StaticFailurePredictor predictor({});
+  FpTreeBroadcaster fp(*net, predictor);
+  fp.set_ground_truth([this](NodeId node) { return !cluster_model->alive(node); });
+
+  cluster_model->fail(700);  // genuinely down, outside the target list
+  cluster_model->fail(17);   // genuinely down, inside it (delivery skips it)
+  run(fp, targets(600));
+  const std::size_t first = fp.cumulative_stats().failed_encountered;
+  EXPECT_EQ(first, 1u);  // only node 17 is listed
+  // Cumulative accounting advances per broadcast.
+  run(fp, targets(600));
+  EXPECT_EQ(fp.cumulative_stats().failed_encountered, 2 * first);
+  cluster_model->fail(23);
+  run(fp, targets(600));
+  EXPECT_EQ(fp.cumulative_stats().failed_encountered, 2 * first + 2);
 }
 
 TEST_F(CommFixture, StarDeliversAndReportsFailures) {
