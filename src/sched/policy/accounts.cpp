@@ -17,125 +17,146 @@ AccountTree::AccountTree(SimTime half_life) : half_life_(half_life) {
 void AccountTree::add_account(const std::string& name, const std::string& parent,
                               double shares, AccountLimits limits) {
   if (name.empty()) throw std::invalid_argument("AccountTree: account needs a name");
-  if (!parent.empty() && !accounts_.count(parent))
+  const int parent_index = find_account(parent);  // "" is never registered: root
+  if (!parent.empty() && parent_index == kNone)
     throw std::invalid_argument("AccountTree: unknown parent account");
-  Account& account = accounts_[name];
-  account.parent = parent;
+  const auto [it, added] =
+      account_ids_.try_emplace(name, static_cast<int>(accounts_.size()));
+  // Parents must pre-exist, so only re-parenting can close a cycle.
+  for (int a = parent_index; !added && a != kNone; a = accounts_[a].parent)
+    if (a == it->second) throw std::invalid_argument("AccountTree: account cycle");
+  if (added) accounts_.push_back(Account{.name = name});
+  Account& account = accounts_[it->second];
+  account.parent = parent_index;
   account.shares = shares;
   account.limits = limits;
+  children_stale_ = true;
 }
 
 void AccountTree::set_user(const std::string& user, const std::string& account,
                            double shares, UserLimits limits) {
   if (user.empty()) throw std::invalid_argument("AccountTree: user needs a name");
-  if (!account.empty() && !accounts_.count(account))
+  if (!account.empty() && !has_account(account))
     add_account(account);  // self-assembly: unseen accounts hang off root
-  User& entry = users_[user];
-  entry.account = account;
+  User& entry = users_[intern_user(user)];
+  if (!entry.registered) ++registered_users_;
+  entry.registered = true;
+  entry.account = find_account(account);
   entry.shares = shares;
   entry.limits = limits;
+  children_stale_ = true;
 }
 
 void AccountTree::ensure_user(const std::string& user, const std::string& account) {
-  if (user.empty() || users_.count(user)) return;
+  if (user.empty() || has_user(user)) return;
   set_user(user, account);
 }
 
+bool AccountTree::has_user(const std::string& user) const {
+  const int index = user_index(user);
+  return index != kNone && users_[index].registered;
+}
+
 const std::string& AccountTree::account_of(const std::string& user) const {
-  const auto it = users_.find(user);
-  return it == users_.end() ? kEmpty : it->second.account;
+  const int index = user_index(user);
+  if (index == kNone || users_[index].account == kNone) return kEmpty;
+  return accounts_[users_[index].account].name;
 }
 
-const std::string& AccountTree::effective_account(const Job& job) const {
-  if (!job.account.empty()) return job.account;
-  return account_of(job.user);
+int AccountTree::user_index(const std::string& user) const {
+  const auto it = user_ids_.find(user);
+  return it == user_ids_.end() ? kNone : it->second;
 }
 
-void AccountTree::chain_of(const std::string& account,
-                           std::vector<const Account*>* accounts,
-                           std::vector<const std::string*>* names) const {
-  const std::string* current = &account;
-  // Depth is bounded by the registered hierarchy; a malformed cycle would
-  // have been rejected at add_account (parents must pre-exist).
-  while (!current->empty()) {
-    const auto it = accounts_.find(*current);
-    if (it == accounts_.end()) break;  // unregistered tag: no caps apply
-    if (accounts) accounts->push_back(&it->second);
-    if (names) names->push_back(&it->first);
-    current = &it->second.parent;
-  }
+int AccountTree::find_account(const std::string& name) const {
+  const auto it = account_ids_.find(name);
+  return it == account_ids_.end() ? kNone : it->second;
 }
 
-LiveUsage AccountTree::usage_from(const JobPool& pool) const {
-  LiveUsage usage;
+int AccountTree::intern_user(const std::string& user) {
+  const auto [it, added] = user_ids_.try_emplace(user, static_cast<int>(users_.size()));
+  if (added) users_.push_back(User{.name = user});
+  return it->second;
+}
+
+int AccountTree::effective_account(const Job& job, int user) const {
+  if (!job.account.empty()) return find_account(job.account);  // unregistered: no caps
+  return user == kNone ? kNone : users_[user].account;
+}
+
+void AccountTree::usage_from(const JobPool& pool, LiveUsage& usage) {
+  usage.by_user.assign(users_.size(), LiveUsage::Entry{});
+  usage.by_account.assign(accounts_.size(), LiveUsage::Entry{});
   for (const JobId id : pool.active()) {
     const Job& job = pool.get(id);
     if (job.finished()) continue;  // completing: resources counted until release
     add_usage(usage, job);
   }
-  return usage;
 }
 
-void AccountTree::add_usage(LiveUsage& usage, const Job& job) const {
-  auto& user = usage.by_user[job.user];
-  ++user.running_jobs;
-  user.nodes += job.nodes;
-  std::vector<const std::string*> names;
-  chain_of(effective_account(job), nullptr, &names);
-  for (const std::string* name : names) {
-    auto& account = usage.by_account[*name];
-    ++account.running_jobs;
-    account.nodes += job.nodes;
+void AccountTree::add_usage(LiveUsage& usage, const Job& job) {
+  const int user = intern_user(job.user);
+  if (usage.by_user.size() <= static_cast<std::size_t>(user))
+    usage.by_user.resize(users_.size());
+  LiveUsage::Entry& mine = usage.by_user[user];
+  ++mine.running_jobs;
+  mine.nodes += job.nodes;
+  if (usage.by_account.size() < accounts_.size()) usage.by_account.resize(accounts_.size());
+  for (int a = effective_account(job, user); a != kNone; a = accounts_[a].parent) {
+    ++usage.by_account[a].running_jobs;
+    usage.by_account[a].nodes += job.nodes;
   }
 }
 
-std::optional<std::string> AccountTree::may_start(const Job& job, const QosClass& qos,
-                                                  const LiveUsage& usage) const {
-  static const LiveUsage::Entry kNone;
-  const auto user_it = usage.by_user.find(job.user);
-  const LiveUsage::Entry& mine = user_it == usage.by_user.end() ? kNone
-                                                                : user_it->second;
+std::optional<std::string_view> AccountTree::may_start(const Job& job,
+                                                       const QosClass& qos,
+                                                       const LiveUsage& usage) const {
+  static const LiveUsage::Entry kNoUsage;
+  const auto held_in = [](const std::vector<LiveUsage::Entry>& table,
+                          int index) -> const LiveUsage::Entry& {
+    return index != kNone && static_cast<std::size_t>(index) < table.size()
+               ? table[index]
+               : kNoUsage;
+  };
+  const int user = user_index(job.user);
+  const LiveUsage::Entry& mine = held_in(usage.by_user, user);
   // Per-QoS per-user caps bind first (Slurm checks QOS before
   // association limits).
   if (mine.running_jobs + 1 > qos.max_running_jobs_per_user)
     return "qos-user-max-jobs";
   if (mine.nodes + job.nodes > qos.max_nodes_per_user) return "qos-user-max-nodes";
 
-  if (const auto it = users_.find(job.user); it != users_.end()) {
-    if (mine.running_jobs + 1 > it->second.limits.max_running_jobs)
-      return "user-max-jobs";
-    if (mine.nodes + job.nodes > it->second.limits.max_nodes) return "user-max-nodes";
+  if (user != kNone) {  // an unregistered user keeps the unlimited defaults
+    const UserLimits& limits = users_[user].limits;
+    if (mine.running_jobs + 1 > limits.max_running_jobs) return "user-max-jobs";
+    if (mine.nodes + job.nodes > limits.max_nodes) return "user-max-nodes";
   }
 
-  std::vector<const Account*> accounts;
-  std::vector<const std::string*> names;
-  chain_of(effective_account(job), &accounts, &names);
-  for (std::size_t i = 0; i < accounts.size(); ++i) {
-    const AccountLimits& limits = accounts[i]->limits;
-    const auto it = usage.by_account.find(*names[i]);
-    const LiveUsage::Entry& held = it == usage.by_account.end() ? kNone : it->second;
+  for (int a = effective_account(job, user); a != kNone; a = accounts_[a].parent) {
+    const AccountLimits& limits = accounts_[a].limits;
+    const LiveUsage::Entry& held = held_in(usage.by_account, a);
     if (held.running_jobs + 1 > limits.max_running_jobs) return "account-max-jobs";
     if (held.nodes + job.nodes > limits.max_nodes) return "account-max-nodes";
-    if (charged_node_seconds(*names[i]) >= limits.node_seconds_budget)
-      return "account-budget";
+    if (accounts_[a].budget_spent >= limits.node_seconds_budget) return "account-budget";
   }
   return std::nullopt;
 }
 
 std::size_t AccountTree::violations(const LiveUsage& usage) const {
+  // An entry with no running job holds nothing, whatever its limits say.
   std::size_t count = 0;
-  for (const auto& [user, held] : usage.by_user) {
-    const auto it = users_.find(user);
-    if (it == users_.end()) continue;
-    if (held.running_jobs > it->second.limits.max_running_jobs ||
-        held.nodes > it->second.limits.max_nodes)
+  for (std::size_t u = 0; u < usage.by_user.size() && u < users_.size(); ++u) {
+    const LiveUsage::Entry& held = usage.by_user[u];
+    const UserLimits& limits = users_[u].limits;
+    if (held.running_jobs == 0) continue;
+    if (held.running_jobs > limits.max_running_jobs || held.nodes > limits.max_nodes)
       ++count;
   }
-  for (const auto& [account, held] : usage.by_account) {
-    const auto it = accounts_.find(account);
-    if (it == accounts_.end()) continue;
-    if (held.running_jobs > it->second.limits.max_running_jobs ||
-        held.nodes > it->second.limits.max_nodes)
+  for (std::size_t a = 0; a < usage.by_account.size() && a < accounts_.size(); ++a) {
+    const LiveUsage::Entry& held = usage.by_account[a];
+    const AccountLimits& limits = accounts_[a].limits;
+    if (held.running_jobs == 0) continue;
+    if (held.running_jobs > limits.max_running_jobs || held.nodes > limits.max_nodes)
       ++count;
   }
   return count;
@@ -147,116 +168,103 @@ double AccountTree::decayed(const DecayEntry& entry, SimTime now) const {
   return entry.usage * std::exp2(-half_lives);
 }
 
-void AccountTree::charge_entity(const std::string& key, double node_seconds,
-                                SimTime now) {
-  DecayEntry& entry = decay_[key];
-  entry.usage = decayed(entry, now) + node_seconds;
-  entry.as_of = now;
-}
-
 void AccountTree::charge(const Job& job, double node_seconds, SimTime now) {
   if (node_seconds <= 0) return;
-  charge_entity("u:" + job.user, node_seconds, now);
-  std::vector<const std::string*> names;
-  chain_of(effective_account(job), nullptr, &names);
-  for (const std::string* name : names) {
-    charge_entity("a:" + *name, node_seconds, now);
-    budget_spent_[*name] += node_seconds;  // budgets do not decay
+  const auto charge_entry = [&](DecayEntry& entry) {
+    entry.usage = decayed(entry, now) + node_seconds;
+    entry.as_of = now;
+  };
+  const int user = intern_user(job.user);
+  charge_entry(users_[user].decay);
+  for (int a = effective_account(job, user); a != kNone; a = accounts_[a].parent) {
+    charge_entry(accounts_[a].decay);
+    accounts_[a].budget_spent += node_seconds;  // budgets do not decay
   }
 }
 
 double AccountTree::charged_node_seconds(const std::string& account) const {
-  const auto it = budget_spent_.find(account);
-  return it == budget_spent_.end() ? 0.0 : it->second;
+  const int index = find_account(account);
+  return index == kNone ? 0.0 : accounts_[index].budget_spent;
 }
 
 double AccountTree::decayed_usage(const std::string& user, SimTime now) const {
-  const auto it = decay_.find("u:" + user);
-  return it == decay_.end() ? 0.0 : decayed(it->second, now);
+  const int index = user_index(user);
+  return index == kNone ? 0.0 : decayed(users_[index].decay, now);
 }
 
-std::unordered_map<std::string, double> AccountTree::fair_tree_factors(
-    SimTime now) const {
-  std::unordered_map<std::string, double> factors;
-  if (users_.empty()) return factors;
-
-  // Child adjacency, rebuilt per call: the tree is small (hundreds of
-  // nodes) and mutation-free queries beat cache invalidation headaches.
-  std::unordered_map<std::string, std::vector<const std::string*>> child_accounts;
-  std::unordered_map<std::string, std::vector<const std::string*>> child_users;
-  for (const auto& [name, account] : accounts_)
-    child_accounts[account.parent].push_back(&name);
-  for (const auto& [name, user] : users_)
-    child_users[user.account].push_back(&name);
-
-  struct Ranked {
-    double level_fs = 0.0;
-    const std::string* name = nullptr;
-    bool is_user = false;
+void AccountTree::rank_children(int parent, SimTime now) {
+  // Level fairshare = shares fraction / decayed-usage fraction (Slurm's
+  // Fair Tree).  With zero aggregate usage everything ties on shares.
+  level_.clear();
+  double total_shares = 0.0;
+  double total_usage = 0.0;
+  const auto collect = [&](int index, bool is_user, double shares, const DecayEntry& decay) {
+    const double usage = decayed(decay, now);
+    level_.push_back({shares, usage, index, is_user});  // level_fs stashes shares
+    total_shares += shares;
+    total_usage += usage;
   };
-
-  const std::size_t total_users = users_.size();
-  std::size_t rank = total_users;
-
-  // Iterative DFS from the root; each frame ranks its children by
-  // level fairshare = shares fraction / decayed-usage fraction (Slurm's
-  // Fair Tree), deterministically tie-broken by name.
-  const auto rank_children = [&](const std::string& parent) {
-    std::vector<Ranked> ranked;
-    double total_shares = 0.0;
-    double total_usage = 0.0;
-    const auto collect = [&](const std::string* name, bool is_user, double shares,
-                             double usage) {
-      ranked.push_back({0.0, name, is_user});
-      ranked.back().level_fs = shares;  // temporarily stash shares
-      total_shares += shares;
-      total_usage += usage;
-    };
-    if (const auto it = child_accounts.find(parent); it != child_accounts.end())
-      for (const std::string* name : it->second) {
-        const auto entry = decay_.find("a:" + *name);
-        collect(name, false, accounts_.at(*name).shares,
-                entry == decay_.end() ? 0.0 : decayed(entry->second, now));
-      }
-    if (const auto it = child_users.find(parent); it != child_users.end())
-      for (const std::string* name : it->second)
-        collect(name, true, users_.at(*name).shares, decayed_usage(*name, now));
-    // Second pass: turn (shares, usage) into the level fairshare.  With
-    // zero aggregate usage everything ties on shares alone.
-    const auto usage_of = [&](const Ranked& r) {
-      if (r.is_user) return decayed_usage(*r.name, now);
-      const auto entry = decay_.find("a:" + *r.name);
-      return entry == decay_.end() ? 0.0 : decayed(entry->second, now);
-    };
-    for (Ranked& r : ranked) {
-      const double shares_frac =
-          total_shares > 0.0 ? r.level_fs / total_shares : 1.0;
-      const double usage_frac =
-          total_usage > 0.0 ? usage_of(r) / total_usage : 0.0;
-      r.level_fs = shares_frac / std::max(usage_frac, 1e-9);
-    }
-    std::sort(ranked.begin(), ranked.end(), [](const Ranked& a, const Ranked& b) {
-      if (a.level_fs != b.level_fs) return a.level_fs > b.level_fs;
-      return *a.name < *b.name;
-    });
-    return ranked;
+  const std::size_t slot = static_cast<std::size_t>(parent + 1);
+  for (const int a : child_accounts_[slot])
+    collect(a, false, accounts_[a].shares, accounts_[a].decay);
+  for (const int u : child_users_[slot]) collect(u, true, users_[u].shares, users_[u].decay);
+  for (Ranked& r : level_) {
+    const double shares_frac = total_shares > 0.0 ? r.level_fs / total_shares : 1.0;
+    const double usage_frac = total_usage > 0.0 ? r.usage / total_usage : 0.0;
+    r.level_fs = shares_frac / std::max(usage_frac, 1e-9);
+  }
+  const auto name_of = [this](const Ranked& r) -> const std::string& {
+    return r.is_user ? users_[r.index].name : accounts_[r.index].name;
   };
+  std::sort(level_.begin(), level_.end(), [&](const Ranked& a, const Ranked& b) {
+    if (a.level_fs != b.level_fs) return a.level_fs > b.level_fs;
+    if (const int order = name_of(a).compare(name_of(b)); order != 0) return order < 0;
+    return a.is_user < b.is_user;  // an account and a user may share a name
+  });
+}
 
-  std::vector<Ranked> stack = rank_children(kEmpty);
-  std::reverse(stack.begin(), stack.end());  // keep rank order on a LIFO stack
-  while (!stack.empty()) {
-    const Ranked top = stack.back();
-    stack.pop_back();
+void AccountTree::fair_tree_factors(SimTime now, std::vector<double>& factors) {
+  factors.assign(users_.size(), 1.0);
+  if (registered_users_ == 0) return;
+
+  if (children_stale_) {
+    child_accounts_.resize(accounts_.size() + 1);
+    child_users_.resize(accounts_.size() + 1);
+    for (auto& list : child_accounts_) list.clear();
+    for (auto& list : child_users_) list.clear();
+    for (std::size_t a = 0; a < accounts_.size(); ++a)
+      child_accounts_[accounts_[a].parent + 1].push_back(static_cast<int>(a));
+    for (std::size_t u = 0; u < users_.size(); ++u)
+      if (users_[u].registered)
+        child_users_[users_[u].account + 1].push_back(static_cast<int>(u));
+    children_stale_ = false;
+  }
+
+  // Iterative DFS from the root; each account frame ranks its children
+  // and users receive rank / user_count in traversal order.
+  const double total_users = static_cast<double>(registered_users_);
+  std::size_t rank = registered_users_;
+  rank_children(kNone, now);
+  stack_.assign(level_.rbegin(), level_.rend());  // keep rank order on a LIFO stack
+  while (!stack_.empty()) {
+    const Ranked top = stack_.back();
+    stack_.pop_back();
     if (top.is_user) {
-      factors[*top.name] =
-          static_cast<double>(rank) / static_cast<double>(total_users);
+      factors[top.index] = static_cast<double>(rank) / total_users;
       --rank;
     } else {
-      std::vector<Ranked> children = rank_children(*top.name);
-      std::reverse(children.begin(), children.end());
-      stack.insert(stack.end(), children.begin(), children.end());
+      rank_children(top.index, now);
+      stack_.insert(stack_.end(), level_.rbegin(), level_.rend());
     }
   }
+}
+
+std::unordered_map<std::string, double> AccountTree::fair_tree_factors(SimTime now) {
+  std::vector<double> dense;
+  fair_tree_factors(now, dense);
+  std::unordered_map<std::string, double> factors;
+  for (std::size_t u = 0; u < users_.size(); ++u)
+    if (users_[u].registered) factors.emplace(users_[u].name, dense[u]);
   return factors;
 }
 

@@ -19,6 +19,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -45,24 +46,31 @@ struct UserLimits {
 /// Live concurrency snapshot, aggregated by the scheduler from the pool's
 /// active jobs (plus in-pass admissions) each cycle.  Keeping it derived
 /// from the pool -- not an incrementally maintained counter -- makes the
-/// admission view impossible to desynchronize from reality.
+/// admission view impossible to desynchronize from reality.  Both tables
+/// are indexed by the owning AccountTree's dense user and account
+/// indices; an index past the end holds nothing.
 struct LiveUsage {
   struct Entry {
     int running_jobs = 0;
     int nodes = 0;
   };
-  std::unordered_map<std::string, Entry> by_user;
-  std::unordered_map<std::string, Entry> by_account;
+  std::vector<Entry> by_user;
+  std::vector<Entry> by_account;
 };
 
 class AccountTree {
  public:
+  /// Dense index meaning "none": the root as a parent or account, or a
+  /// name the tree has never seen.
+  static constexpr int kNone = -1;
+
   /// `half_life` governs the fair-tree usage decay (Slurm
   /// PriorityDecayHalfLife).
   explicit AccountTree(SimTime half_life = days(7));
 
   // --- construction ----------------------------------------------------
-  /// Adds/updates an account.  `parent` must already exist ("" = root).
+  /// Adds/updates an account.  `parent` must already exist ("" = root)
+  /// and must not lie in the account's own subtree.
   void add_account(const std::string& name, const std::string& parent = "",
                    double shares = 1.0, AccountLimits limits = {});
   /// Registers/updates a user under `account` ("" = directly under root).
@@ -73,23 +81,27 @@ class AccountTree {
   /// seen, under the job's account tag.  Known users are untouched.
   void ensure_user(const std::string& user, const std::string& account);
 
-  bool has_account(const std::string& name) const { return accounts_.count(name) > 0; }
-  bool has_user(const std::string& user) const { return users_.count(user) > 0; }
+  bool has_account(const std::string& name) const { return find_account(name) != kNone; }
+  bool has_user(const std::string& user) const;
   /// The account a user is registered under ("" when unknown / root).
   const std::string& account_of(const std::string& user) const;
-  std::size_t user_count() const { return users_.size(); }
+  std::size_t user_count() const { return registered_users_; }
+  /// Dense index of a user seen so far (registered, charged or counted in
+  /// live usage), kNone otherwise.
+  int user_index(const std::string& user) const;
 
   // --- live usage ------------------------------------------------------
-  /// Aggregates the pool's active (starting/running/completing) jobs.
-  LiveUsage usage_from(const JobPool& pool) const;
+  /// Refills `usage` with the pool's active (starting/running/completing)
+  /// jobs, reusing its storage.
+  void usage_from(const JobPool& pool, LiveUsage& usage);
   /// Adds one job to a live snapshot (in-pass admission bookkeeping).
-  void add_usage(LiveUsage& usage, const Job& job) const;
+  void add_usage(LiveUsage& usage, const Job& job);
 
   /// acct_policy-style admission: nullopt when the job may start, else a
-  /// short reason tag ("user-max-jobs", "account-max-nodes",
+  /// short static reason tag ("user-max-jobs", "account-max-nodes",
   /// "account-budget", "qos-user-max-jobs"...).
-  std::optional<std::string> may_start(const Job& job, const QosClass& qos,
-                                       const LiveUsage& usage) const;
+  std::optional<std::string_view> may_start(const Job& job, const QosClass& qos,
+                                            const LiveUsage& usage) const;
 
   /// Counts limit entries exceeded by `usage` (audit invariant; 0 when
   /// admission is doing its job).
@@ -106,39 +118,70 @@ class AccountTree {
   // --- fair tree -------------------------------------------------------
   /// Fair-tree factor in (0, 1] per registered user at `now`: each tree
   /// level is ranked by (shares fraction) / (decayed usage fraction) and
-  /// users receive rank / user_count in traversal order.  Unregistered
-  /// users are not in the map; callers treat them as factor 1.
-  std::unordered_map<std::string, double> fair_tree_factors(SimTime now) const;
+  /// users receive rank / user_count in traversal order.  Written to
+  /// `factors[user_index(user)]`; users seen but not registered get 1.
+  void fair_tree_factors(SimTime now, std::vector<double>& factors);
+  /// The same factors keyed by registered user name (introspection).
+  std::unordered_map<std::string, double> fair_tree_factors(SimTime now);
 
  private:
-  struct Account {
-    std::string parent;  ///< "" = root
-    double shares = 1.0;
-    AccountLimits limits;
-  };
-  struct User {
-    std::string account;  ///< "" = root
-    double shares = 1.0;
-    UserLimits limits;
-  };
   struct DecayEntry {
     double usage = 0.0;
     SimTime as_of = 0;
   };
+  struct Account {
+    std::string name;
+    int parent = kNone;  ///< kNone = root
+    double shares = 1.0;
+    AccountLimits limits;
+    DecayEntry decay;
+    double budget_spent = 0.0;  ///< un-decayed node-seconds charged
+  };
+  struct User {
+    std::string name;
+    /// False for a user only seen in live usage or charges: no limits, no
+    /// fair-tree rank, charged to the root.
+    bool registered = false;
+    int account = kNone;  ///< kNone = root
+    double shares = 1.0;
+    UserLimits limits;
+    DecayEntry decay;
+  };
+  /// One child of a fair-tree level: an account or a user index.
+  struct Ranked {
+    double level_fs = 0.0;
+    double usage = 0.0;
+    int index = kNone;
+    bool is_user = false;
+  };
 
-  /// The parent chain of an account, innermost first ("" excluded).
-  void chain_of(const std::string& account, std::vector<const Account*>* accounts,
-                std::vector<const std::string*>* names) const;
-  /// The account a job charges: its own tag, else its user's registration.
-  const std::string& effective_account(const Job& job) const;
+  int find_account(const std::string& name) const;
+  int intern_user(const std::string& user);
+  /// The account a job charges: its own tag (kNone when the tag is not
+  /// registered), else its user's registration.
+  int effective_account(const Job& job, int user) const;
   double decayed(const DecayEntry& entry, SimTime now) const;
-  void charge_entity(const std::string& key, double node_seconds, SimTime now);
+  /// Fills level_ with the children of `parent` (kNone = root), sorted by
+  /// descending level fairshare, ties broken by name, then accounts first.
+  void rank_children(int parent, SimTime now);
 
   SimTime half_life_;
-  std::unordered_map<std::string, Account> accounts_;
-  std::unordered_map<std::string, User> users_;
-  std::unordered_map<std::string, double> budget_spent_;  ///< per account
-  std::unordered_map<std::string, DecayEntry> decay_;     ///< "u:"/"a:" keys
+  std::vector<Account> accounts_;
+  std::vector<User> users_;
+  std::unordered_map<std::string, int> account_ids_;
+  std::unordered_map<std::string, int> user_ids_;
+  std::size_t registered_users_ = 0;
+
+  // Fair-tree walk state.  The child lists change only when
+  // add_account/set_user reshape the tree, so they are rebuilt lazily on
+  // the next walk; level_ and stack_ are scratch reused across walks.
+  bool children_stale_ = true;
+  /// Child accounts / registered users in index order; slot 0 is the
+  /// root, slot a + 1 is account a.
+  std::vector<std::vector<int>> child_accounts_;
+  std::vector<std::vector<int>> child_users_;
+  std::vector<Ranked> level_;
+  std::vector<Ranked> stack_;
 };
 
 }  // namespace eslurm::sched::policy

@@ -14,16 +14,18 @@ void PolicyState::refresh_factors(const JobPool& pool, SimTime now) {
     const Job& job = pool.get(id);
     config_.accounts.ensure_user(job.user, job.account);
   }
-  factors_ = config_.accounts.fair_tree_factors(now);
+  config_.accounts.fair_tree_factors(now, factors_);
 }
 
 double PolicyState::share_factor(const std::string& user) const {
-  const auto it = factors_.find(user);
-  return it == factors_.end() ? 1.0 : it->second;
+  const int index = config_.accounts.user_index(user);
+  return index == AccountTree::kNone || static_cast<std::size_t>(index) >= factors_.size()
+             ? 1.0
+             : factors_[index];
 }
 
 void PolicyState::begin_admission(const JobPool& pool) {
-  usage_ = config_.enforce_limits ? config_.accounts.usage_from(pool) : LiveUsage{};
+  if (config_.enforce_limits) config_.accounts.usage_from(pool, usage_);
 }
 
 bool PolicyState::held_by_limits(const Job& job) {
@@ -33,11 +35,15 @@ bool PolicyState::held_by_limits(const Job& job) {
   if (!reason) return false;
   ++limit_holds_;
   if (telemetry_)
-    telemetry_->metrics.counter("sched.policy.limit_holds", {{"reason", *reason}}).inc();
+    telemetry_->metrics
+        .counter("sched.policy.limit_holds", {{"reason", std::string(*reason)}})
+        .inc();
   return true;
 }
 
-void PolicyState::admit(const Job& job) { config_.accounts.add_usage(usage_, job); }
+void PolicyState::admit(const Job& job) {
+  if (config_.enforce_limits) config_.accounts.add_usage(usage_, job);
+}
 
 SimTime PolicyState::kill_window_end(const Job& job, SimTime now) const {
   const SimTime limit = job.user_estimate > 0
@@ -69,7 +75,8 @@ void PolicyState::charge(const Job& job, SimTime ran, SimTime now) {
 
 void PolicyState::audit(const JobPool& pool) {
   if (!config_.enforce_limits) return;
-  const std::size_t bad = config_.accounts.violations(config_.accounts.usage_from(pool));
+  config_.accounts.usage_from(pool, audit_usage_);
+  const std::size_t bad = config_.accounts.violations(audit_usage_);
   if (bad == 0) return;
   violations_ += bad;
   if (telemetry_)

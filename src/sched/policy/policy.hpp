@@ -7,8 +7,8 @@
 // kills anything -- schedulers stay pure decision functions).
 #pragma once
 
-#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "sched/policy/accounts.hpp"
 #include "sched/policy/qos.hpp"
@@ -76,7 +76,8 @@ class PolicyState {
 
   /// Invariant audit: counts live-usage entries exceeding their limits
   /// (must stay 0 while admission is enforced).  Called by the RM each
-  /// cycle; cheap (one pass over active jobs).
+  /// cycle; an independent recount of the pool's active jobs into its own
+  /// scratch snapshot, so it never trusts the admission bookkeeping.
   void audit(const JobPool& pool);
 
   // --- state access ----------------------------------------------------
@@ -119,9 +120,11 @@ class PolicyState {
   PolicyConfig config_;
   telemetry::Telemetry* telemetry_ = nullptr;
 
-  /// Fair-tree factors from the latest pass (also used to price victims).
-  std::unordered_map<std::string, double> factors_;
-  LiveUsage usage_;
+  /// Fair-tree factors from the latest pass by AccountTree user index
+  /// (also used to price victims); users past the end get 1.
+  std::vector<double> factors_;
+  LiveUsage usage_;        ///< this pass's admission view
+  LiveUsage audit_usage_;  ///< audit's recount
   std::unordered_set<JobId> pending_preempt_;
   JobId blocked_head_ = kNoJob;  ///< highest-priority job that could not start
 

@@ -151,8 +151,9 @@ void Scheduler::rank(const JobPool& pool, SimTime now) {
     if (!dependency_ready(pool, job)) continue;  // held
     ranked_.emplace_back(-priority_of(job, now), id);
   }
-  // Stable: equal priorities keep submission order (ids ascend with time).
-  std::stable_sort(ranked_.begin(), ranked_.end());
+  // The (-priority, id) keys are unique, so equal priorities keep
+  // submission order (ids ascend with time) without a stable sort.
+  std::sort(ranked_.begin(), ranked_.end());
   for (const auto& [neg_priority, id] : ranked_) ordered_.push_back(id);
 }
 

@@ -13,7 +13,9 @@
 //     windows and inline message bodies, so a reliable round trip
 //     hashes nothing and allocates nothing;
 //   * tree broadcast through the transport: recycled broadcast state
-//     (position-indexed relay contexts, child slots, delivered bitmap).
+//     (position-indexed relay contexts, child slots, delivered bitmap);
+//   * "policy" scheduler pass plus limit audit: dense user/account
+//     tables, cached fair-tree child lists and reused usage snapshots.
 //
 // Under ASan/TSan the runtime owns operator new, so the hook is compiled
 // out and the tests skip (the sanitizer jobs cover memory correctness;
@@ -29,6 +31,7 @@
 #include "comm/tree.hpp"
 #include "net/network.hpp"
 #include "net/transport.hpp"
+#include "sched/scheduler.hpp"
 #include "sim/engine.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -310,6 +313,70 @@ TEST(ZeroAllocation, TreeBroadcastThroughTransport) {
   EXPECT_EQ(engine.event_pool_capacity(), warm_events);
   EXPECT_EQ(engine.heap_fallback_events(), 0u);
   EXPECT_EQ(transport.sends(), 3 * 2 * kTargets);  // one relay + one done per target
+}
+
+TEST(ZeroAllocation, PolicySchedulerPassAndAudit) {
+  if (!ESLURM_ALLOC_HOOK) GTEST_SKIP() << "allocation hook disabled under sanitizers";
+
+  // Two-level account tree: a division with two projects, plus a project
+  // straight under the root.  A boosted QoS with a one-job per-user cap
+  // puts held jobs at the head of the queue, so every pass walks the
+  // limit checks and their longest reason tags.
+  sched::policy::PolicyConfig config;
+  config.qos.add(sched::policy::QosClass{
+      .name = "capped", .priority_boost = 1000.0, .max_running_jobs_per_user = 1});
+  config.accounts.add_account("division");
+  config.accounts.add_account("project-a", "division", 2.0,
+                              sched::policy::AccountLimits{.max_nodes = 64});
+  config.accounts.add_account("project-b", "division");
+  config.accounts.add_account("project-c");
+  sched::Scheduler scheduler = sched::make_scheduler("policy", 256, nullptr, config);
+  sched::policy::PolicyState& policy = *scheduler.policy();
+
+  const char* const projects[] = {"project-a", "project-b", "project-c"};
+  sched::JobPool pool;
+  sched::JobId next = 1;
+  for (int u = 0; u < 12; ++u) {
+    for (int k = 0; k < 4; ++k) {
+      sched::Job job;
+      job.id = next++;
+      job.user = "user-" + std::to_string(u);
+      job.account = projects[u % 3];
+      job.qos = k == 1 ? "capped" : "";
+      job.nodes = 1 + (u + k) % 8;
+      job.submit_time = seconds(static_cast<SimTime>(job.id));
+      job.user_estimate = hours(1);
+      job.actual_runtime = minutes(30);
+      pool.submit(job);
+      if (k == 0) {  // each user's first job is running
+        pool.mark_starting(job.id);
+        pool.mark_running(job.id, minutes(1));
+        policy.accounts().charge(job, 3600.0 * job.nodes * (u + 1), minutes(1));
+      }
+    }
+  }
+
+  // Warm-up: users are registered, the fair tree's child lists are built
+  // and every scratch buffer reaches its plateau.
+  for (int pass = 0; pass < 3; ++pass) {
+    scheduler.schedule(pool, 0, minutes(10 + pass));
+    policy.audit(pool);
+  }
+  const std::uint64_t warm_holds = policy.limit_holds();
+
+  std::uint64_t allocated;
+  std::size_t started;
+  {
+    CountingScope scope;
+    started = scheduler.schedule(pool, 0, minutes(20)).size();
+    policy.audit(pool);
+    allocated = CountingScope::count();
+  }
+  EXPECT_EQ(allocated, 0u) << "a steady-state policy pass and its limit audit "
+                              "must not touch the allocator";
+  EXPECT_EQ(started, 0u);
+  EXPECT_GT(policy.limit_holds(), warm_holds);  // the limit checks actually ran
+  EXPECT_EQ(policy.limit_violations(), 0u);
 }
 
 }  // namespace

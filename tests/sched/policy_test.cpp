@@ -212,6 +212,51 @@ TEST(AccountTreeTest, FairTreeTiesBreakDeterministicallyByName) {
   EXPECT_GT(first.at("u2"), first.at("u3"));
 }
 
+TEST(AccountTreeTest, FairTreeFollowsTreeChangesAfterARead) {
+  // The fair tree keeps its child lists between walks; every reshaping
+  // call and every charge made after a read must show in the next read.
+  AccountTree tree(days(7));
+  tree.add_account("a");
+  tree.add_account("light");
+  tree.add_account("heavy");
+  tree.set_user("alice", "a");
+  tree.set_user("bob", "light");
+  tree.set_user("carl", "heavy");
+  tree.charge(make_job(1, "carl", 8, hours(1), 0, "", "heavy"), 1e6, 0);
+
+  // Factors are rank / N: the i-th user of `order` gets (N - i) / N, so
+  // they always form a permutation of {1/N, ..., N/N}.
+  const auto expect_order = [&tree](const std::vector<std::string>& order) {
+    const auto factors = tree.fair_tree_factors(0);
+    ASSERT_EQ(factors.size(), order.size());
+    const double n = static_cast<double>(order.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+      EXPECT_DOUBLE_EQ(factors.at(order[i]), (n - static_cast<double>(i)) / n)
+          << order[i];
+  };
+
+  // Idle "a" and "light" tie on shares and break by name; "heavy" is last.
+  expect_order({"alice", "bob", "carl"});
+  // Re-parent alice's account under the heavy one: she now ranks only
+  // after the whole idle "light" subtree.
+  tree.add_account("a", "heavy");
+  expect_order({"bob", "alice", "carl"});
+  // Move alice into "light": she and bob tie there and break by name.
+  tree.set_user("alice", "light");
+  expect_order({"alice", "bob", "carl"});
+  // A user registered on sight joins the root level and wins the tie
+  // with "light" by name; a second sighting changes nothing.
+  tree.ensure_user("dave", "");
+  tree.ensure_user("dave", "light");
+  expect_order({"dave", "alice", "bob", "carl"});
+  // Usage charged after a read is decayed afresh on the next one.
+  tree.charge(make_job(2, "dave", 8, hours(1)), 1e7, 0);
+  expect_order({"alice", "bob", "carl", "dave"});
+  // A re-parent that would close a cycle is refused and changes nothing.
+  EXPECT_THROW(tree.add_account("heavy", "a"), std::invalid_argument);
+  expect_order({"alice", "bob", "carl", "dave"});
+}
+
 TEST(AccountTreeTest, UnknownParentThrows) {
   AccountTree tree;
   EXPECT_THROW(tree.add_account("child", "missing-parent"), std::invalid_argument);
