@@ -5,8 +5,7 @@ namespace eslurm::comm {
 SharedMemoryBroadcaster::SharedMemoryBroadcaster(net::Network& network, std::string name)
     : Broadcaster(network, std::move(name)), rng_(0xE5E5E5E5ULL) {
   fetch_type_ = alloc_type_range(1);
-  for (NodeId node = 0; node < net_.node_count(); ++node)
-    net_.register_handler(node, fetch_type_, [](const net::Message&) {});
+  net_.register_type_handler(fetch_type_, [](NodeId, const net::Message&) {});
 }
 
 void SharedMemoryBroadcaster::broadcast(NodeId root,

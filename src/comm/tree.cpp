@@ -30,12 +30,10 @@ TreeBroadcaster::TreeBroadcaster(net::Network& network, std::string name,
     : Broadcaster(network, std::move(name), transport) {
   relay_type_ = alloc_type_range(2);
   done_type_ = relay_type_ + 1;
-  for (NodeId node = 0; node < net_.node_count(); ++node) {
-    register_relay_handler(node, relay_type_,
-                           [this, node](const net::Message& m) { on_relay(node, m); });
-    register_relay_handler(node, done_type_,
-                           [this, node](const net::Message& m) { on_done(node, m); });
-  }
+  register_relay_handler(relay_type_,
+                         [this](NodeId self, const net::Message& m) { on_relay(self, m); });
+  register_relay_handler(done_type_,
+                         [this](NodeId self, const net::Message& m) { on_done(self, m); });
 }
 
 std::shared_ptr<const std::vector<NodeId>> TreeBroadcaster::prepare(

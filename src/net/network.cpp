@@ -11,7 +11,7 @@
 namespace eslurm::net {
 
 Network::Network(sim::Engine& engine, std::size_t node_count, LinkModel model, Rng rng)
-    : engine_(engine), model_(model), rng_(rng), nodes_(node_count) {
+    : engine_(engine), model_(model), rng_(rng), hot_(node_count), cold_(node_count) {
   if (auto* t = engine_.telemetry()) {
     messages_counter_ = &t->metrics.counter("net.messages_total");
     bytes_counter_ = &t->metrics.counter("net.bytes_total");
@@ -23,30 +23,50 @@ Network::Network(sim::Engine& engine, std::size_t node_count, LinkModel model, R
 void Network::set_liveness(std::function<bool(NodeId)> alive) { alive_ = std::move(alive); }
 
 void Network::set_recv_processing(NodeId node, SimTime per_message) {
-  nodes_.at(node).recv_processing_override = per_message;
+  cold_.at(node).recv_processing_override = per_message;
+  hot_[node].has_override = per_message > 0;
 }
 
 SimTime Network::recv_processing(NodeId node) const {
-  const SimTime override_value = nodes_.at(node).recv_processing_override;
-  return override_value > 0 ? override_value : model_.recv_processing;
+  return receive_cost(hot_.at(node), node);
+}
+
+Network::HandlerRow& Network::handler_row(MessageType type) {
+  if (type < 0) throw std::out_of_range("Network: negative message type");
+  if (static_cast<std::size_t>(type) >= handlers_by_type_.size())
+    handlers_by_type_.resize(static_cast<std::size_t>(type) + 1);
+  return handlers_by_type_[static_cast<std::size_t>(type)];
 }
 
 void Network::register_handler(NodeId node, MessageType type, Handler handler) {
-  if (node >= nodes_.size() || type < 0)
-    throw std::out_of_range("Network::register_handler: bad node or type");
-  if (static_cast<std::size_t>(type) >= handlers_by_type_.size())
-    handlers_by_type_.resize(static_cast<std::size_t>(type) + 1);
-  auto& row = handlers_by_type_[static_cast<std::size_t>(type)];
-  if (row.empty()) row.resize(nodes_.size());
-  row[node] = std::move(handler);
+  if (node >= hot_.size()) throw std::out_of_range("Network::register_handler: bad node");
+  HandlerRow& row = handler_row(type);
+  if (row.any_node)
+    throw std::logic_error("Network::register_handler: type has a type-wide handler");
+  if (row.by_node.empty()) row.by_node.resize(hot_.size());
+  row.by_node[node] = std::move(handler);
 }
 
 void Network::unregister_handler(NodeId node, MessageType type) {
-  if (node >= nodes_.size() || type < 0)
+  if (node >= hot_.size() || type < 0)
     throw std::out_of_range("Network::unregister_handler: bad node or type");
   if (static_cast<std::size_t>(type) >= handlers_by_type_.size()) return;
-  auto& row = handlers_by_type_[static_cast<std::size_t>(type)];
+  auto& row = handlers_by_type_[static_cast<std::size_t>(type)].by_node;
   if (!row.empty()) row[node] = nullptr;
+}
+
+void Network::register_type_handler(MessageType type, TypeHandler handler) {
+  HandlerRow& row = handler_row(type);
+  if (std::any_of(row.by_node.begin(), row.by_node.end(),
+                  [](const Handler& h) { return static_cast<bool>(h); }))
+    throw std::logic_error("Network::register_type_handler: type has per-node handlers");
+  row.any_node = std::move(handler);
+}
+
+void Network::unregister_type_handler(MessageType type) {
+  if (type < 0) throw std::out_of_range("Network::unregister_type_handler: bad type");
+  if (static_cast<std::size_t>(type) < handlers_by_type_.size())
+    handlers_by_type_[static_cast<std::size_t>(type)].any_node = nullptr;
 }
 
 SimTime Network::propagation(NodeId from, NodeId to) const {
@@ -61,19 +81,19 @@ SimTime Network::jittered(SimTime t) {
 }
 
 void Network::adjust_sockets(NodeId node, int delta) {
-  NodeState& st = nodes_[node];
-  st.open_sockets += delta;
-  if (st.watched) st.socket_ts.record(engine_.now(), st.open_sockets);
+  NodeHot& hot = hot_[node];
+  hot.open_sockets += delta;
+  if (hot.watched) cold_[node].socket_ts.record(engine_.now(), hot.open_sockets);
 }
 
 void Network::watch_sockets(NodeId node) {
-  NodeState& st = nodes_.at(node);
-  st.watched = true;
-  st.socket_ts.record(engine_.now(), st.open_sockets);
+  NodeHot& hot = hot_.at(node);
+  hot.watched = true;
+  cold_[node].socket_ts.record(engine_.now(), hot.open_sockets);
 }
 
 const TimeSeries& Network::socket_series(NodeId node) const {
-  return nodes_.at(node).socket_ts;
+  return cold_.at(node).socket_ts;
 }
 
 void Network::fail_at_deadline(std::uint32_t op) {
@@ -105,17 +125,17 @@ void Network::complete(std::uint32_t op, bool ok) {
 }
 
 void Network::dispatch(NodeId to, const Message& msg, bool duplicate) {
-  NodeState& r = nodes_[to];
-  ++r.received;
+  ++hot_[to].received;
   if (delivered_counter_) delivered_counter_->inc();
   if (static_cast<std::size_t>(msg.type) < handlers_by_type_.size()) {
-    const auto& row = handlers_by_type_[static_cast<std::size_t>(msg.type)];
-    if (!row.empty()) {
-      const Handler& handler = row[to];
-      if (handler) {
-        handler(msg);
-        return;
-      }
+    const HandlerRow& row = handlers_by_type_[static_cast<std::size_t>(msg.type)];
+    if (row.any_node) {
+      row.any_node(to, msg);
+      return;
+    }
+    if (!row.by_node.empty() && row.by_node[to]) {
+      row.by_node[to](msg);
+      return;
     }
   }
   ESLURM_DEBUG("node ", to, duplicate ? " dropped duplicate type " : " dropped message type ",
@@ -131,17 +151,17 @@ void Network::arrival_step(std::uint32_t op) {
     return;
   }
   // Receive-side serialization: one message at a time per node.
-  NodeState& receiver = nodes_[state.to];
+  NodeHot& receiver = hot_[state.to];
   const SimTime recv_start = std::max(engine_.now(), receiver.recv_busy_until);
-  const SimTime recv_done = recv_start + recv_processing(state.to);
+  const SimTime recv_done = recv_start + receive_cost(receiver, state.to);
   receiver.recv_busy_until = recv_done;
   engine_.schedule_at(recv_done, [this, op] { deliver_step(op); });
 }
 
 void Network::deliver_step(std::uint32_t op) {
-  // `state` stays valid across the handler call: the pool is deque-backed
-  // and this op holds a reference, so reentrant sends cannot move or
-  // reuse the slot.
+  // `state` stays valid across the handler call: the pool's storage is
+  // stable and this op holds a reference, so reentrant sends cannot move
+  // or reuse the slot.
   SendOp& state = send_ops_[op];
   dispatch(state.to, state.msg, /*duplicate=*/false);
 
@@ -149,9 +169,9 @@ void Network::deliver_step(std::uint32_t op) {
     // A second copy arrived on the wire: it queues behind this one in
     // the receive serializer and hits the handler again with the same
     // message id -- the receiver cannot tell it from a retransmit.
-    NodeState& r = nodes_[state.to];
+    NodeHot& r = hot_[state.to];
     const SimTime dup_start = std::max(engine_.now(), r.recv_busy_until);
-    const SimTime dup_done = dup_start + recv_processing(state.to);
+    const SimTime dup_done = dup_start + receive_cost(r, state.to);
     r.recv_busy_until = dup_done;
     ++state.refs;
     engine_.schedule_at(dup_done, [this, op] { deliver_duplicate(op); });
@@ -181,7 +201,7 @@ void Network::deliver_duplicate(std::uint32_t op) {
 
 void Network::send(NodeId from, NodeId to, Message msg, SimTime timeout,
                    SendCallback on_complete) {
-  if (from >= nodes_.size() || to >= nodes_.size())
+  if (from >= hot_.size() || to >= hot_.size())
     throw std::out_of_range("Network::send: bad node id");
   if (timeout <= 0) timeout = model_.default_timeout;
 
@@ -192,7 +212,7 @@ void Network::send(NodeId from, NodeId to, Message msg, SimTime timeout,
   if (messages_counter_) messages_counter_->inc();
   if (bytes_counter_) bytes_counter_->inc(static_cast<double>(msg.bytes));
 
-  NodeState& sender = nodes_[from];
+  NodeHot& sender = hot_[from];
   ++sender.sent;
 
   // Sender-side serialization: the sending daemon spends send_processing

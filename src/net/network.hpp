@@ -58,6 +58,12 @@ struct LinkModel {
 /// serialization).  Handlers are registered per (node, message type).
 using Handler = std::function<void(const Message&)>;
 
+/// Type-wide handler: one callable serves every node for a message type
+/// and learns the receiving node as `self`.  The broadcast structures
+/// run the same relay logic on every node, so one of these replaces a
+/// row of identical per-node handlers.
+using TypeHandler = std::function<void(NodeId self, const Message&)>;
+
 /// Inline capture budget of a send-completion callback: the tree's and
 /// the RM's {this, ids...} captures fit, so a steady-state send
 /// allocates nothing; larger captures take one heap allocation.
@@ -73,7 +79,7 @@ class Network {
 
   sim::Engine& engine() { return engine_; }
   const LinkModel& link_model() const { return model_; }
-  std::size_t node_count() const { return nodes_.size(); }
+  std::size_t node_count() const { return hot_.size(); }
 
   /// The liveness oracle (normally Cluster::alive).  Defaults to all-up.
   void set_liveness(std::function<bool(NodeId)> alive);
@@ -92,8 +98,15 @@ class Network {
   ChaosInjector* chaos() const { return chaos_; }
 
   /// Registers/replaces the handler for one message type on one node.
+  /// Throws std::logic_error if `type` has a type-wide handler.
   void register_handler(NodeId node, MessageType type, Handler handler);
   void unregister_handler(NodeId node, MessageType type);
+
+  /// Registers/replaces the handler of `type` on every node.  Throws
+  /// std::logic_error if any node has a per-node handler for `type`:
+  /// a type is served one way or the other, never both.
+  void register_type_handler(MessageType type, TypeHandler handler);
+  void unregister_type_handler(MessageType type);
 
   /// Allocates a contiguous private message-type range of `width` types
   /// (communication structures use this).  The allocator is per-network
@@ -119,7 +132,7 @@ class Network {
             SendCallback on_complete = {});
 
   /// --- socket / traffic accounting -------------------------------------
-  int open_sockets(NodeId node) const { return nodes_[node].open_sockets; }
+  int open_sockets(NodeId node) const { return hot_[node].open_sockets; }
 
   /// Starts recording this node's concurrent-socket count as a time
   /// series (one point per change).  Only watched nodes pay the memory.
@@ -139,19 +152,31 @@ class Network {
 
   /// Messages processed by a given node (receive side); used to charge
   /// daemon CPU time in the RM resource accountant.
-  std::uint64_t messages_received(NodeId node) const { return nodes_[node].received; }
-  std::uint64_t messages_sent(NodeId node) const { return nodes_[node].sent; }
+  std::uint64_t messages_received(NodeId node) const { return hot_[node].received; }
+  std::uint64_t messages_sent(NodeId node) const { return hot_[node].sent; }
 
  private:
-  struct NodeState {
+  /// Everything a message touches on a node, packed so the per-node
+  /// table stays dense: send, arrival, delivery and completion each read
+  /// one 40-byte record.
+  struct NodeHot {
     SimTime send_busy_until = 0;
     SimTime recv_busy_until = 0;
-    SimTime recv_processing_override = 0;
-    int open_sockets = 0;
     std::uint64_t sent = 0;
     std::uint64_t received = 0;
-    bool watched = false;
+    int open_sockets = 0;
+    bool watched = false;       ///< socket_ts records every change
+    bool has_override = false;  ///< recv_processing_override is set
+  };
+  static_assert(sizeof(NodeHot) <= 40, "NodeHot must stay one dense record");
+  /// Per-node state only watched or overridden nodes read.
+  struct NodeCold {
+    SimTime recv_processing_override = 0;
     TimeSeries socket_ts;
+  };
+  struct HandlerRow {
+    TypeHandler any_node;          ///< type-wide handler, if any
+    std::vector<Handler> by_node;  ///< per-node handlers, sized lazily
   };
 
   /// One in-flight send().  Every engine leg of the exchange -- arrival,
@@ -172,6 +197,12 @@ class Network {
   };
 
   bool alive(NodeId node) const { return alive_ ? alive_(node) : true; }
+  /// Receive cost of the node whose hot record is `hot`.
+  SimTime receive_cost(const NodeHot& hot, NodeId node) const {
+    return hot.has_override ? cold_[node].recv_processing_override : model_.recv_processing;
+  }
+  /// The row for `type`, grown on demand; throws on a negative type.
+  HandlerRow& handler_row(MessageType type);
   void adjust_sockets(NodeId node, int delta);
   SimTime jittered(SimTime t);
 
@@ -197,15 +228,17 @@ class Network {
   std::function<bool(NodeId)> alive_;
   const Topology* topology_ = nullptr;
   ChaosInjector* chaos_ = nullptr;
-  std::vector<NodeState> nodes_;
-  /// Type-major handler tables: handlers_by_type_[type][node].  Rows are
-  /// created lazily on first registration of a type and sized to the node
-  /// count, so delivery is two vector indexes -- no hashing, no per-node
-  /// map churn.  Message types are small dense integers (see
-  /// net/message.hpp), which is what makes type-major flat tables cheap.
-  std::vector<std::vector<Handler>> handlers_by_type_;
-  /// Recycled send records; deque-backed so references stay stable while
-  /// handlers send reentrantly (which may grow the pool).
+  std::vector<NodeHot> hot_;
+  std::vector<NodeCold> cold_;
+  /// Type-major handler tables: one row per message type, holding either
+  /// a type-wide handler or per-node handlers (by_node[node], sized to
+  /// the node count on first per-node registration).  Delivery is two
+  /// vector indexes -- no hashing, no per-node map churn.  Message types
+  /// are small dense integers (see net/message.hpp), which is what makes
+  /// type-major flat tables cheap.
+  std::vector<HandlerRow> handlers_by_type_;
+  /// Recycled send records in stable chunked storage, so references stay
+  /// valid while handlers send reentrantly (which may grow the pool).
   util::SlabPool<SendOp, /*StableStorage=*/true> send_ops_;
   MessageType next_dynamic_type_ = kDynamicTypeBase;
   std::uint64_t next_msg_id_ = 1;

@@ -46,6 +46,7 @@ ReliableTransport::~ReliableTransport() {
     if (registration->node != kNoNode)
       network_.unregister_handler(registration->node, registration->type);
   }
+  for (const MessageType type : type_registrations_) network_.unregister_type_handler(type);
 }
 
 SimTime ReliableTransport::backoff_delay(int attempt) {
@@ -77,15 +78,16 @@ ReliableTransport::Channel& ReliableTransport::channel(std::uint32_t slot, NodeI
   // reaches: most types serve the master and a few satellites, which
   // hold the lowest node ids.
   auto& row = channels_[slot];
-  if (to >= row.size()) {
-    if (to >= network_.node_count())
-      throw std::out_of_range("ReliableTransport: bad node id");
-    row.resize(static_cast<std::size_t>(to) + 1);
+  if (to >= row.size()) row.resize(static_cast<std::size_t>(to) + 1);
+  Inbox& inbox = row[to];
+  if (inbox.first.from == from) return inbox.first;
+  if (inbox.first.from == kNoNode) {
+    inbox.first.from = from;
+    return inbox.first;
   }
-  auto& channels = row[to];
-  for (Channel& c : channels)
+  for (Channel& c : inbox.others)
     if (c.from == from) return c;
-  Channel& added = channels.emplace_back();
+  Channel& added = inbox.others.emplace_back();
   added.from = from;
   return added;
 }
@@ -145,9 +147,12 @@ void ReliableTransport::attempt_done(std::uint32_t index, bool ok) {
 
 void ReliableTransport::send(NodeId from, NodeId to, Message msg,
                              SimTime timeout, SendCallback on_complete) {
+  if (from >= network_.node_count() || to >= network_.node_count())
+    throw std::out_of_range("ReliableTransport::send: bad node id");
+  const std::uint32_t slot = slot_of(msg.type);  // throws on a negative type
   ++sends_;
   if (sends_counter_) sends_counter_->inc();
-  msg.seq = channel(slot_of(msg.type), from, to).next_seq++;
+  msg.seq = channel(slot, from, to).next_seq++;
 
   const std::uint32_t index = pending_.acquire();
   PendingSend& pending = pending_[index];
@@ -160,26 +165,36 @@ void ReliableTransport::send(NodeId from, NodeId to, Message msg,
   attempt(index);
 }
 
-void ReliableTransport::deliver(const Registration& registration, const Message& frame) {
-  if (!admit(channel(registration.slot, frame.src, registration.node), frame.seq)) {
-    // Retransmit after a lost ack, or a chaos duplicate: ack it (the
-    // network already does) but do not re-process.
-    ++duplicates_suppressed_;
-    if (duplicates_counter_) duplicates_counter_->inc();
-    return;
-  }
-  registration.handler(frame);
+bool ReliableTransport::admit_frame(std::uint32_t slot, NodeId self, const Message& frame) {
+  if (admit(channel(slot, frame.src, self), frame.seq)) return true;
+  // Retransmit after a lost ack, or a chaos duplicate: ack it (the
+  // network already does) but do not re-process.
+  ++duplicates_suppressed_;
+  if (duplicates_counter_) duplicates_counter_->inc();
+  return false;
 }
 
 void ReliableTransport::register_handler(NodeId node, MessageType type,
                                          Handler handler) {
   if (node >= network_.node_count())
     throw std::out_of_range("ReliableTransport::register_handler: bad node");
-  const Registration& registration = *registrations_.emplace_back(
-      std::make_unique<Registration>(Registration{std::move(handler), node, type, slot_of(type)}));
-  network_.register_handler(node, type, [this, &registration](const Message& frame) {
-    deliver(registration, frame);
+  auto registration = std::make_unique<Registration>(
+      Registration{std::move(handler), node, type, slot_of(type)});
+  // Register with the network first: it throws if the type is served
+  // type-wide, and then nothing is recorded here.
+  network_.register_handler(node, type, [this, &r = *registration](const Message& frame) {
+    if (admit_frame(r.slot, r.node, frame)) r.handler(frame);
   });
+  registrations_.push_back(std::move(registration));
+}
+
+void ReliableTransport::register_type_handler(MessageType type, TypeHandler handler) {
+  network_.register_type_handler(
+      type, [this, slot = slot_of(type), handler = std::move(handler)](NodeId self,
+                                                                       const Message& frame) {
+        if (admit_frame(slot, self, frame)) handler(self, frame);
+      });
+  type_registrations_.push_back(type);
 }
 
 void ReliableTransport::unregister_handler(NodeId node, MessageType type) {

@@ -31,10 +31,12 @@
 // The per-message path neither hashes nor allocates once warm: message
 // types map to dense slots, each slot keeps one row indexed by receiver
 // (grown on first use up to the receivers actually reached), and a row
-// entry is a tiny vector of per-sender channels {next_seq, window} -- one
-// lookup serves the sender's seq and the receiver's window alike.  The
-// network handler of a registration captures only {this, registration}.
-// Pending sends live in a slab pool and the network completion captures
+// entry holds the receiver's per-sender channels {next_seq, window}, the
+// first one inline -- one lookup serves the sender's seq and the
+// receiver's window alike.  A per-node registration's network handler
+// captures only {this, registration}; a type-wide registration is one
+// network handler for the whole type that finds the channel from the
+// receiving node.  Pending sends live in a slab pool and the network completion captures
 // only {this, index}.
 #pragma once
 
@@ -94,7 +96,9 @@ class ReliableTransport {
   /// Reliable counterpart of Network::send: retransmits on failure until
   /// the retry cap, then reports `ok=false` (permanent failure).
   /// `timeout` <= 0 uses the link-model default and bounds each attempt,
-  /// not the whole exchange.  Overwrites msg.seq.
+  /// not the whole exchange.  Overwrites msg.seq.  Throws
+  /// std::out_of_range on a bad endpoint or a negative type, before any
+  /// channel, counter or pending slot is touched.
   void send(NodeId from, NodeId to, Message msg, SimTime timeout = 0,
             SendCallback on_complete = {});
 
@@ -104,6 +108,12 @@ class ReliableTransport {
   /// frame).
   void register_handler(NodeId node, MessageType type, Handler handler);
   void unregister_handler(NodeId node, MessageType type);
+
+  /// Type-wide counterpart (see Network::register_type_handler): one
+  /// handler serves `type` on every node, behind the same anti-replay
+  /// window keyed by (type, sender, receiving node).  Throws
+  /// std::logic_error if `type` already has per-node handlers.
+  void register_type_handler(MessageType type, TypeHandler handler);
 
   std::uint64_t sends() const { return sends_; }
   std::uint64_t retransmits() const { return retransmits_; }
@@ -129,6 +139,14 @@ class ReliableTransport {
     std::uint64_t next_seq = 0;
     NodeId from = kNoNode;
   };
+  /// A receiver's channels for one type.  The first sender's channel is
+  /// stored inline, so the common single-sender case (a tree child and
+  /// its parent) costs one row access; further senders spill into a
+  /// vector, in first-use order.
+  struct Inbox {
+    Channel first;
+    std::vector<Channel> others;
+  };
   /// A handler registered through the transport.  Heap-held, so the
   /// network-side wrapper can point at it and registering more handlers
   /// (even from inside a handler) never moves it.
@@ -148,11 +166,14 @@ class ReliableTransport {
   };
 
   std::uint32_t slot_of(MessageType type);
-  /// The (from -> to) channel of `slot`, created on first use.
+  /// The (from -> to) channel of `slot`, created on first use.  Both
+  /// endpoints must be valid node ids.
   Channel& channel(std::uint32_t slot, NodeId from, NodeId to);
   /// Anti-replay check; false means `seq` is a duplicate to suppress.
   bool admit(Channel& channel, std::uint64_t seq);
-  void deliver(const Registration& registration, const Message& frame);
+  /// Runs `frame` received by `self` through the window of its channel;
+  /// false means a suppressed duplicate.
+  bool admit_frame(std::uint32_t slot, NodeId self, const Message& frame);
   void attempt(std::uint32_t index);
   void attempt_done(std::uint32_t index, bool ok);
   SimTime backoff_delay(int attempt);
@@ -163,9 +184,10 @@ class ReliableTransport {
   std::string name_;
 
   std::vector<std::uint32_t> slot_by_type_;  ///< type -> slot + 1 (0: none)
-  /// [slot][receiver] -> channels from each sender, in first-use order.
-  std::vector<std::vector<std::vector<Channel>>> channels_;
+  /// [slot][receiver] -> channels from each sender.
+  std::vector<std::vector<Inbox>> channels_;
   std::vector<std::unique_ptr<Registration>> registrations_;
+  std::vector<MessageType> type_registrations_;  ///< types with a type-wide handler
   util::SlabPool<PendingSend> pending_;
 
   std::uint64_t sends_ = 0;

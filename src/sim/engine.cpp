@@ -76,7 +76,7 @@ bool Engine::step() {
     const QueueEntry top = queue_.top();
     queue_.pop();
     if (!entry_live(top)) continue;  // cancelled
-    // The callable is invoked in place: pool storage is stable (deque),
+    // The callable is invoked in place: pool storage is stable (chunked),
     // so a callback that schedules events may grow the pool under us.
     // The slot is marked dead before the call (cancelling the executing
     // event is a no-op) but released only after it, so a reentrant

@@ -315,7 +315,7 @@ class Engine {
   std::uint64_t compactions_ = 0;
   std::uint64_t heap_fallbacks_ = 0;
   EventHeap queue_;
-  /// Stable storage (deque-backed): step() invokes the callable in place,
+  /// Stable (chunked) storage: step() invokes the callable in place,
   /// and a callback that schedules new events may grow the pool without
   /// relocating the storage the executing callable lives in.
   util::SlabPool<EventSlot, /*StableStorage=*/true> pool_;

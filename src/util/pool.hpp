@@ -17,15 +17,17 @@
 //     behaviour.  Growth MOVES existing slots: never hold a T& across an
 //     acquire() (the sim engine moves the callable out of its slot
 //     before running it for exactly this reason).
-//   * SlabPool<T, true>      -- deque-backed, stable addresses.  For
-//     slots that must stay referenceable while arbitrary reentrant code
-//     runs (the network dispatches a handler while the send's slot is
-//     live, and the handler may send again).
+//   * SlabPool<T, true>      -- fixed chunks of kChunkSlots slots, stable
+//     addresses.  For slots that must stay referenceable while arbitrary
+//     reentrant code runs (the network dispatches a handler while the
+//     send's slot is live, and the handler may send again).  Chunks are
+//     a power of two in size, so an index is a shift and a mask, and a
+//     new chunk default-constructs its slots up front.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -36,44 +38,53 @@ class SlabPool {
  public:
   using Index = std::uint32_t;
   static constexpr Index kNone = UINT32_MAX;
+  /// Slots per chunk of the stable flavour.
+  static constexpr Index kChunkBits = 8;
+  static constexpr Index kChunkSlots = Index{1} << kChunkBits;
 
   /// Returns a slot index: a recycled slot (contents stale, not reset)
   /// or a freshly default-constructed one appended to the slab.
   Index acquire() {
     if (free_head_ != kNone) {
       const Index index = free_head_;
-      Slot& slot = slots_[index];
+      Slot& slot = slot_at(*this, index);
       free_head_ = slot.next_free;
       slot.next_free = kNone;
       ++in_use_;
       return index;
     }
-    assert(slots_.size() < kNone);
-    slots_.emplace_back();
+    assert(size_ < kNone);
+    if constexpr (StableStorage) {
+      if ((size_ & (kChunkSlots - 1)) == 0)
+        store_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+    } else {
+      store_.emplace_back();
+    }
     ++in_use_;
-    return static_cast<Index>(slots_.size() - 1);
+    return size_++;
   }
 
   /// Returns a slot to the free list.  The stored T is kept alive for
   /// recycling; release heavyweight resources (payloads, callbacks)
   /// before releasing the slot if prompt reclamation matters.
   void release(Index index) {
-    assert(index < slots_.size());
-    assert(slots_[index].next_free == kNone && "double release");
-    slots_[index].next_free = free_head_;
+    assert(index < size_);
+    Slot& slot = slot_at(*this, index);
+    assert(slot.next_free == kNone && "double release");
+    slot.next_free = free_head_;
     free_head_ = index;
     --in_use_;
   }
 
-  T& operator[](Index index) { return slots_[index].value; }
-  const T& operator[](Index index) const { return slots_[index].value; }
+  T& operator[](Index index) { return slot_at(*this, index).value; }
+  const T& operator[](Index index) const { return slot_at(*this, index).value; }
 
-  /// Slots ever created (live + recyclable); the pool's high-water mark.
-  std::size_t capacity() const { return slots_.size(); }
+  /// Slots ever handed out (live + recyclable); the pool's high-water mark.
+  std::size_t capacity() const { return size_; }
   std::size_t in_use() const { return in_use_; }
 
   void reserve(std::size_t slots) {
-    if constexpr (!StableStorage) slots_.reserve(slots);
+    if constexpr (!StableStorage) store_.reserve(slots);
   }
 
  private:
@@ -81,10 +92,22 @@ class SlabPool {
     T value{};
     Index next_free = kNone;
   };
-  using Store =
-      std::conditional_t<StableStorage, std::deque<Slot>, std::vector<Slot>>;
 
-  Store slots_;
+  using Store = std::conditional_t<StableStorage, std::vector<std::unique_ptr<Slot[]>>,
+                                   std::vector<Slot>>;
+
+  /// Shared by the const and non-const accessors.
+  template <typename Self>
+  static auto& slot_at(Self& self, Index index) {
+    if constexpr (StableStorage) {
+      return self.store_[index >> kChunkBits][index & (kChunkSlots - 1)];
+    } else {
+      return self.store_[index];
+    }
+  }
+
+  Store store_;
+  Index size_ = 0;
   Index free_head_ = kNone;
   std::size_t in_use_ = 0;
 };

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace eslurm::net {
@@ -134,6 +137,120 @@ TEST_F(NetFixture, FireAndForgetWithoutCallback) {
   Network net = make(2);
   net.send(0, 1, Message{.type = 1});
   EXPECT_NO_THROW(engine.run());
+}
+
+TEST_F(NetFixture, TypeHandlerReceivesTheReceivingNodeAsSelf) {
+  Network net = make(4);
+  std::vector<std::pair<NodeId, NodeId>> seen;  // (self, src)
+  net.register_type_handler(7, [&](NodeId self, const Message& m) {
+    seen.emplace_back(self, m.src);
+  });
+  net.send(0, 1, Message{.type = 7});
+  net.send(0, 2, Message{.type = 7});
+  net.send(3, 0, Message{.type = 7});
+  engine.run();
+  std::sort(seen.begin(), seen.end());
+  const std::vector<std::pair<NodeId, NodeId>> expected{{0, 3}, {1, 0}, {2, 0}};
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(net.messages_received(0), 1u);
+  EXPECT_EQ(net.messages_received(1), 1u);
+}
+
+TEST_F(NetFixture, MixingHandlerKindsOnOneTypeThrows) {
+  Network net = make(3);
+  net.register_handler(1, 7, [](const Message&) {});
+  EXPECT_THROW(net.register_type_handler(7, [](NodeId, const Message&) {}), std::logic_error);
+  net.register_type_handler(8, [](NodeId, const Message&) {});
+  EXPECT_THROW(net.register_handler(2, 8, [](const Message&) {}), std::logic_error);
+  // Once the type-wide handler is gone, per-node registration works.
+  net.unregister_type_handler(8);
+  EXPECT_NO_THROW(net.register_handler(2, 8, [](const Message&) {}));
+  EXPECT_THROW(net.register_type_handler(-1, [](NodeId, const Message&) {}),
+               std::out_of_range);
+}
+
+TEST_F(NetFixture, TypeHandlerLeavesPerNodeTypesOnTheSameNodesAlone) {
+  Network net = make(3);
+  int wide = 0;
+  int per_node = 0;
+  net.register_type_handler(7, [&](NodeId self, const Message& m) {
+    EXPECT_EQ(m.type, 7);
+    EXPECT_EQ(self, 1u);
+    ++wide;
+  });
+  net.register_handler(1, 8, [&](const Message& m) {
+    EXPECT_EQ(m.type, 8);
+    ++per_node;
+  });
+  for (int i = 0; i < 3; ++i) {
+    net.send(0, 1, Message{.type = 7});
+    net.send(2, 1, Message{.type = 8});
+  }
+  engine.run();
+  EXPECT_EQ(wide, 3);
+  EXPECT_EQ(per_node, 3);
+}
+
+TEST_F(NetFixture, RecvProcessingOverrideChangesOnlyThatNode) {
+  Network net = make(4);
+  const SimTime slow = milliseconds(1);
+  net.set_recv_processing(1, slow);
+  EXPECT_EQ(net.recv_processing(1), slow);
+  EXPECT_EQ(net.recv_processing(2), model.recv_processing);
+  // Same-sized bursts from distinct senders: equal wire times, so the
+  // receivers' last deliveries differ only by their receive serialization.
+  std::vector<SimTime> last(4, 0);
+  for (NodeId n : {1u, 2u})
+    net.register_handler(n, 1, [&, n](const Message&) { last[n] = engine.now(); });
+  for (int i = 0; i < 3; ++i) {
+    net.send(0, 1, Message{.type = 1});
+    net.send(3, 2, Message{.type = 1});
+  }
+  engine.run();
+  EXPECT_EQ(last[1] - last[2], 3 * (slow - model.recv_processing));
+  net.set_recv_processing(1, 0);  // 0 restores the link-model default
+  EXPECT_EQ(net.recv_processing(1), model.recv_processing);
+}
+
+TEST_F(NetFixture, PingPongSocketSeriesAndCountersMatchPinnedValues) {
+  // Values pinned from the node-state layout before the hot/cold split:
+  // jittered links, one overridden receiver, two watched nodes.
+  LinkModel jittery;
+  Network net(engine, 4, jittery, Rng(3));
+  net.watch_sockets(0);
+  net.watch_sockets(2);
+  net.set_recv_processing(0, microseconds(40));
+  int pongs = 0;
+  net.register_handler(0, 1, [&](const Message&) { ++pongs; });
+  for (NodeId n = 1; n < 4; ++n)
+    net.register_handler(n, 2, [&net, n](const Message& m) {
+      net.send(n, m.src, Message{.type = 1});
+    });
+  for (int round = 0; round < 3; ++round)
+    for (NodeId n = 1; n < 4; ++n) net.send(0, n, Message{.type = 2});
+  engine.run();
+  EXPECT_EQ(pongs, 9);
+  using Series = std::vector<std::pair<SimTime, double>>;
+  const Series master{
+      {0, 0},       {0, 1},       {0, 2},       {0, 3},       {0, 4},       {0, 5},
+      {0, 6},       {0, 7},       {0, 8},       {0, 9},       {115951, 10}, {125525, 11},
+      {131936, 12}, {143259, 11}, {144619, 12}, {152137, 11}, {153690, 12}, {158649, 11},
+      {163476, 12}, {169907, 11}, {171867, 12}, {180933, 11}, {186163, 12}, {189976, 11},
+      {198090, 12}, {198164, 11}, {213448, 10}, {224574, 9},  {279956, 8},  {318133, 7},
+      {358866, 6},  {397720, 5},  {439829, 4},  {479519, 3},  {518222, 2},  {560104, 1},
+      {599867, 0}};
+  const Series node2{{0, 0},      {0, 1},      {0, 2},      {0, 3},      {125525, 4},
+                     {152137, 3}, {153690, 4}, {180933, 3}, {186163, 4}, {213448, 3},
+                     {318133, 2}, {439829, 1}, {560104, 0}};
+  EXPECT_EQ(net.socket_series(0).points(), master);
+  EXPECT_EQ(net.socket_series(2).points(), node2);
+  EXPECT_TRUE(net.socket_series(1).empty());  // unwatched
+  EXPECT_EQ(net.messages_sent(0), 9u);
+  EXPECT_EQ(net.messages_received(0), 9u);
+  for (NodeId n = 1; n < 4; ++n) {
+    EXPECT_EQ(net.messages_sent(n), 3u);
+    EXPECT_EQ(net.messages_received(n), 3u);
+  }
 }
 
 }  // namespace

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "net/chaos.hpp"
@@ -355,6 +359,133 @@ TEST_F(TransportFixture, UnregisterStopsDelivery) {
   engine.run();
   EXPECT_EQ(got, 0);
   EXPECT_TRUE(ok);  // unregistered types are dropped but still acked
+}
+
+TEST_F(TransportFixture, BadEndpointOrTypeThrowsWithoutTouchingState) {
+  Network net = make(3);
+  ReliableTransport transport(net, Rng(9));
+  std::vector<std::uint64_t> seqs;
+  transport.register_handler(1, 7, [&](const Message& m) { seqs.push_back(m.seq); });
+  EXPECT_THROW(transport.send(9, 1, Message{.type = 7}), std::out_of_range);
+  EXPECT_THROW(transport.send(0, 9, Message{.type = 7}), std::out_of_range);
+  EXPECT_THROW(transport.send(0, 1, Message{.type = -1}), std::out_of_range);
+  EXPECT_EQ(transport.sends(), 0u);
+  EXPECT_EQ(net.total_messages(), 0u);
+  transport.send(0, 1, Message{.type = 7});
+  engine.run();
+  EXPECT_EQ(transport.sends(), 1u);
+  EXPECT_EQ(seqs, std::vector<std::uint64_t>{0});
+  EXPECT_EQ(net.in_flight_sends(), 0u);
+}
+
+TEST_F(TransportFixture, TypeHandlerReceivesSelfAndPerChannelSeqs) {
+  Network net = make(3);
+  ReliableTransport transport(net, Rng(9));
+  std::vector<std::pair<NodeId, std::uint64_t>> seen;  // (self, seq)
+  transport.register_type_handler(7, [&](NodeId self, const Message& m) {
+    EXPECT_EQ(m.type, 7);
+    seen.emplace_back(self, m.seq);
+  });
+  transport.send(0, 1, Message{.type = 7});
+  transport.send(0, 1, Message{.type = 7});
+  transport.send(0, 2, Message{.type = 7});
+  transport.send(2, 0, Message{.type = 7});
+  engine.run();
+  std::sort(seen.begin(), seen.end());
+  const std::vector<std::pair<NodeId, std::uint64_t>> expected{{0, 0}, {1, 0}, {1, 1}, {2, 0}};
+  EXPECT_EQ(seen, expected);
+}
+
+TEST_F(TransportFixture, MixingHandlerKindsOnOneTypeThrows) {
+  Network net = make(3);
+  ReliableTransport transport(net, Rng(9));
+  transport.register_handler(1, 7, [](const Message&) {});
+  EXPECT_THROW(transport.register_type_handler(7, [](NodeId, const Message&) {}),
+               std::logic_error);
+  transport.register_type_handler(8, [](NodeId, const Message&) {});
+  EXPECT_THROW(transport.register_handler(2, 8, [](const Message&) {}), std::logic_error);
+  // Raw per-node handlers on the network collide the same way.
+  EXPECT_THROW(net.register_handler(0, 8, [](const Message&) {}), std::logic_error);
+}
+
+TEST_F(TransportFixture, TypeHandlerLeavesPerNodeTypesOnTheSameNodesAlone) {
+  Network net = make(3);
+  ReliableTransport transport(net, Rng(9));
+  int wide = 0;
+  std::vector<std::uint64_t> per_node_seqs;
+  transport.register_type_handler(7, [&](NodeId self, const Message&) {
+    EXPECT_EQ(self, 1u);
+    ++wide;
+  });
+  transport.register_handler(1, 8, [&](const Message& m) { per_node_seqs.push_back(m.seq); });
+  for (int i = 0; i < 3; ++i) {
+    transport.send(0, 1, Message{.type = 7});
+    transport.send(0, 1, Message{.type = 8});
+  }
+  engine.run();
+  EXPECT_EQ(wide, 3);
+  EXPECT_EQ(per_node_seqs, (std::vector<std::uint64_t>{0, 1, 2}));
+}
+
+TEST_F(TransportFixture, TypeHandlerSuppressesDuplicatesLikePerNodeHandlers) {
+  // Same seeds, same chaos, same traffic: a type-wide registration must
+  // admit and suppress exactly the frames a per-node one does.
+  struct Outcome {
+    int processed = 0;
+    std::uint64_t suppressed = 0;
+    std::uint64_t retransmits = 0;
+    SimTime end = 0;
+  };
+  auto run = [&](bool type_wide) {
+    sim::Engine eng;
+    Network net(eng, 3, model, Rng(1));
+    ChaosInjector chaos(eng, 3, Rng(7));
+    ChaosPlan plan;
+    plan.ambient(/*drop=*/0.2, /*duplicate=*/0.5);
+    chaos.set_plan(std::move(plan));
+    net.set_chaos(&chaos);
+    ReliableTransport transport(net, Rng(9));
+    Outcome out;
+    if (type_wide) {
+      transport.register_type_handler(7, [&](NodeId, const Message&) { ++out.processed; });
+    } else {
+      for (NodeId n : {1u, 2u})
+        transport.register_handler(n, 7, [&](const Message&) { ++out.processed; });
+    }
+    for (int i = 0; i < 50; ++i) {
+      transport.send(0, 1, Message{.type = 7});
+      transport.send(0, 2, Message{.type = 7});
+    }
+    eng.run();
+    out.suppressed = transport.duplicates_suppressed();
+    out.retransmits = transport.retransmits();
+    out.end = eng.now();
+    return out;
+  };
+  const Outcome per_node = run(false);
+  const Outcome wide = run(true);
+  EXPECT_GT(per_node.suppressed, 0u);
+  EXPECT_EQ(wide.processed, per_node.processed);
+  EXPECT_EQ(wide.suppressed, per_node.suppressed);
+  EXPECT_EQ(wide.retransmits, per_node.retransmits);
+  EXPECT_EQ(wide.end, per_node.end);
+}
+
+TEST_F(TransportFixture, FrameAfterTransportDestroyedIsDropped) {
+  Network net = make(2);
+  int got = 0;
+  {
+    ReliableTransport transport(net, Rng(9));
+    transport.register_type_handler(7, [&](NodeId, const Message&) { ++got; });
+  }
+  bool ok = false;
+  net.send(0, 1, Message{.type = 7}, 0, [&](bool result) { ok = result; });
+  engine.run();
+  EXPECT_EQ(got, 0);
+  EXPECT_TRUE(ok);  // delivered to the node, dropped for want of a handler
+  EXPECT_EQ(net.messages_received(1), 1u);
+  // The type-wide wrapper is gone, so per-node registration is free again.
+  EXPECT_NO_THROW(net.register_handler(1, 7, [](const Message&) {}));
 }
 
 }  // namespace
