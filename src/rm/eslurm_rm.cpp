@@ -327,8 +327,6 @@ void EslurmRm::on_satellite_task(std::size_t sat_index, const net::Message& msg)
   // per-child buffer management cost ~30 us per listed node.
   sat.stats->charge_cpu_us(50.0 + 30.0 * static_cast<double>(subtask.list->size()));
 
-  comm::BroadcastOptions opts = config_.bcast;
-  opts.payload_bytes = subtask.bytes;
   const std::uint64_t dispatch_id = body.dispatch_id;
   const std::uint32_t subtask_index = body.subtask;
   const NodeId sat_node = sat.node;

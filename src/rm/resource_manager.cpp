@@ -20,16 +20,7 @@ ResourceManager::ResourceManager(sim::Engine& engine, net::Network& network,
       deployment_(std::move(deployment)),
       config_(config),
       rng_(config.seed),
-      free_(deployment_.compute) {
-  free_mark_.resize(cluster_.size());
-  believed_down_.resize(cluster_.size());
-  drained_.resize(cluster_.size());
-  down_scratch_.resize(cluster_.size());
-  compute_bits_.resize(cluster_.size());
-  proactive_drained_.resize(cluster_.size());
-  node_job_.assign(cluster_.size(), kNoJob);
-  for (const NodeId node : deployment_.compute) compute_bits_.set(node);
-  for (const NodeId node : free_) free_mark_.set(node);
+      nodes_(cluster_.size(), deployment_) {
   master_stats_ = std::make_unique<DaemonStats>(engine_, net_, deployment_.master,
                                                 profile_.accounting);
   scheduler_ = sched::make_scheduler(
@@ -75,7 +66,7 @@ void ResourceManager::start(SimTime horizon) {
     // is on, so a disabled world schedules nothing extra.
     cluster_.add_observer(
         [this](NodeId node, cluster::NodeState, cluster::NodeState new_state) {
-          if (!compute_bits_.test(node)) return;
+          if (!nodes_.is_compute(node)) return;
           if (new_state == cluster::NodeState::Down) on_node_down(node);
           else if (new_state == cluster::NodeState::Up) on_node_up(node);
         });
@@ -238,78 +229,37 @@ void ResourceManager::run_sched_cycle() {
 }
 
 void ResourceManager::try_start_jobs() {
-  // Compact the free list: drop nodes that died while idle (they return
-  // via the cluster observer path when allocatable again).
-  const auto decisions =
-      scheduler_.schedule(pool_, static_cast<int>(free_.size()), engine_.now());
+  const auto decisions = scheduler_.schedule(pool_, free_nodes(), engine_.now());
   for (const sched::JobId id : decisions) start_job(id);
   apply_preemptions();
 }
 
 void ResourceManager::start_job(sched::JobId id) {
   sched::Job& job = pool_.get(id);
-  if (static_cast<int>(free_.size()) < job.nodes) return;  // race with failures
-
   // Allocate nodes the RM *believes* are healthy; a node that died since
   // the last ping round can still be picked here and is only discovered
   // when the launch broadcast times out on it.
-  std::vector<NodeId> allocated;
-  allocated.reserve(job.nodes);
+  NodeLedger::Penalty penalty;
   if (placement_scorer_) {
-    // Failure-aware selection: sideline unhealthy/drained nodes, score
-    // the healthy candidates by predicted risk x remaining runtime, and
-    // take the cheapest.  A predicted-failing node is the last resort
-    // for a long job but still usable for a short one.
-    std::vector<NodeId> healthy;
-    healthy.reserve(free_.size());
-    for (const NodeId node : free_) {
-      free_mark_.reset(node);
-      if (believed_alive(node) && !drained_.test(node)) healthy.push_back(node);
-      else quarantined_.push_back(node);
-    }
-    free_.clear();
-    if (static_cast<int>(healthy.size()) < job.nodes) {
-      for (const NodeId node : healthy) free_push(node);
-      return;
-    }
+    // Failure-aware selection by predicted risk x remaining runtime: a
+    // predicted-failing node is the last resort for a long job but still
+    // usable for a short one.
     const SimTime planned =
         job.user_estimate > 0 ? std::max(job.user_estimate, job.estimate_used)
                               : job.estimate_used;
     const SimTime remaining =
         std::max<SimTime>(0, planned - job.checkpoint_progress);
-    std::vector<std::pair<double, NodeId>> scored;
-    scored.reserve(healthy.size());
-    for (const NodeId node : healthy)
-      scored.emplace_back(
-          sched::recovery::placement_penalty(placement_scorer_->node_risk(node),
-                                             remaining,
-                                             config_.recovery.placement_risk_weight),
-          node);
-    std::sort(scored.begin(), scored.end());  // (penalty, id): deterministic
-    for (int i = 0; i < job.nodes; ++i) allocated.push_back(scored[i].second);
-    for (std::size_t i = static_cast<std::size_t>(job.nodes); i < scored.size(); ++i)
-      free_push(scored[i].second);
-  } else {
-    while (static_cast<int>(allocated.size()) < job.nodes && !free_.empty()) {
-      const NodeId node = free_pop();
-      if (believed_alive(node) && !drained_.test(node)) {
-        allocated.push_back(node);
-      } else {
-        quarantined_.push_back(node);  // sidelined until the next refresh
-      }
-    }
-    if (static_cast<int>(allocated.size()) < job.nodes) {
-      // Not enough healthy nodes after all; put everything back.
-      for (const NodeId node : allocated) free_push(node);
-      return;
-    }
+    penalty = [this, remaining](NodeId node) {
+      return sched::recovery::placement_penalty(placement_scorer_->node_risk(node),
+                                                remaining,
+                                                config_.recovery.placement_risk_weight);
+    };
   }
-
+  if (!nodes_.allocate(id, job.nodes, penalty)) return;
   pool_.mark_starting(id);
-  set_allocation(id, allocated);
 
   // Launch broadcast ("job loading message").
-  dispatch(allocated, 2048, [this, id](const comm::BroadcastResult& result) {
+  dispatch(nodes_.nodes(id), 2048, [this, id](const comm::BroadcastResult& result) {
     launch_bcast_.add(to_seconds(result.elapsed()));
     if (auto* t = telemetry_)
       t->metrics.histogram("rm.launch_broadcast_seconds", {{"rm", profile_.name}})
@@ -320,30 +270,20 @@ void ResourceManager::start_job(sched::JobId id) {
       ++requeues_;
       if (auto* t = telemetry_)
         t->metrics.counter("rm.launch_requeues", {{"rm", profile_.name}}).inc();
-      for (const NodeId node : allocations_[id]) {
-        if (!cluster_.alive(node)) {
-          believed_down_.set(node);
-          quarantined_.push_back(node);
-        } else if (drained_.test(node)) {
-          quarantined_.push_back(node);  // drained mid-launch: idle-drained
-        } else {
-          free_push(node);
-        }
-      }
-      clear_allocation(id);
+      nodes_.reclaim(id, cluster_.alive_bits());
       pool_.requeue_starting(id);
       if (ha_) ha_->log_job_requeued(id);
       try_start_jobs();
       return;
     }
-    if (ha_ && !ha_->begin_launch(id, allocations_[id])) {
-      // The ledger says this job is already physically running: a stale
+    if (ha_ && !ha_->begin_launch(id, nodes_.nodes(id))) {
+      // The HA launch ledger says this job is already running: a stale
       // control path raced a promotion.  Suppress the second launch.
       return;
     }
     sched::Job& j = pool_.get(id);
     pool_.mark_running(id, engine_.now());
-    if (ha_) ha_->log_job_started(id, allocations_[id]);
+    if (ha_) ha_->log_job_started(id, nodes_.nodes(id));
     if (auto* t = telemetry_) {
       t->metrics.counter("rm.jobs_started", {{"rm", profile_.name}}).inc();
       t->metrics.histogram("sched.wait_seconds", {{"rm", profile_.name}})
@@ -399,8 +339,7 @@ void ResourceManager::job_ended(sched::JobId id, sched::JobState end_state) {
 
 void ResourceManager::release_job(sched::JobId id) {
   // Termination broadcast ("job termination message") reclaims resources.
-  const std::vector<NodeId> allocated = allocations_[id];
-  dispatch(allocated, 512, [this, id](const comm::BroadcastResult& result) {
+  dispatch(nodes_.nodes(id), 512, [this, id](const comm::BroadcastResult& result) {
     term_bcast_.add(to_seconds(result.elapsed()));
     if (auto* t = telemetry_) {
       t->metrics.histogram("rm.term_broadcast_seconds", {{"rm", profile_.name}})
@@ -414,13 +353,7 @@ void ResourceManager::release_job(sched::JobId id) {
     pool_.mark_released(id, engine_.now());
     const sched::Job& job = pool_.get(id);
     occupation_.add(to_seconds(job.release_time - job.submit_time));
-    for (const NodeId node : allocations_[id]) {
-      // A node drained while the job ran goes idle-drained, never back
-      // into the allocatable pool (resume_node returns it).
-      if (drained_.test(node)) quarantined_.push_back(node);
-      else free_push(node);
-    }
-    clear_allocation(id);
+    nodes_.release(id);
     // Stateful schedulers (fair-share ledgers, account usage) charge the
     // observed consumption on the release path.
     scheduler_.on_job_released(job, engine_.now());
@@ -434,8 +367,7 @@ void ResourceManager::release_job(sched::JobId id) {
 void ResourceManager::apply_preemptions() {
   sched::policy::PolicyState* policy = scheduler_.policy();
   if (!policy || !master_up_) return;
-  const auto orders = scheduler_.preemption_orders(
-      pool_, static_cast<int>(free_.size()), engine_.now());
+  const auto orders = scheduler_.preemption_orders(pool_, free_nodes(), engine_.now());
   for (const auto& order : orders) {
     // Bracket the grace window so later cycles do not re-order the same
     // victim while it winds down.
@@ -477,20 +409,9 @@ void ResourceManager::finish_preemption(sched::JobId id,
   // Requeue: termination broadcast stops the payload, the nodes return,
   // and the job re-enters the queue head to rerun from scratch.
   ++preempt_requeued_;
-  const std::vector<NodeId> allocated = allocations_[id];
-  dispatch(allocated, 512, [this, id](const comm::BroadcastResult& result) {
+  dispatch(nodes_.nodes(id), 512, [this, id](const comm::BroadcastResult& result) {
     term_bcast_.add(to_seconds(result.elapsed()));
-    for (const NodeId node : allocations_[id]) {
-      if (!cluster_.alive(node)) {
-        believed_down_.set(node);
-        quarantined_.push_back(node);
-      } else if (drained_.test(node)) {
-        quarantined_.push_back(node);
-      } else {
-        free_push(node);
-      }
-    }
-    clear_allocation(id);
+    nodes_.reclaim(id, cluster_.alive_bits());
     pool_.requeue_running(id);
     if (ha_) {
       ha_->log_job_requeued(id);
@@ -505,20 +426,16 @@ void ResourceManager::on_node_down(NodeId node) {
   if (!master_up_) return;  // the outage hides the death; pings catch up
   // Instant death notice: keep the health view and the allocatable pool
   // coherent, then kill whatever allocation held the node.
-  if (ha_ && !believed_down_.test(node)) ha_->log_node_state(node, true);
-  believed_down_.set(node);
-  if (free_remove(node)) quarantined_.push_back(node);
-  // Jobs run in isolation: a node belongs to at most one job, resolved
-  // by the reverse index instead of scanning every live allocation.
-  const sched::JobId owner = node_job_[node];
-  if (owner != kNoJob) kill_allocation(owner, /*proactive=*/false);
+  const auto notice = nodes_.mark_down(node);
+  if (ha_ && notice.changed) ha_->log_node_state(node, true);
+  if (notice.owner != sched::kNoJob) kill_allocation(notice.owner, /*proactive=*/false);
 }
 
 void ResourceManager::on_node_up(NodeId node) {
   if (!master_up_) return;
   // A proactively drained node coming back from its repair is healthy
   // again; return it to service without administrator intervention.
-  if (proactive_drained_.reset(node)) resume_node(node);
+  if (nodes_.proactive_drained(node)) resume_node(node);
 }
 
 void ResourceManager::kill_allocation(sched::JobId id, bool proactive) {
@@ -563,37 +480,27 @@ void ResourceManager::kill_allocation(sched::JobId id, bool proactive) {
   // Termination broadcast stops the payload on the surviving nodes; the
   // retry decision lands when the teardown completes.
   const bool retry = proactive || job.retry_count < opts.max_retries;
-  const std::vector<NodeId> allocated = allocations_[id];
-  dispatch(allocated, 512, [this, id, retry, proactive](const comm::BroadcastResult& result) {
+  dispatch(nodes_.nodes(id), 512,
+           [this, id, retry, proactive](const comm::BroadcastResult& result) {
     term_bcast_.add(to_seconds(result.elapsed()));
     recovering_.erase(id);
-    for (const NodeId node : allocations_[id]) {
-      if (!cluster_.alive(node) || believed_down_.test(node)) {
-        believed_down_.set(node);
-        quarantined_.push_back(node);
-      } else if (drained_.test(node)) {
-        quarantined_.push_back(node);
-      } else {
-        free_push(node);
-      }
-    }
-    clear_allocation(id);
+    nodes_.reclaim(id, cluster_.alive_bits());
     if (ha_) ha_->launch_complete(id);
-    sched::Job& job = pool_.get(id);
+    sched::Job& j = pool_.get(id);
     if (retry) {
       if (proactive) {
         ++recovery_stats_.proactive_migrations;
       } else {
-        ++job.retry_count;
+        ++j.retry_count;
         ++recovery_stats_.retries;
         if (auto* t = telemetry_)
           t->metrics.counter("recovery.retries", {{"rm", profile_.name}}).inc();
       }
       pool_.requeue_held(id);
-      if (ha_) ha_->log_job_node_failed(id, job.retry_count, job.checkpoint_progress);
+      if (ha_) ha_->log_job_node_failed(id, j.retry_count, j.checkpoint_progress);
       const SimTime backoff =
           proactive ? 0
-                    : sched::recovery::retry_backoff(job.retry_count, config_.recovery);
+                    : sched::recovery::retry_backoff(j.retry_count, config_.recovery);
       if (backoff <= 0) {
         pool_.release_held(id);
       } else {
@@ -611,9 +518,9 @@ void ResourceManager::kill_allocation(sched::JobId id, bool proactive) {
         ha_->log_job_released(id);
       }
       pool_.mark_released(id, engine_.now());
-      occupation_.add(to_seconds(job.release_time - job.submit_time));
-      scheduler_.on_job_released(job, engine_.now());
-      on_job_finished(job);
+      occupation_.add(to_seconds(j.release_time - j.submit_time));
+      scheduler_.on_job_released(j, engine_.now());
+      on_job_finished(j);
     }
     master_stats_->set_tracked_jobs(pool_.pending().size() + pool_.active().size());
     try_start_jobs();
@@ -632,15 +539,14 @@ void ResourceManager::finish_hold(sched::JobId id) {
 void ResourceManager::note_predicted_failure(NodeId node, SimTime fail_at) {
   if (!config_.recovery.enabled || !config_.recovery.proactive_drain) return;
   if (!master_up_) return;
-  if (!compute_bits_.test(node)) return;
-  if (drained_.test(node)) return;
+  if (!nodes_.is_compute(node) || nodes_.drained().test(node)) return;
   ++recovery_stats_.proactive_drains;
   if (auto* t = telemetry_)
     t->metrics.counter("recovery.proactive_drains", {{"rm", profile_.name}}).inc();
   drain_node(node);
-  proactive_drained_.set(node);
-  const sched::JobId owner = node_job_[node];
-  if (owner != kNoJob) kill_allocation(owner, /*proactive=*/true);
+  nodes_.flag_proactive_drain(node);
+  const sched::JobId owner = nodes_.owner(node);
+  if (owner != sched::kNoJob) kill_allocation(owner, /*proactive=*/true);
   // False-alarm backstop: if the predicted failure never lands, un-drain
   // once the alert has cleared (on_node_up covers the real-failure case).
   const SimTime recheck = std::max(fail_at, engine_.now()) + minutes(5);
@@ -649,7 +555,7 @@ void ResourceManager::note_predicted_failure(NodeId node, SimTime fail_at) {
 }
 
 void ResourceManager::recheck_proactive_drain(NodeId node) {
-  if (!proactive_drained_.test(node)) return;
+  if (!nodes_.proactive_drained(node)) return;
   if (!cluster_.alive(node)) return;  // failure landed; repair un-drains
   if (failure_predictor_ && failure_predictor_->predicted_failed(node)) {
     // Still alarmed: look again later.
@@ -658,44 +564,7 @@ void ResourceManager::recheck_proactive_drain(NodeId node) {
       engine_.schedule_at(next, [this, node] { recheck_proactive_drain(node); });
     return;
   }
-  proactive_drained_.reset(node);
-  resume_node(node);
-}
-
-bool ResourceManager::free_remove(NodeId node) {
-  if (!free_mark_.reset(node)) return false;  // not idle: nothing to do
-  free_.erase(std::find(free_.begin(), free_.end(), node));
-  return true;
-}
-
-void ResourceManager::set_allocation(sched::JobId id, std::vector<NodeId> nodes) {
-  for (const NodeId node : nodes) node_job_[node] = id;
-  allocations_[id] = std::move(nodes);
-}
-
-void ResourceManager::clear_allocation(sched::JobId id) {
-  const auto it = allocations_.find(id);
-  if (it == allocations_.end()) return;
-  for (const NodeId node : it->second) {
-    if (node_job_[node] == id) node_job_[node] = kNoJob;
-  }
-  allocations_.erase(it);
-}
-
-std::size_t ResourceManager::schedulable_count() const {
-  const auto& compute = compute_bits_.words();
-  const auto& down = believed_down_.words();
-  const auto& drained = drained_.words();
-  std::size_t total = 0;
-  for (std::size_t w = 0; w < compute.size(); ++w)
-    total += static_cast<std::size_t>(
-        __builtin_popcountll(compute[w] & ~down[w] & ~drained[w]));
-  return total;
-}
-
-std::vector<NodeId> ResourceManager::job_nodes(sched::JobId id) const {
-  const auto it = allocations_.find(id);
-  return it != allocations_.end() ? it->second : std::vector<NodeId>{};
+  resume_node(node);  // clears the proactive flag too
 }
 
 void ResourceManager::probe_reservations() {
@@ -736,49 +605,19 @@ void ResourceManager::on_job_finished(const sched::Job& job) {
 
 void ResourceManager::drain_node(NodeId node) {
   master_stats_->charge_cpu_us(100.0);
-  drained_.set(node);
-  // Pull the node out of the allocatable pool *now*: leaving it in free_
-  // until the next health refresh let the scheduler plan with capacity
-  // it could never launch on (the drain/launch disagreement).
-  if (free_remove(node)) quarantined_.push_back(node);
+  nodes_.drain(node);
 }
 
 void ResourceManager::resume_node(NodeId node) {
   master_stats_->charge_cpu_us(100.0);
-  drained_.reset(node);
-  // The node may be sidelined in quarantine; give the whole quarantine a
-  // fresh pass so the resumed capacity is immediately allocatable.
-  merge_quarantine();
+  nodes_.resume(node);  // sidelined capacity is allocatable at once
   try_start_jobs();  // capacity may have returned
 }
 
-void ResourceManager::merge_quarantine() {
-  // Still-drained nodes stay sidelined (idle-drained); everything else
-  // returns to the allocatable pool in quarantine order.
-  std::vector<NodeId> still_drained;
-  for (const NodeId node : quarantined_) {
-    if (drained_.test(node)) still_drained.push_back(node);
-    else free_push(node);
-  }
-  quarantined_ = std::move(still_drained);
-}
-
 void ResourceManager::refresh_health_view() {
-  // A completed health round reconciles the RM's view with reality, and
-  // quarantined nodes get another chance (re-quarantined on allocation if
-  // they are still believed unhealthy; drained nodes stay sidelined).
-  // The reconciliation is three word-parallel bitset passes (compute AND
-  // NOT alive; XOR for transitions; copy), not a hash insert per node.
-  down_scratch_.assign_and_not(compute_bits_, cluster_.alive_bits());
-  if (ha_) {
-    // WAL only the *transitions*, not the whole view, so steady state
-    // costs nothing.
-    believed_down_.for_each_diff(down_scratch_, [this](NodeId node, bool now_down) {
-      ha_->log_node_state(node, now_down);
-    });
-  }
-  std::swap(believed_down_, down_scratch_);
-  merge_quarantine();
+  // The WAL records only the *transitions*, so steady state costs nothing.
+  const auto log = [this](NodeId node, bool now_down) { ha_->log_node_state(node, now_down); };
+  nodes_.refresh(cluster_.alive_bits(), ha_ ? NodeLedger::Transition(log) : nullptr);
 }
 
 void ResourceManager::ping_all() {
@@ -816,8 +655,7 @@ ha::StateImage ResourceManager::build_state_image() const {
   const auto put = [&](sched::JobId id) {
     ha::ImageJob entry;
     entry.job = pool_.get(id);
-    const auto it = allocations_.find(id);
-    if (it != allocations_.end()) entry.alloc = it->second;
+    entry.alloc = nodes_.nodes(id);
     image.jobs.emplace(id, std::move(entry));
   };
   for (const sched::JobId id : pool_.pending()) put(id);
@@ -826,7 +664,7 @@ ha::StateImage ResourceManager::build_state_image() const {
   // promoted master resurrects them as immediately-runnable.
   for (const sched::JobId id : pool_.held()) put(id);
   // Released jobs live in the accounting blob, not the live image.
-  believed_down_.for_each_set([&](NodeId node) { image.down.insert(node); });
+  nodes_.believed_down().for_each_set([&](NodeId node) { image.down.insert(node); });
   std::ostringstream acct;
   accounting_db_.save(acct);
   image.accounting = acct.str();
@@ -870,18 +708,7 @@ ResourceManager::ReconcileStats ResourceManager::reconcile_with_image(
         // The launch broadcast died with the old master before the
         // commit RPC, so no compute node started the payload: reclaim
         // the allocation and requeue.
-        const auto it = allocations_.find(id);
-        if (it != allocations_.end()) {
-          for (const NodeId node : it->second) {
-            if (cluster_.alive(node)) {
-              free_push(node);
-            } else {
-              believed_down_.set(node);
-              quarantined_.push_back(node);
-            }
-          }
-          clear_allocation(id);
-        }
+        nodes_.reclaim(id, cluster_.alive_bits());
         pool_.requeue_starting(id);
         if (image.jobs.count(id)) {
           if (ha_) ha_->log_job_requeued(id);

@@ -10,9 +10,7 @@
 // (centralized_rm.hpp) or via satellite nodes + FP-Trees (eslurm_rm.hpp).
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -25,6 +23,7 @@
 #include "predict/estimator.hpp"
 #include "rm/accounting.hpp"
 #include "rm/accounting_storage.hpp"
+#include "rm/node_ledger.hpp"
 #include "rm/profiles.hpp"
 #include "sched/metrics.hpp"
 #include "sched/partition.hpp"
@@ -37,21 +36,8 @@ namespace eslurm::rm {
 
 class HaMaster;
 
-using net::NodeId;
-
 /// Message type of inbound node-status reports (RM range 200+).
 inline constexpr net::MessageType kMsgNodeReport = 210;
-
-/// Sentinel of the node -> owning-job reverse index: node is unallocated.
-inline constexpr sched::JobId kNoJob = ~static_cast<sched::JobId>(0);
-
-/// Which nodes play which role.  Compute nodes are the schedulable pool;
-/// satellites (ESLURM only) relay traffic and never run jobs.
-struct RmDeployment {
-  NodeId master = 0;
-  std::vector<NodeId> satellites;
-  std::vector<NodeId> compute;
-};
 
 struct RmRuntimeConfig {
   SimTime sched_interval = seconds(30);
@@ -120,8 +106,6 @@ class ResourceManager {
   /// new work until resumed.
   void drain_node(NodeId node);
   void resume_node(NodeId node);
-  bool node_drained(NodeId node) const { return drained_.test(node); }
-  std::size_t drained_count() const { return drained_.count(); }
 
   const std::string& name() const { return profile_.name; }
   sched::JobPool& pool() { return pool_; }
@@ -129,16 +113,9 @@ class ResourceManager {
   DaemonStats& master_stats() { return *master_stats_; }
   const RmDeployment& deployment() const { return deployment_; }
   int total_compute_nodes() const { return static_cast<int>(deployment_.compute.size()); }
-  int free_nodes() const { return static_cast<int>(free_.size()); }
-  /// Compute nodes the RM would currently place work on: believed alive
-  /// and not drained.  One AND-NOT popcount pass over the bitsets, 64
-  /// nodes per word -- usable at 100K nodes inside hot loops.
-  std::size_t schedulable_count() const;
-  /// Compute nodes whose periodic status report is overdue at `now`
-  /// (report deadlines live in the cluster's SoA metadata arrays).
-  std::size_t overdue_reports(SimTime now) const {
-    return cluster_.soa().overdue_reports(now);
-  }
+  int free_nodes() const { return static_cast<int>(nodes_.free_count()); }
+  /// Free, sidelined, allocated, drained and believed-down nodes.
+  const NodeLedger& nodes() const { return nodes_; }
 
   // --- reliability ---------------------------------------------------
   bool master_up() const { return master_up_; }
@@ -172,8 +149,6 @@ class ResourceManager {
   const sched::recovery::RecoveryStats& recovery_stats() const {
     return recovery_stats_;
   }
-  /// Nodes currently allocated to `id` (empty when none) -- test probe.
-  std::vector<NodeId> job_nodes(sched::JobId id) const;
 
   // --- policy suite ----------------------------------------------------
   sched::Scheduler& scheduler() { return scheduler_; }
@@ -300,36 +275,12 @@ class ResourceManager {
   RmRuntimeConfig config_;
   Rng rng_;
 
-  /// The RM's *believed* health of a node: refreshed by ping rounds and
-  /// by launch failures.  Allocation consults this view, not ground
-  /// truth -- a node that died since the last ping can be allocated and
-  /// only discovered during the launch broadcast.
-  bool believed_alive(NodeId node) const { return !believed_down_.test(node); }
+  /// Reconciles the *believed* node health, which allocation trusts, with
+  /// the cluster after a ping round.
   void refresh_health_view();
-  /// Returns quarantined nodes to free_ except those still drained.
-  void merge_quarantine();
-  // --- free-list maintenance -------------------------------------------
-  // free_ keeps its LIFO order (allocation reuses the most recently
-  // released nodes, which is load-bearing for determinism); free_mark_
-  // mirrors its membership so "is this node idle?" and the absent case of
-  // removal are O(1) instead of a std::find over the whole pool.
-  void free_push(NodeId node) {
-    if (free_mark_.set(node)) free_.push_back(node);
-  }
-  NodeId free_pop() {
-    const NodeId node = free_.back();
-    free_.pop_back();
-    free_mark_.reset(node);
-    return node;
-  }
-  /// Removes `node` from the free list if idle; returns whether it was.
-  bool free_remove(NodeId node);
-  // --- allocation bookkeeping ------------------------------------------
-  // allocations_ plus a node -> owning-job reverse index, so a node death
-  // resolves its victim job in O(1) instead of scanning every allocation.
-  void set_allocation(sched::JobId id, std::vector<NodeId> nodes);
-  void clear_allocation(sched::JobId id);
 
+  /// All node state; the RM changes it only through its transitions.
+  NodeLedger nodes_;
   sched::JobPool pool_;
   /// The config_.scheduler preset; the default "easy" is the paper's
   /// EASY backfill in submit order.
@@ -337,30 +288,11 @@ class ResourceManager {
   /// Armed run timers of running jobs: preemption cancels them.  An entry
   /// disappears when its timer fires (job_ended) or is preempted.
   std::unordered_map<sched::JobId, sim::EventId> end_events_;
-  std::vector<NodeId> free_;                        ///< allocatable nodes
-  /// Mirrors free_ membership (see free_push/free_pop/free_remove).
-  cluster::NodeBitset free_mark_;
-  /// Nodes pulled out of the free list because the RM believes them
-  /// unhealthy or drained; merged back on every health refresh / resume.
-  /// Keeping them out of `free_` makes allocation O(width) instead of
-  /// rescanning dead entries on every attempt.
-  std::vector<NodeId> quarantined_;
-  std::unordered_map<sched::JobId, std::vector<NodeId>> allocations_;
-  /// node -> job currently allocated on it (kNoJob when idle/unowned);
-  /// maintained by set_allocation/clear_allocation.
-  std::vector<sched::JobId> node_job_;
-  cluster::NodeBitset believed_down_;
-  cluster::NodeBitset drained_;
-  /// Scratch for refresh_health_view (avoids a per-round allocation).
-  cluster::NodeBitset down_scratch_;
-  /// Bit per compute node (the deployment's schedulable role set).
-  cluster::NodeBitset compute_bits_;
   std::uint64_t requeues_ = 0;
   // --- recovery state (empty / unused while config_.recovery is off) ---
   const cluster::FailurePredictor* failure_predictor_ = nullptr;
   std::unique_ptr<sched::recovery::PlacementScorer> placement_scorer_;
   sched::recovery::RecoveryStats recovery_stats_;
-  cluster::NodeBitset proactive_drained_;  ///< drained on prediction
   /// Jobs whose kill/migration termination broadcast is in flight; a
   /// second node death in the same allocation must not double-handle.
   std::unordered_set<sched::JobId> recovering_;

@@ -133,7 +133,9 @@ TEST(Rearrange, PredictedNodesLandOnLeaves) {
   EXPECT_EQ(stats.predicted_on_leaf, 4u);
   const auto leaf = locate_leaf_positions(100, 4);
   for (std::size_t pos = 0; pos < out.size(); ++pos) {
-    if (predictor.predicted_failed(out[pos])) EXPECT_TRUE(leaf[pos]) << "pos " << pos;
+    if (predictor.predicted_failed(out[pos])) {
+      EXPECT_TRUE(leaf[pos]) << "pos " << pos;
+    }
   }
 }
 

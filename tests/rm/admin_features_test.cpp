@@ -4,6 +4,7 @@
 
 #include <optional>
 
+#include "ledger_audit.hpp"
 #include "rm/centralized_rm.hpp"
 #include "rm/eslurm_rm.hpp"
 
@@ -46,11 +47,12 @@ struct AdminFixture : ::testing::Test {
 
 TEST_F(AdminFixture, DrainedNodesAreNotAllocated) {
   EslurmRm manager(engine, *net, *cluster_model, eslurm_profile(), deployment, config);
+  LedgerAudit audit(engine, manager);
   manager.start(hours(1));
   // Drain all but 4 compute nodes; a 5-node job must wait, a 4-node runs.
   for (std::size_t i = 4; i < deployment.compute.size(); ++i)
     manager.drain_node(deployment.compute[i]);
-  EXPECT_EQ(manager.drained_count(), deployment.compute.size() - 4);
+  EXPECT_EQ(manager.nodes().drained().count(), deployment.compute.size() - 4);
   engine.schedule_at(seconds(1), [&] {
     manager.submit(make_job(1, 5, seconds(20)));
     manager.submit(make_job(2, 4, seconds(20)));
@@ -67,6 +69,7 @@ TEST_F(AdminFixture, DrainedNodesAreNotAllocated) {
 
 TEST_F(AdminFixture, DependencyHoldsUntilParentCompletes) {
   EslurmRm manager(engine, *net, *cluster_model, eslurm_profile(), deployment, config);
+  LedgerAudit audit(engine, manager);
   manager.start(hours(1));
   engine.schedule_at(seconds(1), [&] {
     manager.submit(make_job(1, 2, seconds(60)));
@@ -85,6 +88,7 @@ TEST_F(AdminFixture, DependencyHoldsUntilParentCompletes) {
 
 TEST_F(AdminFixture, FailedDependencyCancelsChild) {
   EslurmRm manager(engine, *net, *cluster_model, eslurm_profile(), deployment, config);
+  LedgerAudit audit(engine, manager);
   manager.start(hours(2));
   engine.schedule_at(seconds(1), [&] {
     auto parent = make_job(1, 2, hours(3));     // will hit its limit
@@ -104,6 +108,7 @@ TEST_F(AdminFixture, FailedDependencyCancelsChild) {
 TEST_F(AdminFixture, AccountingDatabaseRecordsCompletions) {
   CentralizedRm manager(engine, *net, *cluster_model, slurm_profile(), deployment,
                         config);
+  LedgerAudit audit(engine, manager);
   manager.start(hours(1));
   engine.schedule_at(seconds(1), [&] {
     manager.submit(make_job(1, 4, seconds(30)));
@@ -119,6 +124,7 @@ TEST_F(AdminFixture, StaleHealthViewTriggersRequeue) {
   config.enable_pings = false;  // the health view never refreshes
   CentralizedRm manager(engine, *net, *cluster_model, slurm_profile(), deployment,
                         config);
+  LedgerAudit audit(engine, manager);
   manager.start(hours(1));
   // Kill a compute node *after* startup; the RM does not know.
   engine.schedule_at(seconds(1), [&] {

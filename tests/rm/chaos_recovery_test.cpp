@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
+#include "ledger_audit.hpp"
 
 namespace eslurm::core {
 namespace {
@@ -46,6 +47,7 @@ TEST(ChaosRecovery, AmbientLossAbsorbedWithoutDuplicateProcessing) {
   config.chaos.drop_prob = 0.05;
   config.chaos.duplicate_prob = 0.02;
   Experiment experiment(config);
+  rm::LedgerAudit audit(experiment.engine(), experiment.manager());
   experiment.submit_trace(steady_stream(20, 32));
   experiment.run();
 
@@ -75,6 +77,7 @@ TEST(ChaosRecovery, RawSendsLeakTheSameChaosIntoTheScheduler) {
   config.rm_config.use_reliable_transport = false;
   config.frontend.gateway.reliable_responses = false;
   Experiment experiment(config);
+  rm::LedgerAudit audit(experiment.engine(), experiment.manager());
   experiment.submit_trace(steady_stream(20, 32));
   experiment.run();
 
@@ -96,6 +99,7 @@ TEST(ChaosRecovery, PartitionFaultsSatellitesThenHeals) {
   config.chaos.partition_start_s = 300.0;
   config.chaos.partition_duration_s = 120.0;
   Experiment experiment(config);
+  rm::LedgerAudit audit(experiment.engine(), experiment.manager());
   // Jobs on both sides of the partition window keep the control plane
   // under load while it is cut.
   experiment.submit_trace(steady_stream(10, 32));

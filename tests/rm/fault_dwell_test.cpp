@@ -11,6 +11,7 @@
 
 #include <optional>
 
+#include "ledger_audit.hpp"
 #include "rm/eslurm_rm.hpp"
 
 namespace eslurm::rm {
@@ -50,6 +51,7 @@ TEST_F(DwellFixture, ExactDwellBoundaryMarksDown) {
   ASSERT_EQ(kSatelliteFaultTimeout, minutes(20));
   EslurmRm manager(engine, *net, *cluster_model, eslurm_profile(), deployment,
                    config);
+  LedgerAudit audit(engine, manager);
   manager.start(hours(1));
   cluster_model->fail(deployment.satellites[0]);
 
@@ -74,6 +76,7 @@ TEST_F(DwellFixture, ExactDwellBoundaryMarksDown) {
 TEST_F(DwellFixture, RecoveryInsideDwellRestartsTheClock) {
   EslurmRm manager(engine, *net, *cluster_model, eslurm_profile(), deployment,
                    config);
+  LedgerAudit audit(engine, manager);
   manager.start(hours(1));
   cluster_model->fail(deployment.satellites[0]);  // FAULT at t=120
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
+#include "ledger_audit.hpp"
 #include "rm/ha_master.hpp"
 
 namespace eslurm::core {
@@ -61,6 +62,7 @@ TEST(HaFailover, StandbyPromotionRecoversEveryCommittedJob) {
   // submissions arriving while the standby takes over.
   config.chaos.master_kill_s = 605.0;
   Experiment experiment(config);
+  rm::LedgerAudit audit(experiment.engine(), experiment.manager());
   experiment.submit_trace(steady_stream(20, 32));
   experiment.run();
 
@@ -101,6 +103,7 @@ TEST(HaFailover, FrequentSnapshotsShrinkTheReplayTail) {
     config.rm_config.ha.snapshot_interval = snapshot_interval;
     config.chaos.master_kill_s = 605.0;
     auto experiment = std::make_unique<Experiment>(config);
+    rm::LedgerAudit audit(experiment->engine(), experiment->manager());
     experiment->submit_trace(steady_stream(20, 32));
     experiment->run();
     auto* ha = experiment->eslurm()->ha();
@@ -129,6 +132,7 @@ TEST(HaFailover, PartitionTriggersFalseAlarmNotPromotion) {
   config.chaos.partition_start_s = 300.0;
   config.chaos.partition_duration_s = 60.0;
   Experiment experiment(config);
+  rm::LedgerAudit audit(experiment.engine(), experiment.manager());
   experiment.submit_trace(steady_stream(10, 32));
   experiment.run();
 
@@ -151,6 +155,7 @@ TEST(HaFailover, DeadStandbyMeansNoPromotion) {
   ExperimentConfig config = ha_config();
   config.chaos.master_kill_s = 605.0;
   Experiment experiment(config);
+  rm::LedgerAudit audit(experiment.engine(), experiment.manager());
   experiment.engine().schedule_at(seconds(500),
                                   [&] { experiment.cluster().fail(1); });
   experiment.submit_trace(steady_stream(5, 32));
@@ -171,6 +176,7 @@ TEST(HaFailover, HaOffKeepsLegacyCrashBehaviour) {
   config.rm_config.ha.enabled = false;
   config.chaos.master_kill_s = 305.0;
   Experiment experiment(config);
+  rm::LedgerAudit audit(experiment.engine(), experiment.manager());
   experiment.submit_trace(steady_stream(10, 32));
   experiment.run();
 
@@ -182,6 +188,41 @@ TEST(HaFailover, HaOffKeepsLegacyCrashBehaviour) {
   // stays headless and the tail of the workload never runs.
   EXPECT_FALSE(rm->master_up());
   EXPECT_LT(experiment.report().jobs_finished, 10u);
+}
+
+TEST(HaFailover, PromotionKeepsADrainedNodeOfAHalfLaunchedJobSidelined) {
+  // A node is drained while its job's launch broadcast is in flight, and
+  // the master dies before the launch commits.  Promotion reclaims the
+  // allocation; the drained node must stay out of the free list.
+  ExperimentConfig config = ha_config();
+  config.horizon = minutes(10);
+  // Nothing commits before the crash, so the promoted master drops the
+  // half-launched job instead of relaunching it over the same nodes.
+  config.rm_config.ha.group_commit_interval = minutes(5);
+  Experiment experiment(config);
+  rm::LedgerAudit audit(experiment.engine(), experiment.manager());
+  experiment.submit_trace({make_job(1, 4, minutes(5), seconds(40))});
+  net::NodeId drained_node = net::kNoNode;
+  // The job starts at the t=60 scheduler tick; 1 ms later its launch is
+  // still fanning out through the satellite tier.
+  experiment.engine().schedule_at(seconds(60) + milliseconds(1), [&] {
+    auto& manager = experiment.manager();
+    ASSERT_EQ(manager.pool().get(1).state, sched::JobState::Starting);
+    drained_node = manager.nodes().nodes(1).front();
+    manager.drain_node(drained_node);
+    manager.inject_master_crash();
+  });
+  experiment.run();
+
+  ASSERT_NE(drained_node, net::kNoNode);
+  auto* rm = experiment.eslurm();
+  ASSERT_NE(rm, nullptr);
+  EXPECT_EQ(rm->ha()->promotions(), 1u);
+  EXPECT_EQ(experiment.manager().pool().get(1).state, sched::JobState::Cancelled);
+  EXPECT_TRUE(experiment.manager().nodes().drained().test(drained_node));
+  EXPECT_EQ(experiment.manager().free_nodes(),
+            experiment.manager().total_compute_nodes() - 1);
+  EXPECT_TRUE(experiment.manager().nodes().check().empty());
 }
 
 }  // namespace

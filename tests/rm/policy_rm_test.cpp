@@ -6,6 +6,7 @@
 
 #include <optional>
 
+#include "ledger_audit.hpp"
 #include "rm/centralized_rm.hpp"
 #include "sched/scheduler.hpp"
 
@@ -58,6 +59,7 @@ TEST_F(PolicyRmFixture, ReleasePathFeedsFairshareLedger) {
   config.scheduler = "priority";
   CentralizedRm manager(engine, *net, *cluster_model, slurm_profile(), deployment,
                         config);
+  LedgerAudit audit(engine, manager);
   manager.start(minutes(20));
   engine.schedule_at(seconds(1),
                      [&] { manager.submit(make_job(1, "heavy", 16, seconds(120))); });
@@ -78,6 +80,7 @@ TEST_F(PolicyRmFixture, PreemptionRequeuesVictimAndLosesNoJob) {
   config.policy.preempt_wait = seconds(30);
   CentralizedRm manager(engine, *net, *cluster_model, slurm_profile(), deployment,
                         config);
+  LedgerAudit audit(engine, manager);
   manager.start(hours(3));
   engine.schedule_at(seconds(1), [&] {
     // Two low scavengers fill the machine for an hour each...
@@ -117,6 +120,7 @@ TEST_F(PolicyRmFixture, CancelModeKillsVictimOutright) {
   config.policy.preempt_wait = seconds(30);
   CentralizedRm manager(engine, *net, *cluster_model, slurm_profile(), deployment,
                         config);
+  LedgerAudit audit(engine, manager);
   manager.start(hours(2));
   engine.schedule_at(seconds(1), [&] {
     manager.submit(make_job(1, "scav", 64, hours(1), 0, "low"));
@@ -142,6 +146,7 @@ TEST_F(PolicyRmFixture, ReservedWindowIsNeverBackfilledAcross) {
   config.policy.reservations.add(window);
   CentralizedRm manager(engine, *net, *cluster_model, slurm_profile(), deployment,
                         config);
+  LedgerAudit audit(engine, manager);
   manager.start(hours(2));
   engine.schedule_at(seconds(1), [&] {
     // 48 > 64 - 32 and the kill window crosses the reservation: must wait
@@ -172,6 +177,7 @@ TEST_F(PolicyRmFixture, UserJobCapSerializesRuns) {
                                   sched::policy::UserLimits{.max_running_jobs = 1});
   CentralizedRm manager(engine, *net, *cluster_model, slurm_profile(), deployment,
                         config);
+  LedgerAudit audit(engine, manager);
   manager.start(hours(1));
   engine.schedule_at(seconds(1), [&] {
     for (sched::JobId id = 1; id <= 3; ++id)

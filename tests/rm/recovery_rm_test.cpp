@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "core/experiment.hpp"
+#include "ledger_audit.hpp"
 #include "rm/eslurm_rm.hpp"
 #include "rm/ha_master.hpp"
 
@@ -45,7 +46,7 @@ ExperimentConfig recovery_config() {
 void kill_one_allocated_node(Experiment& experiment, sched::JobId id,
                              SimTime at) {
   experiment.engine().schedule_at(at, [&experiment, id] {
-    const auto nodes = experiment.manager().job_nodes(id);
+    const auto nodes = experiment.manager().nodes().nodes(id);
     ASSERT_FALSE(nodes.empty()) << "job " << id << " not running at kill time";
     experiment.cluster().fail(nodes.front());
   });
@@ -54,6 +55,7 @@ void kill_one_allocated_node(Experiment& experiment, sched::JobId id,
 TEST(JobRecovery, NodeDeathRequeuesAndJobCompletes) {
   ExperimentConfig config = recovery_config();
   Experiment experiment(config);
+  rm::LedgerAudit audit(experiment.engine(), experiment.manager());
   experiment.submit_trace({make_job(1, 8, minutes(30), seconds(30))});
   kill_one_allocated_node(experiment, 1, minutes(10));
   experiment.run();
@@ -76,6 +78,7 @@ TEST(JobRecovery, ExhaustedRetryBudgetTurnsTerminalFailed) {
   ExperimentConfig config = recovery_config();
   config.rm_config.recovery.max_retries = 0;  // first death is fatal
   Experiment experiment(config);
+  rm::LedgerAudit audit(experiment.engine(), experiment.manager());
   experiment.submit_trace({make_job(1, 8, minutes(30), seconds(30))});
   kill_one_allocated_node(experiment, 1, minutes(10));
   experiment.run();
@@ -104,6 +107,7 @@ TEST(JobRecovery, CheckpointsBoundTheLostWork) {
     config.rm_config.recovery.checkpoint_interval = checkpoint_interval;
     config.rm_config.recovery.checkpoint_cost = seconds(5);
     Experiment experiment(config);
+    rm::LedgerAudit audit(experiment.engine(), experiment.manager());
     experiment.submit_trace({make_job(1, 8, minutes(40), seconds(30))});
     kill_one_allocated_node(experiment, 1, minutes(25));
     experiment.run();
@@ -125,12 +129,13 @@ TEST(JobRecovery, ProactiveDrainMigratesTheJobCleanly) {
   config.rm_config.recovery.checkpoint_interval = minutes(5);
   config.rm_config.recovery.checkpoint_cost = seconds(5);
   Experiment experiment(config);
+  rm::LedgerAudit audit(experiment.engine(), experiment.manager());
   experiment.submit_trace({make_job(1, 8, minutes(30), seconds(30))});
   // Pre-failure alert lands mid-run: the node is predicted to die 10
   // minutes later.  The RM must drain it and migrate the job off with a
   // clean checkpoint -- before the failure, so nothing is lost.
   experiment.engine().schedule_at(minutes(12), [&experiment] {
-    const auto nodes = experiment.manager().job_nodes(1);
+    const auto nodes = experiment.manager().nodes().nodes(1);
     ASSERT_FALSE(nodes.empty());
     experiment.manager().note_predicted_failure(nodes.front(),
                                                 minutes(12) + minutes(10));
@@ -156,6 +161,7 @@ TEST(JobRecovery, FaultAwarePlacementAvoidsPredictedNodes) {
   config.compute_nodes = 4;
   config.rm_config.recovery.fault_aware_placement = true;
   Experiment experiment(config);
+  rm::LedgerAudit audit(experiment.engine(), experiment.manager());
   // Mark one compute node as predicted-failing before the RM starts.
   const auto& compute = experiment.manager().deployment().compute;
   const net::NodeId risky = compute[1];
@@ -172,9 +178,9 @@ TEST(JobRecovery, FaultAwarePlacementAvoidsPredictedNodes) {
   std::vector<net::NodeId> fourth_home;
   experiment.engine().schedule_at(minutes(5), [&] {
     for (sched::JobId id : {1, 2, 3})
-      for (const net::NodeId n : experiment.manager().job_nodes(id))
+      for (const net::NodeId n : experiment.manager().nodes().nodes(id))
         first_three_homes.push_back(n);
-    fourth_home = experiment.manager().job_nodes(4);
+    fourth_home = experiment.manager().nodes().nodes(4);
   });
   experiment.run();
 
@@ -197,13 +203,14 @@ TEST(JobRecovery, DrainDuringInflightLaunchCompletesThenParksNode) {
   ExperimentConfig config = recovery_config();
   config.rm_config.recovery.enabled = false;  // base RM invariant
   Experiment experiment(config);
+  rm::LedgerAudit audit(experiment.engine(), experiment.manager());
   experiment.submit_trace({make_job(1, 4, minutes(10), seconds(40))});
   net::NodeId drained_node = net::kNoNode;
   // The job starts at the t=60 scheduler tick; 1 ms later the allocation
   // exists but the launch broadcast is still fanning out through the
   // satellite tier (each subtask costs milliseconds of master service).
   experiment.engine().schedule_at(seconds(60) + milliseconds(1), [&] {
-    const auto nodes = experiment.manager().job_nodes(1);
+    const auto nodes = experiment.manager().nodes().nodes(1);
     ASSERT_FALSE(nodes.empty());
     ASSERT_EQ(experiment.manager().pool().get(1).state,
               sched::JobState::Starting);
@@ -215,7 +222,7 @@ TEST(JobRecovery, DrainDuringInflightLaunchCompletesThenParksNode) {
   ASSERT_NE(drained_node, net::kNoNode);
   EXPECT_EQ(experiment.manager().pool().get(1).state,
             sched::JobState::Completed);
-  EXPECT_TRUE(experiment.manager().node_drained(drained_node));
+  EXPECT_TRUE(experiment.manager().nodes().drained().test(drained_node));
   // The drained node stays out of the pool; everyone else returned.
   EXPECT_EQ(experiment.manager().free_nodes(),
             experiment.manager().total_compute_nodes() - 1);
@@ -233,6 +240,7 @@ TEST(JobRecovery, HaFailoverPreservesRetryCountsAndProgress) {
   config.rm_config.recovery.checkpoint_cost = seconds(5);
   config.chaos.master_kill_s = 1200.0;
   Experiment experiment(config);
+  rm::LedgerAudit audit(experiment.engine(), experiment.manager());
   experiment.submit_trace({make_job(1, 8, minutes(30), seconds(60))});
   // One node death at t=10min: retry 1, ~5 min banked at the kill.
   kill_one_allocated_node(experiment, 1, minutes(10));
@@ -270,11 +278,12 @@ TEST(JobRecovery, HaFailoverPreservesRetryCountsAndProgress) {
 TEST(JobRecovery, SecondNodeDeathInSameAllocationHandledOnce) {
   ExperimentConfig config = recovery_config();
   Experiment experiment(config);
+  rm::LedgerAudit audit(experiment.engine(), experiment.manager());
   experiment.submit_trace({make_job(1, 8, minutes(30), seconds(30))});
   // Two nodes of the same allocation die in the same instant; the kill
   // must be charged once, not twice.
   experiment.engine().schedule_at(minutes(10), [&experiment] {
-    const auto nodes = experiment.manager().job_nodes(1);
+    const auto nodes = experiment.manager().nodes().nodes(1);
     ASSERT_GE(nodes.size(), 2u);
     experiment.cluster().fail(nodes[0]);
     experiment.cluster().fail(nodes[1]);

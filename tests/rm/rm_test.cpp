@@ -5,6 +5,7 @@
 
 #include <optional>
 
+#include "ledger_audit.hpp"
 #include "rm/centralized_rm.hpp"
 #include "rm/eslurm_rm.hpp"
 
@@ -27,6 +28,7 @@ struct RmFixture : ::testing::Test {
     net.emplace(engine, total, link, Rng(1));
     cluster_model.emplace(engine, total);
     net->set_liveness(cluster_model->liveness());
+    deployment = RmDeployment{};
     deployment.master = 0;
     for (std::size_t i = 0; i < kSatellites; ++i)
       deployment.satellites.push_back(static_cast<NodeId>(1 + i));
@@ -68,6 +70,7 @@ struct RmFixture : ::testing::Test {
 TEST_F(RmFixture, CentralizedSlurmRunsJobToCompletion) {
   CentralizedRm manager(engine, *net, *cluster_model, slurm_profile(), deployment,
                         config);
+  LedgerAudit audit(engine, manager);
   run_one_job(manager, make_job(1, 16, seconds(30)), minutes(10));
   const sched::Job& job = manager.pool().get(1);
   EXPECT_EQ(job.state, sched::JobState::Completed);
@@ -80,6 +83,7 @@ TEST_F(RmFixture, CentralizedSlurmRunsJobToCompletion) {
 
 TEST_F(RmFixture, EslurmRunsJobThroughSatellites) {
   EslurmRm manager(engine, *net, *cluster_model, eslurm_profile(), deployment, config);
+  LedgerAudit audit(engine, manager);
   run_one_job(manager, make_job(1, 60, seconds(30)), minutes(10));
   EXPECT_EQ(manager.pool().get(1).state, sched::JobState::Completed);
   // The satellites actually carried traffic.
@@ -94,6 +98,7 @@ TEST_F(RmFixture, EslurmMasterTouchesOnlySatellites) {
   // The defining property of the architecture: the ESLURM master sends
   // nothing to compute nodes directly (all job traffic relays).
   EslurmRm manager(engine, *net, *cluster_model, eslurm_profile(), deployment, config);
+  LedgerAudit audit(engine, manager);
   config.enable_pings = false;
   run_one_job(manager, make_job(1, 60, seconds(30)), minutes(5));
   std::uint64_t compute_received_from_master = 0;
@@ -108,6 +113,7 @@ TEST_F(RmFixture, EslurmMasterTouchesOnlySatellites) {
 TEST_F(RmFixture, JobKilledAtItsLimit) {
   CentralizedRm manager(engine, *net, *cluster_model, slurm_profile(), deployment,
                         config);
+  LedgerAudit audit(engine, manager);
   auto job = make_job(1, 4, hours(2));
   job.user_estimate = seconds(60);  // severe underestimate
   run_one_job(manager, job, minutes(30));
@@ -120,6 +126,7 @@ TEST_F(RmFixture, JobKilledAtItsLimit) {
 TEST_F(RmFixture, BackfillKeepsClusterBusy) {
   CentralizedRm manager(engine, *net, *cluster_model, slurm_profile(), deployment,
                         config);
+  LedgerAudit audit(engine, manager);
   manager.start(hours(2));
   // A wide job blocks the head; narrow jobs should backfill behind it.
   engine.schedule_at(seconds(1), [&] {
@@ -140,12 +147,14 @@ TEST_F(RmFixture, SequentialDispatchSlowerThanTree) {
   // Fig. 7f mechanism: a sequential master pays per-node service time.
   CentralizedRm torque(engine, *net, *cluster_model, torque_profile(), deployment,
                        config);
+  LedgerAudit torque_audit(engine, torque);
   run_one_job(torque, make_job(1, 60, seconds(10)), minutes(20));
   const double torque_occupation = torque.occupation_seconds().mean();
 
   SetUp();  // fresh world
   CentralizedRm slurm(engine, *net, *cluster_model, slurm_profile(), deployment,
                       config);
+  LedgerAudit slurm_audit(engine, slurm);
   run_one_job(slurm, make_job(1, 60, seconds(10)), minutes(20));
   const double slurm_occupation = slurm.occupation_seconds().mean();
 
@@ -154,6 +163,7 @@ TEST_F(RmFixture, SequentialDispatchSlowerThanTree) {
 
 TEST_F(RmFixture, SatelliteFailureReallocatesSubtask) {
   EslurmRm manager(engine, *net, *cluster_model, eslurm_profile(), deployment, config);
+  LedgerAudit audit(engine, manager);
   manager.start(minutes(30));
   cluster_model->fail(deployment.satellites[0]);  // kill satellite 0
   engine.schedule_at(seconds(1), [&] { manager.submit(make_job(1, 60, seconds(20))); });
@@ -168,6 +178,7 @@ TEST_F(RmFixture, SatelliteFailureReallocatesSubtask) {
 TEST_F(RmFixture, AllSatellitesDeadMasterTakesOver) {
   config.enable_pings = false;
   EslurmRm manager(engine, *net, *cluster_model, eslurm_profile(), deployment, config);
+  LedgerAudit audit(engine, manager);
   manager.start(minutes(40));
   for (const NodeId sat : deployment.satellites) cluster_model->fail(sat);
   engine.schedule_at(seconds(1), [&] { manager.submit(make_job(1, 32, seconds(20))); });
@@ -178,6 +189,7 @@ TEST_F(RmFixture, AllSatellitesDeadMasterTakesOver) {
 
 TEST_F(RmFixture, SatelliteRecoversThroughHeartbeat) {
   EslurmRm manager(engine, *net, *cluster_model, eslurm_profile(), deployment, config);
+  LedgerAudit audit(engine, manager);
   manager.start(hours(1));
   engine.schedule_at(seconds(30), [&] {
     cluster_model->fail(deployment.satellites[0]);
@@ -192,6 +204,7 @@ TEST_F(RmFixture, SatelliteRecoversThroughHeartbeat) {
 
 TEST_F(RmFixture, FaultDwellTimeoutMarksSatelliteDown) {
   EslurmRm manager(engine, *net, *cluster_model, eslurm_profile(), deployment, config);
+  LedgerAudit audit(engine, manager);
   manager.start(hours(2));
   engine.schedule_at(seconds(30), [&] {
     cluster_model->fail(deployment.satellites[1]);
@@ -209,6 +222,7 @@ TEST_F(RmFixture, FpTreeStatsAccumulate) {
   cluster::StaticFailurePredictor predictor({deployment.compute[5]});
   EslurmRm manager(engine, *net, *cluster_model, eslurm_profile(), deployment, config,
                    &predictor);
+  LedgerAudit audit(engine, manager);
   run_one_job(manager, make_job(1, 60, seconds(10)), minutes(10));
   ASSERT_NE(manager.fp_tree_stats(), nullptr);
   EXPECT_GT(manager.fp_trees_constructed(), 0u);
@@ -218,6 +232,7 @@ TEST_F(RmFixture, FpTreeStatsAccumulate) {
 TEST_F(RmFixture, PlainTreeVariantReportsNoFpStats) {
   config.use_fp_tree = false;
   EslurmRm manager(engine, *net, *cluster_model, eslurm_profile(), deployment, config);
+  LedgerAudit audit(engine, manager);
   EXPECT_EQ(manager.fp_tree_stats(), nullptr);
   EXPECT_EQ(manager.fp_trees_constructed(), 0u);
 }
@@ -226,6 +241,7 @@ TEST_F(RmFixture, EstimatorFillsEstimates) {
   config.use_runtime_estimation = true;
   config.estimator.min_history = 5;
   EslurmRm manager(engine, *net, *cluster_model, eslurm_profile(), deployment, config);
+  LedgerAudit audit(engine, manager);
   manager.start(hours(4));
   // A stream of identical jobs; later ones should use model estimates.
   for (int i = 0; i < 30; ++i) {
@@ -246,6 +262,7 @@ TEST_F(RmFixture, EstimatorFillsEstimates) {
 TEST_F(RmFixture, MasterStatsTrackResources) {
   CentralizedRm manager(engine, *net, *cluster_model, sge_profile(), deployment,
                         config);
+  LedgerAudit audit(engine, manager);
   run_one_job(manager, make_job(1, 16, seconds(30)), minutes(10));
   DaemonStats& stats = manager.master_stats();
   EXPECT_GT(stats.cpu_seconds(), 0.0);
@@ -262,6 +279,7 @@ TEST_F(RmFixture, OverloadCrashAndRecovery) {
   fragile.crash_base_rate_per_hour = 500.0;  // crash almost surely
   fragile.reboot_time = minutes(5);
   CentralizedRm manager(engine, *net, *cluster_model, fragile, deployment, config);
+  LedgerAudit audit(engine, manager);
   manager.start(hours(3));
   // Keep submitting so there is always socket traffic.
   for (int i = 0; i < 40; ++i) {
@@ -282,6 +300,7 @@ TEST_F(RmFixture, UserRequestStreamStartsEmptyAndGuarded) {
   // the front-end has fed nothing yet.
   CentralizedRm manager(engine, *net, *cluster_model, slurm_profile(), deployment,
                         config);
+  LedgerAudit audit(engine, manager);
   EXPECT_EQ(manager.user_requests_issued(), 0u);
   EXPECT_EQ(manager.user_requests_failed(), 0u);
   EXPECT_DOUBLE_EQ(manager.request_failure_rate(), 0.0);
@@ -291,6 +310,7 @@ TEST_F(RmFixture, UserRequestStreamStartsEmptyAndGuarded) {
 TEST_F(RmFixture, NoteUserRequestAggregatesTheFrontendStream) {
   CentralizedRm manager(engine, *net, *cluster_model, slurm_profile(), deployment,
                         config);
+  LedgerAudit audit(engine, manager);
   manager.note_user_request(0.5, false);
   manager.note_user_request(1.5, false);
   manager.note_user_request(30.0, true);

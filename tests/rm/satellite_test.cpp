@@ -105,7 +105,9 @@ TEST_P(SatelliteTransitionSweep, TotalAndSafe) {
   const bool failure_event =
       event == SatelliteEvent::BtFailure || event == SatelliteEvent::HbFailure ||
       event == SatelliteEvent::Shutdown || event == SatelliteEvent::Timeout;
-  if (in_service && out_of_service) EXPECT_TRUE(failure_event);
+  if (in_service && out_of_service) {
+    EXPECT_TRUE(failure_event);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

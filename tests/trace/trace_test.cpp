@@ -23,7 +23,9 @@ TEST(GeneratorTest, ProducesOrderedIdsAndTimes) {
   ASSERT_GT(jobs.size(), 100u);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_EQ(jobs[i].id, i + 1);
-    if (i) EXPECT_GE(jobs[i].submit_time, jobs[i - 1].submit_time);
+    if (i) {
+      EXPECT_GE(jobs[i].submit_time, jobs[i - 1].submit_time);
+    }
     EXPECT_GE(jobs[i].submit_time, 0);
     EXPECT_LT(jobs[i].submit_time, days(2));
     EXPECT_GT(jobs[i].actual_runtime, 0);

@@ -2,8 +2,8 @@
 //
 //   esim --config cluster.conf --trace workload.trace
 //   esim --rm slurm --nodes 4096 --profile tianhe-2a --jobs 2000 --hours 24
-//   esim --rm eslurm --nodes 20480 --satellites 20 --profile ng-tianhe \
-//        --jobs 5000 --hours 48 --acct out.acct
+//   esim --rm eslurm --nodes 20480 --satellites 20 --profile ng-tianhe
+//        --jobs 5000 --hours 48 --acct out.acct        (one command line)
 //
 // Either replays a trace file (trace_io format) or generates a workload
 // from a named profile, runs the simulated cluster, and prints the
