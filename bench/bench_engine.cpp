@@ -7,13 +7,18 @@
 // Patterns:
 //   churn     -- each event reschedules itself a few steps ahead; pure
 //                schedule+execute throughput at a steady queue depth.
+//                Run at 64 chains, and at 256 and 65,536 chains to show
+//                how the cost of an event grows with queue depth (the
+//                world-size-independence target: 64K <= 2x 256).
 //   watchdog  -- arm a far-future watchdog, do a step of work, cancel and
 //                re-arm: the tree-broadcast / RM-subtask pattern that
 //                stresses cancel() and lazy-queue compaction.
 //   fanout    -- one event schedules a burst of children (master fan-out
 //                shape): pool growth + drain, bursty queue depth.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <string>
 
 #include "bench_common.hpp"
 #include "sim/engine.hpp"
@@ -121,6 +126,24 @@ int main(int argc, char** argv) {
   harness.record_point("churn", {{"pattern", "churn"}, {"chains", "64"}},
                        {{"events_per_sec", churn_eps}});
 
+  // Depth scaling: the same kernel with more events live at once.  Each
+  // chain makes at least 16 hops, so the deep point measures steady
+  // churn rather than the initial fill.
+  struct DepthPoint {
+    const char* label;
+    int chains;
+    double eps = 0.0;
+  };
+  DepthPoint depths[] = {{"churn_256", 256}, {"churn_64k", 65'536}};
+  for (DepthPoint& depth : depths) {
+    const std::uint64_t events =
+        std::max<std::uint64_t>(n, 16 * static_cast<std::uint64_t>(depth.chains));
+    depth.eps = churn(harness, events, depth.chains);
+    harness.record_point(depth.label,
+                         {{"pattern", "churn"}, {"chains", std::to_string(depth.chains)}},
+                         {{"events_per_sec", depth.eps}, {"ns_per_event", 1e9 / depth.eps}});
+  }
+
   const double watchdog_eps = watchdog(harness, n / 2);
   harness.record_point("watchdog", {{"pattern", "watchdog"}},
                        {{"events_per_sec", watchdog_eps}});
@@ -129,10 +152,17 @@ int main(int argc, char** argv) {
   harness.record_point("fanout", {{"pattern", "fanout"}, {"width", "64"}},
                        {{"events_per_sec", fanout_eps}});
 
-  Table table({"pattern", "events/sec"});
-  table.add_row({"churn (64 chains)", format_double(churn_eps, 0)});
-  table.add_row({"watchdog arm+cancel", format_double(watchdog_eps, 0)});
-  table.add_row({"fanout x64", format_double(fanout_eps, 0)});
+  Table table({"pattern", "events/sec", "ns/event"});
+  auto add_row = [&table](const std::string& pattern, double eps) {
+    table.add_row({pattern, format_double(eps, 4), format_double(1e9 / eps, 4)});
+  };
+  add_row("churn (64 chains)", churn_eps);
+  for (const DepthPoint& depth : depths)
+    add_row("churn (" + std::to_string(depth.chains) + " chains)", depth.eps);
+  add_row("watchdog arm+cancel", watchdog_eps);
+  add_row("fanout x64", fanout_eps);
   table.print();
+  std::printf("churn depth ratio (65,536 / 256 chains, ns per event): %.2f  [target <= 2]\n",
+              depths[0].eps / depths[1].eps);
   return 0;
 }

@@ -93,11 +93,17 @@ ReliableTransport::Channel& ReliableTransport::channel(std::uint32_t slot, NodeI
 }
 
 bool ReliableTransport::admit(Channel& ch, std::uint64_t seq) {
+  using Mask = unsigned __int128;
+  const auto store = [&ch](Mask mask) {
+    ch.mask_lo = static_cast<std::uint64_t>(mask);
+    ch.mask_hi = static_cast<std::uint64_t>(mask >> 64);
+  };
+  Mask mask = (static_cast<Mask>(ch.mask_hi) << 64) | ch.mask_lo;
   if (seq > ch.hi) {
     // Newer than anything seen: slide the window forward.
     const std::uint64_t shift = seq - ch.hi;
-    ch.mask = shift >= kDedupWindow ? 0 : ch.mask << shift;
-    ch.mask |= 1;
+    mask = shift >= kDedupWindow ? 0 : mask << shift;
+    store(mask | 1);
     ch.hi = seq;
     return true;
   }
@@ -111,9 +117,9 @@ bool ReliableTransport::admit(Channel& ch, std::uint64_t seq) {
     if (wraps_counter_) wraps_counter_->inc();
     return true;
   }
-  const unsigned __int128 bit = static_cast<unsigned __int128>(1) << age;
-  if (ch.mask & bit) return false;
-  ch.mask |= bit;
+  const Mask bit = static_cast<Mask>(1) << age;
+  if (mask & bit) return false;
+  store(mask | bit);
   return true;
 }
 

@@ -29,15 +29,19 @@
 // migrates onto the transport.
 //
 // The per-message path neither hashes nor allocates once warm: message
-// types map to dense slots, each slot keeps one row indexed by receiver
-// (grown on first use up to the receivers actually reached), and a row
-// entry holds the receiver's per-sender channels {next_seq, window}, the
-// first one inline -- one lookup serves the sender's seq and the
-// receiver's window alike.  A per-node registration's network handler
-// captures only {this, registration}; a type-wide registration is one
-// network handler for the whole type that finds the channel from the
-// receiving node.  Pending sends live in a slab pool and the network completion captures
-// only {this, index}.
+// types map to dense slots, and each slot keeps one row indexed by
+// receiver (grown on first use up to the receivers actually reached).
+// A row entry is the receiver's inbox: its per-sender channels
+// {next_seq, window}, the first one inline, so one lookup serves the
+// sender's seq and the receiver's window alike.  An inbox is exactly one
+// aligned 64-byte cache line -- the 40-byte inline channel (its 128-bit
+// window kept as two 64-bit words, so nothing forces 16-byte alignment)
+// plus the spill vector -- and each of a message's two channel lookups
+// (sender's seq, receiver's window) touches one line.  A per-node
+// registration's network handler captures only {this, registration}; a
+// type-wide registration is one network handler for the whole type that
+// finds the channel from the receiving node.  Pending sends live in a
+// slab pool and the network completion captures only {this, index}.
 #pragma once
 
 #include <cstdint>
@@ -131,10 +135,14 @@ class ReliableTransport {
  private:
   /// One (sender -> receiver, type) stream.  The sender side uses
   /// next_seq; the receiver side keeps the anti-replay window: bit d of
-  /// `mask` is set when seq `hi - d` was delivered.  The initial state
-  /// (hi 0, empty mask) accepts seq 0 like any unseen seq.
+  /// the 128-bit mask {mask_lo, mask_hi} is set when seq `hi - d` was
+  /// delivered.  The initial state (hi 0, empty mask) accepts seq 0 like
+  /// any unseen seq.  The mask is two words, not an `unsigned __int128`,
+  /// so a channel is 8-byte aligned and 40 bytes; admit() does the
+  /// 128-bit arithmetic.
   struct Channel {
-    unsigned __int128 mask = 0;
+    std::uint64_t mask_lo = 0;
+    std::uint64_t mask_hi = 0;
     std::uint64_t hi = 0;
     std::uint64_t next_seq = 0;
     NodeId from = kNoNode;
@@ -142,11 +150,12 @@ class ReliableTransport {
   /// A receiver's channels for one type.  The first sender's channel is
   /// stored inline, so the common single-sender case (a tree child and
   /// its parent) costs one row access; further senders spill into a
-  /// vector, in first-use order.
-  struct Inbox {
+  /// vector, in first-use order.  One row entry is one cache line.
+  struct alignas(64) Inbox {
     Channel first;
     std::vector<Channel> others;
   };
+  static_assert(sizeof(Inbox) == 64, "a transport inbox must be exactly one 64-byte line");
   /// A handler registered through the transport.  Heap-held, so the
   /// network-side wrapper can point at it and registering more handlers
   /// (even from inside a handler) never moves it.

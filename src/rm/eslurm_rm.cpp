@@ -260,13 +260,16 @@ void EslurmRm::assign_subtask(std::uint64_t dispatch_id, std::size_t subtask_ind
   master_stats_->charge_cpu_us(
       static_cast<double>(config_.master_subtask_service) / 1000.0);
 
-  // The event captures ids and the byte count, not a Message, so it
-  // stays within the engine's inline capture budget.
-  engine_.schedule_at(master_busy_until_,
-                      [this, sat_node = sat.node, bytes = 256 + 8 * subtask.list->size(),
-                       dispatch_id, subtask_index, sat_index] {
-                        send_task(sat_node, bytes, dispatch_id, subtask_index, sat_index);
-                      });
+  // The event captures ids and the byte count, not a Message, and the
+  // two indices as 32 bits, so it stays within the engine's inline
+  // capture budget.
+  auto send = [this, sat_node = sat.node, bytes = 256 + 8 * subtask.list->size(), dispatch_id,
+               index = static_cast<std::uint32_t>(subtask_index),
+               satellite = static_cast<std::uint32_t>(sat_index)] {
+    send_task(sat_node, bytes, dispatch_id, index, satellite);
+  };
+  static_assert(sim::EventFn::stores_inline_v<decltype(send)>);
+  engine_.schedule_at(master_busy_until_, std::move(send));
 }
 
 void EslurmRm::send_task(NodeId sat_node, std::size_t bytes, std::uint64_t dispatch_id,

@@ -1,6 +1,8 @@
 #include "rm/ha_master.hpp"
 
+#include <memory>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "telemetry/telemetry.hpp"
@@ -125,25 +127,30 @@ void HaMaster::take_snapshot() {
   const SimTime write_cost = from_seconds(
       static_cast<double>(bytes.size()) * options_.snapshot_write_us_per_byte *
       1e-6);
-  engine_.schedule_after(
-      write_cost, [this, bytes = std::move(bytes), snapshot_id, last_seq] {
-        if (wal_.halted()) {  // crashed while writing
+  // The image is held by pointer: a std::string capture would not fit
+  // the engine's inline capture budget.  Not a member buffer: a crash
+  // clears snapshot_in_progress_, so after a promotion a new snapshot
+  // may start while this write is still pending.
+  auto write = [this, image_bytes = std::make_unique<std::string>(std::move(bytes)),
+                snapshot_id, last_seq] {
+    if (wal_.halted()) {  // crashed while writing
+      snapshot_in_progress_ = false;
+      return;
+    }
+    const std::size_t size = image_bytes->size();
+    replicator_.replicate_snapshot(
+        std::move(*image_bytes), snapshot_id, last_seq, [this, last_seq, size](bool ok) {
           snapshot_in_progress_ = false;
-          return;
-        }
-        const std::size_t size = bytes.size();
-        replicator_.replicate_snapshot(
-            std::move(bytes), snapshot_id, last_seq,
-            [this, last_seq, size](bool ok) {
-              snapshot_in_progress_ = false;
-              if (!ok) return;  // keep the WAL; the next cadence retries
-              wal_.truncate_through(last_seq);
-              ++snapshots_;
-              if (snapshots_counter_) snapshots_counter_->inc();
-              if (snapshot_bytes_counter_)
-                snapshot_bytes_counter_->inc(static_cast<double>(size));
-            });
-      });
+          if (!ok) return;  // keep the WAL; the next cadence retries
+          wal_.truncate_through(last_seq);
+          ++snapshots_;
+          if (snapshots_counter_) snapshots_counter_->inc();
+          if (snapshot_bytes_counter_)
+            snapshot_bytes_counter_->inc(static_cast<double>(size));
+        });
+  };
+  static_assert(sim::EventFn::stores_inline_v<decltype(write)>);
+  engine_.schedule_after(write_cost, std::move(write));
 }
 
 void HaMaster::on_master_crashed() {

@@ -40,9 +40,9 @@ bool Engine::cancel(EventId id) {
   const std::uint64_t seq = id >> kSlotBits;
   if (seq == 0 || index >= pool_.capacity()) return false;
   EventSlot& slot = pool_[index];
-  if (!slot.live || slot.seq != seq) return false;
+  if (slot.seq != seq) return false;  // ran, cancelled, or slot reused
   slot.fn.reset();  // destroy the capture now, not at slot reuse
-  slot.live = false;
+  slot.seq = 0;
   pool_.release(index);
   maybe_compact();
   return true;
@@ -59,10 +59,10 @@ void Engine::maybe_compact() {
   std::erase_if(entries, [this](const QueueEntry& e) { return !entry_live(e); });
   queue_.rebuild();
   ++compactions_;
-  if (compaction_counter_) {
-    compaction_counter_->inc();
-    publish_telemetry();
-  }
+  // No gauge refresh here: cancel() may run inside a callback, where the
+  // running event is still pending (see stale_entries()).  The next
+  // periodic or end-of-run publish carries the shrunken queue.
+  if (compaction_counter_) compaction_counter_->inc();
 }
 
 void Engine::publish_telemetry() {
@@ -84,16 +84,17 @@ bool Engine::step() {
     const std::uint64_t key = entry_key(top);
     const auto index = static_cast<std::uint32_t>(key & ((1u << kSlotBits) - 1));
     EventSlot& slot = pool_[index];
-    slot.live = false;
+    slot.seq = 0;
     now_ = entry_time(top);
     ++executed_;
     if (observer_) observer_(observer_ctx_, now_, key >> kSlotBits);
-    // Periodic gauge refresh; the modulo keeps the disabled/enabled cost
-    // out of the per-event budget.
-    if (depth_gauge_ && (executed_ & 0xFFF) == 0) publish_telemetry();
     slot.fn();
     slot.fn.reset();  // destroy the capture now, not at slot reuse
     pool_.release(index);
+    // Periodic gauge refresh, after the release so that the queue and the
+    // pool agree on what is pending; the modulo keeps the
+    // disabled/enabled cost out of the per-event budget.
+    if (depth_gauge_ && (executed_ & 0xFFF) == 0) publish_telemetry();
     return true;
   }
   return false;

@@ -39,17 +39,22 @@ namespace eslurm::sim {
 /// pool slot (low 24 bits) and the event's scheduling sequence number
 /// (high 40 bits).  The sequence number is globally unique per schedule,
 /// so it doubles as the slot's generation: a recycled slot never matches
-/// a stale handle (ABA safety).  Sequence numbers start at 1, so a valid
-/// id is never 0; the packing caps a single engine at 2^24 concurrently
-/// pending events and 2^40 total schedules (~10^12, years of sim work).
+/// a stale handle (ABA safety).  Sequence numbers are never 0 (they start
+/// at 1 and the 40-bit counter skips 0 when it wraps), so a valid id is
+/// never 0 and a slot whose sequence is 0 holds no pending event; the
+/// packing caps a single engine at 2^24 concurrently pending events and
+/// 2^40 total schedules (~10^12, years of sim work).
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEvent = 0;
 
 /// Inline capture budget for one event.  Sized so the common captures --
 /// a subsystem pointer plus a few ids, a pooled-send handle, a small
-/// struct -- stay inline; larger captures fall back to one heap
-/// allocation and are counted (Engine::heap_fallback_events).
-inline constexpr std::size_t kEventInlineBytes = 104;
+/// struct -- stay inline, and so that the callable (8-byte vtable pointer
+/// plus this buffer), the slot's sequence number and the pool's free-list
+/// link fill exactly one 64-byte cache line.  Larger (or more than
+/// pointer-aligned) captures fall back to one heap allocation and are
+/// counted (Engine::heap_fallback_events).
+inline constexpr std::size_t kEventInlineBytes = 40;
 
 /// The engine's event callable: one-shot, move-only, small-buffer.
 /// Lambdas convert implicitly, exactly as with std::function.
@@ -88,9 +93,9 @@ class Engine {
     }
     const std::uint32_t index = pool_.acquire();
     EventSlot& slot = pool_[index];
-    const std::uint64_t seq = next_seq_++ & kSeqMask;
+    std::uint64_t seq = next_seq_++ & kSeqMask;
+    if (seq == 0) seq = next_seq_++ & kSeqMask;  // 0 marks a dead slot
     slot.seq = seq;  // recycled handles to this slot die here (ABA safety)
-    slot.live = true;
     slot.fn = std::forward<F>(fn);
     const EventId id = (seq << kSlotBits) | index;
     queue_.push(make_entry(t, id));
@@ -110,6 +115,9 @@ class Engine {
   bool cancel(EventId id);
 
   bool has_pending() const { return pool_.in_use() > 0; }
+  /// Events scheduled and neither executed nor cancelled.  The event
+  /// whose callback is running still counts: its slot is released only
+  /// after the callback returns.
   std::size_t pending_count() const { return pool_.in_use(); }
 
   /// Executes the next event.  Returns false if the queue is empty.
@@ -141,7 +149,10 @@ class Engine {
   std::size_t queue_size() const { return queue_.size(); }
   /// Cancelled entries still occupying queue slots.  `cancel()` only
   /// frees the event slot; the entry stays queued until its timestamp is
-  /// reached or a compaction sweeps it.
+  /// reached or a compaction sweeps it.  Inside a callback the running
+  /// event counts as pending (see pending_count()) although its entry is
+  /// already popped, so the figure there is one lower than the true stale
+  /// count and wraps when no entry is stale; read it between events.
   std::size_t stale_entries() const { return queue_.size() - pool_.in_use(); }
   /// Stale fraction of the queue (0 when empty).
   double stale_ratio() const {
@@ -170,9 +181,14 @@ class Engine {
 
   struct EventSlot {
     EventFn fn;
-    std::uint64_t seq = 0;  ///< sequence of the pending event in this slot
-    bool live = false;      ///< false once executed or cancelled
+    /// Sequence of the pending event in this slot; 0 once it executed
+    /// (from the start of its callback) or was cancelled.
+    std::uint64_t seq = 0;
   };
+  /// Callable, sequence and free-list link: one cache line per slot.
+  using EventPool = util::SlabPool<EventSlot, /*StableStorage=*/true, /*SlotAlign=*/64>;
+  static_assert(EventPool::kSlotBytes == 64 && EventPool::kSlotAlign == 64,
+                "an event slot must be exactly one 64-byte line");
 
   /// One queue entry, packed into a single 128-bit integer: execution
   /// time in the high 64 bits, the EventId key in the low 64.  The key's
@@ -195,8 +211,10 @@ class Engine {
 
   /// Min-heap of queue entries, 4-ary instead of binary: half the levels
   /// of a binary heap, and each node's children are 4 consecutive
-  /// 16-byte entries -- one cache line -- so the pop-side sift-down (the
-  /// hot operation: every executed event pops) touches ~log4(n) lines.
+  /// 16-byte entries -- 64 bytes, though not line-aligned, so usually two
+  /// lines -- so the pop-side sift-down (the hot operation: every
+  /// executed event pops) touches ~2 log4(n) lines.  Padding the heap so
+  /// that each child block sits on one line measured no faster.
   /// Any correct heap pops the same sequence under the total entry
   /// order, so the heap shape cannot perturb event order.
   class EventHeap {
@@ -297,9 +315,10 @@ class Engine {
     bool bottom_up_ = true;
   };
 
+  /// Queued keys always carry a nonzero sequence, so a dead slot
+  /// (seq 0) never matches.
   bool live_key(std::uint64_t key) const {
-    const EventSlot& slot = pool_[key & ((1u << kSlotBits) - 1)];
-    return slot.live && slot.seq == key >> kSlotBits;
+    return pool_[key & ((1u << kSlotBits) - 1)].seq == key >> kSlotBits;
   }
   bool entry_live(QueueEntry entry) const { return live_key(entry_key(entry)); }
 
@@ -318,7 +337,7 @@ class Engine {
   /// Stable (chunked) storage: step() invokes the callable in place,
   /// and a callback that schedules new events may grow the pool without
   /// relocating the storage the executing callable lives in.
-  util::SlabPool<EventSlot, /*StableStorage=*/true> pool_;
+  EventPool pool_;
 
   // Cached instruments (null when telemetry was disabled at construction
   // time) keep the per-event overhead to a pointer check.

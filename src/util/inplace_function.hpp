@@ -5,16 +5,19 @@
 // Simulation events are one-shot, move-only and overwhelmingly small --
 // a subsystem pointer plus a couple of ids -- so the engine stores them
 // in a fixed-size inline buffer inside its event pool instead.  Captures
-// that do not fit fall back to a single heap allocation (and the engine
-// counts them, so oversized events are visible instead of silently slow).
+// that do not fit -- too large, or aligned beyond a pointer -- fall back
+// to a single heap allocation (and the engine counts them, so oversized
+// events are visible instead of silently slow).
 //
 // Differences from std::function, on purpose:
 //   * move-only: events are consumed exactly once, and move-only
 //     captures (unique_ptr and friends) are allowed;
 //   * invoking an empty function is a programming error (assert), not a
 //     bad_function_call -- the engine never stores empty handlers;
-//   * relocation (move + destroy source) is a single vtable call, which
-//     is what the event pool does when it hands a callable to step().
+//   * relocation (move + destroy source) is a single vtable call;
+//   * the buffer is pointer-aligned, not max_align_t-aligned: captures
+//     are pointers, ids and handles, and dropping the 16-byte alignment
+//     keeps the wrapper at 8 + Capacity bytes with no padding.
 #pragma once
 
 #include <cassert>
@@ -36,13 +39,15 @@ class InplaceFunction<R(Args...), Capacity> {
 
  public:
   static constexpr std::size_t kCapacity = Capacity;
+  /// Alignment of the inline buffer; more-aligned captures go to the heap.
+  static constexpr std::size_t kAlign = alignof(void*);
 
   /// True when callables of type F live in the inline buffer (the
   /// zero-allocation path); false when they take the heap fallback.
   template <typename F>
   static constexpr bool stores_inline_v =
       sizeof(std::decay_t<F>) <= Capacity &&
-      alignof(std::decay_t<F>) <= alignof(std::max_align_t) &&
+      alignof(std::decay_t<F>) <= kAlign &&
       std::is_nothrow_move_constructible_v<std::decay_t<F>>;
 
   InplaceFunction() noexcept = default;
@@ -181,7 +186,7 @@ class InplaceFunction<R(Args...), Capacity> {
   }
 
   const VTable* vtable_ = nullptr;
-  alignas(std::max_align_t) unsigned char storage_[Capacity];
+  alignas(kAlign) unsigned char storage_[Capacity];
 };
 
 }  // namespace eslurm::util

@@ -15,17 +15,23 @@
 // Storage flavours:
 //   * SlabPool<T>            -- vector-backed, contiguous, best cache
 //     behaviour.  Growth MOVES existing slots: never hold a T& across an
-//     acquire() (the sim engine moves the callable out of its slot
-//     before running it for exactly this reason).
+//     acquire().
 //   * SlabPool<T, true>      -- fixed chunks of kChunkSlots slots, stable
 //     addresses.  For slots that must stay referenceable while arbitrary
 //     reentrant code runs (the network dispatches a handler while the
-//     send's slot is live, and the handler may send again).  Chunks are
-//     a power of two in size, so an index is a shift and a mask, and a
-//     new chunk default-constructs its slots up front.
+//     send's slot is live, and the handler may send again; the sim
+//     engine invokes an event's callable in place while the callable
+//     schedules more events).  Chunks are a power of two in size, so an
+//     index is a shift and a mask, and a new chunk default-constructs
+//     its slots up front.
+//
+// `SlotAlign` over-aligns each slot (the stored T plus its free-list
+// link).  The engine uses 64 so that one event slot is one cache line;
+// the default keeps the slot at its natural alignment, with no padding.
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <type_traits>
@@ -33,7 +39,7 @@
 
 namespace eslurm::util {
 
-template <typename T, bool StableStorage = false>
+template <typename T, bool StableStorage = false, std::size_t SlotAlign = alignof(T)>
 class SlabPool {
  public:
   using Index = std::uint32_t;
@@ -88,11 +94,17 @@ class SlabPool {
   }
 
  private:
-  struct Slot {
+  struct alignas(SlotAlign) Slot {
     T value{};
     Index next_free = kNone;
   };
 
+ public:
+  /// Bytes and alignment of one slot: the T plus the free-list link.
+  static constexpr std::size_t kSlotBytes = sizeof(Slot);
+  static constexpr std::size_t kSlotAlign = alignof(Slot);
+
+ private:
   using Store = std::conditional_t<StableStorage, std::vector<std::unique_ptr<Slot[]>>,
                                    std::vector<Slot>>;
 

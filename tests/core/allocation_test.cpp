@@ -15,7 +15,9 @@
 //   * tree broadcast through the transport: recycled broadcast state
 //     (position-indexed relay contexts, child slots, delivered bitmap);
 //   * "policy" scheduler pass plus limit audit: dense user/account
-//     tables, cached fair-tree child lists and reused usage snapshots.
+//     tables, cached fair-tree child lists and reused usage snapshots;
+//   * a whole ESLURM world (satellite dispatch, HA snapshots): every
+//     event capture fits the engine's inline budget.
 //
 // Under ASan/TSan the runtime owns operator new, so the hook is compiled
 // out and the tests skip (the sanitizer jobs cover memory correctness;
@@ -29,8 +31,10 @@
 #include <new>
 
 #include "comm/tree.hpp"
+#include "core/experiment.hpp"
 #include "net/network.hpp"
 #include "net/transport.hpp"
+#include "rm/ha_master.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/engine.hpp"
 
@@ -377,6 +381,45 @@ TEST(ZeroAllocation, PolicySchedulerPassAndAudit) {
   EXPECT_EQ(started, 0u);
   EXPECT_GT(policy.limit_holds(), warm_holds);  // the limit checks actually ran
   EXPECT_EQ(policy.limit_violations(), 0u);
+}
+
+TEST(ZeroAllocation, EslurmWorldEventsFitInline) {
+  // A small ESLURM world with two satellites and HA: the master's
+  // subtask sends and the snapshot writes are events whose captures sit
+  // closest to the engine's inline budget.  None may take the heap
+  // fallback.  (Promotion moves a whole state image and may; no master
+  // dies here.)
+  core::ExperimentConfig config;
+  config.rm = "eslurm";
+  config.compute_nodes = 256;
+  config.satellite_count = 2;
+  config.horizon = hours(1);
+  config.rm_config.ha.enabled = true;
+  config.rm_config.ha.snapshot_interval = minutes(5);
+  core::Experiment experiment(config);
+
+  std::vector<sched::Job> jobs;
+  for (int i = 0; i < 20; ++i) {
+    sched::Job job;
+    job.id = static_cast<sched::JobId>(1 + i);
+    job.user = "u";
+    job.nodes = 128;
+    job.cores = job.nodes * 12;
+    job.submit_time = minutes(1 + 2 * i);
+    job.actual_runtime = minutes(1);
+    job.user_estimate = minutes(2);
+    jobs.push_back(job);
+  }
+  experiment.submit_trace(jobs);
+  experiment.run();
+
+  std::uint64_t satellite_tasks = 0;
+  for (const auto& report : experiment.eslurm()->satellite_reports())
+    satellite_tasks += report.tasks_received;
+  EXPECT_GT(satellite_tasks, 0u);  // the master dispatched through satellites
+  EXPECT_GT(experiment.eslurm()->ha()->snapshots_taken(), 0u);
+  EXPECT_EQ(experiment.report().jobs_finished, jobs.size());
+  EXPECT_EQ(experiment.engine().heap_fallback_events(), 0u);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <vector>
 
@@ -49,6 +51,112 @@ TEST(Engine, CancelPreventsExecution) {
   EXPECT_FALSE(engine.cancel(id));  // double cancel reports failure
   engine.run();
   EXPECT_FALSE(ran);
+}
+
+TEST(Engine, StaleHandleCannotCancelTheSlotsNextEvent) {
+  Engine engine;
+  bool second_ran = false;
+  const EventId first = engine.schedule_at(seconds(1), [] {});
+  EXPECT_TRUE(engine.cancel(first));
+  // The free list is LIFO: the next event reuses the cancelled slot.
+  const EventId second = engine.schedule_at(seconds(2), [&] { second_ran = true; });
+  ASSERT_EQ(second & 0xFFFFFF, first & 0xFFFFFF);
+  EXPECT_FALSE(engine.cancel(first));
+  engine.run();
+  EXPECT_TRUE(second_ran);
+
+  // The same holds for a slot freed by execution rather than by cancel.
+  bool third_ran = false;
+  const EventId third = engine.schedule_after(seconds(1), [&] { third_ran = true; });
+  ASSERT_EQ(third & 0xFFFFFF, second & 0xFFFFFF);
+  EXPECT_FALSE(engine.cancel(second));
+  engine.run();
+  EXPECT_TRUE(third_ran);
+}
+
+TEST(Engine, EventCannotCancelItselfFromItsCallback) {
+  Engine engine;
+  EventId self = kInvalidEvent;
+  int runs = 0;
+  bool cancelled = true;
+  std::size_t pending_inside = 0;
+  self = engine.schedule_at(seconds(1), [&] {
+    ++runs;
+    pending_inside = engine.pending_count();
+    cancelled = engine.cancel(self);
+  });
+  engine.run();
+  EXPECT_EQ(runs, 1);
+  EXPECT_FALSE(cancelled);
+  EXPECT_EQ(pending_inside, 1u);  // the running event counts as pending
+  EXPECT_EQ(engine.pending_count(), 0u);
+}
+
+TEST(Engine, CancelTwiceOrAfterRunReturnsFalse) {
+  Engine engine;
+  const EventId pending = engine.schedule_at(seconds(2), [] {});
+  const EventId ran = engine.schedule_at(seconds(1), [] {});
+  EXPECT_TRUE(engine.cancel(pending));
+  EXPECT_FALSE(engine.cancel(pending));
+  engine.run();
+  EXPECT_FALSE(engine.cancel(ran));
+  EXPECT_EQ(engine.executed_events(), 1u);
+}
+
+TEST(Engine, CancelRejectsInvalidAndOutOfRangeIds) {
+  Engine engine;
+  engine.schedule_at(seconds(1), [] {});
+  engine.schedule_at(seconds(1), [] {});
+  engine.run();  // both slots are now dead, their sequence reset to 0
+  EXPECT_FALSE(engine.cancel(kInvalidEvent));
+  // A zero sequence never names an event, even where it equals a dead
+  // slot's sequence.
+  EXPECT_FALSE(engine.cancel(EventId{1}));
+  // A slot index past the pool.
+  EXPECT_FALSE(engine.cancel((EventId{1} << 24) | 7));
+  EXPECT_FALSE(engine.cancel((EventId{1} << 24) | 0xFFFFFF));
+  EXPECT_EQ(engine.event_pool_capacity(), 2u);
+}
+
+TEST(Engine, StaleRatioGaugeStaysInUnitRangeInsideCallbacks) {
+  telemetry::Telemetry context;
+  context.enable();
+  Engine engine(&context);
+  const telemetry::Gauge& gauge = context.metrics.gauge("sim.stale_ratio");
+  double lowest = 0.0;
+  double highest = 0.0;
+  auto check = [&] {
+    lowest = std::min(lowest, gauge.value());
+    highest = std::max(highest, gauge.value());
+  };
+  // Phase 1: nothing is ever cancelled, past the periodic publish at
+  // event 4096.
+  for (int i = 0; i < 5000; ++i) engine.schedule_at(seconds(i), check);
+  engine.run();
+  // Phase 2: arm-and-cancel watchdogs from inside callbacks, so
+  // compactions run mid-callback, with a few live events queued
+  // alongside so a compacted queue is not empty.
+  for (int i = 0; i < 4; ++i) engine.schedule_after(hours(20), check);
+  struct Watchdog {
+    Engine& engine;
+    std::function<void()> check;
+    EventId armed = kInvalidEvent;
+    int left = 6000;
+    void cycle() {
+      check();
+      if (armed != kInvalidEvent) engine.cancel(armed);
+      if (--left == 0) return;
+      armed = engine.schedule_after(hours(10), [] {});
+      engine.schedule_after(microseconds(25), [this] { cycle(); });
+    }
+  };
+  Watchdog dog{engine, check};
+  engine.schedule_after(0, [&dog] { dog.cycle(); });
+  engine.run();
+  EXPECT_GT(engine.executed_events(), 8192u);
+  EXPECT_GT(engine.compactions(), 0u);
+  EXPECT_GE(lowest, 0.0);
+  EXPECT_LE(highest, 1.0);
 }
 
 TEST(Engine, PastSchedulingThrows) {
