@@ -10,6 +10,12 @@
 //                Run at 64 chains, and at 256 and 65,536 chains to show
 //                how the cost of an event grows with queue depth (the
 //                world-size-independence target: 64K <= 2x 256).
+//   state     -- 65,536 churn chains whose events each update their
+//                chain's own 192-byte record, the shape of a network leg
+//                working on its send op.  Run plain, and hooked: the
+//                event is a functor whose prefetch() touches the record,
+//                so the engine starts loading it while the event before
+//                it runs (target: hooked ns/event <= plain).
 //   watchdog  -- arm a far-future watchdog, do a step of work, cancel and
 //                re-arm: the tree-broadcast / RM-subtask pattern that
 //                stresses cancel() and lazy-queue compaction.
@@ -19,6 +25,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "sim/engine.hpp"
@@ -58,6 +65,56 @@ double churn(bench::Harness& harness, std::uint64_t total_events, int chains) {
   const double secs = wall_seconds(t0);
   harness.record_events(engine.executed_events());
   return static_cast<double>(engine.executed_events()) / secs;
+}
+
+/// A chain's own state: 192 bytes on three whole cache lines.
+struct alignas(64) ChainState {
+  std::uint64_t words[24] = {};
+};
+static_assert(sizeof(ChainState) == 192);
+
+struct StateWorld {
+  sim::Engine engine;
+  std::vector<ChainState> states;
+  std::uint64_t remaining = 0;
+};
+
+/// One hop of a state chain: bumps a word on each line of the chain's
+/// record and reschedules itself.  `Hooked` adds the prefetch hook;
+/// without it the hop is exactly what a lambda capturing
+/// {world, chain} would be.
+template <bool Hooked>
+struct StateHop {
+  StateWorld* world;
+  std::uint32_t chain;
+  void operator()() const {
+    ChainState& state = world->states[chain];
+    for (std::size_t w = 0; w < 24; w += 8) ++state.words[w];
+    if (world->remaining == 0) return;
+    --world->remaining;
+    world->engine.schedule_after(microseconds(10 + chain), StateHop{world, chain});
+  }
+  void prefetch() const
+    requires Hooked
+  {
+    const char* line = reinterpret_cast<const char*>(&world->states[chain]);
+    for (std::size_t offset = 0; offset < sizeof(ChainState); offset += 64)
+      __builtin_prefetch(line + offset, /*rw=*/1);
+  }
+};
+
+/// State chains; returns events/sec.
+template <bool Hooked>
+double state_churn(bench::Harness& harness, std::uint64_t total_events, int chains) {
+  StateWorld world;
+  world.states.resize(static_cast<std::size_t>(chains));
+  world.remaining = total_events;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int c = 0; c < chains; ++c) StateHop<Hooked>{&world, static_cast<std::uint32_t>(c)}();
+  world.engine.run();
+  const double secs = wall_seconds(t0);
+  harness.record_events(world.engine.executed_events());
+  return static_cast<double>(world.engine.executed_events()) / secs;
 }
 
 /// Arm-and-cancel: every work step arms a far-future watchdog and
@@ -144,6 +201,27 @@ int main(int argc, char** argv) {
                          {{"events_per_sec", depth.eps}, {"ns_per_event", 1e9 / depth.eps}});
   }
 
+  // The engine's prefetch hook on a working set beyond the private
+  // caches: the same 65,536 chains and hop count as churn_64k.  The two
+  // variants run interleaved, five times each, and each point keeps its
+  // fastest run, so the hooked/plain ratio is stable on a shared host.
+  struct StatePoint {
+    const char* label;
+    double (*run)(bench::Harness&, std::uint64_t, int);
+    double eps = 0.0;
+  };
+  StatePoint states[] = {{"state_64k", state_churn<false>},
+                         {"state_64k_hooked", state_churn<true>}};
+  constexpr int kStateChains = 65'536;
+  for (int round = 0; round < 5; ++round)
+    for (StatePoint& state : states)
+      state.eps = std::max(state.eps, state.run(harness, std::max<std::uint64_t>(n, 16 * kStateChains),
+                                                kStateChains));
+  for (const StatePoint& state : states)
+    harness.record_point(state.label,
+                         {{"pattern", "state"}, {"chains", std::to_string(kStateChains)}},
+                         {{"events_per_sec", state.eps}, {"ns_per_event", 1e9 / state.eps}});
+
   const double watchdog_eps = watchdog(harness, n / 2);
   harness.record_point("watchdog", {{"pattern", "watchdog"}},
                        {{"events_per_sec", watchdog_eps}});
@@ -159,10 +237,13 @@ int main(int argc, char** argv) {
   add_row("churn (64 chains)", churn_eps);
   for (const DepthPoint& depth : depths)
     add_row("churn (" + std::to_string(depth.chains) + " chains)", depth.eps);
+  for (const StatePoint& state : states) add_row(state.label, state.eps);
   add_row("watchdog arm+cancel", watchdog_eps);
   add_row("fanout x64", fanout_eps);
   table.print();
   std::printf("churn depth ratio (65,536 / 256 chains, ns per event): %.2f  [target <= 2]\n",
               depths[0].eps / depths[1].eps);
+  std::printf("state hook ratio (hooked / plain, ns per event): %.2f  [target <= 1]\n",
+              states[0].eps / states[1].eps);
   return 0;
 }

@@ -34,7 +34,6 @@ inline constexpr std::size_t kMessageInlineBytes = 32;
 struct Message {
   MessageType type = 0;
   NodeId src = kNoNode;
-  std::uint64_t id = 0;      ///< unique per send, assigned by the network
   /// Per-channel sequence number, set by ReliableTransport::send (0 for
   /// raw Network traffic); the receiver's anti-replay window reads it.
   std::uint64_t seq = 0;
@@ -44,5 +43,6 @@ struct Message {
   template <typename T>
   const T& body() const { return payload.get<T>(); }
 };
+static_assert(sizeof(Message) == 64, "a message header and inline body fill one cache line");
 
 }  // namespace eslurm::net

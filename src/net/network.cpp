@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "net/chaos.hpp"
+#include "net/transport.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/log.hpp"
 
@@ -100,7 +101,7 @@ void Network::fail_at_deadline(std::uint32_t op) {
   ++failed_sends_;
   if (failed_counter_) failed_counter_->inc();
   const SimTime fail_at = std::max(send_ops_[op].deadline, engine_.now());
-  engine_.schedule_at(fail_at, [this, op] { complete(op, false); });
+  engine_.schedule_at(fail_at, Leg<&Network::timed_out>{this, op});
 }
 
 void Network::release_op(std::uint32_t op) {
@@ -117,6 +118,14 @@ void Network::complete(std::uint32_t op, bool ok) {
   SendOp& state = send_ops_[op];
   adjust_sockets(state.from, -1);
   adjust_sockets(state.to, -1);
+  if (!ok && state.owner) {
+    // A reliable send's attempt failed: its transport counts it and picks
+    // a backoff (0: retries exhausted), and the same op launches again.
+    if (const SimTime backoff = state.owner->attempt_failed(state.attempt); backoff > 0) {
+      engine_.schedule_after(backoff, Leg<&Network::launch>{this, op});
+      return;
+    }
+  }
   // Move the callback out before releasing: it may send() reentrantly,
   // which can reuse this very slot.
   SendCallback cb = std::move(state.on_complete);
@@ -155,7 +164,7 @@ void Network::arrival_step(std::uint32_t op) {
   const SimTime recv_start = std::max(engine_.now(), receiver.recv_busy_until);
   const SimTime recv_done = recv_start + receive_cost(receiver, state.to);
   receiver.recv_busy_until = recv_done;
-  engine_.schedule_at(recv_done, [this, op] { deliver_step(op); });
+  engine_.schedule_at(recv_done, Leg<&Network::deliver_step>{this, op});
 }
 
 void Network::deliver_step(std::uint32_t op) {
@@ -168,13 +177,13 @@ void Network::deliver_step(std::uint32_t op) {
   if (state.duplicate) {
     // A second copy arrived on the wire: it queues behind this one in
     // the receive serializer and hits the handler again with the same
-    // message id -- the receiver cannot tell it from a retransmit.
+    // frame -- the receiver cannot tell it from a retransmit.
     NodeHot& r = hot_[state.to];
     const SimTime dup_start = std::max(engine_.now(), r.recv_busy_until);
     const SimTime dup_done = dup_start + receive_cost(r, state.to);
     r.recv_busy_until = dup_done;
     ++state.refs;
-    engine_.schedule_at(dup_done, [this, op] { deliver_duplicate(op); });
+    engine_.schedule_at(dup_done, Leg<&Network::deliver_duplicate>{this, op});
   }
 
   // Ack back to the sender: half a round trip of pure latency.  The
@@ -190,7 +199,7 @@ void Network::deliver_step(std::uint32_t op) {
   }
   const SimTime ack_at =
       engine_.now() + jittered(propagation(state.to, state.from)) + ack_verdict.extra_delay;
-  engine_.schedule_at(ack_at, [this, op] { complete(op, true); });
+  engine_.schedule_at(ack_at, Leg<&Network::acked>{this, op});
 }
 
 void Network::deliver_duplicate(std::uint32_t op) {
@@ -201,18 +210,38 @@ void Network::deliver_duplicate(std::uint32_t op) {
 
 void Network::send(NodeId from, NodeId to, Message msg, SimTime timeout,
                    SendCallback on_complete) {
+  launch(open(from, to, std::move(msg), timeout, std::move(on_complete), nullptr));
+}
+
+std::uint32_t Network::open(NodeId from, NodeId to, Message&& msg, SimTime timeout,
+                            SendCallback&& on_complete, ReliableTransport* owner) {
   if (from >= hot_.size() || to >= hot_.size())
     throw std::out_of_range("Network::send: bad node id");
-  if (timeout <= 0) timeout = model_.default_timeout;
+  // The initial reference belongs to the primary chain (attempts ->
+  // arrival -> delivery -> ack, or the deadline event).
+  const std::uint32_t op = send_ops_.acquire();
+  SendOp& state = send_ops_[op];
+  state.msg = std::move(msg);
+  state.msg.src = from;
+  state.on_complete = std::move(on_complete);
+  state.owner = owner;
+  state.timeout = timeout > 0 ? timeout : model_.default_timeout;
+  state.from = from;
+  state.to = to;
+  state.refs = 1;
+  state.attempt = 0;
+  return op;
+}
 
-  msg.id = next_msg_id_++;
-  msg.src = from;
+void Network::launch(std::uint32_t op) {
+  SendOp& state = send_ops_[op];
+  ++state.attempt;
   ++total_messages_;
-  total_bytes_ += msg.bytes;
+  total_bytes_ += state.msg.bytes;
   if (messages_counter_) messages_counter_->inc();
-  if (bytes_counter_) bytes_counter_->inc(static_cast<double>(msg.bytes));
+  if (bytes_counter_) bytes_counter_->inc(static_cast<double>(state.msg.bytes));
 
-  NodeHot& sender = hot_[from];
+  NodeHot& sender = hot_[state.from];
   ++sender.sent;
 
   // Sender-side serialization: the sending daemon spends send_processing
@@ -223,33 +252,23 @@ void Network::send(NodeId from, NodeId to, Message msg, SimTime timeout,
   sender.send_busy_until = send_done;
 
   const SimTime wire =
-      jittered(propagation(from, to) + model_.connection_setup) +
-      static_cast<SimTime>(static_cast<double>(msg.bytes) /
+      jittered(propagation(state.from, state.to) + model_.connection_setup) +
+      static_cast<SimTime>(static_cast<double>(state.msg.bytes) /
                            model_.bandwidth_bytes_per_sec * 1e9);
 
   // Chaos verdict for the outbound leg (cheap no-op without an injector).
   ChaosInjector::Decision verdict;
-  if (chaos_) verdict = chaos_->decide(from, to);
+  if (chaos_) verdict = chaos_->decide(state.from, state.to);
 
   const SimTime arrival = send_done + wire + verdict.extra_delay;
 
   // The connection stays open from the start of the send until completion
   // (ack) or timeout; both endpoints hold a socket for that span.
-  adjust_sockets(from, +1);
-  adjust_sockets(to, +1);
+  adjust_sockets(state.from, +1);
+  adjust_sockets(state.to, +1);
 
-  // Park the exchange in the op pool; the initial reference belongs to
-  // the primary chain (arrival -> delivery -> ack, or the timeout event).
-  const std::uint32_t op = send_ops_.acquire();
-  SendOp& state = send_ops_[op];
-  state.msg = std::move(msg);
-  state.on_complete = std::move(on_complete);
-  state.deadline = engine_.now() + timeout;
-  state.from = from;
-  state.to = to;
+  state.deadline = engine_.now() + state.timeout;
   state.duplicate = verdict.duplicate;
-  state.refs = 1;
-
   if (verdict.drop) {
     // Lost in flight (random drop or partition): the receiver never sees
     // the message and the sender observes a timeout, exactly as with a
@@ -257,7 +276,20 @@ void Network::send(NodeId from, NodeId to, Message msg, SimTime timeout,
     fail_at_deadline(op);
     return;
   }
-  engine_.schedule_at(arrival, [this, op] { arrival_step(op); });
+  engine_.schedule_at(arrival, Leg<&Network::arrival_step>{this, op});
+}
+
+void Network::detach(const ReliableTransport* owner) {
+  // Released slots may still name `owner`; open() overwrites that.
+  for (std::uint32_t op = 0; op < send_ops_.capacity(); ++op)
+    if (send_ops_[op].owner == owner) send_ops_[op].owner = nullptr;
+}
+
+void Network::prefetch_op(std::uint32_t op) const {
+  const char* first = reinterpret_cast<const char*>(&send_ops_[op]);
+  const char* last = first + sizeof(SendOp) - 1;
+  for (const char* line = first; line < last; line += 64) __builtin_prefetch(line);
+  __builtin_prefetch(last);
 }
 
 }  // namespace eslurm::net

@@ -43,6 +43,7 @@ class Counter;
 namespace eslurm::net {
 
 class ChaosInjector;
+class ReliableTransport;
 
 struct LinkModel {
   SimTime base_latency = microseconds(25);       ///< propagation + stack
@@ -74,6 +75,9 @@ inline constexpr std::size_t kSendCallbackInlineBytes = 48;
 using SendCallback = util::InplaceFunction<void(bool ok), kSendCallbackInlineBytes>;
 
 class Network {
+  /// Opens, launches and detaches the ops of its reliable sends.
+  friend class ReliableTransport;
+
  public:
   Network(sim::Engine& engine, std::size_t node_count, LinkModel model, Rng rng);
 
@@ -126,8 +130,10 @@ class Network {
   void set_recv_processing(NodeId node, SimTime per_message);
   SimTime recv_processing(NodeId node) const;
 
-  /// Sends a message.  `timeout` <= 0 uses the model default.  The
-  /// callback may be empty for fire-and-forget traffic.
+  /// Sends a message: one attempt.  `timeout` <= 0 uses the model
+  /// default.  The callback may be empty for fire-and-forget traffic.
+  /// (ReliableTransport::send opens the same kind of op, owned by the
+  /// transport, which relaunches failed attempts.)
   void send(NodeId from, NodeId to, Message msg, SimTime timeout = 0,
             SendCallback on_complete = {});
 
@@ -143,7 +149,8 @@ class Network {
   std::uint64_t total_bytes() const { return total_bytes_; }
   std::uint64_t failed_sends() const { return failed_sends_; }
 
-  /// Sends whose exchange (message legs + ack/timeout) is still pending.
+  /// Sends whose exchange (message legs + ack/timeout) is still pending,
+  /// including reliable sends waiting out a retransmit backoff.
   std::size_t in_flight_sends() const { return send_ops_.in_use(); }
   /// High-water mark of concurrently pending sends; pool slots are
   /// recycled, so steady-state traffic allocates nothing once this
@@ -179,21 +186,37 @@ class Network {
     std::vector<Handler> by_node;  ///< per-node handlers, sized lazily
   };
 
-  /// One in-flight send().  Every engine leg of the exchange -- arrival,
-  /// delivery, duplicate copy, ack, timeout -- shares this pooled record
-  /// and captures only {this, op-index}, so event captures stay inline
-  /// and a send's message is stored exactly once.  `refs` counts the
-  /// primary completion chain plus an optional duplicate-delivery leg;
-  /// ops are never cancelled and every pending leg holds a reference, so
-  /// no generation tag is needed.
+  /// One in-flight send, raw or reliable.  Every engine leg of the
+  /// exchange -- arrival, delivery, duplicate copy, ack, deadline,
+  /// retransmit -- shares this pooled record and captures only
+  /// {this, op-index}, so event captures stay inline and a send's message
+  /// is stored exactly once, across all of its attempts.  `refs` counts
+  /// the primary chain (attempts, backoffs, completion) plus an optional
+  /// duplicate-delivery leg; ops are never cancelled and every pending leg
+  /// holds a reference, so no generation tag is needed.
   struct SendOp {
     Message msg;
     SendCallback on_complete;
-    SimTime deadline = 0;
+    /// The transport that retransmits a failed attempt; null for a raw
+    /// send, and for a reliable one whose transport was destroyed.
+    ReliableTransport* owner = nullptr;
+    SimTime timeout = 0;   ///< per attempt, resolved when the op opens
+    SimTime deadline = 0;  ///< the current attempt's
     NodeId from = kNoNode;
     NodeId to = kNoNode;
-    bool duplicate = false;
     std::uint32_t refs = 0;
+    int attempt = 0;  ///< attempts launched (1 = the initial send)
+    bool duplicate = false;
+  };
+
+  /// One leg of a send as an engine event: `Step` runs on the op.  Its
+  /// prefetch() starts loading the op while the event before it runs.
+  template <void (Network::*Step)(std::uint32_t)>
+  struct Leg {
+    Network* network;
+    std::uint32_t op;
+    void operator()() const { (network->*Step)(op); }
+    void prefetch() const { network->prefetch_op(op); }
   };
 
   bool alive(NodeId node) const { return alive_ ? alive_(node) : true; }
@@ -208,16 +231,35 @@ class Network {
 
   SimTime propagation(NodeId from, NodeId to) const;
 
-  /// Resolves the exchange as lost: sockets hold until the sender's
-  /// deadline, then the callback observes failure (shared by dead-peer,
-  /// chaos-drop and lost-ack paths).
+  /// Opens an op for one send: validates the endpoints, stores the
+  /// message and callback and resolves the timeout.  `owner` is the
+  /// transport that retransmits failed attempts (null for a raw send).
+  std::uint32_t open(NodeId from, NodeId to, Message&& msg, SimTime timeout,
+                     SendCallback&& on_complete, ReliableTransport* owner);
+  /// Launches one attempt of `op`: traffic counters, sender
+  /// serialization, jitter, chaos verdict, sockets, deadline and the
+  /// arrival event (or, if dropped, the deadline event).
+  void launch(std::uint32_t op);
+  /// Detaches the ops `owner` would retransmit (~ReliableTransport): they
+  /// finish as single-attempt sends.
+  void detach(const ReliableTransport* owner);
+  /// Touches every cache line of `op` (a Leg's prefetch hook).
+  void prefetch_op(std::uint32_t op) const;
+
+  /// Resolves the attempt as lost: sockets hold until the sender's
+  /// deadline, then the attempt fails (shared by dead-peer, chaos-drop
+  /// and lost-ack paths).
   void fail_at_deadline(std::uint32_t op);
   /// Wire arrival: liveness check + receive serialization.
   void arrival_step(std::uint32_t op);
   /// Receive done: handler dispatch, duplicate leg, ack leg.
   void deliver_step(std::uint32_t op);
   void deliver_duplicate(std::uint32_t op);
-  /// Closes the exchange's sockets and invokes the completion callback.
+  void acked(std::uint32_t op) { complete(op, true); }
+  void timed_out(std::uint32_t op) { complete(op, false); }
+  /// Closes the attempt's sockets.  A failed attempt of an owned op is
+  /// relaunched after the backoff its transport picks; otherwise the op
+  /// is released and the completion callback runs.
   void complete(std::uint32_t op, bool ok);
   void release_op(std::uint32_t op);
   void dispatch(NodeId to, const Message& msg, bool duplicate);
@@ -241,7 +283,6 @@ class Network {
   /// valid while handlers send reentrantly (which may grow the pool).
   util::SlabPool<SendOp, /*StableStorage=*/true> send_ops_;
   MessageType next_dynamic_type_ = kDynamicTypeBase;
-  std::uint64_t next_msg_id_ = 1;
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_bytes_ = 0;
   std::uint64_t failed_sends_ = 0;

@@ -47,6 +47,7 @@ ReliableTransport::~ReliableTransport() {
       network_.unregister_handler(registration->node, registration->type);
   }
   for (const MessageType type : type_registrations_) network_.unregister_type_handler(type);
+  network_.detach(this);
 }
 
 SimTime ReliableTransport::backoff_delay(int attempt) {
@@ -123,32 +124,15 @@ bool ReliableTransport::admit(Channel& ch, std::uint64_t seq) {
   return true;
 }
 
-void ReliableTransport::attempt(std::uint32_t index) {
-  PendingSend& pending = pending_[index];
-  ++pending.attempt;
-  network_.send(pending.from, pending.to, pending.frame, pending.timeout,
-                [this, index](bool ok) { attempt_done(index, ok); });
-}
-
-void ReliableTransport::attempt_done(std::uint32_t index, bool ok) {
-  PendingSend& pending = pending_[index];
-  if (!ok && pending.attempt <= options_.max_retries) {
+SimTime ReliableTransport::attempt_failed(int attempt) {
+  if (attempt <= options_.max_retries) {
     ++retransmits_;
     if (retransmits_counter_) retransmits_counter_->inc();
-    network_.engine().schedule_after(backoff_delay(pending.attempt),
-                                     [this, index] { attempt(index); });
-    return;
+    return backoff_delay(attempt);
   }
-  if (!ok) {
-    ++permanent_failures_;
-    if (failures_counter_) failures_counter_->inc();
-  }
-  // Release before the callback: it may send() reentrantly, which can
-  // reuse (or, growing the pool, move) this very slot.
-  SendCallback done = std::move(pending.on_complete);
-  pending.frame.payload.reset();
-  pending_.release(index);
-  if (done) done(ok);
+  ++permanent_failures_;
+  if (failures_counter_) failures_counter_->inc();
+  return 0;
 }
 
 void ReliableTransport::send(NodeId from, NodeId to, Message msg,
@@ -159,16 +143,8 @@ void ReliableTransport::send(NodeId from, NodeId to, Message msg,
   ++sends_;
   if (sends_counter_) sends_counter_->inc();
   msg.seq = channel(slot, from, to).next_seq++;
-
-  const std::uint32_t index = pending_.acquire();
-  PendingSend& pending = pending_[index];
-  pending.frame = std::move(msg);
-  pending.on_complete = std::move(on_complete);
-  pending.timeout = timeout;
-  pending.from = from;
-  pending.to = to;
-  pending.attempt = 0;
-  attempt(index);
+  network_.launch(
+      network_.open(from, to, std::move(msg), timeout, std::move(on_complete), this));
 }
 
 bool ReliableTransport::admit_frame(std::uint32_t slot, NodeId self, const Message& frame) {

@@ -40,8 +40,15 @@
 // (sender's seq, receiver's window) touches one line.  A per-node
 // registration's network handler captures only {this, registration}; a
 // type-wide registration is one network handler for the whole type that
-// finds the channel from the receiving node.  Pending sends live in a
-// slab pool and the network completion captures only {this, index}.
+// finds the channel from the receiving node.
+//
+// A reliable send is one record: the network's pooled send op, which
+// carries the frame, the caller's callback and the attempt count, with
+// this transport as its owner.  A failed attempt asks the owner for a
+// backoff (attempt_failed) and the network relaunches the same op, so a
+// retransmit copies no frame and allocates nothing.  Destroying a
+// transport detaches its in-flight sends: they finish as single-attempt
+// sends and their callbacks still fire exactly once.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +57,6 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "util/pool.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
@@ -102,14 +108,13 @@ class ReliableTransport {
   /// `timeout` <= 0 uses the link-model default and bounds each attempt,
   /// not the whole exchange.  Overwrites msg.seq.  Throws
   /// std::out_of_range on a bad endpoint or a negative type, before any
-  /// channel, counter or pending slot is touched.
+  /// channel, counter or send op is touched.
   void send(NodeId from, NodeId to, Message msg, SimTime timeout = 0,
             SendCallback on_complete = {});
 
   /// Registers `handler` for `type` on `node`, behind the anti-replay
   /// window.  The handler receives the delivered frame itself (msg.src /
-  /// type / payload as sent; msg.id is the network id of the delivering
-  /// frame).
+  /// type / payload as sent, msg.seq as stamped by the sender).
   void register_handler(NodeId node, MessageType type, Handler handler);
   void unregister_handler(NodeId node, MessageType type);
 
@@ -133,6 +138,9 @@ class ReliableTransport {
   std::uint64_t dedup_window_wraps() const { return dedup_window_wraps_; }
 
  private:
+  /// Calls attempt_failed() on the sends this transport owns.
+  friend class Network;
+
   /// One (sender -> receiver, type) stream.  The sender side uses
   /// next_seq; the receiver side keeps the anti-replay window: bit d of
   /// the 128-bit mask {mask_lo, mask_hi} is set when seq `hi - d` was
@@ -165,15 +173,6 @@ class ReliableTransport {
     MessageType type = 0;
     std::uint32_t slot = 0;
   };
-  struct PendingSend {
-    Message frame;
-    SendCallback on_complete;
-    SimTime timeout = 0;
-    NodeId from = kNoNode;
-    NodeId to = kNoNode;
-    int attempt = 0;  ///< attempts started (1 = the initial send)
-  };
-
   std::uint32_t slot_of(MessageType type);
   /// The (from -> to) channel of `slot`, created on first use.  Both
   /// endpoints must be valid node ids.
@@ -183,8 +182,10 @@ class ReliableTransport {
   /// Runs `frame` received by `self` through the window of its channel;
   /// false means a suppressed duplicate.
   bool admit_frame(std::uint32_t slot, NodeId self, const Message& frame);
-  void attempt(std::uint32_t index);
-  void attempt_done(std::uint32_t index, bool ok);
+  /// Attempt `attempt` of an owned send failed: counts a retransmit and
+  /// returns its backoff delay (> 0), or counts a permanent failure and
+  /// returns 0 once the retry cap is exhausted.
+  SimTime attempt_failed(int attempt);
   SimTime backoff_delay(int attempt);
 
   Network& network_;
@@ -197,7 +198,6 @@ class ReliableTransport {
   std::vector<std::vector<Inbox>> channels_;
   std::vector<std::unique_ptr<Registration>> registrations_;
   std::vector<MessageType> type_registrations_;  ///< types with a type-wide handler
-  util::SlabPool<PendingSend> pending_;
 
   std::uint64_t sends_ = 0;
   std::uint64_t retransmits_ = 0;

@@ -36,7 +36,7 @@ Engine::~Engine() {
 }
 
 bool Engine::cancel(EventId id) {
-  const auto index = static_cast<std::uint32_t>(id & ((1u << kSlotBits) - 1));
+  const auto index = static_cast<std::uint32_t>(id & kSlotMask);
   const std::uint64_t seq = id >> kSlotBits;
   if (seq == 0 || index >= pool_.capacity()) return false;
   EventSlot& slot = pool_[index];
@@ -82,13 +82,29 @@ bool Engine::step() {
     // event is a no-op) but released only after it, so a reentrant
     // schedule can never overwrite the capture mid-execution.
     const std::uint64_t key = entry_key(top);
-    const auto index = static_cast<std::uint32_t>(key & ((1u << kSlotBits) - 1));
+    const auto index = static_cast<std::uint32_t>(key & kSlotMask);
     EventSlot& slot = pool_[index];
+    // Two-stage pipeline.  Stage one: start loading the next entry's
+    // slot now, so it is in cache by the time this callback returns.
+    const EventSlot* next = nullptr;
+    std::uint64_t next_seq = 0;
+    if (!queue_.empty()) {
+      const std::uint64_t next_key = entry_key(queue_.top());
+      next = &pool_[static_cast<std::uint32_t>(next_key & kSlotMask)];
+      next_seq = next_key >> kSlotBits;
+      __builtin_prefetch(next);
+    }
     slot.seq = 0;
     now_ = entry_time(top);
     ++executed_;
     if (observer_) observer_(observer_ctx_, now_, key >> kSlotBits);
     slot.fn();
+    // Stage two: the next slot has arrived; if its event is still live,
+    // its callable's prefetch() hook starts loading the state it will
+    // touch.  The hook is only a hint: the callback may have cancelled
+    // that event (the sequence check skips it) or scheduled an earlier
+    // one, which then runs first.
+    if (next && next->seq == next_seq) next->fn.prefetch();
     slot.fn.reset();  // destroy the capture now, not at slot reuse
     pool_.release(index);
     // Periodic gauge refresh, after the release so that the queue and the

@@ -121,6 +121,12 @@ class Engine {
   std::size_t pending_count() const { return pool_.in_use(); }
 
   /// Executes the next event.  Returns false if the queue is empty.
+  /// Pipelined over two events: it prefetches the next entry's slot
+  /// before running the callback and, once the callback returns, calls
+  /// that entry's `prefetch()` hook if the entry is still live (see
+  /// util::InplaceFunction::prefetch).  A hook is const and has no
+  /// observable effects: it may run for an event that is then cancelled
+  /// or overtaken by an earlier one.
   bool step();
 
   /// Runs events until the queue drains or the horizon passes.  The clock
@@ -177,6 +183,7 @@ class Engine {
  private:
   /// EventId packing: high 40 bits scheduling sequence, low 24 bits slot.
   static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask = (1u << kSlotBits) - 1;
   static constexpr std::uint64_t kSeqMask = (1ull << 40) - 1;
 
   struct EventSlot {
@@ -318,7 +325,7 @@ class Engine {
   /// Queued keys always carry a nonzero sequence, so a dead slot
   /// (seq 0) never matches.
   bool live_key(std::uint64_t key) const {
-    return pool_[key & ((1u << kSlotBits) - 1)].seq == key >> kSlotBits;
+    return pool_[key & kSlotMask].seq == key >> kSlotBits;
   }
   bool entry_live(QueueEntry entry) const { return live_key(entry_key(entry)); }
 

@@ -9,9 +9,10 @@
 //     cycles touch no allocator;
 //   * network: recycled SendOp slots, flat handler tables and inline
 //     {this, op} event captures across all legs of a send;
-//   * transport: pooled pending sends, dense per-channel anti-replay
-//     windows and inline message bodies, so a reliable round trip
-//     hashes nothing and allocates nothing;
+//   * transport: one pooled send op per reliable send (held through
+//     retransmit backoffs), dense per-channel anti-replay windows and
+//     inline message bodies, so a reliable round trip -- retransmits
+//     included -- hashes nothing and allocates nothing;
 //   * tree broadcast through the transport: recycled broadcast state
 //     (position-indexed relay contexts, child slots, delivered bitmap);
 //   * "policy" scheduler pass plus limit audit: dense user/account
@@ -32,6 +33,7 @@
 
 #include "comm/tree.hpp"
 #include "core/experiment.hpp"
+#include "net/chaos.hpp"
 #include "net/network.hpp"
 #include "net/transport.hpp"
 #include "rm/ha_master.hpp"
@@ -272,6 +274,64 @@ TEST(ZeroAllocation, TransportSteadyStatePingPong) {
   EXPECT_GT(pp.rounds, warm_rounds + 100);  // traffic actually flowed
   EXPECT_EQ(pp.failures, 0u);
   EXPECT_EQ(transport.duplicates_suppressed(), 0u);
+}
+
+TEST(ZeroAllocation, TransportRetransmitSteadyState) {
+  if (!ESLURM_ALLOC_HOOK) GTEST_SKIP() << "allocation hook disabled under sanitizers";
+
+  // The ping-pong above with a fifth of all message and ack legs
+  // dropped: failed attempts wait out a backoff and relaunch their own
+  // send op, and lost acks make the receiver suppress retransmits.
+  sim::Engine engine;
+  net::Network network(engine, 4, net::LinkModel{}, Rng(42));
+  net::ChaosInjector chaos(engine, 4, Rng(44));
+  net::ChaosPlan plan;
+  plan.ambient(/*drop=*/0.2);
+  chaos.set_plan(std::move(plan));
+  network.set_chaos(&chaos);
+  net::TransportOptions options;
+  options.rto_initial = milliseconds(1);
+  options.rto_max = milliseconds(8);
+  options.max_retries = 40;
+  net::ReliableTransport transport(network, Rng(43), options);
+
+  struct PingPong {
+    net::ReliableTransport& transport;
+    std::uint64_t rounds = 0;
+    std::uint64_t failures = 0;
+    void send(net::NodeId from, net::NodeId to, net::MessageType type) {
+      net::Message msg;
+      msg.type = type;
+      msg.bytes = 64;
+      transport.send(from, to, std::move(msg), milliseconds(2), [this](bool ok) {
+        if (!ok) ++failures;
+      });
+    }
+  };
+  PingPong pp{transport};
+  transport.register_handler(1, kPing, [&pp](const net::Message&) { pp.send(1, 0, kPong); });
+  transport.register_handler(0, kPong, [&pp](const net::Message&) {
+    ++pp.rounds;
+    pp.send(0, 1, kPing);
+  });
+  pp.send(0, 1, kPing);
+  engine.run_until(seconds(1));  // warm-up
+  const std::uint64_t warm_rounds = pp.rounds;
+  const std::uint64_t warm_retransmits = transport.retransmits();
+
+  std::uint64_t allocated;
+  {
+    CountingScope scope;
+    engine.run_until(seconds(5));
+    allocated = CountingScope::count();
+  }
+  EXPECT_EQ(allocated, 0u) << "a retransmit, its backoff and its relaunch must "
+                              "not touch the allocator";
+  EXPECT_EQ(engine.heap_fallback_events(), 0u);
+  EXPECT_GT(pp.rounds, warm_rounds + 100);  // traffic actually flowed
+  EXPECT_GT(transport.retransmits(), warm_retransmits + 100);
+  EXPECT_GT(transport.duplicates_suppressed(), 0u);
+  EXPECT_EQ(pp.failures, 0u);
 }
 
 TEST(ZeroAllocation, TreeBroadcastThroughTransport) {

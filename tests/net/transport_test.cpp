@@ -488,5 +488,102 @@ TEST_F(TransportFixture, FrameAfterTransportDestroyedIsDropped) {
   EXPECT_NO_THROW(net.register_handler(1, 7, [](const Message&) {}));
 }
 
+TEST_F(TransportFixture, SendInFlightWhenTransportIsDestroyedCompletesOnce) {
+  // The transport dies while its send is in flight: the send's op is
+  // detached and finishes as a single-attempt send, whose callback fires
+  // exactly once -- on a clean network with the delivery, under a
+  // drop-everything plan with the failure.
+  for (const bool drop_all : {false, true}) {
+    SCOPED_TRACE(drop_all ? "drop everything" : "clean network");
+    sim::Engine world;
+    Network net(world, 2, model, Rng(1));
+    ChaosInjector chaos(world, 2, Rng(7));
+    if (drop_all) {
+      ChaosPlan plan;
+      plan.ambient(1.0);
+      chaos.set_plan(std::move(plan));
+      net.set_chaos(&chaos);
+    }
+    int calls = 0;
+    bool last = !drop_all;
+    {
+      ReliableTransport transport(net, Rng(9));
+      transport.send(0, 1, Message{.type = 7}, seconds(1), [&](bool ok) {
+        ++calls;
+        last = ok;
+      });
+      EXPECT_EQ(net.in_flight_sends(), 1u);
+    }
+    world.run();
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(last, !drop_all);
+    EXPECT_EQ(net.in_flight_sends(), 0u);
+    EXPECT_EQ(net.total_messages(), 1u);  // one attempt, no retransmit
+  }
+}
+
+TEST_F(TransportFixture, TransportDestroyedDuringBackoffRelaunchesOnce) {
+  // Destroyed while a failed attempt waits out its backoff: the pending
+  // relaunch still happens, as a final single attempt.
+  Network net = make(2);
+  ChaosInjector chaos(engine, 2, Rng(7));
+  ChaosPlan plan;
+  plan.ambient(1.0);
+  chaos.set_plan(std::move(plan));
+  net.set_chaos(&chaos);
+  int calls = 0;
+  auto transport = std::make_unique<ReliableTransport>(net, Rng(9), exact_options());
+  transport->send(0, 1, Message{.type = 7}, seconds(1), [&](bool ok) {
+    EXPECT_FALSE(ok);
+    ++calls;
+  });
+  engine.run_until(milliseconds(1200));  // attempt 1 failed at 1.0 s
+  EXPECT_EQ(transport->retransmits(), 1u);
+  transport.reset();
+  engine.run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(net.total_messages(), 2u);
+  EXPECT_EQ(net.in_flight_sends(), 0u);
+}
+
+TEST_F(TransportFixture, RetransmitsReuseOneSendRecord) {
+  // Drop everything for the first 4 s: with a 1 s timeout and 0.5/1/2 s
+  // backoffs the attempts start at 0, 1.5, 3.5 and 6.5 s, so k = 3 are
+  // lost and the fourth lands.  Every attempt runs on the same op.
+  constexpr std::uint64_t kDropped = 3;
+  Network net = make(2);
+  ChaosInjector chaos(engine, 2, Rng(7));
+  ChaosPlan plan;
+  plan.ambient(1.0).duration = seconds(4);
+  chaos.set_plan(std::move(plan));
+  net.set_chaos(&chaos);
+  ReliableTransport transport(net, Rng(9), exact_options());
+  int got = 0;
+  int calls = 0;
+  transport.register_handler(1, 7, [&](const Message& m) {
+    EXPECT_EQ(m.body<int>(), 41);
+    ++got;
+  });
+  std::vector<std::size_t> in_flight;
+  for (const SimTime probe : {milliseconds(1200), milliseconds(3000), milliseconds(5000)})
+    engine.schedule_at(probe, [&] { in_flight.push_back(net.in_flight_sends()); });
+  Message msg;
+  msg.type = 7;
+  msg.payload = 41;
+  transport.send(0, 1, std::move(msg), seconds(1), [&](bool ok) {
+    EXPECT_TRUE(ok);
+    ++calls;
+  });
+  engine.run();
+  EXPECT_EQ(in_flight, (std::vector<std::size_t>{1, 1, 1}));  // held through each backoff
+  EXPECT_EQ(net.in_flight_sends(), 0u);
+  EXPECT_EQ(net.send_op_pool_capacity(), 1u);
+  EXPECT_EQ(transport.retransmits(), kDropped);
+  EXPECT_EQ(net.failed_sends(), kDropped);
+  EXPECT_EQ(net.total_messages(), kDropped + 1);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(got, 1);
+}
+
 }  // namespace
 }  // namespace eslurm::net

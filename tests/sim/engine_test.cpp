@@ -198,6 +198,66 @@ TEST(Engine, StepReturnsFalseWhenEmpty) {
   EXPECT_EQ(engine.pending_count(), 0u);
 }
 
+/// Per-event record for the prefetch-hook tests.
+struct HookRecord {
+  int prefetches = 0;          ///< hook calls so far
+  int prefetches_at_run = -1;  ///< hook calls seen when the event ran
+};
+
+/// A hooked event: `id` indexes its record; when `chains` > 0 it
+/// schedules hop id + chains 10 s later, up to `events` hops.
+struct HookedHop {
+  Engine* engine;
+  std::vector<HookRecord>* records;
+  int id;
+  int chains = 0;
+  int events = 0;
+  void operator()() const {
+    (*records)[static_cast<std::size_t>(id)].prefetches_at_run =
+        (*records)[static_cast<std::size_t>(id)].prefetches;
+    if (chains > 0 && id + chains < events)
+      engine->schedule_after(seconds(10), HookedHop{engine, records, id + chains, chains, events});
+  }
+  void prefetch() const { ++(*records)[static_cast<std::size_t>(id)].prefetches; }
+};
+static_assert(EventFn::stores_inline_v<HookedHop>);
+
+TEST(Engine, PrefetchHookRunsBeforeItsEvent) {
+  // Three interleaved chains, each hop rescheduling itself 10 s ahead --
+  // behind the other chains' pending hops, so the entry under the queue
+  // top when an event starts is still the next one to run when it ends.
+  constexpr int kChains = 3;
+  constexpr int kEvents = 300;
+  Engine engine;
+  std::vector<HookRecord> records(kEvents);
+  engine.schedule_at(0, [] {});  // no event runs before the first hop
+  for (int c = 0; c < kChains; ++c)
+    engine.schedule_at(seconds(1 + c), HookedHop{&engine, &records, c, kChains, kEvents});
+  engine.run();
+  for (int id = 0; id < kEvents; ++id)
+    EXPECT_GE(records[static_cast<std::size_t>(id)].prefetches_at_run, 1) << "event " << id;
+
+  // A cancelled event's hook never runs after the cancel, even when the
+  // callback that cancels it refills its slot with a new event.
+  Engine second;
+  std::vector<HookRecord> hooks(3);
+  EventId victim = kInvalidEvent;
+  int at_cancel = -1;
+  second.schedule_at(0, [] {});
+  second.schedule_at(seconds(1), [&] {
+    ASSERT_TRUE(second.cancel(victim));
+    at_cancel = hooks[1].prefetches;
+    second.schedule_at(seconds(2), HookedHop{&second, &hooks, 2});
+  });
+  victim = second.schedule_at(seconds(2), HookedHop{&second, &hooks, 1});
+  second.schedule_at(seconds(3), HookedHop{&second, &hooks, 0});
+  second.run();
+  EXPECT_EQ(hooks[1].prefetches, at_cancel);
+  EXPECT_EQ(hooks[1].prefetches_at_run, -1);  // never ran
+  EXPECT_GE(hooks[2].prefetches_at_run, 0);   // the replacement ran
+  EXPECT_EQ(second.executed_events(), 4u);
+}
+
 TEST(Engine, CompactionDropsStaleEntriesFromLazyCancels) {
   Engine engine;
   // Arm-and-cancel far-future watchdogs: without compaction, each

@@ -108,5 +108,61 @@ TEST(InplaceFunction, SelfAssignmentIsSafe) {
   EXPECT_EQ(calls, 1);
 }
 
+/// A functor with the optional prefetch hook; counts both kinds of call.
+struct Hooked {
+  int* prefetches;
+  int* calls;
+  int operator()() const { return ++*calls; }
+  void prefetch() const { ++*prefetches; }
+};
+
+TEST(InplaceFunction, PrefetchHookCallsTheFunctorOncePerCall) {
+  int prefetches = 0;
+  int calls = 0;
+  SmallFn fn(Hooked{&prefetches, &calls});
+  ASSERT_TRUE(fn.is_inline());
+  const SmallFn& view = fn;  // the hook is callable through a const function
+  view.prefetch();
+  EXPECT_EQ(prefetches, 1);
+  view.prefetch();
+  EXPECT_EQ(prefetches, 2);
+  EXPECT_EQ(calls, 0);  // a hint, never the call itself
+
+  SmallFn moved(std::move(fn));
+  moved.prefetch();
+  EXPECT_EQ(prefetches, 3);  // the hook travels with the callable
+  EXPECT_EQ(moved(), 1);
+}
+
+TEST(InplaceFunction, PrefetchHookIsANoOpWithoutTheMember) {
+  int calls = 0;
+  SmallFn lambda([&calls] { return ++calls; });
+  lambda.prefetch();
+  EXPECT_EQ(calls, 0);
+
+  const SmallFn empty{};
+  empty.prefetch();  // must not dereference a missing vtable
+
+  SmallFn reset_fn([&calls] { return ++calls; });
+  reset_fn = nullptr;
+  reset_fn.prefetch();
+  EXPECT_EQ(calls, 0);
+}
+
+TEST(InplaceFunction, PrefetchHookIsANoOpForHeapFallbackCallables) {
+  struct BigHooked {
+    std::array<int, 64> pad{};
+    int* prefetches;
+    int operator()() const { return pad[0]; }
+    void prefetch() const { ++*prefetches; }
+  };
+  int prefetches = 0;
+  SmallFn fn(BigHooked{{}, &prefetches});
+  ASSERT_FALSE(fn.is_inline());
+  fn.prefetch();
+  EXPECT_EQ(prefetches, 0);
+  EXPECT_EQ(fn(), 0);
+}
+
 }  // namespace
 }  // namespace eslurm::util
