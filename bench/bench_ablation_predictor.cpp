@@ -95,5 +95,5 @@ int main(int argc, char** argv) {
   std::printf("[paper guidance: never refresh slower than every 30 h (Fig. 5b)]\n\n");
   print_group("clusters", "cluster count K (0 = elbow auto):", "K");
   std::printf("[paper: K = 15 selected by the elbow method]\n");
-  return 0;
+  return harness.finish();
 }

@@ -135,5 +135,5 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("\n[expected: backfill >> FCFS; better estimates tighten waits; the\n"
               " estimate-quality gap is the channel ESLURM's estimator exploits]\n");
-  return 0;
+  return harness.finish();
 }

@@ -11,7 +11,8 @@
 //     relay's in-tree retries are all dropped -- lost deliveries grow
 //     with the drop rate;
 //   * the transported variants lose nothing (delivered == targets) at
-//     every swept rate, paying only retransmit latency.
+//     every swept rate, paying only retransmit latency (checked: a lost
+//     delivery on a reliable point makes the bench exit 1).
 // All worlds are seeded per sweep point, so results are bit-identical
 // across --jobs values and across runs.
 #include <optional>
@@ -116,6 +117,7 @@ int main(int argc, char** argv) {
               nodes);
   Table table({"drop %", "structure", "transport", "elapsed (s)", "delivered",
                "lost", "retransmits", "dup suppressed"});
+  std::string lossy;  // labels of reliable points that lost deliveries
   for (Cell& cell : cells) {
     const std::string transport_name = cell.reliable ? "reliable" : "raw";
     const auto count = [](double v) {
@@ -125,9 +127,11 @@ int main(int argc, char** argv) {
                    transport_name, format_double(cell.elapsed_s, 4),
                    count(cell.delivered), count(cell.lost),
                    count(cell.retransmits), count(cell.dup_suppressed)});
+    const std::string label = "drop=" + format_double(100 * cell.drop, 3) +
+                              "%/" + cell.structure + "/" + transport_name;
+    if (cell.reliable && cell.lost != 0.0) lossy += " " + label;
     harness.record_point(
-        "drop=" + format_double(100 * cell.drop, 3) + "%/" + cell.structure +
-            "/" + transport_name,
+        label,
         {{"drop_prob", format_double(cell.drop, 4)},
          {"structure", cell.structure},
          {"transport", transport_name},
@@ -143,5 +147,9 @@ int main(int argc, char** argv) {
   std::printf("[reliable variants must report lost = 0 at every drop rate; "
               "raw trees shed deliveries as drops defeat their in-tree "
               "retries]\n");
-  return 0;
+  harness.check("reliable points lose 0", lossy.empty(),
+                "deliveries lost at" + lossy);
+  harness.check("simulated_events", harness.total_events() > 0,
+                "the bench's worlds executed no events");
+  return harness.finish();
 }

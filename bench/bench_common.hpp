@@ -9,37 +9,54 @@
 //   --replicas N         seed replicas per sweep point (mean +/- stddev)
 //   --json OUT           write a BENCH_<name>.json artifact; OUT is the
 //                        file path (when it ends in .json) or a directory
-//   --telemetry-out FILE single combined trace+metrics artifact
-//   --telemetry-dir DIR  one telemetry artifact per sweep point
+//   --telemetry-out PATH telemetry artifact: the file PATH for a bench that
+//                        runs one world at a time, or PATH/<label>.trace.json
+//                        per point for a sweep bench (sweep_spec())
+// An unknown flag, a missing value or a count that is not a positive
+// integer prints a usage line and exits 2.
+//
+// A bench checks its own claims: harness.check(name, ok, detail) prints
+// the verdict next to the `[paper: ...]` line it guards, and main() ends
+// in `return harness.finish();`, which writes the artifacts and exits 1
+// if any check failed or any requested artifact could not be written.
 //
 // The BENCH JSON schema ("eslurm-bench-v2"):
 //   { "schema": "eslurm-bench-v2", "bench": "<name>", "smoke": bool,
 //     "jobs": N, "replicas": N,
 //     "wall_seconds": s, "total_events": N,
 //     "events_per_sec": N|null, "peak_rss_bytes": N,
+//     "headline": ["metric", ...],
+//     "checks": [ {"name": "...", "ok": bool, "detail": "..."} ],
 //     "points": [ { "label": "...", "params": {"k": "v", ...},
 //                   "metrics": {"m": {"mean","stddev","min","max","n"}},
 //                   "replicas": [ {"m": value, ...}, ... ] } ] }
 // Per-replica raw values make cross-run bit-identity checkable with a
 // plain diff; aggregate stats feed the perf-trajectory tooling.
+// `headline` names the metrics tools/esprof tabulates per point, and
+// `checks` carries the verdicts; esprof exits 1 on a failed one.
 //
 // v2 (PR 5) adds the run-level performance envelope: every bench that
 // drives sim::Engine worlds calls record_events() with each world's
 // executed-event count (thread-safe; sweeps run on worker threads), and
 // the artifact reports simulated events per wall-clock second plus the
 // process's peak RSS -- the two axes the zero-allocation event core is
-// measured on.  `events_per_sec` is null for benches with no simulated
+// measured on.  Such a bench also checks `simulated_events`
+// (total_events() > 0), so a bench that stops recording its worlds
+// fails.  `events_per_sec` is null for benches with no simulated
 // events (pure ML / trace-statistics benches).  `tools/esprof` diffs
 // these fields across artifacts.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,53 +74,6 @@
 
 namespace eslurm::bench {
 
-/// Opt-in telemetry for a bench run.  If `--telemetry-out FILE` is
-/// present, this scope owns an enabled per-run context; pass `context()`
-/// into the worlds the bench builds (ExperimentConfig::telemetry or
-/// sim::Engine's constructor) and the combined trace+metrics artifact is
-/// written to FILE when the scope ends (load it in Perfetto, or
-/// summarize it with tools/esprof).  Without the flag the scope is inert
-/// and the run pays no telemetry cost.  The context serves one world at
-/// a time: attach it to sequential runs only, never concurrent ones.
-class TelemetryScope {
- public:
-  TelemetryScope(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      if (std::string(argv[i]) != "--telemetry-out") continue;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "warning: --telemetry-out requires a path argument; "
-                     "telemetry stays disabled\n");
-        break;
-      }
-      path_ = argv[i + 1];
-      context_.enable();
-      break;
-    }
-  }
-  ~TelemetryScope() {
-    if (path_.empty()) return;
-    if (context_.save(path_))
-      std::printf("telemetry: wrote %s\n", path_.c_str());
-    else
-      std::fprintf(stderr, "telemetry: could not write %s\n", path_.c_str());
-  }
-  TelemetryScope(const TelemetryScope&) = delete;
-  TelemetryScope& operator=(const TelemetryScope&) = delete;
-
-  /// The context to inject into this bench's worlds; nullptr when the
-  /// flag was absent.
-  telemetry::Telemetry* context() { return path_.empty() ? nullptr : &context_; }
-
-  /// Drop the pending artifact (the flag was rejected, e.g. --jobs > 1);
-  /// nothing is written at scope end.
-  void suppress() { path_.clear(); }
-
- private:
-  telemetry::Telemetry context_;
-  std::string path_;
-};
-
 /// Banner printed by every harness.  Also switches stdout to line
 /// buffering so long runs show progress when redirected to a file.
 inline void banner(const std::string& id, const std::string& what) {
@@ -111,6 +81,56 @@ inline void banner(const std::string& id, const std::string& what) {
   std::printf("==============================================================\n");
   std::printf("%s -- %s\n", id.c_str(), what.c_str());
   std::printf("==============================================================\n");
+}
+
+/// The shared flag set, as parsed from the command line.
+struct Flags {
+  bool smoke = false;
+  int jobs = 1;
+  int replicas = 1;
+  std::string json_out;
+  std::string telemetry_out;
+};
+
+/// Parses the shared flags.  Returns nullopt and sets `error` on an
+/// unknown flag, a missing value, or a --jobs/--replicas value that is
+/// not a positive integer.
+inline std::optional<Flags> parse_flags(int argc, char** argv, std::string& error) {
+  Flags flags;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--smoke") {
+      flags.smoke = true;
+      continue;
+    }
+    std::string* text = arg == "--json"            ? &flags.json_out
+                        : arg == "--telemetry-out" ? &flags.telemetry_out
+                                                   : nullptr;
+    int* count = arg == "--jobs"       ? &flags.jobs
+                 : arg == "--replicas" ? &flags.replicas
+                                       : nullptr;
+    if (!text && !count) {
+      error = "unknown argument '" + arg + "'";
+      return std::nullopt;
+    }
+    const std::string value = i + 1 < argc ? argv[i + 1] : "";
+    if (value.empty() || value.rfind("--", 0) == 0) {
+      error = arg + " requires a value";
+      return std::nullopt;
+    }
+    ++i;
+    if (text) {
+      *text = value;
+      continue;
+    }
+    const char* end = value.data() + value.size();
+    const auto [stop, ec] = std::from_chars(value.data(), end, *count);
+    if (ec != std::errc() || stop != end || *count < 1) {
+      error = arg + " needs a positive integer, got '" + value + "'";
+      return std::nullopt;
+    }
+  }
+  return flags;
 }
 
 namespace detail {
@@ -164,76 +184,67 @@ inline std::uint64_t peak_rss_bytes() {
 
 }  // namespace detail
 
-/// Uniform flag parsing + result recording for a bench harness.
+/// Flag parsing, claim checks and result recording for a bench harness.
 /// Construct at the top of main(), record every sweep point (or whole
-/// run_sweep outcome), and the destructor writes the JSON artifact.
+/// run_sweep outcome), check the claims the bench reproduces, and end
+/// main() with `return harness.finish();`.
 class Harness {
  public:
   Harness(std::string name, const std::string& paper_id,
           const std::string& what, int argc, char** argv)
-      : name_(std::move(name)), scope_(argc, argv) {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      auto value = [&](const char* flag) -> const char* {
-        if (i + 1 < argc) return argv[++i];
-        std::fprintf(stderr, "warning: %s requires an argument; ignored\n", flag);
-        return nullptr;
-      };
-      if (arg == "--smoke") {
-        smoke_ = true;
-      } else if (arg == "--jobs") {
-        if (const char* v = value("--jobs")) jobs_ = std::max(1, std::atoi(v));
-      } else if (arg == "--replicas") {
-        if (const char* v = value("--replicas"))
-          replicas_ = std::max(1, std::atoi(v));
-      } else if (arg == "--json") {
-        if (const char* v = value("--json")) json_out_ = v;
-      } else if (arg == "--telemetry-out") {
-        ++i;  // handled (and validated) by the TelemetryScope
-      } else if (arg == "--telemetry-dir") {
-        if (const char* v = value("--telemetry-dir")) telemetry_dir_ = v;
-      } else {
-        std::fprintf(stderr, "warning: unknown argument '%s' ignored\n",
-                     arg.c_str());
-      }
-    }
+      : name_(std::move(name)) {
+    std::string error;
+    const auto flags = parse_flags(argc, argv, error);
+    if (!flags) usage_error(error);
+    flags_ = *flags;
     banner(paper_id, what);
   }
 
-  ~Harness() { write_json(); }
   Harness(const Harness&) = delete;
   Harness& operator=(const Harness&) = delete;
 
   const std::string& name() const { return name_; }
-  bool smoke() const { return smoke_; }
-  int jobs() const { return jobs_; }
-  int replicas() const { return replicas_; }
+  bool smoke() const { return flags_.smoke; }
+  int jobs() const { return flags_.jobs; }
+  int replicas() const { return flags_.replicas; }
 
-  /// The single-artifact telemetry context (--telemetry-out); nullptr
-  /// when absent.  A context serves one world at a time, so parallel
-  /// runs (--jobs > 1) get nullptr here -- use --telemetry-dir for
-  /// per-point artifacts instead.
+  /// The telemetry context for a bench that runs one world at a time;
+  /// nullptr without --telemetry-out.  finish() writes it to the file
+  /// PATH.  A context serves one world at a time, so asking for it with
+  /// --jobs > 1 is a usage error.
   telemetry::Telemetry* telemetry() {
-    if (jobs_ > 1 && scope_.context()) {
-      if (!warned_parallel_telemetry_) {
-        warned_parallel_telemetry_ = true;
-        std::fprintf(stderr,
-                     "warning: --telemetry-out is single-world; ignored with "
-                     "--jobs > 1 (use --telemetry-dir)\n");
-        scope_.suppress();
-      }
-      return nullptr;
+    if (flags_.telemetry_out.empty()) return nullptr;
+    if (telemetry_mode_ != TelemetryMode::kFile) {
+      if (flags_.jobs > 1)
+        usage_error("--telemetry-out needs --jobs 1: this bench's worlds "
+                    "share one telemetry context");
+      namespace fs = std::filesystem;
+      const fs::path path(flags_.telemetry_out);
+      std::error_code ec;
+      if (path.has_parent_path()) fs::create_directories(path.parent_path(), ec);
+      if (!std::ofstream(path))
+        usage_error("--telemetry-out: cannot write " + flags_.telemetry_out);
+      telemetry_mode_ = TelemetryMode::kFile;
+      context_.enable();
     }
-    return scope_.context();
+    return &context_;
   }
 
-  /// SweepSpec pre-filled with this run's --jobs/--replicas and the
-  /// per-point artifact directory (--telemetry-dir); add points and go.
-  core::SweepSpec sweep_spec() const {
+  /// SweepSpec pre-filled with this run's --jobs/--replicas and, with
+  /// --telemetry-out, the per-point artifact directory; add points and go.
+  core::SweepSpec sweep_spec() {
     core::SweepSpec spec;
-    spec.jobs = jobs_;
-    spec.replicas = replicas_;
-    spec.telemetry_dir = telemetry_dir_;
+    spec.jobs = flags_.jobs;
+    spec.replicas = flags_.replicas;
+    if (!flags_.telemetry_out.empty()) {
+      std::error_code ec;
+      std::filesystem::create_directories(flags_.telemetry_out, ec);
+      if (!std::filesystem::is_directory(flags_.telemetry_out, ec))
+        usage_error("--telemetry-out: cannot create directory " +
+                    flags_.telemetry_out);
+      telemetry_mode_ = TelemetryMode::kDirectory;
+      spec.telemetry_dir = flags_.telemetry_out;
+    }
     return spec;
   }
 
@@ -247,6 +258,11 @@ class Harness {
   /// this from their own threads, once per finished world.
   void record_events(std::uint64_t executed) {
     total_events_.fetch_add(executed, std::memory_order_relaxed);
+  }
+
+  /// Simulated events recorded so far.
+  std::uint64_t total_events() const {
+    return total_events_.load(std::memory_order_relaxed);
   }
 
   /// Records one standalone point (single replica, n = 1 aggregates) --
@@ -265,11 +281,98 @@ class Harness {
     points_.push_back(std::move(outcome));
   }
 
+  /// Checks one claim of the bench: prints `check <name>: ok` or
+  /// `check <name>: FAILED <detail>` and records the verdict in the
+  /// artifact's "checks" (`detail` explains a failure and is recorded
+  /// only for one).  Any failed check makes finish() return 1.  Call
+  /// from the main thread.
+  void check(const std::string& name, bool ok, const std::string& detail) {
+    if (ok)
+      std::printf("check %s: ok\n", name.c_str());
+    else
+      std::printf("check %s: FAILED %s\n", name.c_str(), detail.c_str());
+    checks_.push_back({name, ok, ok ? std::string() : detail});
+  }
+
+  /// Names the metrics tools/esprof tabulates per point ("headline").
+  void headline(std::vector<std::string> metrics) { headline_ = std::move(metrics); }
+
+  /// Writes the requested artifacts and returns the process exit code:
+  /// 0, or 1 when a check failed, an artifact could not be written, or
+  /// --telemetry-out produced no non-empty artifact.
+  int finish() {
+    finish_telemetry();
+    write_json(total_events());
+    const std::size_t failed = static_cast<std::size_t>(
+        std::count_if(checks_.begin(), checks_.end(),
+                      [](const Check& c) { return !c.ok; }));
+    if (!checks_.empty())
+      std::printf("checks: %zu of %zu passed\n", checks_.size() - failed,
+                  checks_.size());
+    return failed > 0 || errors_ > 0 ? 1 : 0;
+  }
+
  private:
-  void write_json() const {
-    if (json_out_.empty()) return;
+  struct Check {
+    std::string name;
+    bool ok = false;
+    std::string detail;
+  };
+  enum class TelemetryMode { kNone, kFile, kDirectory };
+
+  [[noreturn]] void usage_error(const std::string& message) const {
+    std::fprintf(stderr,
+                 "bench_%s: %s\nusage: bench_%s [--smoke] [--jobs N] "
+                 "[--replicas N] [--json OUT] [--telemetry-out PATH]\n",
+                 name_.c_str(), message.c_str(), name_.c_str());
+    std::exit(2);
+  }
+
+  void error(const std::string& message) {
+    std::fprintf(stderr, "bench_%s: %s\n", name_.c_str(), message.c_str());
+    ++errors_;
+  }
+
+  void finish_telemetry() {
+    const std::string& path = flags_.telemetry_out;
+    if (path.empty()) return;
+    switch (telemetry_mode_) {
+      case TelemetryMode::kNone:
+        error("--telemetry-out: this bench attaches telemetry to no world");
+        return;
+      case TelemetryMode::kFile:
+        if (context_.empty()) {
+          std::error_code ec;
+          std::filesystem::remove(path, ec);  // the probe telemetry() opened
+          error("--telemetry-out: no world recorded telemetry; " + path +
+                " not written");
+        } else if (!context_.save(path)) {
+          error("telemetry: could not write " + path);
+        } else {
+          std::printf("telemetry: wrote %s\n", path.c_str());
+        }
+        return;
+      case TelemetryMode::kDirectory: {
+        bool written = !points_.empty();
+        if (!written) error("--telemetry-out: no sweep point recorded");
+        for (const core::PointOutcome& point : points_) {
+          if (!point.telemetry_path.empty()) continue;
+          error("telemetry: point '" + point.point.label +
+                "' recorded nothing or could not be written under " + path);
+          written = false;
+        }
+        if (written)
+          std::printf("telemetry: wrote %zu artifacts under %s\n",
+                      points_.size(), path.c_str());
+        return;
+      }
+    }
+  }
+
+  void write_json(std::uint64_t events) {
+    if (flags_.json_out.empty()) return;
     namespace fs = std::filesystem;
-    fs::path path(json_out_);
+    fs::path path(flags_.json_out);
     std::error_code ec;
     if (path.extension() != ".json") {
       fs::create_directories(path, ec);
@@ -279,7 +382,7 @@ class Harness {
     }
     std::ofstream os(path);
     if (!os) {
-      std::fprintf(stderr, "bench: could not write %s\n", path.c_str());
+      error("could not write " + path.string());
       return;
     }
     using detail::json_escape;
@@ -287,17 +390,26 @@ class Harness {
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start_)
                             .count();
-    const std::uint64_t events = total_events_.load(std::memory_order_relaxed);
     os << "{\n  \"schema\": \"eslurm-bench-v2\",\n  \"bench\": \""
-       << json_escape(name_) << "\",\n  \"smoke\": " << (smoke_ ? "true" : "false")
-       << ",\n  \"jobs\": " << jobs_ << ",\n  \"replicas\": " << replicas_
+       << json_escape(name_) << "\",\n  \"smoke\": "
+       << (flags_.smoke ? "true" : "false") << ",\n  \"jobs\": " << flags_.jobs
+       << ",\n  \"replicas\": " << flags_.replicas
        << ",\n  \"wall_seconds\": " << json_number(wall)
        << ",\n  \"total_events\": " << events << ",\n  \"events_per_sec\": "
        << (events > 0 && wall > 0.0
                ? json_number(static_cast<double>(events) / wall)
                : "null")
        << ",\n  \"peak_rss_bytes\": " << detail::peak_rss_bytes()
-       << ",\n  \"points\": [";
+       << ",\n  \"headline\": [";
+    for (std::size_t h = 0; h < headline_.size(); ++h)
+      os << (h ? ", \"" : "\"") << json_escape(headline_[h]) << '"';
+    os << "],\n  \"checks\": [";
+    for (std::size_t c = 0; c < checks_.size(); ++c)
+      os << (c ? ",\n    " : "\n    ") << "{\"name\": \""
+         << json_escape(checks_[c].name)
+         << "\", \"ok\": " << (checks_[c].ok ? "true" : "false")
+         << ", \"detail\": \"" << json_escape(checks_[c].detail) << "\"}";
+    os << (checks_.empty() ? "]" : "\n  ]") << ",\n  \"points\": [";
     for (std::size_t p = 0; p < points_.size(); ++p) {
       const core::PointOutcome& point = points_[p];
       os << (p ? ",\n    {" : "\n    {");
@@ -330,17 +442,21 @@ class Harness {
       os << "]}";
     }
     os << "\n  ]\n}\n";
+    os.close();
+    if (!os) {
+      error("could not write " + path.string());
+      return;
+    }
     std::printf("bench: wrote %s\n", path.c_str());
   }
 
   std::string name_;
-  TelemetryScope scope_;
-  bool smoke_ = false;
-  int jobs_ = 1;
-  int replicas_ = 1;
-  std::string json_out_;
-  std::string telemetry_dir_;
-  bool warned_parallel_telemetry_ = false;
+  Flags flags_;
+  telemetry::Telemetry context_;
+  TelemetryMode telemetry_mode_ = TelemetryMode::kNone;
+  std::vector<std::string> headline_;
+  std::vector<Check> checks_;
+  int errors_ = 0;
   std::vector<core::PointOutcome> points_;
   std::atomic<std::uint64_t> total_events_{0};
   std::chrono::steady_clock::time_point start_ = std::chrono::steady_clock::now();

@@ -245,5 +245,7 @@ int main(int argc, char** argv) {
               depths[0].eps / depths[1].eps);
   std::printf("state hook ratio (hooked / plain, ns per event): %.2f  [target <= 1]\n",
               states[0].eps / states[1].eps);
-  return 0;
+  harness.check("simulated_events", harness.total_events() > 0,
+                "the bench's worlds executed no events");
+  return harness.finish();
 }

@@ -14,15 +14,17 @@
 //                failure-aware node selection that steers new jobs away
 //                from predicted-failing / failure-prone nodes.
 //
-// Headline invariants, asserted by the CI smoke run on this artifact:
-//   * baseline reports jobs_failed > 0 at every sweep point (the
-//     failure pressure is real);
+// Headline invariants, checked by the bench at every (mtbf, drop) point
+// (a failed check makes it exit 1):
+//   * baseline reports jobs_failed > 0 (the failure pressure is real);
 //   * every retry arm reports jobs_failed == 0: no job is permanently
 //     lost once the retry budget exists;
 //   * lost node-seconds strictly decrease retry -> retry+ckpt ->
 //     +placement, and +placement loses less than baseline.
 // The sweep shows the actual trade-off: checkpoint overhead and backoff
 // waits buy goodput and survival.
+#include <iterator>
+
 #include "bench_common.hpp"
 
 using namespace eslurm;
@@ -36,12 +38,15 @@ struct Arm {
   bool placement;  ///< proactive drain + failure-aware node selection
 };
 
+/// The checks in main() index a point's arms in this order.
 constexpr Arm kArms[] = {
     {"baseline", 0, false, false},
     {"retry", 10, false, false},
     {"retry+ckpt", 10, true, false},
     {"+placement", 10, true, true},
 };
+constexpr std::size_t kArmCount = std::size(kArms);
+static_assert(kArmCount == 4, "one baseline and three recovery arms per point");
 
 struct Cell {
   double mtbf_hours = 0.0;
@@ -167,8 +172,8 @@ int main(int argc, char** argv) {
     // One seed per (mtbf, drop) point -- the four arms of a point see the
     // exact same failure trace, making the columns directly comparable.
     run_cell(harness, cells[i], nodes, job_count, horizon,
-             derive_seed(0xFA417, static_cast<std::uint64_t>(i) / 4),
-             harness.jobs() > 1 ? nullptr : telemetry);
+             derive_seed(0xFA417, static_cast<std::uint64_t>(i / kArmCount)),
+             telemetry);
   });
 
   std::printf("\nfault-tolerance sweep (%zu nodes, %zu jobs, %.0fh horizon)\n",
@@ -215,5 +220,31 @@ int main(int argc, char** argv) {
   std::printf("[baseline must fail jobs at every point; retry arms must "
               "report failed = 0; lost node-s must strictly decrease "
               "retry -> retry+ckpt -> +placement]\n");
-  return 0;
+
+  // The arms of one (mtbf, drop) point are consecutive cells, in kArms
+  // order: baseline, retry, retry+ckpt, +placement.
+  std::string unharmed, failed, not_decreasing;  // failing labels
+  for (std::size_t p = 0; p < cells.size(); p += kArmCount) {
+    const Cell* arm = &cells[p];
+    const std::string at = " mtbf=" + count(arm->mtbf_hours) + "h/drop=" +
+                           fixed(arm->drop_prob, 2);
+    if (!(arm[0].jobs_failed > 0.0)) unharmed += at;
+    for (std::size_t a = 1; a < kArmCount; ++a)
+      if (arm[a].jobs_failed != 0.0) failed += at + "/" + arm[a].arm->name;
+    const auto lost = [&](std::size_t a) { return arm[a].lost_node_seconds; };
+    if (!(lost(1) > lost(2) && lost(2) > lost(3) && lost(3) < lost(0)))
+      not_decreasing += at;
+  }
+  harness.headline({"jobs_completed", "jobs_failed", "failure_rate",
+                    "lost_node_seconds", "ckpt_node_seconds", "goodput"});
+  harness.check("baseline fails jobs", unharmed.empty(),
+                "baseline failed no jobs at" + unharmed);
+  harness.check("retry arms fail 0 jobs", failed.empty(),
+                "jobs failed at" + failed);
+  harness.check("lost node-seconds strictly decrease", not_decreasing.empty(),
+                "retry > retry+ckpt > +placement < baseline broken at" +
+                    not_decreasing);
+  harness.check("simulated_events", harness.total_events() > 0,
+                "the bench's worlds executed no events");
+  return harness.finish();
 }

@@ -149,5 +149,7 @@ int main(int argc, char** argv) {
               " every RM; on NG-Tianhe ESLURM improves utilization by 47.2%% over\n"
               " Slurm (8.7 from estimation, 6.2 from FP-Tree), cuts wait by 60.5%%\n"
               " and bounded slowdown by 75.8%%]\n");
-  return 0;
+  harness.check("simulated_events", harness.total_events() > 0,
+                "the bench's worlds executed no events");
+  return harness.finish();
 }

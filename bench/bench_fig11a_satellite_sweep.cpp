@@ -71,5 +71,7 @@ int main(int argc, char** argv) {
   harness.record_sweep(outcomes);
   std::printf("\n[paper: minimum around 20 satellites at 20K+ nodes -> the rule of\n"
               " one satellite per ~5K compute nodes]\n");
-  return 0;
+  harness.check("simulated_events", harness.total_events() > 0,
+                "the bench's worlds executed no events");
+  return harness.finish();
 }

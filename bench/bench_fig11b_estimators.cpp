@@ -61,5 +61,5 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("\n[paper: user worst & always over; SVM/RF/Last-2 < 0.70 AEA with\n"
               " UR > 0.25; IRPA/TRIP/PREP higher; ESLURM best: 0.84 AEA, ~0.10 UR]\n");
-  return 0;
+  return harness.finish();
 }

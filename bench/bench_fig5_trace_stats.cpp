@@ -83,5 +83,5 @@ int main(int argc, char** argv) {
   const SimTime window = harness.smoke() ? days(3) : days(14);
   analyze(harness, "Tianhe-2A", trace::tianhe2a_profile(), window);
   analyze(harness, "NG-Tianhe", trace::ng_tianhe_profile(), window);
-  return 0;
+  return harness.finish();
 }

@@ -77,5 +77,7 @@ int main(int argc, char** argv) {
   harness.record_sweep(outcomes);
   std::printf("\n[paper: SGE/Torque/OpenPBS grow to unacceptable levels; LSF/Slurm\n"
               " grow mildly; ESLURM stays below ~15 s at every size]\n");
-  return 0;
+  harness.check("simulated_events", harness.total_events() > 0,
+                "the bench's worlds executed no events");
+  return harness.finish();
 }

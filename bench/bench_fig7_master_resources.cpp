@@ -105,5 +105,7 @@ int main(int argc, char** argv) {
   std::printf("\n[paper: ESLURM lowest CPU + <2 GB vmem + ~60 MB RSS + <100 sockets;\n"
               " Slurm ~10 GB vmem; SGE/OpenPBS sustain huge connection counts;\n"
               " LSF/Slurm burst past 1000 sockets]\n");
-  return 0;
+  harness.check("simulated_events", harness.total_events() > 0,
+                "the bench's worlds executed no events");
+  return harness.finish();
 }

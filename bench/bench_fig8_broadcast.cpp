@@ -217,5 +217,7 @@ int main(int argc, char** argv) {
   const int rounds = harness.smoke() ? 3 : 10;
   fig8a(harness, nodes, rounds);
   fig8b(harness, nodes);
-  return 0;
+  harness.check("simulated_events", harness.total_events() > 0,
+                "the bench's worlds executed no events");
+  return harness.finish();
 }

@@ -25,7 +25,7 @@ core::MetricRow collect(const std::string& prefix, const rm::DaemonStats& stats)
 int main(int argc, char** argv) {
   // --nodes N overrides the cluster width (e.g. --smoke --nodes 102400
   // for the 100K-node CI smoke).  Stripped here because bench::Harness
-  // warns on flags it does not know.
+  // rejects flags it does not know.
   std::size_t nodes_override = 0;
   std::vector<char*> args;
   args.push_back(argv[0]);
@@ -117,5 +117,7 @@ int main(int argc, char** argv) {
   sat.print();
   harness.record_sweep(outcomes);
   std::printf("[paper: balanced load; ~50 CPU min each; ~80 MB RSS; < 80 sockets]\n");
-  return 0;
+  harness.check("simulated_events", harness.total_events() > 0,
+                "the bench's worlds executed no events");
+  return harness.finish();
 }

@@ -112,5 +112,5 @@ int main(int argc, char** argv) {
                        {{"depth_estimate_ns", depth_ns}});
   std::printf("\n[expect: ns/node roughly flat across n (linear construction);\n"
               " rearrange cost insensitive to the failure ratio]\n");
-  return 0;
+  return harness.finish();
 }

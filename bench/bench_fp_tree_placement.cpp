@@ -77,5 +77,7 @@ int main(int argc, char** argv) {
        {"predicted_leaf_ratio", stats->leaf_placement_ratio()}});
   std::printf("\n[paper: 3828 trees/satellite-day, 1423 failed-node encounters,\n"
               " 81.7%% of the *failed* nodes placed on leaves]\n");
-  return 0;
+  harness.check("simulated_events", harness.total_events() > 0,
+                "the bench's worlds executed no events");
+  return harness.finish();
 }

@@ -164,5 +164,7 @@ int main(int argc, char** argv) {
               " sub-second.  Expect the centralized rows to degrade super-\n"
               " linearly with users while eslurm stays flat with >50%% of\n"
               " requests served off-master at the largest sweep point.]\n");
-  return 0;
+  harness.check("simulated_events", harness.total_events() > 0,
+                "the bench's worlds executed no events");
+  return harness.finish();
 }

@@ -6,12 +6,14 @@
 // the standby is in flight) -- for each snapshot cadence.  The standby
 // satellite promotes itself from the replicated snapshot plus WAL tail.
 //
-// Headline invariants, asserted by the CI smoke run on this artifact:
-//   * jobs_lost == 0 at every point: every job whose submission the
-//     master acked (WAL record replicated + acked) reaches a terminal
-//     state on the promoted master;
-//   * duplicate_launches == 0 at every point: recovery never starts a
-//     job that is already running on the compute plane.
+// Headline invariants, checked by the bench at every point (a failed
+// check makes it exit 1):
+//   * jobs_lost == 0: every job whose submission the master acked (WAL
+//     record replicated + acked) reaches a terminal state on the
+//     promoted master;
+//   * duplicate_launches == 0: recovery never starts a job that is
+//     already running on the compute plane;
+//   * promotions == 1 and takeover_ms > 0: the standby really took over.
 // The cadence sweep shows the actual trade-off: longer snapshot
 // intervals leave a longer WAL tail to replay (replay_records,
 // takeover_ms grow), never lost jobs.
@@ -143,8 +145,7 @@ int main(int argc, char** argv) {
   telemetry::Telemetry* telemetry = harness.telemetry();
   core::parallel_for(cells.size(), harness.jobs(), [&](std::size_t i) {
     run_cell(harness, cells[i], nodes, job_count,
-             derive_seed(0xFA170, static_cast<std::uint64_t>(i)),
-             harness.jobs() > 1 ? nullptr : telemetry);
+             derive_seed(0xFA170, static_cast<std::uint64_t>(i)), telemetry);
   });
 
   std::printf("\nfailover sweep (%zu nodes, %zu jobs, 2 satellites)\n", nodes,
@@ -160,7 +161,14 @@ int main(int argc, char** argv) {
     std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
     return std::string(buf);
   };
+  std::string lost, duplicated, promotions, takeover;  // failing labels
   for (Cell& cell : cells) {
+    const std::string label =
+        "snap=" + count(cell.cadence_s) + "s/" + cell.scenario;
+    if (cell.jobs_lost != 0.0) lost += " " + label;
+    if (cell.duplicate_launches != 0.0) duplicated += " " + label;
+    if (cell.promotions != 1.0) promotions += " " + label;
+    if (!(cell.takeover_ms > 0.0)) takeover += " " + label;
     table.add_row({count(cell.cadence_s), cell.scenario, count(cell.acked),
                    count(cell.finished), count(cell.jobs_lost),
                    count(cell.duplicate_launches),
@@ -168,7 +176,7 @@ int main(int argc, char** argv) {
                    count(cell.replay_records), count(cell.wal_bytes),
                    count(cell.snapshot_bytes)});
     harness.record_point(
-        "snap=" + count(cell.cadence_s) + "s/" + cell.scenario,
+        label,
         {{"snapshot_interval_s", count(cell.cadence_s)},
          {"scenario", cell.scenario},
          {"kill_s", format_double(cell.kill_s, 2)},
@@ -189,5 +197,15 @@ int main(int argc, char** argv) {
   std::printf("[every row must report lost = 0 and dup launch = 0; longer "
               "snapshot cadences trade a longer WAL replay (replayed, "
               "takeover ms) for fewer snapshot pushes]\n");
-  return 0;
+  harness.headline({"jobs_lost", "duplicate_launches", "takeover_ms", "wal_bytes"});
+  harness.check("jobs_lost == 0", lost.empty(), "jobs lost at" + lost);
+  harness.check("duplicate_launches == 0", duplicated.empty(),
+                "duplicate launches at" + duplicated);
+  harness.check("promotions == 1", promotions.empty(),
+                "the standby did not promote exactly once at" + promotions);
+  harness.check("takeover_ms > 0", takeover.empty(),
+                "no takeover time at" + takeover);
+  harness.check("simulated_events", harness.total_events() > 0,
+                "the bench's worlds executed no events");
+  return harness.finish();
 }

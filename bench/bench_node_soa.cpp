@@ -179,5 +179,5 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("\n[expect: >= 2x on every query at 16K nodes; the gap widens\n"
               " with n as the naive arms pay a hash probe per node]\n");
-  return 0;
+  return harness.finish();
 }

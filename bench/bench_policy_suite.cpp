@@ -10,7 +10,8 @@
 //   * policy-preempt  -- policy-limits plus requeue preemption for the
 //                        high class.
 //
-// Headline invariants, asserted by the CI smoke run on this artifact:
+// Headline invariants, checked by the bench (a failed check makes it
+// exit 1):
 //   * limit_violations == 0 wherever limits are enforced: live usage
 //     never exceeds a configured cap;
 //   * reservation_intrusions == 0: the carved window is never backfilled
@@ -18,7 +19,8 @@
 //   * jobs_lost == 0: every submitted job stays accounted, in particular
 //     every preempted-and-requeued job either reruns or is still queued;
 //   * high-QoS p95 wait in the policy arms strictly improves on the
-//     no-policy fcfs arm at the same mix.
+//     no-policy fcfs arm at the same mix;
+//   * the preemption arm actually preempts.
 #include <algorithm>
 
 #include "bench_common.hpp"
@@ -250,8 +252,7 @@ int main(int argc, char** argv) {
     // tagged trace, so per-class deltas are pure policy effects.
     const std::uint64_t seed = derive_seed(
         0x90115, static_cast<std::uint64_t>(cells[i].mix - mixes.data()));
-    run_cell(harness, cells[i], nodes, duration, seed,
-             harness.jobs() > 1 ? nullptr : telemetry);
+    run_cell(harness, cells[i], nodes, duration, seed, telemetry);
   });
 
   std::printf("\npolicy suite (%zu nodes, %.0f h trace + 2 h drain)\n", nodes,
@@ -311,5 +312,37 @@ int main(int argc, char** argv) {
       "[every row must report viol = 0, intr = 0 and lost = 0; the policy "
       "arms must beat the fcfs arm's hi p95 wait at the same mix, and the "
       "preempt arm should show pre r > 0 with every requeued job accounted]\n");
-  return 0;
+
+  std::string violated, intruded, lost, slower;  // failing labels
+  double preempted = 0.0;
+  for (const Cell& cell : cells) {
+    const std::string at = " " + cell.arm->name + "/" + cell.mix->name;
+    if (cell.limit_violations != 0.0) violated += at;
+    if (cell.reservation_intrusions != 0.0) intruded += at;
+    if (cell.jobs_lost != 0.0) lost += at;
+    if (cell.arm->name.rfind("policy", 0) == 0) {
+      const Cell& fcfs = *std::find_if(cells.begin(), cells.end(), [&](const Cell& c) {
+        return c.arm->name == "fcfs" && c.mix == cell.mix;
+      });
+      if (!(cell.high.p95_wait_s < fcfs.high.p95_wait_s)) slower += at;
+    }
+    if (cell.arm->preempt) preempted += cell.preempt_requeues;
+  }
+  harness.headline({"wait_p95_high_s", "wait_p95_normal_s", "wait_p95_low_s",
+                    "bsld_high", "limit_violations", "reservation_intrusions",
+                    "preempt_requeues", "jobs_lost"});
+  harness.check("arms >= 3 and mixes >= 2", arms.size() >= 3 && mixes.size() >= 2,
+                "too few arms or mixes to compare");
+  harness.check("limit_violations == 0", violated.empty(),
+                "limits exceeded at" + violated);
+  harness.check("reservation_intrusions == 0", intruded.empty(),
+                "reservation backfilled across at" + intruded);
+  harness.check("jobs_lost == 0", lost.empty(), "jobs lost at" + lost);
+  harness.check("policy arms beat fcfs on wait_p95_high_s", slower.empty(),
+                "high-QoS p95 wait not below fcfs at" + slower);
+  harness.check("preempt arm preempts", preempted > 0.0,
+                "the preemption arm never preempted");
+  harness.check("simulated_events", harness.total_events() > 0,
+                "the bench's worlds executed no events");
+  return harness.finish();
 }

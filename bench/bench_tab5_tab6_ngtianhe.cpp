@@ -108,5 +108,7 @@ int main(int argc, char** argv) {
   harness.record_sweep(outcomes);
   std::printf("[paper: ~6.2-6.4K tasks regardless of pool size; nodes/task\n"
               " 6076->1268; RSS 270->169 MB; sockets 118->70 -- falling]\n");
-  return 0;
+  harness.check("simulated_events", harness.total_events() > 0,
+                "the bench's worlds executed no events");
+  return harness.finish();
 }

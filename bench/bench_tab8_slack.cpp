@@ -54,5 +54,5 @@ int main(int argc, char** argv) {
   }
   table.print();
   std::printf("\n[paper: AEA 0.87->0.80, UR 0.54->0.11; knee at alpha = 1.05]\n");
-  return 0;
+  return harness.finish();
 }

@@ -133,7 +133,8 @@ std::vector<PointOutcome> run_sweep(const SweepSpec& spec, const SweepFn& fn) {
     if (collect_telemetry) {
       const std::string path = spec.telemetry_dir + "/" +
                                sanitize(outcome.point.label) + ".trace.json";
-      if (contexts[p].save(path)) outcome.telemetry_path = path;
+      if (!contexts[p].empty() && contexts[p].save(path))
+        outcome.telemetry_path = path;
     }
     if (outcome.replicas.empty() || outcome.replicas[0].empty()) continue;
     const MetricRow& first = outcome.replicas[0];

@@ -53,7 +53,8 @@ struct SweepSpec {
   int replicas = 1;  ///< seed replicas per point (>= 1)
   int jobs = 1;      ///< worker threads (>= 1)
   /// When non-empty, the runner writes one telemetry artifact per point
-  /// (replica 0) to `<telemetry_dir>/<label>.trace.json`.
+  /// (replica 0) to `<telemetry_dir>/<label>.trace.json`, unless that
+  /// point's world recorded nothing.
   std::string telemetry_dir;
 };
 
@@ -90,7 +91,8 @@ struct PointOutcome {
   /// Per-metric aggregates across replicas, in the metric order of the
   /// first replica.
   std::vector<std::pair<std::string, MetricStats>> aggregates;
-  /// Path of the telemetry artifact written for this point ("" if none).
+  /// Path of the telemetry artifact written for this point ("" if none:
+  /// no telemetry asked for, nothing recorded, or the write failed).
   std::string telemetry_path;
 };
 

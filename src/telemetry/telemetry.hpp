@@ -19,7 +19,7 @@
 // pointer check + double increment.
 //
 // Benches enable a context before building their world (see
-// bench_common.hpp's TelemetryScope and the --telemetry-out flag); tests
+// bench_common.hpp's Harness and the --telemetry-out flag); tests
 // construct one around the code under test.  Each instance is used from
 // one thread at a time (the thread running its experiment).
 #pragma once
@@ -41,6 +41,8 @@ struct Telemetry {
   void enable(std::size_t max_trace_events = 1u << 20);
   /// Disables and drops all recorded state (tests use this to isolate).
   void reset();
+  /// True when no metric and no trace event has been recorded.
+  bool empty() const { return metrics.empty() && tracer.event_count() == 0; }
 
   /// Writes the combined artifact (Chrome trace with embedded metrics
   /// snapshot) to `path`.  Returns false on I/O failure.

@@ -1,8 +1,8 @@
-// esprof -- summarize telemetry artifacts written with --telemetry-out /
-// --telemetry-dir (Chrome trace-event JSON with an embedded metrics
-// snapshot) into paper-style tables: span durations grouped by name,
-// counter tracks, instant-event counts, and the metrics registry with
-// percentiles.
+// esprof -- summarize telemetry artifacts written with --telemetry-out
+// (Chrome trace-event JSON with an embedded metrics snapshot) into
+// paper-style tables: span durations grouped by name, counter tracks,
+// instant-event counts, and the metrics registry with percentiles; and
+// validate and render bench artifacts written with --json.
 //
 //   esprof trace.json                 # full summary of one artifact
 //   esprof trace.json --spans         # span table only
@@ -12,12 +12,18 @@
 //                                     # column per artifact, counters /
 //                                     # gauges / histogram means side by
 //                                     # side (e.g. a sweep's points)
-//   esprof BENCH_engine.json          # bench artifact (--json) summary
+//   esprof BENCH_engine.json          # bench artifact (--json) summary:
+//                                     # run-level envelope, headline
+//                                     # metrics, checks, point means
 //   esprof before/BENCH_engine.json after/BENCH_engine.json
-//                                     # bench diff: run-level envelope
-//                                     # (events/sec, wall, peak RSS) and
-//                                     # per-point metric means side by
-//                                     # side, with after/before ratios
+//                                     # bench diff: the same tables side
+//                                     # by side, with after/before ratios
+//
+// Exit status: 0, or 1 when an artifact cannot be read, a telemetry
+// artifact is empty, a bench artifact's envelope is malformed (schema,
+// bench name, run-level fields, non-empty points with the five stat keys
+// per metric and "replicas" replicas each) or one of its checks failed;
+// 2 on a usage error.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -265,7 +271,12 @@ void summarize_merged(const std::vector<Artifact>& artifacts) {
              }));
 }
 
-// --- bench artifacts (schema "eslurm-bench-v*", written by --json) ------
+// --- bench artifacts (schema "eslurm-bench-v2", written by --json) ------
+//
+// Every bench artifact gets the same treatment: its envelope is validated,
+// then the run-level fields, the metrics the bench names in "headline"
+// (per point), its "checks" and every point's metric means are rendered.
+// A malformed envelope or a failed check makes esprof exit 1.
 
 bool is_bench_artifact(const JsonValue& document) {
   const JsonValue* schema = document.find("schema");
@@ -284,498 +295,236 @@ std::optional<double> bench_run_field(const JsonValue& document, const char* key
   return value->as_number();
 }
 
-/// Per-point metric means, keyed "label :: metric" so artifacts line up
-/// across runs even when point order differs.
-std::map<std::string, double> bench_point_means(const JsonValue& document) {
-  std::map<std::string, double> out;
-  const JsonValue* points = document.find("points");
-  if (!points || !points->is_array()) return out;
-  for (const JsonValue& point : points->items()) {
-    if (!point.is_object()) continue;
+const std::vector<JsonValue>& array_member(const JsonValue& object, const char* key) {
+  static const std::vector<JsonValue> kNone;
+  const JsonValue* value = object.find(key);
+  return value && value->is_array() ? value->items() : kNone;
+}
+
+std::vector<std::string> headline_of(const JsonValue& document) {
+  std::vector<std::string> names;
+  for (const JsonValue& name : array_member(document, "headline"))
+    if (name.is_string()) names.push_back(name.as_string());
+  return names;
+}
+
+/// Mean of one metric at one point (nullopt when absent or null).
+std::optional<double> point_mean(const JsonValue& point, const std::string& metric) {
+  const JsonValue* metrics = point.find("metrics");
+  const JsonValue* stats = metrics ? metrics->find(metric) : nullptr;
+  const JsonValue* mean = stats ? stats->find("mean") : nullptr;
+  if (!mean || !mean->is_number()) return std::nullopt;
+  return mean->as_number();
+}
+
+/// What is wrong with a bench artifact's envelope (empty when valid).
+std::vector<std::string> bench_problems(const JsonValue& document) {
+  std::vector<std::string> problems;
+  const auto require = [&](bool ok, const std::string& what) {
+    if (!ok) problems.push_back(what);
+  };
+  require(member_string(document, "schema") == "eslurm-bench-v2",
+          "schema is not \"eslurm-bench-v2\"");
+  require(!member_string(document, "bench").empty(), "no bench name");
+  const JsonValue* smoke = document.find("smoke");
+  require(smoke && smoke->is_bool(), "smoke is not a bool");
+  require(member_number(document, "jobs") >= 1, "jobs < 1");
+  const double replicas = member_number(document, "replicas");
+  require(replicas >= 1, "replicas < 1");
+  require(bench_run_field(document, "wall_seconds").value_or(0) > 0,
+          "wall_seconds is not positive");
+  require(bench_run_field(document, "peak_rss_bytes").value_or(0) > 0,
+          "peak_rss_bytes is not positive");
+  const double events = bench_run_field(document, "total_events").value_or(-1);
+  require(events >= 0, "total_events is missing");
+  const JsonValue* rate = document.find("events_per_sec");
+  require(events > 0 ? rate && rate->is_number() && rate->as_number() > 0
+                     : rate && rate->is_null(),
+          "events_per_sec does not match total_events");
+  for (const JsonValue& check : array_member(document, "checks")) {
+    const JsonValue* ok = check.find("ok");
+    require(!member_string(check, "name").empty() && ok && ok->is_bool(),
+            "a check lacks its name or ok flag");
+  }
+  const auto& points = array_member(document, "points");
+  require(!points.empty(), "no points recorded");
+  const std::vector<std::string> headline = headline_of(document);
+  for (const JsonValue& point : points) {
     const std::string label = member_string(point, "label");
+    const std::string at = " at point '" + label + "'";
+    const JsonValue* params = point.find("params");
+    require(!label.empty() && params && params->is_object() &&
+                !params->members().empty(),
+            "a point lacks its label or params" + at);
     const JsonValue* metrics = point.find("metrics");
-    if (!metrics || !metrics->is_object()) continue;
-    for (const auto& [name, stats] : metrics->members())
-      out[label + " :: " + name] = member_number(stats, "mean");
+    require(metrics && metrics->is_object(), "no metrics" + at);
+    if (metrics && metrics->is_object())
+      for (const auto& [name, stats] : metrics->members())
+        for (const char* key : {"mean", "stddev", "min", "max", "n"})
+          require(stats.find(key), "metric " + name + " lacks " + key + at);
+    require(static_cast<double>(array_member(point, "replicas").size()) == replicas,
+            "replica count differs from \"replicas\"" + at);
+    for (const std::string& name : headline)
+      require(metrics && metrics->find(name), "headline metric " + name + " missing" + at);
   }
-  return out;
+  return problems;
 }
 
-// --- the HA failover sweep (BENCH_ha_failover.json) ---------------------
-//
-// This artifact carries two hard invariants -- jobs_lost == 0 and
-// duplicate_launches == 0 at every sweep point -- so instead of leaving
-// them buried in the generic means grid, surface a focused table of the
-// headline fields and an explicit verdict line.
+/// Side-by-side values: one row per key in first-seen order, one column
+/// per artifact.
+struct Grid {
+  std::size_t columns = 1;
+  std::vector<std::string> order;
+  std::map<std::string, std::vector<std::optional<double>>> rows;
 
-bool is_ha_failover_bench(const JsonValue& document) {
-  return member_string(document, "bench") == "ha_failover";
-}
-
-constexpr const char* kFailoverFields[] = {"jobs_lost", "duplicate_launches",
-                                           "takeover_ms", "wal_bytes"};
-
-/// label -> (field -> mean) for a headline field subset, in point order.
-template <std::size_t N>
-std::vector<std::pair<std::string, std::map<std::string, double>>>
-headline_points(const JsonValue& document, const char* const (&wanted)[N]) {
-  std::vector<std::pair<std::string, std::map<std::string, double>>> out;
-  const JsonValue* points = document.find("points");
-  if (!points || !points->is_array()) return out;
-  for (const JsonValue& point : points->items()) {
-    if (!point.is_object()) continue;
-    const JsonValue* metrics = point.find("metrics");
-    if (!metrics || !metrics->is_object()) continue;
-    std::map<std::string, double> fields;
-    for (const char* field : wanted)
-      if (const JsonValue* stats = metrics->find(field))
-        fields[field] = member_number(*stats, "mean");
-    out.emplace_back(member_string(point, "label"), std::move(fields));
+  void set(const std::string& key, std::size_t column, std::optional<double> value) {
+    auto [row, inserted] = rows.try_emplace(key, columns);
+    if (inserted) order.push_back(key);
+    row->second[column] = value;
   }
-  return out;
-}
 
-std::vector<std::pair<std::string, std::map<std::string, double>>>
-failover_points(const JsonValue& document) {
-  return headline_points(document, kFailoverFields);
-}
-
-void print_failover_verdict(
-    const std::vector<std::pair<std::string, std::map<std::string, double>>>&
-        points) {
-  std::size_t violations = 0;
-  for (const auto& [label, fields] : points) {
-    const auto lost = fields.find("jobs_lost");
-    const auto dup = fields.find("duplicate_launches");
-    if ((lost != fields.end() && lost->second != 0.0) ||
-        (dup != fields.end() && dup->second != 0.0)) {
-      ++violations;
-      std::printf("  VIOLATED at %s\n", label.c_str());
+  /// With exactly two columns a last/first ratio column makes before/after
+  /// comparisons one read (events_per_sec ratio > 1: the second is faster).
+  void print(const char* title, const char* key_header,
+             const std::vector<std::string>& column_headers) const {
+    if (order.empty()) return;
+    std::printf("%s\n", title);
+    std::vector<std::string> header{key_header};
+    header.insert(header.end(), column_headers.begin(), column_headers.end());
+    const bool ratio = columns == 2;
+    if (ratio) header.push_back("ratio");
+    Table table(header);
+    for (const std::string& key : order) {
+      const auto& values = rows.at(key);
+      std::vector<std::string> cells{key};
+      for (const auto& value : values)
+        cells.push_back(value ? format_double(*value, 6) : "-");
+      if (ratio)
+        cells.push_back(values[0] && values[1] && *values[0] != 0.0
+                            ? format_double(*values[1] / *values[0], 4)
+                            : "-");
+      table.add_row(std::move(cells));
     }
+    table.print();
+    std::printf("\n");
   }
-  if (violations == 0)
-    std::printf("failover invariants: OK (jobs_lost == 0 and "
-                "duplicate_launches == 0 at all %zu points)\n\n",
-                points.size());
-  else
-    std::printf("failover invariants: VIOLATED at %zu of %zu points\n\n",
-                violations, points.size());
-}
+};
 
-void summarize_failover(const JsonValue& document) {
-  const auto points = failover_points(document);
-  if (points.empty()) return;
-  std::printf("failover headline (per point)\n");
-  Table table({"point", "jobs lost", "dup launches", "takeover (ms)",
-               "wal bytes"});
-  for (const auto& [label, fields] : points) {
-    std::vector<std::string> row{label};
-    for (const char* field : kFailoverFields) {
-      const auto it = fields.find(field);
-      row.push_back(it != fields.end() ? format_double(it->second, 6) : "-");
+/// The headline of one artifact as a point x metric table.
+void print_headline(const JsonValue& document) {
+  const std::vector<std::string> headline = headline_of(document);
+  if (headline.empty()) return;
+  std::printf("headline (per point)\n");
+  std::vector<std::string> header{"point"};
+  header.insert(header.end(), headline.begin(), headline.end());
+  Table table(header);
+  for (const JsonValue& point : array_member(document, "points")) {
+    std::vector<std::string> row{member_string(point, "label")};
+    for (const std::string& metric : headline) {
+      const auto mean = point_mean(point, metric);
+      row.push_back(mean ? format_double(*mean, 6) : "-");
     }
     table.add_row(std::move(row));
   }
   table.print();
-  print_failover_verdict(points);
+  std::printf("\n");
 }
 
-/// Diff counterpart: headline fields side by side per artifact, then one
-/// verdict line per artifact.
-void diff_failover(const std::vector<Artifact>& artifacts) {
-  std::vector<std::string> header{"point :: field"};
-  for (const Artifact& artifact : artifacts) header.push_back(artifact.label);
-  const bool ratio = artifacts.size() == 2;
-  if (ratio) header.push_back("ratio");
-
-  std::map<std::string, std::vector<std::optional<double>>> rows;
+/// One row per check, one column per artifact; returns the number of
+/// failed checks.
+std::size_t print_checks(const std::vector<Artifact>& artifacts) {
   std::vector<std::string> order;
+  std::map<std::string, std::vector<std::string>> rows;
+  std::size_t failed = 0;
   for (std::size_t a = 0; a < artifacts.size(); ++a) {
-    for (const auto& [label, fields] : failover_points(artifacts[a].document)) {
-      for (const char* field : kFailoverFields) {
-        const auto it = fields.find(field);
-        if (it == fields.end()) continue;
-        const std::string key = label + " :: " + field;
-        auto [entry, inserted] = rows.try_emplace(key);
-        if (inserted) order.push_back(key);
-        entry->second.resize(artifacts.size());
-        entry->second[a] = it->second;
+    for (const JsonValue& check : array_member(artifacts[a].document, "checks")) {
+      const std::string name = member_string(check, "name");
+      auto [row, inserted] = rows.try_emplace(name, artifacts.size(), "-");
+      if (inserted) order.push_back(name);
+      const JsonValue* ok = check.find("ok");
+      if (ok && ok->is_bool() && ok->as_bool()) {
+        row->second[a] = "ok";
+      } else {
+        row->second[a] = "FAILED " + member_string(check, "detail");
+        ++failed;
       }
     }
   }
-  if (rows.empty()) return;
-  std::printf("failover headline (per point)\n");
+  if (order.empty()) return 0;
+  std::printf("checks\n");
+  std::vector<std::string> header{"check"};
+  for (const Artifact& artifact : artifacts) header.push_back(artifact.label);
   Table table(header);
-  for (const std::string& key : order) {
-    auto& values = rows[key];
-    values.resize(artifacts.size());
-    std::vector<std::string> cells{key};
-    for (const auto& value : values)
-      cells.push_back(value ? format_double(*value, 6) : "-");
-    if (ratio)
-      cells.push_back(values[0] && values[1] && *values[0] != 0.0
-                          ? format_double(*values[1] / *values[0], 4)
-                          : "-");
+  for (const std::string& name : order) {
+    std::vector<std::string> cells{name};
+    cells.insert(cells.end(), rows[name].begin(), rows[name].end());
     table.add_row(std::move(cells));
   }
   table.print();
-  std::printf("\n");
+  std::printf("%s\n\n", failed ? "checks: FAILED" : "checks: all passed");
+  return failed;
+}
+
+/// Summary (one artifact) or comparison (several): run-level envelope,
+/// headline, checks and per-point metric means.  Returns the number of
+/// failed checks.
+std::size_t report_benches(const std::vector<Artifact>& artifacts) {
+  const std::size_t columns = artifacts.size();
+  std::vector<std::string> labels;
   for (const Artifact& artifact : artifacts) {
-    std::printf("%s: ", artifact.label.c_str());
-    print_failover_verdict(failover_points(artifact.document));
+    const JsonValue& document = artifact.document;
+    const JsonValue* smoke = document.find("smoke");
+    std::printf("bench artifact %s: %s (schema %s%s)\n", artifact.label.c_str(),
+                member_string(document, "bench").c_str(),
+                member_string(document, "schema").c_str(),
+                smoke && smoke->is_bool() && smoke->as_bool() ? ", smoke" : "");
+    labels.push_back(columns == 1 ? "value" : artifact.label);
   }
-}
+  std::printf("\n");
 
-// --- the scheduler policy suite (BENCH_policy_suite.json) ---------------
-//
-// Per-QoS-class headline: the sweep's whole point is the per-class wait
-// split and three hard invariants (limit_violations == 0,
-// reservation_intrusions == 0, jobs_lost == 0), so surface them as a
-// focused table plus a verdict line, like the failover artifact.
-
-bool is_policy_suite_bench(const JsonValue& document) {
-  return member_string(document, "bench") == "policy_suite";
-}
-
-constexpr const char* kPolicyFields[] = {
-    "wait_p95_high_s", "wait_p95_normal_s",      "wait_p95_low_s",
-    "bsld_high",       "limit_violations",       "reservation_intrusions",
-    "preempt_requeues", "jobs_lost"};
-
-void print_policy_verdict(
-    const std::vector<std::pair<std::string, std::map<std::string, double>>>&
-        points) {
-  std::size_t violations = 0;
-  for (const auto& [label, fields] : points) {
-    for (const char* invariant :
-         {"limit_violations", "reservation_intrusions", "jobs_lost"}) {
-      const auto it = fields.find(invariant);
-      if (it != fields.end() && it->second != 0.0) {
-        ++violations;
-        std::printf("  VIOLATED at %s (%s = %g)\n", label.c_str(), invariant,
-                    it->second);
-      }
+  // A comparison shows every artifact's values for the union of the
+  // headlines, so an artifact that declares none still lines up.
+  std::vector<std::string> names;
+  for (const Artifact& artifact : artifacts)
+    for (const std::string& name : headline_of(artifact.document))
+      if (std::find(names.begin(), names.end(), name) == names.end())
+        names.push_back(name);
+  Grid run{columns}, headline{columns}, means{columns};
+  for (std::size_t a = 0; a < columns; ++a) {
+    const JsonValue& document = artifacts[a].document;
+    for (const char* field : kBenchRunFields)
+      run.set(field, a, bench_run_field(document, field));
+    for (const JsonValue& point : array_member(document, "points")) {
+      const std::string label = member_string(point, "label");
+      for (const std::string& name : names)
+        headline.set(label + " :: " + name, a, point_mean(point, name));
+      if (const JsonValue* metrics = point.find("metrics"); metrics && metrics->is_object())
+        for (const auto& [name, stats] : metrics->members())
+          means.set(label + " :: " + name, a, point_mean(point, name));
     }
   }
-  if (violations == 0)
-    std::printf("policy invariants: OK (limit_violations, "
-                "reservation_intrusions and jobs_lost all 0 at all %zu "
-                "points)\n\n",
-                points.size());
+  run.print("run-level", "field", labels);
+  if (columns == 1)
+    print_headline(artifacts[0].document);
   else
-    std::printf("policy invariants: VIOLATED %zu time(s) across %zu points\n\n",
-                violations, points.size());
+    headline.print("headline (per point)", "point :: metric", labels);
+  const std::size_t failed = print_checks(artifacts);
+  means.print("point metric means", "point :: metric",
+              columns == 1 ? std::vector<std::string>{"mean"} : labels);
+  return failed;
 }
 
-void summarize_policy(const JsonValue& document) {
-  const auto points = headline_points(document, kPolicyFields);
-  if (points.empty()) return;
-  std::printf("per-QoS-class headline (per arm/mix point)\n");
-  Table table({"point", "hi p95 w(s)", "no p95 w(s)", "lo p95 w(s)", "hi bsld",
-               "limit viol", "resv intr", "preempt rq", "lost"});
-  for (const auto& [label, fields] : points) {
-    std::vector<std::string> row{label};
-    for (const char* field : kPolicyFields) {
-      const auto it = fields.find(field);
-      row.push_back(it != fields.end() ? format_double(it->second, 6) : "-");
-    }
-    table.add_row(std::move(row));
-  }
-  table.print();
-  print_policy_verdict(points);
-}
-
-/// Diff counterpart: per-class fields side by side, verdict per artifact.
-void diff_policy(const std::vector<Artifact>& artifacts) {
-  std::vector<std::string> header{"point :: field"};
-  for (const Artifact& artifact : artifacts) header.push_back(artifact.label);
-  const bool ratio = artifacts.size() == 2;
-  if (ratio) header.push_back("ratio");
-
-  std::map<std::string, std::vector<std::optional<double>>> rows;
-  std::vector<std::string> order;
-  for (std::size_t a = 0; a < artifacts.size(); ++a) {
-    for (const auto& [label, fields] :
-         headline_points(artifacts[a].document, kPolicyFields)) {
-      for (const char* field : kPolicyFields) {
-        const auto it = fields.find(field);
-        if (it == fields.end()) continue;
-        const std::string key = label + " :: " + field;
-        auto [entry, inserted] = rows.try_emplace(key);
-        if (inserted) order.push_back(key);
-        entry->second.resize(artifacts.size());
-        entry->second[a] = it->second;
-      }
-    }
-  }
-  if (rows.empty()) return;
-  std::printf("per-QoS-class headline (per arm/mix point)\n");
-  Table table(header);
-  for (const std::string& key : order) {
-    auto& values = rows[key];
-    values.resize(artifacts.size());
-    std::vector<std::string> cells{key};
-    for (const auto& value : values)
-      cells.push_back(value ? format_double(*value, 6) : "-");
-    if (ratio)
-      cells.push_back(values[0] && values[1] && *values[0] != 0.0
-                          ? format_double(*values[1] / *values[0], 4)
-                          : "-");
-    table.add_row(std::move(cells));
-  }
-  table.print();
-  std::printf("\n");
-  for (const Artifact& artifact : artifacts) {
-    std::printf("%s: ", artifact.label.c_str());
-    print_policy_verdict(headline_points(artifact.document, kPolicyFields));
-  }
-}
-
-// --- the fault-tolerance sweep (BENCH_fault_tolerance.json) -------------
-//
-// Four recovery arms per (mtbf, drop) point, with three hard invariants
-// across the arms of each point: baseline must fail jobs (the failure
-// pressure is real), every retry arm must fail zero, and lost
-// node-seconds must strictly decrease retry -> retry+ckpt -> +placement
-// (with +placement beating baseline).  Surface the headline fields and
-// an explicit verdict, like the failover artifact.
-
-bool is_fault_tolerance_bench(const JsonValue& document) {
-  return member_string(document, "bench") == "fault_tolerance";
-}
-
-constexpr const char* kFaultFields[] = {"jobs_completed",    "jobs_failed",
-                                        "failure_rate",      "lost_node_seconds",
-                                        "ckpt_node_seconds", "goodput"};
-
-void print_fault_verdict(
-    const std::vector<std::pair<std::string, std::map<std::string, double>>>&
-        points) {
-  // Point labels are "mtbf=24h/drop=0.00/<arm>": group the four arms of
-  // each sweep point by the label prefix before the last '/'.
-  std::map<std::string, std::map<std::string, std::map<std::string, double>>>
-      groups;
-  for (const auto& [label, fields] : points) {
-    const std::size_t slash = label.rfind('/');
-    if (slash == std::string::npos) continue;
-    groups[label.substr(0, slash)][label.substr(slash + 1)] = fields;
-  }
-  const auto metric = [](const std::map<std::string, double>& fields,
-                         const char* key) -> std::optional<double> {
-    const auto it = fields.find(key);
-    return it != fields.end() ? std::optional<double>(it->second) : std::nullopt;
+/// True when a telemetry artifact recorded neither events nor metrics.
+bool empty_telemetry(const JsonValue& document) {
+  const JsonValue* events = document.find("traceEvents");
+  const JsonValue* metrics = metrics_of(document);
+  const auto section_empty = [&](const char* key) {
+    const JsonValue* section = metrics ? metrics->find(key) : nullptr;
+    return !section || !section->is_object() || section->members().empty();
   };
-  std::size_t violations = 0;
-  const auto violated = [&](const std::string& point, const char* what) {
-    ++violations;
-    std::printf("  VIOLATED at %s (%s)\n", point.c_str(), what);
-  };
-  for (const auto& [point, arms] : groups) {
-    std::optional<double> base_failed, base_lost;
-    if (const auto it = arms.find("baseline"); it != arms.end()) {
-      base_failed = metric(it->second, "jobs_failed");
-      base_lost = metric(it->second, "lost_node_seconds");
-    }
-    if (base_failed && *base_failed <= 0.0)
-      violated(point, "baseline failed no jobs");
-    std::optional<double> prev_lost;
-    for (const char* arm : {"retry", "retry+ckpt", "+placement"}) {
-      const auto it = arms.find(arm);
-      if (it == arms.end()) continue;
-      if (const auto failed = metric(it->second, "jobs_failed");
-          failed && *failed != 0.0)
-        violated(point, (std::string(arm) + " failed jobs").c_str());
-      const auto lost = metric(it->second, "lost_node_seconds");
-      if (lost && prev_lost && *lost >= *prev_lost)
-        violated(point,
-                 (std::string("lost node-s not decreasing at ") + arm).c_str());
-      if (lost) prev_lost = lost;
-    }
-    if (prev_lost && base_lost && *prev_lost >= *base_lost)
-      violated(point, "+placement lost no less than baseline");
-  }
-  if (violations == 0)
-    std::printf("fault-tolerance invariants: OK (baseline fails, retry arms "
-                "lose no jobs, lost node-s strictly decreases across arms at "
-                "all %zu points)\n\n",
-                groups.size());
-  else
-    std::printf("fault-tolerance invariants: VIOLATED %zu time(s) across %zu "
-                "points\n\n",
-                violations, groups.size());
-}
-
-void summarize_fault(const JsonValue& document) {
-  const auto points = headline_points(document, kFaultFields);
-  if (points.empty()) return;
-  std::printf("fault-tolerance headline (per arm point)\n");
-  Table table({"point", "completed", "failed", "fail rate", "lost node-s",
-               "ckpt node-s", "goodput"});
-  for (const auto& [label, fields] : points) {
-    std::vector<std::string> row{label};
-    for (const char* field : kFaultFields) {
-      const auto it = fields.find(field);
-      row.push_back(it != fields.end() ? format_double(it->second, 6) : "-");
-    }
-    table.add_row(std::move(row));
-  }
-  table.print();
-  print_fault_verdict(points);
-}
-
-/// Diff counterpart: headline fields side by side, verdict per artifact.
-void diff_fault(const std::vector<Artifact>& artifacts) {
-  std::vector<std::string> header{"point :: field"};
-  for (const Artifact& artifact : artifacts) header.push_back(artifact.label);
-  const bool ratio = artifacts.size() == 2;
-  if (ratio) header.push_back("ratio");
-
-  std::map<std::string, std::vector<std::optional<double>>> rows;
-  std::vector<std::string> order;
-  for (std::size_t a = 0; a < artifacts.size(); ++a) {
-    for (const auto& [label, fields] :
-         headline_points(artifacts[a].document, kFaultFields)) {
-      for (const char* field : kFaultFields) {
-        const auto it = fields.find(field);
-        if (it == fields.end()) continue;
-        const std::string key = label + " :: " + field;
-        auto [entry, inserted] = rows.try_emplace(key);
-        if (inserted) order.push_back(key);
-        entry->second.resize(artifacts.size());
-        entry->second[a] = it->second;
-      }
-    }
-  }
-  if (rows.empty()) return;
-  std::printf("fault-tolerance headline (per arm point)\n");
-  Table table(header);
-  for (const std::string& key : order) {
-    auto& values = rows[key];
-    values.resize(artifacts.size());
-    std::vector<std::string> cells{key};
-    for (const auto& value : values)
-      cells.push_back(value ? format_double(*value, 6) : "-");
-    if (ratio)
-      cells.push_back(values[0] && values[1] && *values[0] != 0.0
-                          ? format_double(*values[1] / *values[0], 4)
-                          : "-");
-    table.add_row(std::move(cells));
-  }
-  table.print();
-  std::printf("\n");
-  for (const Artifact& artifact : artifacts) {
-    std::printf("%s: ", artifact.label.c_str());
-    print_fault_verdict(headline_points(artifact.document, kFaultFields));
-  }
-}
-
-void summarize_bench(const Artifact& artifact) {
-  const JsonValue& document = artifact.document;
-  std::printf("bench artifact: %s (schema %s%s)\n\n",
-              member_string(document, "bench").c_str(),
-              member_string(document, "schema").c_str(),
-              document.find("smoke") && document.find("smoke")->is_bool() &&
-                      document.find("smoke")->as_bool()
-                  ? ", smoke"
-                  : "");
-  Table run({"run-level", "value"});
-  for (const char* field : kBenchRunFields) {
-    const auto value = bench_run_field(document, field);
-    run.add_row({field, value ? format_double(*value, 6) : "-"});
-  }
-  run.print();
-  std::printf("\n");
-  if (is_ha_failover_bench(document)) summarize_failover(document);
-  if (is_policy_suite_bench(document)) summarize_policy(document);
-  if (is_fault_tolerance_bench(document)) summarize_fault(document);
-  const auto means = bench_point_means(document);
-  if (means.empty()) return;
-  std::printf("point metric means\n");
-  Table table({"point :: metric", "mean"});
-  for (const auto& [key, mean] : means)
-    table.add_row({key, format_double(mean, 6)});
-  table.print();
-  std::printf("\n");
-}
-
-/// Diff mode: one column per artifact; with exactly two artifacts a
-/// last/first ratio column makes before/after perf comparisons one read
-/// (events_per_sec ratio > 1 means the second run is faster).
-void diff_bench(const std::vector<Artifact>& artifacts) {
-  std::printf("bench comparison of %zu artifacts\n\n", artifacts.size());
-  const bool ratio = artifacts.size() == 2;
-
-  std::vector<std::string> header{"run-level"};
-  for (const Artifact& artifact : artifacts) header.push_back(artifact.label);
-  if (ratio) header.push_back("ratio");
-  Table run(header);
-  {
-    std::vector<std::string> row{"bench"};
-    for (const Artifact& artifact : artifacts)
-      row.push_back(member_string(artifact.document, "bench"));
-    if (ratio) row.push_back("-");
-    run.add_row(std::move(row));
-  }
-  for (const char* field : kBenchRunFields) {
-    std::vector<std::string> row{field};
-    std::vector<std::optional<double>> values;
-    for (const Artifact& artifact : artifacts) {
-      values.push_back(bench_run_field(artifact.document, field));
-      row.push_back(values.back() ? format_double(*values.back(), 6) : "-");
-    }
-    if (ratio)
-      row.push_back(values[0] && values[1] && *values[0] != 0.0
-                        ? format_double(*values[1] / *values[0], 4)
-                        : "-");
-    run.add_row(std::move(row));
-  }
-  run.print();
-  std::printf("\n");
-
-  if (std::all_of(artifacts.begin(), artifacts.end(),
-                  [](const Artifact& artifact) {
-                    return is_ha_failover_bench(artifact.document);
-                  }))
-    diff_failover(artifacts);
-  if (std::all_of(artifacts.begin(), artifacts.end(),
-                  [](const Artifact& artifact) {
-                    return is_policy_suite_bench(artifact.document);
-                  }))
-    diff_policy(artifacts);
-  if (std::all_of(artifacts.begin(), artifacts.end(),
-                  [](const Artifact& artifact) {
-                    return is_fault_tolerance_bench(artifact.document);
-                  }))
-    diff_fault(artifacts);
-
-  // Union of "label :: metric" rows across all artifacts.
-  std::map<std::string, std::vector<std::optional<double>>> rows;
-  for (std::size_t a = 0; a < artifacts.size(); ++a) {
-    for (const auto& [key, mean] : bench_point_means(artifacts[a].document)) {
-      auto& row = rows[key];
-      row.resize(artifacts.size());
-      row[a] = mean;
-    }
-  }
-  if (rows.empty()) return;
-  std::vector<std::string> point_header{"point :: metric"};
-  for (const Artifact& artifact : artifacts) point_header.push_back(artifact.label);
-  if (ratio) point_header.push_back("ratio");
-  std::printf("point metric means\n");
-  Table table(point_header);
-  for (auto& [key, values] : rows) {
-    values.resize(artifacts.size());
-    std::vector<std::string> cells{key};
-    for (const auto& value : values)
-      cells.push_back(value ? format_double(*value, 6) : "-");
-    if (ratio)
-      cells.push_back(values[0] && values[1] && *values[0] != 0.0
-                          ? format_double(*values[1] / *values[0], 4)
-                          : "-");
-    table.add_row(std::move(cells));
-  }
-  table.print();
-  std::printf("\n");
+  return (!events || !events->is_array() || events->items().empty()) &&
+         section_empty("counters") && section_empty("gauges") &&
+         section_empty("histograms");
 }
 
 }  // namespace
@@ -790,78 +539,74 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (args.help_requested() || args.positional().empty()) {
-    std::fputs(args.usage("esprof <trace.json> [more.json ...]",
-                          "Summarize one telemetry trace/metrics artifact, or "
-                          "merge several into a side-by-side comparison.")
+    std::fputs(args.usage("esprof <artifact.json> [more.json ...]",
+                          "Summarize one telemetry or bench artifact, or "
+                          "merge several into a side-by-side comparison. "
+                          "Exits 1 on an empty telemetry artifact, a "
+                          "malformed bench artifact or a failed check.")
                    .c_str(),
                stdout);
     return args.help_requested() ? 0 : 2;
   }
 
-  if (args.positional().size() > 1) {
-    std::vector<Artifact> artifacts;
-    std::size_t bench_count = 0;
-    for (const std::string& artifact_path : args.positional()) {
-      auto artifact = load_artifact(artifact_path);
-      if (!artifact) return 1;
-      if (is_bench_artifact(artifact->document)) ++bench_count;
-      artifacts.push_back(std::move(*artifact));
-    }
-    if (bench_count == artifacts.size()) {
-      diff_bench(artifacts);
-      return 0;
-    }
-    if (bench_count > 0) {
-      std::fprintf(stderr,
-                   "esprof: cannot mix bench artifacts with telemetry traces "
-                   "in one comparison\n");
-      return 2;
-    }
-    summarize_merged(artifacts);
-    return 0;
+  std::vector<Artifact> artifacts;
+  std::size_t bench_count = 0;
+  for (const std::string& artifact_path : args.positional()) {
+    auto artifact = load_artifact(artifact_path);
+    if (!artifact) return 1;
+    if (is_bench_artifact(artifact->document)) ++bench_count;
+    artifacts.push_back(std::move(*artifact));
   }
-
-  const std::string path = args.positional()[0];
-  const auto artifact = load_artifact(path);
-  if (!artifact) return 1;
-  const JsonValue& document = artifact->document;
-  if (is_bench_artifact(document)) {
-    summarize_bench(*artifact);
-    return 0;
-  }
-
-  const bool only_spans = args.has_flag("spans");
-  const bool only_metrics = args.has_flag("metrics");
-  const std::string category = args.get_or("cat", "");
-
-  // Accept both the combined artifact ({"traceEvents": ..., "metrics": ...})
-  // and a bare metrics snapshot ({"counters": ...}).
-  const JsonValue* events = document.find("traceEvents");
-  const JsonValue* metrics = metrics_of(document);
-
-  if (!events && !metrics) {
+  if (bench_count > 0 && bench_count < artifacts.size()) {
     std::fprintf(stderr,
-                 "esprof: '%s' has neither \"traceEvents\" nor a metrics snapshot\n",
-                 path.c_str());
-    return 1;
+                 "esprof: cannot mix bench artifacts with telemetry traces "
+                 "in one comparison\n");
+    return 2;
   }
-  const auto section_empty = [](const JsonValue* snapshot, const char* key) {
-    const JsonValue* section = snapshot->find(key);
-    return !section || !section->is_object() || section->members().empty();
-  };
-  const bool no_events = !events || !events->is_array() || events->items().empty();
-  const bool no_metrics = !metrics || (section_empty(metrics, "counters") &&
-                                       section_empty(metrics, "gauges") &&
-                                       section_empty(metrics, "histograms"));
-  if (no_events && no_metrics) {
-    std::printf("empty artifact: no events or metrics were recorded\n");
-    return 0;
+
+  if (bench_count > 0) {
+    bool valid = true;
+    for (const Artifact& artifact : artifacts)
+      for (const std::string& problem : bench_problems(artifact.document)) {
+        std::fprintf(stderr, "esprof: %s: %s\n", artifact.label.c_str(),
+                     problem.c_str());
+        valid = false;
+      }
+    const std::size_t failed = report_benches(artifacts);
+    if (failed > 0)
+      std::fprintf(stderr, "esprof: %zu failed check(s)\n", failed);
+    return valid && failed == 0 ? 0 : 1;
   }
-  if (events && events->is_array() && !only_metrics)
-    summarize_events(*events, category);
-  if (metrics && !only_spans) summarize_metrics(*metrics);
-  if (const JsonValue* dropped = document.find("droppedEvents"))
-    std::printf("warning: %.0f events were dropped at the trace-buffer cap\n",
-                dropped->as_number());
-  return 0;
+
+  if (artifacts.size() > 1) {
+    summarize_merged(artifacts);
+  } else {
+    const JsonValue& document = artifacts[0].document;
+    // Accept both the combined artifact ({"traceEvents": ..., "metrics": ...})
+    // and a bare metrics snapshot ({"counters": ...}).
+    const JsonValue* events = document.find("traceEvents");
+    const JsonValue* metrics = metrics_of(document);
+    if (!events && !metrics) {
+      std::fprintf(stderr,
+                   "esprof: '%s' has neither \"traceEvents\" nor a metrics snapshot\n",
+                   args.positional()[0].c_str());
+      return 1;
+    }
+    if (events && events->is_array() && !args.has_flag("metrics"))
+      summarize_events(*events, args.get_or("cat", ""));
+    if (metrics && !args.has_flag("spans")) summarize_metrics(*metrics);
+    if (const JsonValue* dropped = document.find("droppedEvents"))
+      std::printf("warning: %.0f events were dropped at the trace-buffer cap\n",
+                  dropped->as_number());
+  }
+  int status = 0;
+  for (std::size_t a = 0; a < artifacts.size(); ++a) {
+    if (!empty_telemetry(artifacts[a].document)) continue;
+    std::fprintf(stderr,
+                 "esprof: '%s' is an empty artifact: no events or metrics "
+                 "were recorded\n",
+                 args.positional()[a].c_str());
+    status = 1;
+  }
+  return status;
 }
