@@ -26,8 +26,8 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Harness harness("ablation_predictor", "Ablation",
-                         "estimation-framework design knobs", argc, argv);
+  bench::Harness harness("ablation_predictor", "Ablation", "estimation-framework design knobs",
+                         bench::Uses{.jobs = true}, argc, argv);
   trace::WorkloadProfile profile = trace::tianhe2a_profile();
   profile.jobs_per_hour = 25;
   trace::TraceGenerator generator(profile);

@@ -96,7 +96,7 @@ struct Variant {
 int main(int argc, char** argv) {
   bench::Harness harness("ablation_sched", "Ablation",
                          "scheduling policies and estimate quality (1024 nodes)",
-                         argc, argv);
+                         bench::Uses{.jobs = true}, argc, argv);
   const SimTime horizon = harness.smoke() ? hours(24) : hours(72);
   const auto jobs =
       bench::workload_for(1024, horizon, 0.95, trace::tianhe2a_profile(), 77);

@@ -96,7 +96,7 @@ void run_cell(bench::Harness& harness, Cell& cell, std::size_t nodes,
 int main(int argc, char** argv) {
   bench::Harness harness("chaos_broadcast", "Fig. 8 companion",
                          "broadcast reliability vs message loss (4K nodes)",
-                         argc, argv);
+                         bench::Uses{.jobs = true, .telemetry = true}, argc, argv);
   const std::size_t nodes = harness.smoke() ? 1024 : 4096;
   const std::vector<double> drops =
       harness.smoke() ? std::vector<double>{0.0, 0.05, 0.10}

@@ -13,7 +13,10 @@
 //                        runs one world at a time, or PATH/<label>.trace.json
 //                        per point for a sweep bench (sweep_spec())
 // An unknown flag, a missing value or a count that is not a positive
-// integer prints a usage line and exits 2.
+// integer prints a usage line and exits 2.  So does a flag the bench has
+// no use for: each bench declares when it builds its Harness whether it
+// runs parallel work (else --jobs N > 1 is rejected) and whether it
+// attaches telemetry to its worlds (else --telemetry-out is rejected).
 //
 // A bench checks its own claims: harness.check(name, ok, detail) prints
 // the verdict next to the `[paper: ...]` line it guards, and main() ends
@@ -90,6 +93,13 @@ struct Flags {
   int replicas = 1;
   std::string json_out;
   std::string telemetry_out;
+};
+
+/// What a bench does with the flags that not every bench can honour,
+/// declared when it builds its Harness.
+struct Uses {
+  bool jobs = false;       ///< runs sweep points or replicas on --jobs workers
+  bool telemetry = false;  ///< attaches --telemetry-out to its worlds
 };
 
 /// Parses the shared flags.  Returns nullopt and sets `error` on an
@@ -190,12 +200,17 @@ inline std::uint64_t peak_rss_bytes() {
 /// main() with `return harness.finish();`.
 class Harness {
  public:
-  Harness(std::string name, const std::string& paper_id,
-          const std::string& what, int argc, char** argv)
+  /// Parses the flags, and exits 2 on a usage error -- including a flag
+  /// `uses` says this bench cannot honour -- before the bench runs.
+  Harness(std::string name, const std::string& paper_id, const std::string& what, Uses uses,
+          int argc, char** argv)
       : name_(std::move(name)) {
     std::string error;
     const auto flags = parse_flags(argc, argv, error);
     if (!flags) usage_error(error);
+    if (flags->jobs > 1 && !uses.jobs) usage_error("--jobs: this bench runs no parallel work");
+    if (!flags->telemetry_out.empty() && !uses.telemetry)
+      usage_error("--telemetry-out: this bench attaches telemetry to no world");
     flags_ = *flags;
     banner(paper_id, what);
   }

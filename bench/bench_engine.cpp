@@ -174,9 +174,8 @@ double fanout(bench::Harness& harness, std::uint64_t generations, int width) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Harness harness("engine", "Engine",
-                         "event-core schedule/cancel/run throughput", argc,
-                         argv);
+  bench::Harness harness("engine", "Engine", "event-core schedule/cancel/run throughput",
+                         bench::Uses{}, argc, argv);
   const std::uint64_t n = harness.smoke() ? 200'000 : 4'000'000;
 
   const double churn_eps = churn(harness, n, 64);

@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
   bench::Harness harness("fault_tolerance", "fault tolerance",
                          "node MTBF x chaos vs job survival across four "
                          "recovery arms (retry / checkpoint / placement)",
-                         argc, argv);
+                         bench::Uses{.jobs = true, .telemetry = true}, argc, argv);
   const std::size_t nodes = harness.smoke() ? 96 : 256;
   const std::size_t job_count = harness.smoke() ? 36 : 96;
   const SimTime horizon = hours(5);

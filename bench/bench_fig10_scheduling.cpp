@@ -36,7 +36,7 @@ struct Variant {
 int main(int argc, char** argv) {
   bench::Harness harness("fig10_scheduling", "Fig. 10",
                          "scheduling efficiency across cluster scales (Table VII)",
-                         argc, argv);
+                         bench::Uses{.jobs = true, .telemetry = true}, argc, argv);
 
   const Variant sge{"sge", false, true, "SGE"};
   const Variant torque{"torque", false, true, "Torque"};

@@ -10,7 +10,7 @@ using namespace eslurm;
 int main(int argc, char** argv) {
   bench::Harness harness("fig11a_satellite_sweep", "Fig. 11a",
                          "heartbeat broadcast time vs satellite count (20K+ nodes)",
-                         argc, argv);
+                         bench::Uses{.jobs = true, .telemetry = true}, argc, argv);
 
   const std::size_t nodes = harness.smoke() ? 4096 : 20480;
   const std::vector<std::size_t> satellite_counts =

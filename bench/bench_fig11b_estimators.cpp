@@ -14,7 +14,7 @@ using namespace eslurm;
 int main(int argc, char** argv) {
   bench::Harness harness("fig11b_estimators", "Fig. 11b",
                          "runtime-estimation models on NG-Tianhe history",
-                         argc, argv);
+                         bench::Uses{.jobs = true}, argc, argv);
   trace::WorkloadProfile profile = trace::ng_tianhe_profile();
   profile.jobs_per_hour = 12;  // NG-Tianhe's observed rate (Table III)
   trace::TraceGenerator generator(profile);

@@ -79,7 +79,7 @@ void analyze(bench::Harness& harness, const char* label,
 int main(int argc, char** argv) {
   bench::Harness harness("fig5_trace_stats", "Fig. 5",
                          "workload-trace statistics of the two Tianhe systems",
-                         argc, argv);
+                         bench::Uses{}, argc, argv);
   const SimTime window = harness.smoke() ? days(3) : days(14);
   analyze(harness, "Tianhe-2A", trace::tianhe2a_profile(), window);
   analyze(harness, "NG-Tianhe", trace::ng_tianhe_profile(), window);

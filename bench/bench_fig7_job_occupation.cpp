@@ -15,7 +15,7 @@ using namespace eslurm;
 int main(int argc, char** argv) {
   bench::Harness harness("fig7_job_occupation", "Fig. 7f",
                          "job occupation time vs job size (10 s jobs, 4K nodes)",
-                         argc, argv);
+                         bench::Uses{.jobs = true, .telemetry = true}, argc, argv);
   const std::size_t nodes = harness.smoke() ? 1024 : 4096;
   const std::vector<int> sizes =
       harness.smoke() ? std::vector<int>{64, 256, 1024}

@@ -14,7 +14,8 @@ using namespace eslurm;
 
 int main(int argc, char** argv) {
   bench::Harness harness("fig7_master_resources", "Fig. 7a-e",
-                         "master-node resource usage, 4K nodes, 24 h", argc, argv);
+                         "master-node resource usage, 4K nodes, 24 h",
+                         bench::Uses{.jobs = true, .telemetry = true}, argc, argv);
   const std::size_t nodes = harness.smoke() ? 1024 : 4096;
   const SimTime horizon = harness.smoke() ? hours(6) : hours(24);
   // The paper's 4K-node partition ran about 1K jobs per day (Section

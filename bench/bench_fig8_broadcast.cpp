@@ -212,7 +212,7 @@ void fig8b(bench::Harness& harness, std::size_t nodes) {
 int main(int argc, char** argv) {
   bench::Harness harness("fig8_broadcast", "Fig. 8",
                          "broadcast efficiency and failure tolerance (4K nodes)",
-                         argc, argv);
+                         bench::Uses{.jobs = true, .telemetry = true}, argc, argv);
   const std::size_t nodes = harness.smoke() ? 1024 : 4096;
   const int rounds = harness.smoke() ? 3 : 10;
   fig8a(harness, nodes, rounds);

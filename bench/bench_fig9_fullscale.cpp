@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
     else
       args.push_back(argv[i]);
   }
-  bench::Harness harness("fig9_fullscale", "Fig. 9",
-                         "Slurm vs ESLURM on a Tianhe-2A workload",
+  bench::Harness harness("fig9_fullscale", "Fig. 9", "Slurm vs ESLURM on a Tianhe-2A workload",
+                         bench::Uses{.jobs = true, .telemetry = true},
                          static_cast<int>(args.size()), args.data());
   const std::size_t nodes =
       nodes_override ? nodes_override : (harness.smoke() ? 2048 : 16384);

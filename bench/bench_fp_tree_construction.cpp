@@ -57,7 +57,7 @@ double time_ns(Fn&& fn, double min_seconds) {
 int main(int argc, char** argv) {
   bench::Harness harness("fp_tree_construction", "Sec. IV",
                          "FP-Tree construction cost is O(n) in the list length",
-                         argc, argv);
+                         bench::Uses{}, argc, argv);
   const double min_seconds = harness.smoke() ? 0.02 : 0.2;
   const std::vector<std::size_t> sizes =
       harness.smoke() ? std::vector<std::size_t>{256, 4096, 65536}

@@ -10,7 +10,7 @@ using namespace eslurm;
 int main(int argc, char** argv) {
   bench::Harness harness("fp_tree_placement", "Sec. VII-A",
                          "FP-Tree leaf placement over a 10-day deployment",
-                         argc, argv);
+                         bench::Uses{.telemetry = true}, argc, argv);
   const std::size_t nodes = harness.smoke() ? 1024 : 4096;
   const SimTime horizon = harness.smoke() ? days(2) : days(10);
   const double sim_days = to_seconds(horizon) / 86400.0;

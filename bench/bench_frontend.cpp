@@ -76,9 +76,8 @@ std::string pct(double fraction) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Harness harness("frontend", "Sec. II-B",
-                         "user-request response vs. client population", argc,
-                         argv);
+  bench::Harness harness("frontend", "Sec. II-B", "user-request response vs. client population",
+                         bench::Uses{.jobs = true, .telemetry = true}, argc, argv);
   const std::size_t nodes = harness.smoke() ? 4096 : 20480;
   const SimTime horizon = harness.smoke() ? minutes(3) : minutes(15);
   const SimTime default_ttl = seconds(2);

@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
   bench::Harness harness("ha_failover", "HA failover",
                          "snapshot cadence vs jobs lost / takeover time "
                          "under crash-at-worst-moment master kills",
-                         argc, argv);
+                         bench::Uses{.jobs = true, .telemetry = true}, argc, argv);
   const std::size_t nodes = harness.smoke() ? 64 : 256;
   const std::size_t job_count = harness.smoke() ? 24 : 90;
   const std::vector<double> cadences =

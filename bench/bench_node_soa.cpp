@@ -88,7 +88,7 @@ struct World {
 int main(int argc, char** argv) {
   bench::Harness harness("node_soa", "Sec. III",
                          "SoA bitset scans vs per-node objects (RM hot sweeps)",
-                         argc, argv);
+                         bench::Uses{}, argc, argv);
   const double min_seconds = harness.smoke() ? 0.02 : 0.2;
   const std::vector<std::size_t> sizes =
       harness.smoke() ? std::vector<std::size_t>{16384}

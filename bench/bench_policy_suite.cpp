@@ -227,7 +227,7 @@ int main(int argc, char** argv) {
   bench::Harness harness("policy_suite", "policy suite",
                          "QoS / limits / reservation / preemption arms x "
                          "QoS mixes: per-class wait and invariant counters",
-                         argc, argv);
+                         bench::Uses{.jobs = true, .telemetry = true}, argc, argv);
   const std::size_t nodes = harness.smoke() ? 64 : 256;
   const SimTime duration = harness.smoke() ? hours(6) : hours(24);
 

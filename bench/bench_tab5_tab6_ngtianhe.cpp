@@ -20,7 +20,7 @@ using namespace eslurm;
 int main(int argc, char** argv) {
   bench::Harness harness("tab5_tab6_ngtianhe", "Tables V & VI",
                          "ESLURM on 20K+ nodes, SE1..SE5 (10..50 satellites)",
-                         argc, argv);
+                         bench::Uses{.jobs = true, .telemetry = true}, argc, argv);
   const std::size_t nodes = harness.smoke() ? 2048 : 20480;
   const SimTime horizon = harness.smoke() ? hours(8) : hours(48);
   const double sim_days = to_seconds(horizon) / 86400.0;

@@ -12,7 +12,7 @@ using namespace eslurm;
 int main(int argc, char** argv) {
   bench::Harness harness("tab8_slack", "Table VIII",
                          "slack variable alpha vs AEA / underestimation rate",
-                         argc, argv);
+                         bench::Uses{.jobs = true}, argc, argv);
   trace::WorkloadProfile profile = trace::ng_tianhe_profile();
   profile.jobs_per_hour = 12;
   trace::TraceGenerator generator(profile);

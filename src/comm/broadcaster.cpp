@@ -17,11 +17,11 @@ net::MessageType Broadcaster::alloc_type_range(int width) {
   return net_.alloc_message_types(width);
 }
 
-void Broadcaster::register_relay_handler(net::MessageType type, net::TypeHandler handler) {
+void Broadcaster::register_relay_handler(net::MessageType type, net::Handler handler) {
   if (transport_) {
-    transport_->register_type_handler(type, std::move(handler));
+    transport_->register_handler(type, std::move(handler));
   } else {
-    net_.register_type_handler(type, std::move(handler));
+    net_.register_handler(type, std::move(handler));
   }
 }
 

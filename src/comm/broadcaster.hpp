@@ -95,9 +95,9 @@ class Broadcaster {
   /// Handler registration / send routed through the reliable transport
   /// when one is attached, raw Network otherwise.  Implementations use
   /// these for their control traffic so one construction argument flips
-  /// the whole structure between lossy and reliable delivery.  A relay
-  /// handler is type-wide: one registration serves every node.
-  void register_relay_handler(net::MessageType type, net::TypeHandler handler);
+  /// the whole structure between lossy and reliable delivery.  One relay
+  /// handler serves its type on every node.
+  void register_relay_handler(net::MessageType type, net::Handler handler);
   void relay_send(NodeId from, NodeId to, net::Message msg, SimTime timeout,
                   net::SendCallback on_complete = {});
 

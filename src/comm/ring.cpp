@@ -5,8 +5,8 @@ namespace eslurm::comm {
 RingBroadcaster::RingBroadcaster(net::Network& network, std::string name)
     : Broadcaster(network, std::move(name)) {
   hop_type_ = alloc_type_range(1);
-  net_.register_type_handler(hop_type_,
-                             [this](NodeId self, const net::Message& m) { on_hop(self, m); });
+  net_.register_handler(hop_type_,
+                        [this](NodeId self, const net::Message& m) { on_hop(self, m); });
 }
 
 void RingBroadcaster::broadcast(NodeId root,

@@ -7,7 +7,7 @@ StarBroadcaster::StarBroadcaster(net::Network& network, std::string name)
   payload_type_ = alloc_type_range(1);
   // Targets only need to accept the payload; delivery is counted via the
   // sender-side completion, and the hook fires through mark_delivered.
-  net_.register_type_handler(payload_type_, [](NodeId, const net::Message&) {});
+  net_.register_handler(payload_type_, [](NodeId, const net::Message&) {});
 }
 
 void StarBroadcaster::broadcast(NodeId root,

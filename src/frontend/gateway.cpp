@@ -58,36 +58,35 @@ Gateway::Gateway(sim::Engine& engine, net::Network& network,
         net_, Rng(derive_seed(config_.transport_seed, 0xF3)), config_.transport,
         "frontend");
   }
-  const net::NodeId master = rm_.deployment().master;
-  net_.register_handler(master, kMsgRpcRequest,
-                        [this](const net::Message& m) { on_master_request(m); });
-  net_.register_handler(master, kMsgCacheRefresh,
-                        [this](const net::Message& m) { on_refresh_request(m); });
+  // Requests and refreshes go to the master, reads and refresh replies
+  // to a satellite.  A refresh names its satellite; a read finds it from
+  // its pending entry.
+  net_.register_handler(kMsgRpcRequest,
+                        [this](net::NodeId, const net::Message& m) { on_master_request(m); });
+  net_.register_handler(kMsgCacheRefresh,
+                        [this](net::NodeId, const net::Message& m) { on_refresh_request(m); });
 
   if (eslurm_ && config_.satellite_reads) {
     const auto& satellites = rm_.deployment().satellites;
     sats_.reserve(satellites.size());
-    for (std::size_t i = 0; i < satellites.size(); ++i) {
-      sats_.emplace_back(satellites[i], config_.cache_ttl);
-      net_.register_handler(satellites[i], kMsgReadRequest,
-                            [this, i](const net::Message& m) { on_satellite_read(i, m); });
-      net_.register_handler(satellites[i], kMsgRefreshReply, [this](const net::Message& m) {
-        const auto& body = m.body<RefreshReplyBody>();
-        finish_refresh(body.sat_index, body.kind, true, body.entries);
-      });
-    }
+    for (const net::NodeId node : satellites) sats_.emplace_back(node, config_.cache_ttl);
+    net_.register_handler(kMsgReadRequest,
+                          [this](net::NodeId, const net::Message& m) { on_satellite_read(m); });
+    net_.register_handler(kMsgRefreshReply, [this](net::NodeId, const net::Message& m) {
+      const auto& body = m.body<RefreshReplyBody>();
+      finish_refresh(body.sat_index, body.kind, true, body.entries);
+    });
   }
 
   // Clients consume their responses in the send-completion callback; a
   // no-op handler keeps the delivery from being logged as a drop (and,
   // through the transport, puts retransmitted responses behind the dedup
   // window).
-  for (const net::NodeId node : rm_.deployment().compute) {
-    if (transport_) {
-      transport_->register_handler(node, kMsgRpcResponse, [](const net::Message&) {});
-    } else {
-      net_.register_handler(node, kMsgRpcResponse, [](const net::Message&) {});
-    }
+  const auto ignore = [](net::NodeId, const net::Message&) {};
+  if (transport_) {
+    transport_->register_handler(kMsgRpcResponse, ignore);
+  } else {
+    net_.register_handler(kMsgRpcResponse, ignore);
   }
 }
 
@@ -101,20 +100,9 @@ void Gateway::respond(net::NodeId from, net::NodeId to, net::Message msg,
 }
 
 Gateway::~Gateway() {
-  const net::NodeId master = rm_.deployment().master;
-  net_.unregister_handler(master, kMsgRpcRequest);
-  net_.unregister_handler(master, kMsgCacheRefresh);
-  for (const SatelliteEndpoint& sat : sats_) {
-    net_.unregister_handler(sat.node, kMsgReadRequest);
-    net_.unregister_handler(sat.node, kMsgRefreshReply);
-  }
-  for (const net::NodeId node : rm_.deployment().compute) {
-    if (transport_) {
-      transport_->unregister_handler(node, kMsgRpcResponse);
-    } else {
-      net_.unregister_handler(node, kMsgRpcResponse);
-    }
-  }
+  for (const net::MessageType type :
+       {kMsgRpcRequest, kMsgRpcResponse, kMsgReadRequest, kMsgCacheRefresh, kMsgRefreshReply})
+    net_.unregister_handler(type);
 }
 
 void Gateway::issue(RpcKind kind, net::NodeId source, ResponseCallback done) {
@@ -281,12 +269,15 @@ void Gateway::on_master_request(const net::Message& msg) {
   });
 }
 
-void Gateway::on_satellite_read(std::size_t sat_index, const net::Message& msg) {
+void Gateway::on_satellite_read(const net::Message& msg) {
   const auto& body = msg.body<RequestBody>();
-  if (!pending_.count(body.id)) {
+  const auto it = pending_.find(body.id);
+  if (it == pending_.end()) {
     ++late_responses_;  // gave up / timed out before the satellite saw it
     return;
   }
+  // A pending read is in flight to the satellite it was sent to.
+  const std::size_t sat_index = it->second.sat_index;
   SatelliteEndpoint& sat = sats_[sat_index];
   if (sat.cache.lookup(body.kind, engine_.now())) {
     serve_from_cache(sat_index, body.id);

@@ -181,7 +181,7 @@ class Gateway {
   bool satellite_serviceable(std::size_t sat_index) const;
   void send_to_satellite(std::uint64_t id, std::size_t sat_index);
   void on_master_request(const net::Message& msg);
-  void on_satellite_read(std::size_t sat_index, const net::Message& msg);
+  void on_satellite_read(const net::Message& msg);
   void serve_from_cache(std::size_t sat_index, std::uint64_t id);
   void begin_refresh(std::size_t sat_index, RpcKind kind);
   void finish_refresh(std::size_t sat_index, RpcKind kind, bool ok,

@@ -89,30 +89,24 @@ HaReplicator::HaReplicator(sim::Engine& engine, net::Network& network,
     snapshot_counter_ = &t->metrics.counter("ha.replication.snapshots");
     lag_gauge_ = &t->metrics.gauge("ha.replication.lag_seq");
   }
-}
-
-void HaReplicator::register_standby_handlers() {
-  transport_.register_handler(
-      standby_, kMsgWalReplicate, [this](const net::Message& msg) {
-        const auto& body = msg.body<WalBatchBody>();
-        store_.ingest_wal(body.frames);
-      });
-  transport_.register_handler(
-      standby_, kMsgSnapshotChunk, [this](const net::Message& msg) {
-        const auto& body = msg.body<SnapshotChunkBody>();
-        store_.ingest_snapshot_chunk(body.snapshot_id, body.index, body.total,
-                                     body.last_wal_seq, body.data);
-      });
+  // The stream only ever targets the current standby; a frame that lands
+  // on any other node (a former standby) is acked and ignored.
+  transport_.register_handler(kMsgWalReplicate, [this](net::NodeId self, const net::Message& msg) {
+    if (self != standby_) return;
+    const auto& body = msg.body<WalBatchBody>();
+    store_.ingest_wal(body.frames);
+  });
+  transport_.register_handler(kMsgSnapshotChunk, [this](net::NodeId self, const net::Message& msg) {
+    if (self != standby_) return;
+    const auto& body = msg.body<SnapshotChunkBody>();
+    store_.ingest_snapshot_chunk(body.snapshot_id, body.index, body.total, body.last_wal_seq,
+                                 body.data);
+  });
 }
 
 void HaReplicator::set_endpoints(net::NodeId master, net::NodeId standby) {
-  if (standby_ != net::kNoNode && standby_ != standby) {
-    transport_.unregister_handler(standby_, kMsgWalReplicate);
-    transport_.unregister_handler(standby_, kMsgSnapshotChunk);
-  }
   master_ = master;
   standby_ = standby;
-  if (standby_ != net::kNoNode) register_standby_handlers();
 }
 
 void HaReplicator::replicate(std::string frames, std::uint64_t first_seq,

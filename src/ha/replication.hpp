@@ -88,9 +88,9 @@ class HaReplicator {
   HaReplicator(sim::Engine& engine, net::Network& network, HaOptions options,
                Rng rng);
 
-  /// (Re)binds the replication stream master -> standby and registers
-  /// the standby-side handlers.  kNoNode standby = solo mode: pushes
-  /// confirm immediately (local commit only).
+  /// (Re)binds the replication stream master -> standby; only the
+  /// standby ingests it.  kNoNode standby = solo mode: pushes confirm
+  /// immediately (local commit only).
   void set_endpoints(net::NodeId master, net::NodeId standby);
   net::NodeId standby() const { return standby_; }
   bool has_standby() const { return standby_ != net::kNoNode; }
@@ -128,7 +128,6 @@ class HaReplicator {
   };
 
   void pump();
-  void register_standby_handlers();
 
   sim::Engine& engine_;
   net::ReliableTransport transport_;

@@ -32,42 +32,17 @@ SimTime Network::recv_processing(NodeId node) const {
   return receive_cost(hot_.at(node), node);
 }
 
-Network::HandlerRow& Network::handler_row(MessageType type) {
-  if (type < 0) throw std::out_of_range("Network: negative message type");
+void Network::register_handler(MessageType type, Handler handler) {
+  if (type < 0) throw std::out_of_range("Network::register_handler: negative type");
   if (static_cast<std::size_t>(type) >= handlers_by_type_.size())
     handlers_by_type_.resize(static_cast<std::size_t>(type) + 1);
-  return handlers_by_type_[static_cast<std::size_t>(type)];
+  handlers_by_type_[static_cast<std::size_t>(type)] = std::move(handler);
 }
 
-void Network::register_handler(NodeId node, MessageType type, Handler handler) {
-  if (node >= hot_.size()) throw std::out_of_range("Network::register_handler: bad node");
-  HandlerRow& row = handler_row(type);
-  if (row.any_node)
-    throw std::logic_error("Network::register_handler: type has a type-wide handler");
-  if (row.by_node.empty()) row.by_node.resize(hot_.size());
-  row.by_node[node] = std::move(handler);
-}
-
-void Network::unregister_handler(NodeId node, MessageType type) {
-  if (node >= hot_.size() || type < 0)
-    throw std::out_of_range("Network::unregister_handler: bad node or type");
-  if (static_cast<std::size_t>(type) >= handlers_by_type_.size()) return;
-  auto& row = handlers_by_type_[static_cast<std::size_t>(type)].by_node;
-  if (!row.empty()) row[node] = nullptr;
-}
-
-void Network::register_type_handler(MessageType type, TypeHandler handler) {
-  HandlerRow& row = handler_row(type);
-  if (std::any_of(row.by_node.begin(), row.by_node.end(),
-                  [](const Handler& h) { return static_cast<bool>(h); }))
-    throw std::logic_error("Network::register_type_handler: type has per-node handlers");
-  row.any_node = std::move(handler);
-}
-
-void Network::unregister_type_handler(MessageType type) {
-  if (type < 0) throw std::out_of_range("Network::unregister_type_handler: bad type");
+void Network::unregister_handler(MessageType type) {
+  if (type < 0) throw std::out_of_range("Network::unregister_handler: negative type");
   if (static_cast<std::size_t>(type) < handlers_by_type_.size())
-    handlers_by_type_[static_cast<std::size_t>(type)].any_node = nullptr;
+    handlers_by_type_[static_cast<std::size_t>(type)] = nullptr;
 }
 
 SimTime Network::propagation(NodeId from, NodeId to) const {
@@ -137,13 +112,8 @@ void Network::dispatch(NodeId to, const Message& msg, bool duplicate) {
   ++hot_[to].received;
   if (delivered_counter_) delivered_counter_->inc();
   if (static_cast<std::size_t>(msg.type) < handlers_by_type_.size()) {
-    const HandlerRow& row = handlers_by_type_[static_cast<std::size_t>(msg.type)];
-    if (row.any_node) {
-      row.any_node(to, msg);
-      return;
-    }
-    if (!row.by_node.empty() && row.by_node[to]) {
-      row.by_node[to](msg);
+    if (const Handler& handler = handlers_by_type_[static_cast<std::size_t>(msg.type)]) {
+      handler(to, msg);
       return;
     }
   }

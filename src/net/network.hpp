@@ -56,14 +56,11 @@ struct LinkModel {
 };
 
 /// Invoked when a message is delivered to a node (after receive
-/// serialization).  Handlers are registered per (node, message type).
-using Handler = std::function<void(const Message&)>;
-
-/// Type-wide handler: one callable serves every node for a message type
-/// and learns the receiving node as `self`.  The broadcast structures
-/// run the same relay logic on every node, so one of these replaces a
-/// row of identical per-node handlers.
-using TypeHandler = std::function<void(NodeId self, const Message&)>;
+/// serialization).  One handler serves a message type on every node and
+/// learns the receiving node as `self`: a type belongs to one daemon role
+/// (the master, a satellite, or the relay code every node runs), and a
+/// handler that serves only some nodes branches on `self`.
+using Handler = std::function<void(NodeId self, const Message&)>;
 
 /// Inline capture budget of a send-completion callback: the tree's and
 /// the RM's {this, ids...} captures fit, so a steady-state send
@@ -101,16 +98,10 @@ class Network {
   void set_chaos(ChaosInjector* chaos) { chaos_ = chaos; }
   ChaosInjector* chaos() const { return chaos_; }
 
-  /// Registers/replaces the handler for one message type on one node.
-  /// Throws std::logic_error if `type` has a type-wide handler.
-  void register_handler(NodeId node, MessageType type, Handler handler);
-  void unregister_handler(NodeId node, MessageType type);
-
-  /// Registers/replaces the handler of `type` on every node.  Throws
-  /// std::logic_error if any node has a per-node handler for `type`:
-  /// a type is served one way or the other, never both.
-  void register_type_handler(MessageType type, TypeHandler handler);
-  void unregister_type_handler(MessageType type);
+  /// Registers/replaces the handler of `type`.  Throws std::out_of_range
+  /// on a negative type.
+  void register_handler(MessageType type, Handler handler);
+  void unregister_handler(MessageType type);
 
   /// Allocates a contiguous private message-type range of `width` types
   /// (communication structures use this).  The allocator is per-network
@@ -181,10 +172,6 @@ class Network {
     SimTime recv_processing_override = 0;
     TimeSeries socket_ts;
   };
-  struct HandlerRow {
-    TypeHandler any_node;          ///< type-wide handler, if any
-    std::vector<Handler> by_node;  ///< per-node handlers, sized lazily
-  };
 
   /// One in-flight send, raw or reliable.  Every engine leg of the
   /// exchange -- arrival, delivery, duplicate copy, ack, deadline,
@@ -224,8 +211,6 @@ class Network {
   SimTime receive_cost(const NodeHot& hot, NodeId node) const {
     return hot.has_override ? cold_[node].recv_processing_override : model_.recv_processing;
   }
-  /// The row for `type`, grown on demand; throws on a negative type.
-  HandlerRow& handler_row(MessageType type);
   void adjust_sockets(NodeId node, int delta);
   SimTime jittered(SimTime t);
 
@@ -272,13 +257,11 @@ class Network {
   ChaosInjector* chaos_ = nullptr;
   std::vector<NodeHot> hot_;
   std::vector<NodeCold> cold_;
-  /// Type-major handler tables: one row per message type, holding either
-  /// a type-wide handler or per-node handlers (by_node[node], sized to
-  /// the node count on first per-node registration).  Delivery is two
-  /// vector indexes -- no hashing, no per-node map churn.  Message types
-  /// are small dense integers (see net/message.hpp), which is what makes
-  /// type-major flat tables cheap.
-  std::vector<HandlerRow> handlers_by_type_;
+  /// One handler per message type, indexed by type: delivery is one
+  /// vector index -- no hashing, and no table that grows with the node
+  /// count.  Message types are small dense integers (see
+  /// net/message.hpp), which is what makes a flat table cheap.
+  std::vector<Handler> handlers_by_type_;
   /// Recycled send records in stable chunked storage, so references stay
   /// valid while handlers send reentrantly (which may grow the pool).
   util::SlabPool<SendOp, /*StableStorage=*/true> send_ops_;

@@ -42,11 +42,7 @@ ReliableTransport::ReliableTransport(Network& network, Rng rng,
 }
 
 ReliableTransport::~ReliableTransport() {
-  for (const auto& registration : registrations_) {
-    if (registration->node != kNoNode)
-      network_.unregister_handler(registration->node, registration->type);
-  }
-  for (const MessageType type : type_registrations_) network_.unregister_type_handler(type);
+  for (const MessageType type : registered_types_) network_.unregister_handler(type);
   network_.detach(this);
 }
 
@@ -156,37 +152,19 @@ bool ReliableTransport::admit_frame(std::uint32_t slot, NodeId self, const Messa
   return false;
 }
 
-void ReliableTransport::register_handler(NodeId node, MessageType type,
-                                         Handler handler) {
-  if (node >= network_.node_count())
-    throw std::out_of_range("ReliableTransport::register_handler: bad node");
-  auto registration = std::make_unique<Registration>(
-      Registration{std::move(handler), node, type, slot_of(type)});
-  // Register with the network first: it throws if the type is served
-  // type-wide, and then nothing is recorded here.
-  network_.register_handler(node, type, [this, &r = *registration](const Message& frame) {
-    if (admit_frame(r.slot, r.node, frame)) r.handler(frame);
-  });
-  registrations_.push_back(std::move(registration));
-}
-
-void ReliableTransport::register_type_handler(MessageType type, TypeHandler handler) {
-  network_.register_type_handler(
+void ReliableTransport::register_handler(MessageType type, Handler handler) {
+  network_.register_handler(
       type, [this, slot = slot_of(type), handler = std::move(handler)](NodeId self,
                                                                        const Message& frame) {
         if (admit_frame(slot, self, frame)) handler(self, frame);
       });
-  type_registrations_.push_back(type);
+  registered_types_.push_back(type);
 }
 
-void ReliableTransport::unregister_handler(NodeId node, MessageType type) {
-  network_.unregister_handler(node, type);
-  for (auto& registration : registrations_) {
-    if (registration->node == node && registration->type == type) {
-      registration->handler = nullptr;
-      registration->node = kNoNode;
-    }
-  }
+void ReliableTransport::unregister_handler(MessageType type) {
+  network_.unregister_handler(type);
+  registered_types_.erase(std::remove(registered_types_.begin(), registered_types_.end(), type),
+                          registered_types_.end());
 }
 
 }  // namespace eslurm::net

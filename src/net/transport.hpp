@@ -12,14 +12,14 @@
 //     cap is exhausted does the caller observe a permanent failure (so
 //     transient loss is absorbed, while a genuinely dead satellite still
 //     surfaces as one).
-//   * receiver side: handlers registered through the transport sit behind
-//     a sliding anti-replay window per (sender, receiver, type) channel,
-//     as in RFC 4303 section 3.4.3: the highest seq delivered plus a
-//     128-bit mask of the seqs below it.  A retransmit-after-lost-ack or a
-//     chaos-duplicated frame is acked but not re-processed -- job-load,
-//     job-terminate and heartbeat messages become idempotent.  A frame
-//     more than 127 seqs behind the highest is older than the window: it
-//     is delivered and counted (dedup_window_wraps).
+//   * receiver side: a handler registered through the transport sits
+//     behind a sliding anti-replay window per (sender, receiver, type)
+//     channel, as in RFC 4303 section 3.4.3: the highest seq delivered
+//     plus a 128-bit mask of the seqs below it.  A retransmit after a
+//     lost ack, or a chaos-duplicated frame, is acked but not re-processed
+//     -- job-load, job-terminate and heartbeat messages become idempotent.
+//     A frame more than 127 seqs behind the highest is older than the
+//     window: it is delivered and counted (dedup_window_wraps).
 //
 // The result is at-least-once delivery on the wire, exactly-once
 // processing at the handler (within the window).  With no chaos injector
@@ -37,10 +37,9 @@
 // aligned 64-byte cache line -- the 40-byte inline channel (its 128-bit
 // window kept as two 64-bit words, so nothing forces 16-byte alignment)
 // plus the spill vector -- and each of a message's two channel lookups
-// (sender's seq, receiver's window) touches one line.  A per-node
-// registration's network handler captures only {this, registration}; a
-// type-wide registration is one network handler for the whole type that
-// finds the channel from the receiving node.
+// (sender's seq, receiver's window) touches one line.  A registration is
+// one network handler for the whole type that finds the channel from the
+// receiving node, so a frame passes the window at any node it reaches.
 //
 // A reliable send is one record: the network's pooled send op, which
 // carries the frame, the caller's callback and the attempt count, with
@@ -52,7 +51,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -112,17 +110,13 @@ class ReliableTransport {
   void send(NodeId from, NodeId to, Message msg, SimTime timeout = 0,
             SendCallback on_complete = {});
 
-  /// Registers `handler` for `type` on `node`, behind the anti-replay
-  /// window.  The handler receives the delivered frame itself (msg.src /
-  /// type / payload as sent, msg.seq as stamped by the sender).
-  void register_handler(NodeId node, MessageType type, Handler handler);
-  void unregister_handler(NodeId node, MessageType type);
-
-  /// Type-wide counterpart (see Network::register_type_handler): one
-  /// handler serves `type` on every node, behind the same anti-replay
-  /// window keyed by (type, sender, receiving node).  Throws
-  /// std::logic_error if `type` already has per-node handlers.
-  void register_type_handler(MessageType type, TypeHandler handler);
+  /// Registers/replaces the handler of `type` (see
+  /// Network::register_handler), behind the anti-replay window keyed by
+  /// (type, sender, receiving node).  The handler receives the delivered
+  /// frame itself (msg.src / type / payload as sent, msg.seq as stamped
+  /// by the sender).
+  void register_handler(MessageType type, Handler handler);
+  void unregister_handler(MessageType type);
 
   std::uint64_t sends() const { return sends_; }
   std::uint64_t retransmits() const { return retransmits_; }
@@ -164,15 +158,6 @@ class ReliableTransport {
     std::vector<Channel> others;
   };
   static_assert(sizeof(Inbox) == 64, "a transport inbox must be exactly one 64-byte line");
-  /// A handler registered through the transport.  Heap-held, so the
-  /// network-side wrapper can point at it and registering more handlers
-  /// (even from inside a handler) never moves it.
-  struct Registration {
-    Handler handler;
-    NodeId node = kNoNode;  ///< kNoNode once unregistered
-    MessageType type = 0;
-    std::uint32_t slot = 0;
-  };
   std::uint32_t slot_of(MessageType type);
   /// The (from -> to) channel of `slot`, created on first use.  Both
   /// endpoints must be valid node ids.
@@ -196,8 +181,7 @@ class ReliableTransport {
   std::vector<std::uint32_t> slot_by_type_;  ///< type -> slot + 1 (0: none)
   /// [slot][receiver] -> channels from each sender.
   std::vector<std::vector<Inbox>> channels_;
-  std::vector<std::unique_ptr<Registration>> registrations_;
-  std::vector<MessageType> type_registrations_;  ///< types with a type-wide handler
+  std::vector<MessageType> registered_types_;  ///< unregistered from the network on destruction
 
   std::uint64_t sends_ = 0;
   std::uint64_t retransmits_ = 0;

@@ -14,6 +14,7 @@ namespace {
 struct TaskBody {
   std::uint64_t dispatch_id;
   std::uint32_t subtask;
+  std::uint32_t satellite;  ///< index of the receiving satellite
 };
 struct ResultBody {
   std::uint64_t dispatch_id;
@@ -80,16 +81,18 @@ EslurmRm::EslurmRm(sim::Engine& engine, net::Network& network,
     sat.state = SatelliteState::Running;  // brought up with the RM
     sat.stats = std::make_unique<DaemonStats>(engine_, net_, sat.node,
                                               satellite_accounting());
-    rm_register(sat.node, kMsgSatelliteTask,
-                [this, i](const net::Message& m) { on_satellite_task(i, m); });
-    // Heartbeats need no application handler (the network-level ack is
-    // the liveness signal), but registering one through the transport
-    // puts chaos-duplicated pings behind the dedup window so they show
-    // up as suppressed duplicates instead of vanishing silently.
-    rm_register(sat.node, kMsgSatelliteHeartbeat, [](const net::Message&) {});
   }
-  rm_register(deployment_.master, kMsgSatelliteResult,
-              [this](const net::Message& m) { on_satellite_result(m); });
+  // Tasks, heartbeats and re-registrations go to satellites, results to
+  // whichever node is the master; a task names its satellite's index.
+  rm_register(kMsgSatelliteTask,
+              [this](NodeId, const net::Message& m) { on_satellite_task(m); });
+  // Heartbeats need no application handler (the network-level ack is
+  // the liveness signal), but registering one through the transport
+  // puts chaos-duplicated pings behind the dedup window so they show
+  // up as suppressed duplicates instead of vanishing silently.
+  rm_register(kMsgSatelliteHeartbeat, [](NodeId, const net::Message&) {});
+  rm_register(kMsgSatelliteResult,
+              [this](NodeId, const net::Message& m) { on_satellite_result(m); });
 
   if (config_.ha.enabled && !satellites_.empty()) {
     // The first satellite doubles as the standby master; it keeps its
@@ -99,11 +102,9 @@ EslurmRm::EslurmRm(sim::Engine& engine, net::Network& network,
     ha_->set_capture([this] { return build_state_image(); });
     ha_->set_on_master_dead([this] { begin_promotion(); });
     ha_->set_endpoints(deployment_.master, satellites_.front().node);
-    for (auto& sat : satellites_) {
-      // Re-registration needs no application logic; the transport-level
-      // ack is the confirmation the new master aggregates.
-      rm_register(sat.node, kMsgSatelliteReregister, [](const net::Message&) {});
-    }
+    // Re-registration needs no application logic; the transport-level
+    // ack is the confirmation the new master aggregates.
+    rm_register(kMsgSatelliteReregister, [](NodeId, const net::Message&) {});
   }
 }
 
@@ -116,11 +117,11 @@ void EslurmRm::rm_send(NodeId from, NodeId to, net::Message msg, SimTime timeout
   }
 }
 
-void EslurmRm::rm_register(NodeId node, net::MessageType type, net::Handler handler) {
+void EslurmRm::rm_register(net::MessageType type, net::Handler handler) {
   if (transport_) {
-    transport_->register_handler(node, type, std::move(handler));
+    transport_->register_handler(type, std::move(handler));
   } else {
-    net_.register_handler(node, type, std::move(handler));
+    net_.register_handler(type, std::move(handler));
   }
 }
 
@@ -277,7 +278,8 @@ void EslurmRm::send_task(NodeId sat_node, std::size_t bytes, std::uint64_t dispa
   net::Message msg;
   msg.type = kMsgSatelliteTask;
   msg.bytes = bytes;
-  msg.payload = TaskBody{dispatch_id, static_cast<std::uint32_t>(subtask_index)};
+  msg.payload = TaskBody{dispatch_id, static_cast<std::uint32_t>(subtask_index),
+                         static_cast<std::uint32_t>(sat_index)};
   rm_send(deployment_.master, sat_node, std::move(msg), config_.bcast.timeout,
           [this, dispatch_id, subtask_index, sat_index](bool ok) {
               const auto it2 = dispatches_.find(dispatch_id);
@@ -313,8 +315,9 @@ void EslurmRm::send_task(NodeId sat_node, std::size_t bytes, std::uint64_t dispa
             });
 }
 
-void EslurmRm::on_satellite_task(std::size_t sat_index, const net::Message& msg) {
+void EslurmRm::on_satellite_task(const net::Message& msg) {
   const auto& body = msg.body<TaskBody>();
+  const std::size_t sat_index = body.satellite;
   const auto it = dispatches_.find(body.dispatch_id);
   if (it == dispatches_.end()) return;
   DispatchState& state = *it->second;
@@ -561,9 +564,6 @@ void EslurmRm::finish_promotion(ha::StateImage image, SimTime detection,
   net_.set_recv_processing(
       new_master,
       from_seconds(profile_.accounting.cpu_us_per_message * 1e-6));
-  net_.register_handler(new_master, kMsgNodeReport, [](const net::Message&) {});
-  rm_register(new_master, kMsgSatelliteResult,
-              [this](const net::Message& m) { on_satellite_result(m); });
   // Fresh daemon on the new node; the old node's stats stay frozen as a
   // record of its tenure.
   master_stats_ = std::make_unique<DaemonStats>(engine_, net_, new_master,

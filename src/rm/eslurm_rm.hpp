@@ -126,7 +126,7 @@ class EslurmRm final : public ResourceManager {
   void master_takeover(std::uint64_t dispatch_id, std::size_t subtask_index);
   void subtask_finished(std::uint64_t dispatch_id, std::size_t subtask_index,
                         const comm::BroadcastResult& result);
-  void on_satellite_task(std::size_t sat_index, const net::Message& msg);
+  void on_satellite_task(const net::Message& msg);
   void on_satellite_result(const net::Message& msg);
   void heartbeat_satellites();
   SimTime subtask_watchdog_delay(std::size_t list_size) const;
@@ -145,7 +145,7 @@ class EslurmRm final : public ResourceManager {
   /// reliable transport when enabled, raw Network::send otherwise.
   void rm_send(NodeId from, NodeId to, net::Message msg, SimTime timeout,
                net::SendCallback on_complete = {});
-  void rm_register(NodeId node, net::MessageType type, net::Handler handler);
+  void rm_register(net::MessageType type, net::Handler handler);
 
   const cluster::FailurePredictor* predictor_;
   cluster::NullFailurePredictor null_predictor_;

@@ -41,16 +41,16 @@ ResourceManager::ResourceManager(sim::Engine& engine, net::Network& network,
   net_.set_recv_processing(
       deployment_.master,
       from_seconds(profile_.accounting.cpu_us_per_message * 1e-6));
-  // Node status reports arrive at the master.  Beyond the accounting the
-  // network performs, record the reporter's next heartbeat deadline in
-  // the cluster's SoA metadata: a node is overdue if no report lands
-  // within two intervals.  Pure bookkeeping -- no events are scheduled.
-  net_.register_handler(deployment_.master, kMsgNodeReport,
-                        [this](const net::Message& msg) {
-                          if (msg.src < cluster_.size())
-                            cluster_.soa().report_deadline[msg.src] =
-                                engine_.now() + 2 * profile_.node_report_interval;
-                        });
+  // Node status reports arrive at the master (whichever node holds the
+  // role now).  Beyond the accounting the network performs, record the
+  // reporter's next heartbeat deadline in the cluster's SoA metadata: a
+  // node is overdue if no report lands within two intervals.  Pure
+  // bookkeeping -- no events are scheduled.
+  net_.register_handler(kMsgNodeReport, [this](NodeId self, const net::Message& msg) {
+    if (self == deployment_.master && msg.src < cluster_.size())
+      cluster_.soa().report_deadline[msg.src] =
+          engine_.now() + 2 * profile_.node_report_interval;
+  });
 }
 
 ResourceManager::~ResourceManager() = default;

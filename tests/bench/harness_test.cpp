@@ -2,14 +2,20 @@
 // its usage errors, claim checks and headlines in the BENCH JSON, the
 // exit code finish() returns, and the one telemetry flag -- a file for a
 // bench that runs one world at a time, a directory for a sweep bench,
-// and an error in both modes when no world recorded anything.
+// and an error in both modes when no world recorded anything -- and the
+// usage error a bench raises, before it runs, for a flag it declared it
+// cannot honour.
 #include "bench_common.hpp"
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "telemetry/json.hpp"
 
@@ -52,6 +58,9 @@ telemetry::JsonValue load_json(const fs::path& path) {
   EXPECT_TRUE(document.has_value()) << path << ": " << error;
   return document ? std::move(*document) : telemetry::JsonValue();
 }
+
+/// A probe bench that honours every flag.
+constexpr Uses kAll{.jobs = true, .telemetry = true};
 
 std::optional<Flags> parse(std::vector<std::string> args, std::string& error) {
   Argv argv(std::move(args));
@@ -96,16 +105,68 @@ TEST(HarnessFlags, RejectsCountsThatAreNotPositiveIntegers) {
 
 TEST(HarnessDeathTest, UsageErrorExitsTwo) {
   Argv argv({"--smok"});
-  EXPECT_EXIT(Harness("probe", "Test", "usage", argv.argc(), argv.argv()),
+  EXPECT_EXIT(Harness("probe", "Test", "usage", kAll, argv.argc(), argv.argv()),
               ::testing::ExitedWithCode(2), "usage: bench_probe");
 }
+
+TEST(HarnessDeathTest, JobsForABenchWithNoParallelWorkExitsTwo) {
+  Argv argv({"--jobs", "2"});
+  EXPECT_EXIT(Harness("probe", "Test", "serial", Uses{.telemetry = true}, argv.argc(),
+                      argv.argv()),
+              ::testing::ExitedWithCode(2), "this bench runs no parallel work");
+}
+
+TEST(HarnessDeathTest, TelemetryForABenchThatAttachesNoneExitsTwo) {
+  Argv argv({"--telemetry-out", "unused.json"});
+  EXPECT_EXIT(Harness("probe", "Test", "no telemetry", Uses{.jobs = true}, argv.argc(),
+                      argv.argv()),
+              ::testing::ExitedWithCode(2), "this bench attaches telemetry to no world");
+}
+
+TEST(Harness, ABenchThatUsesNeitherFlagStillTakesOneJob) {
+  Argv argv({"--smoke", "--jobs", "1"});
+  Harness harness("probe", "Test", "serial", Uses{}, argv.argc(), argv.argv());
+  EXPECT_EQ(harness.jobs(), 1);
+  EXPECT_EQ(harness.telemetry(), nullptr);
+  EXPECT_EQ(harness.finish(), 0);
+}
+
+#ifdef ESLURM_BENCH_FIG5
+/// Runs the fig5 bench with `flags`; returns its exit code and output.
+std::pair<int, std::string> run_fig5(const std::string& flags) {
+  const std::string command = std::string("\"") + ESLURM_BENCH_FIG5 + "\" " + flags + " 2>&1";
+  FILE* pipe = popen(command.c_str(), "r");
+  if (!pipe) return {-1, ""};
+  std::string output;
+  char buffer[256];
+  while (std::fgets(buffer, sizeof buffer, pipe)) output += buffer;
+  const int status = pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, output};
+}
+
+TEST(HarnessBench, Fig5RejectsFlagsItCannotHonourBeforeItRuns) {
+  // fig5 runs no world and no parallel work: both flags are usage errors,
+  // raised before the banner and the sweep, and nothing is written.
+  const fs::path dir = scratch_dir();
+  const fs::path out = dir / "x.json";
+  for (const std::string& flags :
+       {"--smoke --telemetry-out \"" + out.string() + "\"", std::string("--smoke --jobs 2")}) {
+    const auto [code, output] = run_fig5(flags);
+    EXPECT_EQ(code, 2) << flags << "\n" << output;
+    EXPECT_NE(output.find("usage: bench_fig5_trace_stats"), std::string::npos) << output;
+    EXPECT_EQ(output.find("Fig. 5 --"), std::string::npos) << "the bench ran: " << output;
+  }
+  EXPECT_FALSE(fs::exists(out));
+  fs::remove_all(dir);
+}
+#endif
 
 TEST(Harness, PassedAndFailedChecksLandInTheJsonAndTheExitCode) {
   const fs::path dir = scratch_dir();
   for (const bool ok : {true, false}) {
     const fs::path out = dir / (ok ? "pass.json" : "fail.json");
     Argv argv({"--json", out.string()});
-    Harness harness("probe", "Test", "checks", argv.argc(), argv.argv());
+    Harness harness("probe", "Test", "checks", kAll, argv.argc(), argv.argv());
     harness.record_point("p", {{"k", "v"}}, {{"lost", ok ? 0.0 : 2.0}});
     harness.check("always", true, "never shown");
     harness.check("lost == 0", ok, "2 lost at p");
@@ -127,7 +188,7 @@ TEST(Harness, PassedAndFailedChecksLandInTheJsonAndTheExitCode) {
 TEST(Harness, RecordsTheHeadlineAndEchoesTheFlags) {
   const fs::path dir = scratch_dir();
   Argv argv({"--smoke", "--jobs", "3", "--json", dir.string()});
-  Harness harness("probe", "Test", "headline", argv.argc(), argv.argv());
+  Harness harness("probe", "Test", "headline", kAll, argv.argc(), argv.argv());
   harness.record_point("p", {{"k", "v"}}, {{"a", 1.0}, {"b", 2.0}});
   harness.headline({"b", "a"});
   EXPECT_EQ(harness.finish(), 0);
@@ -158,7 +219,7 @@ TEST(Harness, BenchThatRecordsNoEventsFailsItsSimulatedEventsCheck) {
   const fs::path dir = scratch_dir();
   const fs::path out = dir / "events.json";
   Argv argv({"--json", out.string()});
-  Harness harness("probe", "Test", "events", argv.argc(), argv.argv());
+  Harness harness("probe", "Test", "events", kAll, argv.argc(), argv.argv());
   harness.record_point("p", {{"k", "v"}}, {{"a", 1.0}});
   check_simulated_events(harness);  // no record_events() call at all
   EXPECT_EQ(harness.finish(), 1);
@@ -173,7 +234,7 @@ TEST(Harness, BenchThatRecordsNoEventsFailsItsSimulatedEventsCheck) {
 
 TEST(Harness, RecordedEventsPassTheSimulatedEventsCheck) {
   Argv argv({});
-  Harness harness("probe", "Test", "events", argv.argc(), argv.argv());
+  Harness harness("probe", "Test", "events", kAll, argv.argc(), argv.argv());
   harness.record_events(3);
   harness.record_events(4);
   EXPECT_EQ(harness.total_events(), 7u);
@@ -185,7 +246,7 @@ TEST(Harness, UnwritableJsonIsAnError) {
   const fs::path dir = scratch_dir();
   std::ofstream(dir / "file") << "x";
   Argv argv({"--json", (dir / "file" / "out.json").string()});
-  Harness harness("probe", "Test", "json", argv.argc(), argv.argv());
+  Harness harness("probe", "Test", "json", kAll, argv.argc(), argv.argv());
   harness.record_point("p", {{"k", "v"}}, {{"a", 1.0}});
   EXPECT_EQ(harness.finish(), 1);
   fs::remove_all(dir);
@@ -195,7 +256,7 @@ TEST(Harness, TelemetryOfASingleWorldBenchIsTheFile) {
   const fs::path dir = scratch_dir();
   const fs::path path = dir / "run.json";
   Argv argv({"--telemetry-out", path.string()});
-  Harness harness("probe", "Test", "file", argv.argc(), argv.argv());
+  Harness harness("probe", "Test", "file", kAll, argv.argc(), argv.argv());
   telemetry::Telemetry* context = harness.telemetry();
   ASSERT_NE(context, nullptr);
   EXPECT_EQ(harness.telemetry(), context);
@@ -210,7 +271,7 @@ TEST(Harness, TelemetryOfASingleWorldBenchIsTheFile) {
 TEST(Harness, TelemetryOfASweepBenchIsOneFilePerPointInTheDirectory) {
   const fs::path dir = scratch_dir() / "sweep";
   Argv argv({"--jobs", "2", "--telemetry-out", dir.string()});
-  Harness harness("probe", "Test", "directory", argv.argc(), argv.argv());
+  Harness harness("probe", "Test", "directory", kAll, argv.argc(), argv.argv());
   core::SweepSpec spec = harness.sweep_spec();
   EXPECT_EQ(spec.telemetry_dir, dir.string());
   EXPECT_EQ(spec.jobs, 2);
@@ -236,7 +297,7 @@ TEST(Harness, TelemetryOfASweepBenchIsOneFilePerPointInTheDirectory) {
 TEST(Harness, SweepWhoseWorldsIgnoreTelemetryIsAnErrorAndWritesNothing) {
   const fs::path dir = scratch_dir() / "sweep";
   Argv argv({"--telemetry-out", dir.string()});
-  Harness harness("probe", "Test", "ignored", argv.argc(), argv.argv());
+  Harness harness("probe", "Test", "ignored", kAll, argv.argc(), argv.argv());
   core::SweepSpec spec = harness.sweep_spec();
   core::SweepPoint point;
   point.label = "a";
@@ -254,7 +315,7 @@ TEST(Harness, EmptyTelemetryIsAnErrorAndWritesNothing) {
   const fs::path dir = scratch_dir();
   const fs::path path = dir / "empty.json";
   Argv argv({"--telemetry-out", path.string()});
-  Harness harness("probe", "Test", "empty", argv.argc(), argv.argv());
+  Harness harness("probe", "Test", "empty", kAll, argv.argc(), argv.argv());
   ASSERT_NE(harness.telemetry(), nullptr);  // attached, but nothing ran
   EXPECT_EQ(harness.finish(), 1);
   EXPECT_FALSE(fs::exists(path));
@@ -264,7 +325,7 @@ TEST(Harness, EmptyTelemetryIsAnErrorAndWritesNothing) {
 TEST(Harness, TelemetryAttachedToNoWorldIsAnError) {
   const fs::path dir = scratch_dir();
   Argv argv({"--telemetry-out", (dir / "t.json").string()});
-  Harness harness("probe", "Test", "unused", argv.argc(), argv.argv());
+  Harness harness("probe", "Test", "unused", kAll, argv.argc(), argv.argv());
   harness.record_point("p", {{"k", "v"}}, {{"a", 1.0}});
   EXPECT_EQ(harness.finish(), 1);
   fs::remove_all(dir);
@@ -274,7 +335,7 @@ TEST(HarnessDeathTest, SharedTelemetryWithParallelJobsExitsTwo) {
   Argv argv({"--jobs", "2", "--telemetry-out", "unused.json"});
   EXPECT_EXIT(
       {
-        Harness harness("probe", "Test", "parallel", argv.argc(), argv.argv());
+        Harness harness("probe", "Test", "parallel", kAll, argv.argc(), argv.argv());
         harness.telemetry();
       },
       ::testing::ExitedWithCode(2), "--telemetry-out needs --jobs 1");
@@ -282,7 +343,7 @@ TEST(HarnessDeathTest, SharedTelemetryWithParallelJobsExitsTwo) {
 
 TEST(Harness, WithoutTheFlagThereIsNoTelemetry) {
   Argv argv({"--jobs", "4"});
-  Harness harness("probe", "Test", "off", argv.argc(), argv.argv());
+  Harness harness("probe", "Test", "off", kAll, argv.argc(), argv.argv());
   EXPECT_EQ(harness.telemetry(), nullptr);
   EXPECT_TRUE(harness.sweep_spec().telemetry_dir.empty());
   EXPECT_EQ(harness.finish(), 0);

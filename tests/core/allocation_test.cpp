@@ -4,10 +4,11 @@
 // (which is why it lives in its own test binary: the override is
 // process-wide).  Each test warms a workload up until every pool and
 // scratch buffer has reached its plateau, then turns the counter on and
-// asserts that the steady-state loop performs no heap allocation at all:
+// asserts that the steady-state loop performs no heap allocation at all
+// (one test instead bounds the bytes a handler registration allocates):
 //   * engine: pooled event slots + inline captures, so schedule/execute
 //     cycles touch no allocator;
-//   * network: recycled SendOp slots, flat handler tables and inline
+//   * network: recycled SendOp slots, a flat handler table and inline
 //     {this, op} event captures across all legs of a send;
 //   * transport: one pooled send op per reliable send (held through
 //     retransmit backoffs), dense per-channel anti-replay windows and
@@ -56,16 +57,20 @@ namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 
-/// RAII window: allocations are counted only while one of these is live.
+/// RAII window: allocations (and their bytes) are counted only while one
+/// of these is live.
 class CountingScope {
  public:
   CountingScope() {
     g_allocations.store(0, std::memory_order_relaxed);
+    g_bytes.store(0, std::memory_order_relaxed);
     g_counting.store(true, std::memory_order_relaxed);
   }
   ~CountingScope() { g_counting.store(false, std::memory_order_relaxed); }
   static std::uint64_t count() { return g_allocations.load(std::memory_order_relaxed); }
+  static std::uint64_t bytes() { return g_bytes.load(std::memory_order_relaxed); }
 };
 
 }  // namespace
@@ -74,16 +79,20 @@ class CountingScope {
 
 namespace {
 
+void note_allocation(std::size_t size) {
+  if (!g_counting.load(std::memory_order_relaxed)) return;
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
+}
+
 void* counted_alloc(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed))
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  note_allocation(size);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 
 void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
-  if (g_counting.load(std::memory_order_relaxed))
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  note_allocation(size);
   void* p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(align), size ? size : 1) != 0)
     throw std::bad_alloc();
@@ -182,12 +191,32 @@ TEST(ZeroAllocation, EngineCancelRecyclesSlots) {
   EXPECT_EQ(allocated, 0u) << "arm/cancel cycles must recycle slots, not allocate";
 }
 
+TEST(AllocationBytes, HandlerRegistrationIsIndependentOfNodeCount) {
+  if (!ESLURM_ALLOC_HOOK) GTEST_SKIP() << "allocation hook disabled under sanitizers";
+
+  // One handler serves a type on every node, so registering one costs
+  // the same on a 102,400-node network as on a 4-node one: a few small
+  // table entries, no row sized to the node count (3.2 MB here).
+  sim::Engine engine;
+  net::Network network(engine, 102'400, net::LinkModel{}, Rng(42));
+  net::ReliableTransport transport(network, Rng(43));
+
+  std::uint64_t bytes;
+  {
+    CountingScope scope;
+    network.register_handler(kPing, [](net::NodeId, const net::Message&) {});
+    transport.register_handler(kPong, [](net::NodeId, const net::Message&) {});
+    bytes = CountingScope::bytes();
+  }
+  EXPECT_LT(bytes, 1024u);
+}
+
 TEST(ZeroAllocation, NetworkSteadyStatePingPong) {
   if (!ESLURM_ALLOC_HOOK) GTEST_SKIP() << "allocation hook disabled under sanitizers";
 
   sim::Engine engine;
   net::Network network(engine, 4, net::LinkModel{}, Rng(42));
-  network.register_handler(1, kPing, [](const net::Message&) {});
+  network.register_handler(kPing, [](net::NodeId, const net::Message&) {});
 
   // Completion-driven ping chain: each ack immediately launches the next
   // send, so the op pool and event pool stay at their plateau.
@@ -249,10 +278,10 @@ TEST(ZeroAllocation, TransportSteadyStatePingPong) {
     }
   };
   PingPong pp{transport};
-  transport.register_handler(1, kPing, [&pp](const net::Message& m) {
+  transport.register_handler(kPing, [&pp](net::NodeId, const net::Message& m) {
     pp.send(1, 0, kPong, m.body<Round>().n);
   });
-  transport.register_handler(0, kPong, [&pp](const net::Message& m) {
+  transport.register_handler(kPong, [&pp](net::NodeId, const net::Message& m) {
     ++pp.rounds;
     pp.send(0, 1, kPing, m.body<Round>().n + 1);
   });
@@ -309,8 +338,9 @@ TEST(ZeroAllocation, TransportRetransmitSteadyState) {
     }
   };
   PingPong pp{transport};
-  transport.register_handler(1, kPing, [&pp](const net::Message&) { pp.send(1, 0, kPong); });
-  transport.register_handler(0, kPong, [&pp](const net::Message&) {
+  transport.register_handler(kPing,
+                             [&pp](net::NodeId, const net::Message&) { pp.send(1, 0, kPong); });
+  transport.register_handler(kPong, [&pp](net::NodeId, const net::Message&) {
     ++pp.rounds;
     pp.send(0, 1, kPing);
   });

@@ -43,7 +43,7 @@ TEST_F(ChaosFixture, EmptyPlanNeverInterferes) {
   net.set_chaos(&chaos);
   int got = 0;
   bool ok = false;
-  net.register_handler(1, 7, [&](const Message&) { ++got; });
+  net.register_handler(7, [&](NodeId, const Message&) { ++got; });
   net.send(0, 1, Message{.type = 7}, 0, [&](bool result) { ok = result; });
   engine.run();
   EXPECT_EQ(got, 1);
@@ -63,7 +63,7 @@ TEST_F(ChaosFixture, CertainDropFailsTheSenderAtItsTimeout) {
   int got = 0;
   bool ok = true;
   SimTime completed_at = 0;
-  net.register_handler(1, 7, [&](const Message&) { ++got; });
+  net.register_handler(7, [&](NodeId, const Message&) { ++got; });
   net.send(0, 1, Message{.type = 7}, seconds(3), [&](bool result) {
     ok = result;
     completed_at = engine.now();
@@ -85,7 +85,7 @@ TEST_F(ChaosFixture, CertainDuplicationDeliversTwiceButAcksOnce) {
   net.set_chaos(&chaos);
   int got = 0;
   int completions = 0;
-  net.register_handler(1, 7, [&](const Message& m) {
+  net.register_handler(7, [&](NodeId, const Message& m) {
     EXPECT_EQ(m.body<int>(), 41);
     ++got;
   });
@@ -132,8 +132,7 @@ TEST_F(ChaosFixture, PartitionCutsOnlyCrossingTrafficDuringItsWindow) {
   plan.partition(seconds(10), seconds(10), {0}, {1});  // node 2 is outside
   chaos.set_plan(std::move(plan));
   net.set_chaos(&chaos);
-  for (NodeId n = 0; n < 3; ++n)
-    for (MessageType t = 1; t <= 4; ++t) net.register_handler(n, t, [](const Message&) {});
+  for (MessageType t = 1; t <= 4; ++t) net.register_handler(t, [](NodeId, const Message&) {});
 
   std::optional<bool> before, inside, inside_outside, outside_pair, after;
   net.send(0, 1, Message{.type = 1}, seconds(1),
@@ -174,7 +173,7 @@ TEST_F(ChaosFixture, IdenticalSeedsGiveBitIdenticalSchedules) {
     plan.ambient(0.3, 0.3, 0.3, seconds(1));
     chaos.set_plan(std::move(plan));
     net.set_chaos(&chaos);
-    net.register_handler(1, 7, [&](const Message&) { ++tally.delivered; });
+    net.register_handler(7, [&](NodeId, const Message&) { ++tally.delivered; });
     for (int i = 0; i < 200; ++i)
       net.send(0, 1, Message{.type = 7}, seconds(2));
     world.run();

@@ -23,10 +23,10 @@ TEST_P(TrafficSweep, InvariantsUnderRandomTrafficAndFailures) {
   Rng rng(GetParam() ^ 0xBEEF);
   std::size_t expected_sends = 0;
   std::size_t completions = 0, successes = 0, failures = 0;
+  net.register_handler(1, [](NodeId, const Message&) {});
   for (int i = 0; i < 500; ++i) {
     const auto from = static_cast<NodeId>(rng.uniform_int(0, 63));
     const auto to = static_cast<NodeId>(rng.uniform_int(0, 63));
-    net.register_handler(to, 1, [](const Message&) {});
     engine.schedule_at(milliseconds(rng.uniform_int(0, 5000)), [&, from, to] {
       net.send(from, to, Message{.type = 1, .bytes = 64}, seconds(1), [&](bool ok) {
         ++completions;
@@ -67,8 +67,7 @@ TEST(NetworkRecvOverride, SlowsOnlyTheTargetNode) {
   model.jitter_frac = 0.0;
   Network net(engine, 3, model, Rng(1));
   net.set_recv_processing(1, milliseconds(50));
-  net.register_handler(1, 1, [](const Message&) {});
-  net.register_handler(2, 1, [](const Message&) {});
+  net.register_handler(1, [](NodeId, const Message&) {});
   SimTime slow_done = 0, fast_done = 0;
   net.send(0, 1, Message{.type = 1}, 0, [&](bool) { slow_done = engine.now(); });
   engine.run();
@@ -90,7 +89,7 @@ TEST(NetworkRecvOverride, QueueBuildsUnderWave) {
   Network net(engine, 101, model, Rng(1));
   net.set_recv_processing(0, milliseconds(10));
   net.watch_sockets(0);
-  net.register_handler(0, 1, [](const Message&) {});
+  net.register_handler(1, [](NodeId, const Message&) {});
   for (NodeId n = 1; n <= 100; ++n) net.send(n, 0, Message{.type = 1}, minutes(10));
   engine.run();
   // 100 messages x 10 ms service, near-simultaneous arrival: most of the

@@ -21,7 +21,8 @@ struct NetFixture : ::testing::Test {
 TEST_F(NetFixture, DeliversToRegisteredHandler) {
   Network net = make(2);
   int got = 0;
-  net.register_handler(1, 7, [&](const Message& m) {
+  net.register_handler(7, [&](NodeId self, const Message& m) {
+    EXPECT_EQ(self, 1u);
     EXPECT_EQ(m.src, 0u);
     EXPECT_EQ(m.body<int>(), 41);
     ++got;
@@ -78,8 +79,7 @@ TEST_F(NetFixture, DefaultTimeoutUsedWhenZero) {
 TEST_F(NetFixture, SenderSerializesFanout) {
   Network net = make(101);
   int delivered = 0;
-  for (NodeId i = 1; i <= 100; ++i)
-    net.register_handler(i, 1, [&](const Message&) { ++delivered; });
+  net.register_handler(1, [&](NodeId, const Message&) { ++delivered; });
   SimTime last_done = 0;
   for (NodeId i = 1; i <= 100; ++i)
     net.send(0, i, Message{.type = 1}, 0, [&](bool) { last_done = engine.now(); });
@@ -93,7 +93,7 @@ TEST_F(NetFixture, SenderSerializesFanout) {
 TEST_F(NetFixture, ReceiverSerializesIncomingBurst) {
   Network net = make(11);
   SimTime last_delivery = 0;
-  net.register_handler(10, 1, [&](const Message&) { last_delivery = engine.now(); });
+  net.register_handler(1, [&](NodeId, const Message&) { last_delivery = engine.now(); });
   for (NodeId i = 0; i < 10; ++i) net.send(i, 10, Message{.type = 1});
   engine.run();
   // All ten arrive at about the same instant but are processed serially.
@@ -142,7 +142,7 @@ TEST_F(NetFixture, FireAndForgetWithoutCallback) {
 TEST_F(NetFixture, TypeHandlerReceivesTheReceivingNodeAsSelf) {
   Network net = make(4);
   std::vector<std::pair<NodeId, NodeId>> seen;  // (self, src)
-  net.register_type_handler(7, [&](NodeId self, const Message& m) {
+  net.register_handler(7, [&](NodeId self, const Message& m) {
     seen.emplace_back(self, m.src);
   });
   net.send(0, 1, Message{.type = 7});
@@ -156,39 +156,21 @@ TEST_F(NetFixture, TypeHandlerReceivesTheReceivingNodeAsSelf) {
   EXPECT_EQ(net.messages_received(1), 1u);
 }
 
-TEST_F(NetFixture, MixingHandlerKindsOnOneTypeThrows) {
-  Network net = make(3);
-  net.register_handler(1, 7, [](const Message&) {});
-  EXPECT_THROW(net.register_type_handler(7, [](NodeId, const Message&) {}), std::logic_error);
-  net.register_type_handler(8, [](NodeId, const Message&) {});
-  EXPECT_THROW(net.register_handler(2, 8, [](const Message&) {}), std::logic_error);
-  // Once the type-wide handler is gone, per-node registration works.
-  net.unregister_type_handler(8);
-  EXPECT_NO_THROW(net.register_handler(2, 8, [](const Message&) {}));
-  EXPECT_THROW(net.register_type_handler(-1, [](NodeId, const Message&) {}),
-               std::out_of_range);
-}
-
-TEST_F(NetFixture, TypeHandlerLeavesPerNodeTypesOnTheSameNodesAlone) {
-  Network net = make(3);
-  int wide = 0;
-  int per_node = 0;
-  net.register_type_handler(7, [&](NodeId self, const Message& m) {
-    EXPECT_EQ(m.type, 7);
-    EXPECT_EQ(self, 1u);
-    ++wide;
-  });
-  net.register_handler(1, 8, [&](const Message& m) {
-    EXPECT_EQ(m.type, 8);
-    ++per_node;
-  });
-  for (int i = 0; i < 3; ++i) {
-    net.send(0, 1, Message{.type = 7});
-    net.send(2, 1, Message{.type = 8});
-  }
+TEST_F(NetFixture, HandlerCanBeReplacedAndUnregistered) {
+  Network net = make(2);
+  std::vector<int> got;
+  net.register_handler(7, [&](NodeId, const Message&) { got.push_back(1); });
+  net.register_handler(7, [&](NodeId, const Message&) { got.push_back(2); });
+  net.send(0, 1, Message{.type = 7});
   engine.run();
-  EXPECT_EQ(wide, 3);
-  EXPECT_EQ(per_node, 3);
+  net.unregister_handler(7);
+  bool acked = false;
+  net.send(0, 1, Message{.type = 7}, 0, [&](bool ok) { acked = ok; });
+  engine.run();
+  EXPECT_EQ(got, std::vector<int>{2});  // replaced, then dropped
+  EXPECT_TRUE(acked);                   // an unserved type is still acked
+  EXPECT_THROW(net.register_handler(-1, [](NodeId, const Message&) {}), std::out_of_range);
+  EXPECT_THROW(net.unregister_handler(-1), std::out_of_range);
 }
 
 TEST_F(NetFixture, RecvProcessingOverrideChangesOnlyThatNode) {
@@ -200,8 +182,7 @@ TEST_F(NetFixture, RecvProcessingOverrideChangesOnlyThatNode) {
   // Same-sized bursts from distinct senders: equal wire times, so the
   // receivers' last deliveries differ only by their receive serialization.
   std::vector<SimTime> last(4, 0);
-  for (NodeId n : {1u, 2u})
-    net.register_handler(n, 1, [&, n](const Message&) { last[n] = engine.now(); });
+  net.register_handler(1, [&](NodeId self, const Message&) { last[self] = engine.now(); });
   for (int i = 0; i < 3; ++i) {
     net.send(0, 1, Message{.type = 1});
     net.send(3, 2, Message{.type = 1});
@@ -221,11 +202,10 @@ TEST_F(NetFixture, PingPongSocketSeriesAndCountersMatchPinnedValues) {
   net.watch_sockets(2);
   net.set_recv_processing(0, microseconds(40));
   int pongs = 0;
-  net.register_handler(0, 1, [&](const Message&) { ++pongs; });
-  for (NodeId n = 1; n < 4; ++n)
-    net.register_handler(n, 2, [&net, n](const Message& m) {
-      net.send(n, m.src, Message{.type = 1});
-    });
+  net.register_handler(1, [&](NodeId, const Message&) { ++pongs; });
+  net.register_handler(2, [&net](NodeId self, const Message& m) {
+    net.send(self, m.src, Message{.type = 1});
+  });
   for (int round = 0; round < 3; ++round)
     for (NodeId n = 1; n < 4; ++n) net.send(0, n, Message{.type = 2});
   engine.run();

@@ -63,8 +63,7 @@ TEST(TopologyNetworkTest, TopologyDrivesPropagationLatency) {
   config.inter_group_latency = milliseconds(10);  // exaggerated for the test
   Topology topo(128, config);
   net.set_topology(&topo);
-  net.register_handler(1, 1, [](const Message&) {});
-  net.register_handler(127, 1, [](const Message&) {});
+  net.register_handler(1, [](NodeId, const Message&) {});
 
   SimTime near_done = 0, far_done = 0;
   net.send(0, 1, Message{.type = 1}, 0, [&](bool) { near_done = engine.now(); });

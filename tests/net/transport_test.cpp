@@ -36,7 +36,7 @@ TEST_F(TransportFixture, DeliversPayloadAndAcks) {
   ReliableTransport transport(net, Rng(9));
   int got = 0;
   bool ok = false;
-  transport.register_handler(1, 7, [&](const Message& m) {
+  transport.register_handler(7, [&](NodeId, const Message& m) {
     EXPECT_EQ(m.src, 0u);
     EXPECT_EQ(m.type, 7);
     EXPECT_EQ(m.body<int>(), 41);
@@ -90,7 +90,7 @@ TEST_F(TransportFixture, RetriesUntilAFlakyPeerComesBack) {
   engine.schedule_at(seconds(2), [&] { up[1] = true; });
   int got = 0;
   bool ok = false;
-  transport.register_handler(1, 7, [&](const Message&) { ++got; });
+  transport.register_handler(7, [&](NodeId, const Message&) { ++got; });
   transport.send(0, 1, Message{.type = 7}, seconds(1),
                  [&](bool result) { ok = result; });
   engine.run();
@@ -141,7 +141,7 @@ TEST_F(TransportFixture, DedupSuppressesChaosDuplicates) {
   net.set_chaos(&chaos);
   ReliableTransport transport(net, Rng(9));
   int got = 0;
-  transport.register_handler(1, 7, [&](const Message&) { ++got; });
+  transport.register_handler(7, [&](NodeId, const Message&) { ++got; });
   for (int i = 0; i < 3; ++i) transport.send(0, 1, Message{.type = 7});
   engine.run();
   // Every frame reached the receiver twice; the handler saw each once.
@@ -167,8 +167,7 @@ TEST_F(TransportFixture, ExactlyOnceProcessingUnderHeavyLoss) {
   constexpr int kMessages = 50;
   std::map<int, int> seen;
   int completions = 0;
-  transport.register_handler(1, 7,
-                             [&](const Message& m) { ++seen[m.body<int>()]; });
+  transport.register_handler(7, [&](NodeId, const Message& m) { ++seen[m.body<int>()]; });
   for (int i = 0; i < kMessages; ++i) {
     Message msg;
     msg.type = 7;
@@ -196,8 +195,8 @@ TEST_F(TransportFixture, ChannelsKeepIndependentSequenceSpaces) {
   Network net = make(3);
   ReliableTransport transport(net, Rng(9));
   int type7 = 0, type8 = 0;
-  transport.register_handler(1, 7, [&](const Message&) { ++type7; });
-  transport.register_handler(1, 8, [&](const Message&) { ++type8; });
+  transport.register_handler(7, [&](NodeId, const Message&) { ++type7; });
+  transport.register_handler(8, [&](NodeId, const Message&) { ++type8; });
   for (int i = 0; i < 4; ++i) {
     transport.send(0, 1, Message{.type = 7});
     transport.send(0, 1, Message{.type = 8});
@@ -229,7 +228,7 @@ TEST_F(TransportFixture, DedupWindowWrapIsCountedAndReprocessed) {
   Network net = make(2);
   ReliableTransport transport(net, Rng(9), exact_options());
   int got = 0;
-  transport.register_handler(1, 7, [&](const Message&) { ++got; });
+  transport.register_handler(7, [&](NodeId, const Message&) { ++got; });
 
   // 130 sends on one channel: seqs 0..129; the window covers 2..129.
   for (int i = 0; i < 130; ++i) transport.send(0, 1, Message{.type = 7});
@@ -261,7 +260,7 @@ TEST_F(TransportFixture, OutOfOrderSeqInsideWindowIsAcceptedOnce) {
   Network net = make(2);
   ReliableTransport transport(net, Rng(9));
   std::vector<std::uint64_t> seen;
-  transport.register_handler(1, 7, [&](const Message& m) { seen.push_back(m.seq); });
+  transport.register_handler(7, [&](NodeId, const Message& m) { seen.push_back(m.seq); });
   for (const std::uint64_t seq : {0, 5, 3, 3, 5, 4, 0}) forge(engine, net, seq);
   EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 5, 3, 4}));
   EXPECT_EQ(transport.duplicates_suppressed(), 3u);
@@ -273,7 +272,7 @@ TEST_F(TransportFixture, WindowEdgeRemembers127SeqsBack) {
   Network net = make(2);
   ReliableTransport transport(net, Rng(9));
   int got = 0;
-  transport.register_handler(1, 7, [&](const Message&) { ++got; });
+  transport.register_handler(7, [&](NodeId, const Message&) { ++got; });
   forge(engine, net, 0);
   forge(engine, net, 127);
   forge(engine, net, 0);
@@ -286,7 +285,7 @@ TEST_F(TransportFixture, JumpOf128OrMoreClearsTheMask) {
   Network net = make(2);
   ReliableTransport transport(net, Rng(9));
   int got = 0;
-  transport.register_handler(1, 7, [&](const Message&) { ++got; });
+  transport.register_handler(7, [&](NodeId, const Message&) { ++got; });
   forge(engine, net, 0);
   forge(engine, net, 1);
   // A jump of exactly 128 shifts every remembered seq out of the window;
@@ -316,8 +315,7 @@ TEST_F(TransportFixture, SenderStampsPerChannelSeqs) {
   Network net = make(3);
   ReliableTransport transport(net, Rng(9));
   std::vector<std::pair<NodeId, std::uint64_t>> seen;
-  transport.register_handler(1, 7,
-                             [&](const Message& m) { seen.emplace_back(m.src, m.seq); });
+  transport.register_handler(7, [&](NodeId, const Message& m) { seen.emplace_back(m.src, m.seq); });
   for (int i = 0; i < 2; ++i) {
     transport.send(0, 1, Message{.type = 7});
     engine.run();
@@ -340,7 +338,7 @@ TEST_F(TransportFixture, LargeWindowNeverWrapsUnderChaosDuplicates) {
   net.set_chaos(&chaos);
   ReliableTransport transport(net, Rng(9));
   int got = 0;
-  transport.register_handler(1, 7, [&](const Message&) { ++got; });
+  transport.register_handler(7, [&](NodeId, const Message&) { ++got; });
   for (int i = 0; i < 200; ++i) transport.send(0, 1, Message{.type = 7});
   engine.run();
   EXPECT_EQ(got, 200);
@@ -352,8 +350,8 @@ TEST_F(TransportFixture, UnregisterStopsDelivery) {
   Network net = make(2);
   ReliableTransport transport(net, Rng(9));
   int got = 0;
-  transport.register_handler(1, 7, [&](const Message&) { ++got; });
-  transport.unregister_handler(1, 7);
+  transport.register_handler(7, [&](NodeId, const Message&) { ++got; });
+  transport.unregister_handler(7);
   bool ok = false;
   transport.send(0, 1, Message{.type = 7}, 0, [&](bool result) { ok = result; });
   engine.run();
@@ -365,7 +363,7 @@ TEST_F(TransportFixture, BadEndpointOrTypeThrowsWithoutTouchingState) {
   Network net = make(3);
   ReliableTransport transport(net, Rng(9));
   std::vector<std::uint64_t> seqs;
-  transport.register_handler(1, 7, [&](const Message& m) { seqs.push_back(m.seq); });
+  transport.register_handler(7, [&](NodeId, const Message& m) { seqs.push_back(m.seq); });
   EXPECT_THROW(transport.send(9, 1, Message{.type = 7}), std::out_of_range);
   EXPECT_THROW(transport.send(0, 9, Message{.type = 7}), std::out_of_range);
   EXPECT_THROW(transport.send(0, 1, Message{.type = -1}), std::out_of_range);
@@ -382,7 +380,7 @@ TEST_F(TransportFixture, TypeHandlerReceivesSelfAndPerChannelSeqs) {
   Network net = make(3);
   ReliableTransport transport(net, Rng(9));
   std::vector<std::pair<NodeId, std::uint64_t>> seen;  // (self, seq)
-  transport.register_type_handler(7, [&](NodeId self, const Message& m) {
+  transport.register_handler(7, [&](NodeId self, const Message& m) {
     EXPECT_EQ(m.type, 7);
     seen.emplace_back(self, m.seq);
   });
@@ -396,87 +394,12 @@ TEST_F(TransportFixture, TypeHandlerReceivesSelfAndPerChannelSeqs) {
   EXPECT_EQ(seen, expected);
 }
 
-TEST_F(TransportFixture, MixingHandlerKindsOnOneTypeThrows) {
-  Network net = make(3);
-  ReliableTransport transport(net, Rng(9));
-  transport.register_handler(1, 7, [](const Message&) {});
-  EXPECT_THROW(transport.register_type_handler(7, [](NodeId, const Message&) {}),
-               std::logic_error);
-  transport.register_type_handler(8, [](NodeId, const Message&) {});
-  EXPECT_THROW(transport.register_handler(2, 8, [](const Message&) {}), std::logic_error);
-  // Raw per-node handlers on the network collide the same way.
-  EXPECT_THROW(net.register_handler(0, 8, [](const Message&) {}), std::logic_error);
-}
-
-TEST_F(TransportFixture, TypeHandlerLeavesPerNodeTypesOnTheSameNodesAlone) {
-  Network net = make(3);
-  ReliableTransport transport(net, Rng(9));
-  int wide = 0;
-  std::vector<std::uint64_t> per_node_seqs;
-  transport.register_type_handler(7, [&](NodeId self, const Message&) {
-    EXPECT_EQ(self, 1u);
-    ++wide;
-  });
-  transport.register_handler(1, 8, [&](const Message& m) { per_node_seqs.push_back(m.seq); });
-  for (int i = 0; i < 3; ++i) {
-    transport.send(0, 1, Message{.type = 7});
-    transport.send(0, 1, Message{.type = 8});
-  }
-  engine.run();
-  EXPECT_EQ(wide, 3);
-  EXPECT_EQ(per_node_seqs, (std::vector<std::uint64_t>{0, 1, 2}));
-}
-
-TEST_F(TransportFixture, TypeHandlerSuppressesDuplicatesLikePerNodeHandlers) {
-  // Same seeds, same chaos, same traffic: a type-wide registration must
-  // admit and suppress exactly the frames a per-node one does.
-  struct Outcome {
-    int processed = 0;
-    std::uint64_t suppressed = 0;
-    std::uint64_t retransmits = 0;
-    SimTime end = 0;
-  };
-  auto run = [&](bool type_wide) {
-    sim::Engine eng;
-    Network net(eng, 3, model, Rng(1));
-    ChaosInjector chaos(eng, 3, Rng(7));
-    ChaosPlan plan;
-    plan.ambient(/*drop=*/0.2, /*duplicate=*/0.5);
-    chaos.set_plan(std::move(plan));
-    net.set_chaos(&chaos);
-    ReliableTransport transport(net, Rng(9));
-    Outcome out;
-    if (type_wide) {
-      transport.register_type_handler(7, [&](NodeId, const Message&) { ++out.processed; });
-    } else {
-      for (NodeId n : {1u, 2u})
-        transport.register_handler(n, 7, [&](const Message&) { ++out.processed; });
-    }
-    for (int i = 0; i < 50; ++i) {
-      transport.send(0, 1, Message{.type = 7});
-      transport.send(0, 2, Message{.type = 7});
-    }
-    eng.run();
-    out.suppressed = transport.duplicates_suppressed();
-    out.retransmits = transport.retransmits();
-    out.end = eng.now();
-    return out;
-  };
-  const Outcome per_node = run(false);
-  const Outcome wide = run(true);
-  EXPECT_GT(per_node.suppressed, 0u);
-  EXPECT_EQ(wide.processed, per_node.processed);
-  EXPECT_EQ(wide.suppressed, per_node.suppressed);
-  EXPECT_EQ(wide.retransmits, per_node.retransmits);
-  EXPECT_EQ(wide.end, per_node.end);
-}
-
 TEST_F(TransportFixture, FrameAfterTransportDestroyedIsDropped) {
   Network net = make(2);
   int got = 0;
   {
     ReliableTransport transport(net, Rng(9));
-    transport.register_type_handler(7, [&](NodeId, const Message&) { ++got; });
+    transport.register_handler(7, [&](NodeId, const Message&) { ++got; });
   }
   bool ok = false;
   net.send(0, 1, Message{.type = 7}, 0, [&](bool result) { ok = result; });
@@ -484,8 +407,6 @@ TEST_F(TransportFixture, FrameAfterTransportDestroyedIsDropped) {
   EXPECT_EQ(got, 0);
   EXPECT_TRUE(ok);  // delivered to the node, dropped for want of a handler
   EXPECT_EQ(net.messages_received(1), 1u);
-  // The type-wide wrapper is gone, so per-node registration is free again.
-  EXPECT_NO_THROW(net.register_handler(1, 7, [](const Message&) {}));
 }
 
 TEST_F(TransportFixture, SendInFlightWhenTransportIsDestroyedCompletesOnce) {
@@ -560,7 +481,7 @@ TEST_F(TransportFixture, RetransmitsReuseOneSendRecord) {
   ReliableTransport transport(net, Rng(9), exact_options());
   int got = 0;
   int calls = 0;
-  transport.register_handler(1, 7, [&](const Message& m) {
+  transport.register_handler(7, [&](NodeId, const Message& m) {
     EXPECT_EQ(m.body<int>(), 41);
     ++got;
   });

@@ -28,7 +28,7 @@ TEST_F(AccountingFixture, MessageHandlingCountsTowardCpu) {
   AccountingModel model;
   model.cpu_us_per_message = 1000.0;
   DaemonStats stats(engine, *net, 0, model);
-  net->register_handler(0, 1, [](const net::Message&) {});
+  net->register_handler(1, [](net::NodeId, const net::Message&) {});
   net->send(1, 0, net::Message{.type = 1});
   engine.run();
   // One received message -> 1 ms of CPU.
@@ -70,7 +70,7 @@ TEST_F(AccountingFixture, SampledSocketSeriesCapturesWindowPeaks) {
   AccountingModel model;
   DaemonStats stats(engine, *net, 0, model);
   stats.start_sampling(seconds(10), minutes(10));
-  net->register_handler(0, 1, [](const net::Message&) {});
+  net->register_handler(1, [](net::NodeId, const net::Message&) {});
   // A burst of concurrent inbound messages between two sample ticks.
   engine.schedule_at(seconds(12), [&] {
     for (net::NodeId n = 1; n < 4; ++n) net->send(n, 0, net::Message{.type = 1});
