@@ -3,8 +3,8 @@
 //
 // Sweeps uniform drop rates (0-10%, plus a fixed 2% duplication rate)
 // over the tree and FP-Tree structures, each with raw Network sends and
-// with the reliable transport (retry/backoff + dedup window).  The
-// paper's broadcast structures assume a lossless fabric; this bench
+// with the reliable transport (retry/backoff + duplicate suppression).
+// The paper's broadcast structures assume a lossless fabric; this bench
 // quantifies what the reliable transport buys when that assumption
 // breaks:
 //   * raw trees falsely declare healthy nodes unreachable as soon as a

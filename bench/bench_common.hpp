@@ -70,6 +70,7 @@
 
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
+#include "telemetry/json.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trace/generator.hpp"
 #include "util/strings.hpp"
@@ -144,28 +145,6 @@ inline std::optional<Flags> parse_flags(int argc, char** argv, std::string& erro
 }
 
 namespace detail {
-
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
 
 /// Round-trip double formatting; non-finite values become null (JSON has
 /// no NaN/Inf).
@@ -400,7 +379,7 @@ class Harness {
       error("could not write " + path.string());
       return;
     }
-    using detail::json_escape;
+    using telemetry::json_escape;
     using detail::json_number;
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start_)

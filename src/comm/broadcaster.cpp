@@ -17,14 +17,6 @@ net::MessageType Broadcaster::alloc_type_range(int width) {
   return net_.alloc_message_types(width);
 }
 
-void Broadcaster::register_relay_handler(net::MessageType type, net::Handler handler) {
-  if (transport_) {
-    transport_->register_handler(type, std::move(handler));
-  } else {
-    net_.register_handler(type, std::move(handler));
-  }
-}
-
 void Broadcaster::relay_send(NodeId from, NodeId to, net::Message msg,
                              SimTime timeout, net::SendCallback on_complete) {
   if (transport_) {

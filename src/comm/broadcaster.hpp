@@ -60,12 +60,12 @@ class Broadcaster {
   using DeliveryHook = std::function<void(NodeId node, std::uint64_t broadcast_id)>;
 
   /// With a `transport`, all control traffic (relay + completion
-  /// messages) is sent and received through the reliable channel:
-  /// transient message loss is retried below the tree's own retry logic,
-  /// and duplicated relays are suppressed by the dedup window before they
-  /// reach the forwarding handlers.  The transport must outlive the
-  /// broadcaster; nullptr (default) keeps raw Network::send semantics and
-  /// bit-identical behaviour.
+  /// messages) is sent through the reliable channel: transient message
+  /// loss is retried below the tree's own retry logic, and a retransmitted
+  /// or duplicated relay is suppressed before it reaches the forwarding
+  /// handlers.  The transport must outlive the broadcaster; nullptr
+  /// (default) keeps raw Network::send semantics and bit-identical
+  /// behaviour.
   explicit Broadcaster(net::Network& network, std::string name,
                        net::ReliableTransport* transport = nullptr);
   virtual ~Broadcaster() = default;
@@ -92,12 +92,11 @@ class Broadcaster {
   /// Allocates this instance's private message-type range.
   net::MessageType alloc_type_range(int width);
 
-  /// Handler registration / send routed through the reliable transport
-  /// when one is attached, raw Network otherwise.  Implementations use
-  /// these for their control traffic so one construction argument flips
-  /// the whole structure between lossy and reliable delivery.  One relay
-  /// handler serves its type on every node.
-  void register_relay_handler(net::MessageType type, net::Handler handler);
+  /// Send routed through the reliable transport when one is attached,
+  /// raw Network otherwise.  Implementations use it for their control
+  /// traffic so one construction argument flips the whole structure
+  /// between lossy and reliable delivery; their handlers register on the
+  /// network either way.
   void relay_send(NodeId from, NodeId to, net::Message msg, SimTime timeout,
                   net::SendCallback on_complete = {});
 

@@ -30,10 +30,15 @@ TreeBroadcaster::TreeBroadcaster(net::Network& network, std::string name,
     : Broadcaster(network, std::move(name), transport) {
   relay_type_ = alloc_type_range(2);
   done_type_ = relay_type_ + 1;
-  register_relay_handler(relay_type_,
-                         [this](NodeId self, const net::Message& m) { on_relay(self, m); });
-  register_relay_handler(done_type_,
-                         [this](NodeId self, const net::Message& m) { on_done(self, m); });
+  net_.register_handler(relay_type_,
+                        [this](NodeId self, const net::Message& m) { on_relay(self, m); });
+  net_.register_handler(done_type_,
+                        [this](NodeId self, const net::Message& m) { on_done(self, m); });
+}
+
+TreeBroadcaster::~TreeBroadcaster() {
+  net_.unregister_handler(relay_type_);
+  net_.unregister_handler(done_type_);
 }
 
 std::shared_ptr<const std::vector<NodeId>> TreeBroadcaster::prepare(
@@ -216,16 +221,19 @@ void TreeBroadcaster::on_relay(NodeId self, const net::Message& msg) {
   const auto& body = msg.body<RelayBody>();
   State* state = find(body.broadcast_id, body.state);
   if (!state) return;
+  // The relay for subtree [b, e) went to the node at position b - 1.
+  const auto pos = static_cast<Pos>(body.subtree.begin - 1);
   if (state->delivered[self]) {
-    // Duplicate relay from an adoption: acknowledge completion without
-    // re-relaying (the original relay is already covering the subtree).
-    send_done(*state, static_cast<Pos>(body.subtree.begin - 1), body.parent, 0, 0);
+    // A repeat from this node's own parent (a wire duplicate, or the
+    // parent's retry after a lost ack) is dropped: the relay it repeats
+    // still covers the subtree, and the node's own completion closes the
+    // parent's slot.  A relay from an adopting parent (a repair) is
+    // acknowledged with an empty completion, without re-relaying.
+    if (body.parent != state->ctx[pos].parent) send_done(*state, pos, body.parent, 0, 0);
     return;
   }
   mark_delivered(state->id, state->delivered, self);
   ++state->delivered_count;
-  // The relay for subtree [b, e) went to the node at position b - 1.
-  const auto pos = static_cast<Pos>(body.subtree.begin - 1);
   state->ctx[pos].reset(body.parent);
   fan_out(*state, pos, body.subtree);
   maybe_finish_node(*state, pos);

@@ -15,6 +15,9 @@
 // subtree is *adopted* by the parent (re-partitioned among new children).
 // A child that accepts but never reports completion is caught by a
 // watchdog sized to the subtree depth, and its subtree is adopted too.
+// A node that already has the payload drops a repeated relay from its own
+// parent (a wire duplicate, or the parent's retry after a lost ack) and
+// answers an adopting parent's relay with an empty completion.
 //
 // Per-broadcast state is indexed by list position, not node id: the node
 // at position p keeps its relay context in ctx[p] (the root sits at
@@ -75,6 +78,7 @@ class TreeBroadcaster : public Broadcaster {
   /// channel -- see Broadcaster.
   explicit TreeBroadcaster(net::Network& network, std::string name = "tree",
                            net::ReliableTransport* transport = nullptr);
+  ~TreeBroadcaster() override;
 
   void broadcast(NodeId root, std::shared_ptr<const std::vector<NodeId>> targets,
                  const BroadcastOptions& options, Callback done) override;
@@ -173,7 +177,7 @@ class TreeBroadcaster : public Broadcaster {
   net::MessageType done_type_;
   /// Stable storage: a delivery hook may start another broadcast while
   /// on_relay still holds its State.
-  util::SlabPool<State, /*StableStorage=*/true> states_;
+  util::SlabPool<State> states_;
   std::uint64_t total_repairs_ = 0;
 };
 

@@ -12,10 +12,6 @@ Experiment::Experiment(ExperimentConfig config) : config_(std::move(config)) {
   engine_ = std::make_unique<sim::Engine>(config_.telemetry);
   network_ = std::make_unique<net::Network>(*engine_, total, config_.link,
                                             Rng(config_.seed ^ 0x4E7));
-  if (config_.use_topology) {
-    topology_ = std::make_unique<net::Topology>(total, config_.topology);
-    network_->set_topology(topology_.get());
-  }
   cluster_ = std::make_unique<cluster::ClusterModel>(*engine_, total);
   network_->set_liveness(cluster_->liveness());
 

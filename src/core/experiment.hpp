@@ -38,9 +38,6 @@ struct ExperimentConfig {
   std::uint64_t seed = 42;
 
   net::LinkModel link;
-  /// Optional rack/group interconnect topology (flat latency when off).
-  bool use_topology = false;
-  net::TopologyConfig topology;
   rm::RmRuntimeConfig rm_config;
 
   bool enable_failures = false;
@@ -120,7 +117,6 @@ class Experiment {
   ExperimentConfig config_;
   std::unique_ptr<sim::Engine> engine_;
   std::unique_ptr<net::Network> network_;
-  std::unique_ptr<net::Topology> topology_;
   std::unique_ptr<net::ChaosInjector> chaos_;
   std::unique_ptr<cluster::ClusterModel> cluster_;
   std::unique_ptr<cluster::FailureModel> failures_;

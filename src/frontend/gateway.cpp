@@ -79,15 +79,9 @@ Gateway::Gateway(sim::Engine& engine, net::Network& network,
   }
 
   // Clients consume their responses in the send-completion callback; a
-  // no-op handler keeps the delivery from being logged as a drop (and,
-  // through the transport, puts retransmitted responses behind the dedup
-  // window).
-  const auto ignore = [](net::NodeId, const net::Message&) {};
-  if (transport_) {
-    transport_->register_handler(kMsgRpcResponse, ignore);
-  } else {
-    net_.register_handler(kMsgRpcResponse, ignore);
-  }
+  // no-op handler keeps the delivery from being logged as a drop (and
+  // counts a retransmitted reliable response as a suppressed duplicate).
+  net_.register_handler(kMsgRpcResponse, [](net::NodeId, const net::Message&) {});
 }
 
 void Gateway::respond(net::NodeId from, net::NodeId to, net::Message msg,

@@ -91,17 +91,22 @@ HaReplicator::HaReplicator(sim::Engine& engine, net::Network& network,
   }
   // The stream only ever targets the current standby; a frame that lands
   // on any other node (a former standby) is acked and ignored.
-  transport_.register_handler(kMsgWalReplicate, [this](net::NodeId self, const net::Message& msg) {
+  network.register_handler(kMsgWalReplicate, [this](net::NodeId self, const net::Message& msg) {
     if (self != standby_) return;
     const auto& body = msg.body<WalBatchBody>();
     store_.ingest_wal(body.frames);
   });
-  transport_.register_handler(kMsgSnapshotChunk, [this](net::NodeId self, const net::Message& msg) {
+  network.register_handler(kMsgSnapshotChunk, [this](net::NodeId self, const net::Message& msg) {
     if (self != standby_) return;
     const auto& body = msg.body<SnapshotChunkBody>();
     store_.ingest_snapshot_chunk(body.snapshot_id, body.index, body.total, body.last_wal_seq,
                                  body.data);
   });
+}
+
+HaReplicator::~HaReplicator() {
+  transport_.network().unregister_handler(kMsgWalReplicate);
+  transport_.network().unregister_handler(kMsgSnapshotChunk);
 }
 
 void HaReplicator::set_endpoints(net::NodeId master, net::NodeId standby) {

@@ -87,6 +87,9 @@ class HaReplicator {
  public:
   HaReplicator(sim::Engine& engine, net::Network& network, HaOptions options,
                Rng rng);
+  ~HaReplicator();
+  HaReplicator(const HaReplicator&) = delete;
+  HaReplicator& operator=(const HaReplicator&) = delete;
 
   /// (Re)binds the replication stream master -> standby; only the
   /// standby ingests it.  kNoNode standby = solo mode: pushes confirm

@@ -34,15 +34,12 @@ inline constexpr std::size_t kMessageInlineBytes = 32;
 struct Message {
   MessageType type = 0;
   NodeId src = kNoNode;
-  /// Per-channel sequence number, set by ReliableTransport::send (0 for
-  /// raw Network traffic); the receiver's anti-replay window reads it.
-  std::uint64_t seq = 0;
   std::size_t bytes = 256;   ///< serialized size driving the link model
   util::InplaceAny<kMessageInlineBytes> payload;  ///< typed body, owned by the message
 
   template <typename T>
   const T& body() const { return payload.get<T>(); }
 };
-static_assert(sizeof(Message) == 64, "a message header and inline body fill one cache line");
+static_assert(sizeof(Message) == 56, "a 16-byte header plus the inline body");
 
 }  // namespace eslurm::net

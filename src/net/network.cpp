@@ -45,12 +45,6 @@ void Network::unregister_handler(MessageType type) {
     handlers_by_type_[static_cast<std::size_t>(type)] = nullptr;
 }
 
-SimTime Network::propagation(NodeId from, NodeId to) const {
-  if (!topology_) return model_.base_latency;
-  // The topology supplies hop latency; the stack cost stays flat.
-  return topology_->latency(from, to) + model_.base_latency / 2;
-}
-
 SimTime Network::jittered(SimTime t) {
   return static_cast<SimTime>(static_cast<double>(t) *
                               (1.0 + model_.jitter_frac * rng_.next_double()));
@@ -108,16 +102,26 @@ void Network::complete(std::uint32_t op, bool ok) {
   if (cb) cb(ok);
 }
 
-void Network::dispatch(NodeId to, const Message& msg, bool duplicate) {
-  ++hot_[to].received;
+void Network::dispatch(SendOp& state, bool duplicate) {
+  ++hot_[state.to].received;
   if (delivered_counter_) delivered_counter_->inc();
+  const Message& msg = state.msg;
   if (static_cast<std::size_t>(msg.type) < handlers_by_type_.size()) {
     if (const Handler& handler = handlers_by_type_[static_cast<std::size_t>(msg.type)]) {
-      handler(to, msg);
+      if (state.reliable) {
+        if (state.processed) {
+          // A retransmit after a lost ack, or a duplicated leg: acked (the
+          // ack leg still runs) but not re-processed.
+          if (state.owner) state.owner->duplicate_suppressed();
+          return;
+        }
+        state.processed = true;
+      }
+      handler(state.to, msg);
       return;
     }
   }
-  ESLURM_DEBUG("node ", to, duplicate ? " dropped duplicate type " : " dropped message type ",
+  ESLURM_DEBUG("node ", state.to, duplicate ? " dropped duplicate type " : " dropped message type ",
                msg.type, " from ", msg.src);
 }
 
@@ -142,12 +146,12 @@ void Network::deliver_step(std::uint32_t op) {
   // stable and this op holds a reference, so reentrant sends cannot move
   // or reuse the slot.
   SendOp& state = send_ops_[op];
-  dispatch(state.to, state.msg, /*duplicate=*/false);
+  dispatch(state, /*duplicate=*/false);
 
   if (state.duplicate) {
     // A second copy arrived on the wire: it queues behind this one in
-    // the receive serializer and hits the handler again with the same
-    // frame -- the receiver cannot tell it from a retransmit.
+    // the receive serializer and reaches the handler's type again with
+    // the same frame -- a reliable op suppresses it like a retransmit.
     NodeHot& r = hot_[state.to];
     const SimTime dup_start = std::max(engine_.now(), r.recv_busy_until);
     const SimTime dup_done = dup_start + receive_cost(r, state.to);
@@ -159,8 +163,8 @@ void Network::deliver_step(std::uint32_t op) {
   // Ack back to the sender: half a round trip of pure latency.  The
   // ack leg is subject to chaos too: a lost ack means the receiver
   // *did* process the message while the sender observes a timeout --
-  // the classic at-least-once ambiguity the reliable transport's
-  // dedup window exists for.
+  // the classic at-least-once ambiguity a reliable op's `processed` flag
+  // resolves when the retransmit arrives.
   ChaosInjector::Decision ack_verdict;
   if (chaos_) ack_verdict = chaos_->decide(state.to, state.from);
   if (ack_verdict.drop) {
@@ -168,13 +172,12 @@ void Network::deliver_step(std::uint32_t op) {
     return;
   }
   const SimTime ack_at =
-      engine_.now() + jittered(propagation(state.to, state.from)) + ack_verdict.extra_delay;
+      engine_.now() + jittered(model_.base_latency) + ack_verdict.extra_delay;
   engine_.schedule_at(ack_at, Leg<&Network::acked>{this, op});
 }
 
 void Network::deliver_duplicate(std::uint32_t op) {
-  SendOp& state = send_ops_[op];
-  dispatch(state.to, state.msg, /*duplicate=*/true);
+  dispatch(send_ops_[op], /*duplicate=*/true);
   release_op(op);
 }
 
@@ -200,6 +203,8 @@ std::uint32_t Network::open(NodeId from, NodeId to, Message&& msg, SimTime timeo
   state.to = to;
   state.refs = 1;
   state.attempt = 0;
+  state.reliable = owner != nullptr;
+  state.processed = false;
   return op;
 }
 
@@ -222,7 +227,7 @@ void Network::launch(std::uint32_t op) {
   sender.send_busy_until = send_done;
 
   const SimTime wire =
-      jittered(propagation(state.from, state.to) + model_.connection_setup) +
+      jittered(model_.base_latency + model_.connection_setup) +
       static_cast<SimTime>(static_cast<double>(state.msg.bytes) /
                            model_.bandwidth_bytes_per_sec * 1e9);
 

@@ -20,15 +20,15 @@
 // or delay individual message/ack legs and cut timed partitions -- see
 // net/chaos.hpp.  A dropped ack means the receiver processed the message
 // but the sender still observes a failure, which is exactly the ambiguity
-// the reliable transport (net/transport.hpp) resolves with its anti-replay
-// window.
+// the reliable transport (net/transport.hpp) resolves: a reliable send's
+// record remembers that it was processed, and dispatch suppresses any
+// later delivery of it (a retransmit or a duplicated leg).
 #pragma once
 
 #include <functional>
 #include <vector>
 
 #include "net/message.hpp"
-#include "net/topology.hpp"
 #include "sim/engine.hpp"
 #include "util/inplace_function.hpp"
 #include "util/pool.hpp"
@@ -85,13 +85,6 @@ class Network {
   /// The liveness oracle (normally Cluster::alive).  Defaults to all-up.
   void set_liveness(std::function<bool(NodeId)> alive);
 
-  /// Attaches an interconnect topology: propagation latency then depends
-  /// on the endpoints' rack/group relationship instead of the flat
-  /// base_latency.  The pointer must outlive the network; nullptr
-  /// restores the flat model.
-  void set_topology(const Topology* topology) { topology_ = topology; }
-  const Topology* topology() const { return topology_; }
-
   /// Attaches a chaos injector: every message and ack leg consults it for
   /// drop/duplicate/delay/partition verdicts.  The injector must outlive
   /// the network; nullptr restores lossless behaviour.
@@ -99,7 +92,8 @@ class Network {
   ChaosInjector* chaos() const { return chaos_; }
 
   /// Registers/replaces the handler of `type`.  Throws std::out_of_range
-  /// on a negative type.
+  /// on a negative type.  Reliable sends (ReliableTransport::send) reach
+  /// the same handler, at most once per send.
   void register_handler(MessageType type, Handler handler);
   void unregister_handler(MessageType type);
 
@@ -180,7 +174,9 @@ class Network {
   /// is stored exactly once, across all of its attempts.  `refs` counts
   /// the primary chain (attempts, backoffs, completion) plus an optional
   /// duplicate-delivery leg; ops are never cancelled and every pending leg
-  /// holds a reference, so no generation tag is needed.
+  /// holds a reference, so no generation tag is needed.  A reliable op is
+  /// the unit of exactly-once processing: its first delivery to a handler
+  /// sets `processed`, and dispatch suppresses every later one.
   struct SendOp {
     Message msg;
     SendCallback on_complete;
@@ -194,6 +190,8 @@ class Network {
     std::uint32_t refs = 0;
     int attempt = 0;  ///< attempts launched (1 = the initial send)
     bool duplicate = false;
+    bool reliable = false;   ///< sent by a transport; outlives its detach
+    bool processed = false;  ///< a handler ran on it (reliable ops only)
   };
 
   /// One leg of a send as an engine event: `Step` runs on the op.  Its
@@ -213,8 +211,6 @@ class Network {
   }
   void adjust_sockets(NodeId node, int delta);
   SimTime jittered(SimTime t);
-
-  SimTime propagation(NodeId from, NodeId to) const;
 
   /// Opens an op for one send: validates the endpoints, stores the
   /// message and callback and resolves the timeout.  `owner` is the
@@ -247,13 +243,14 @@ class Network {
   /// is released and the completion callback runs.
   void complete(std::uint32_t op, bool ok);
   void release_op(std::uint32_t op);
-  void dispatch(NodeId to, const Message& msg, bool duplicate);
+  /// Receive counters, then the type's handler -- unless the op is a
+  /// reliable one already processed, whose repeat is suppressed.
+  void dispatch(SendOp& state, bool duplicate);
 
   sim::Engine& engine_;
   LinkModel model_;
   Rng rng_;
   std::function<bool(NodeId)> alive_;
-  const Topology* topology_ = nullptr;
   ChaosInjector* chaos_ = nullptr;
   std::vector<NodeHot> hot_;
   std::vector<NodeCold> cold_;
@@ -264,7 +261,7 @@ class Network {
   std::vector<Handler> handlers_by_type_;
   /// Recycled send records in stable chunked storage, so references stay
   /// valid while handlers send reentrantly (which may grow the pool).
-  util::SlabPool<SendOp, /*StableStorage=*/true> send_ops_;
+  util::SlabPool<SendOp> send_ops_;
   MessageType next_dynamic_type_ = kDynamicTypeBase;
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_bytes_ = 0;

@@ -36,15 +36,10 @@ ReliableTransport::ReliableTransport(Network& network, Rng rng,
                                             {{"transport", name_}});
     duplicates_counter_ = &t->metrics.counter("transport.duplicates_suppressed",
                                               {{"transport", name_}});
-    wraps_counter_ = &t->metrics.counter("transport.dedup_window_wrap",
-                                         {{"transport", name_}});
   }
 }
 
-ReliableTransport::~ReliableTransport() {
-  for (const MessageType type : registered_types_) network_.unregister_handler(type);
-  network_.detach(this);
-}
+ReliableTransport::~ReliableTransport() { network_.detach(this); }
 
 SimTime ReliableTransport::backoff_delay(int attempt) {
   double rto = static_cast<double>(options_.rto_initial);
@@ -58,68 +53,6 @@ SimTime ReliableTransport::backoff_delay(int attempt) {
   return std::max<SimTime>(1, static_cast<SimTime>(rto));
 }
 
-std::uint32_t ReliableTransport::slot_of(MessageType type) {
-  if (type < 0) throw std::out_of_range("ReliableTransport: negative message type");
-  const auto t = static_cast<std::size_t>(type);
-  if (t >= slot_by_type_.size()) slot_by_type_.resize(t + 1, 0);
-  if (slot_by_type_[t] == 0) {
-    channels_.emplace_back();
-    slot_by_type_[t] = static_cast<std::uint32_t>(channels_.size());
-  }
-  return slot_by_type_[t] - 1;
-}
-
-ReliableTransport::Channel& ReliableTransport::channel(std::uint32_t slot, NodeId from,
-                                                      NodeId to) {
-  // Rows grow on use, only as far as the receivers a type actually
-  // reaches: most types serve the master and a few satellites, which
-  // hold the lowest node ids.
-  auto& row = channels_[slot];
-  if (to >= row.size()) row.resize(static_cast<std::size_t>(to) + 1);
-  Inbox& inbox = row[to];
-  if (inbox.first.from == from) return inbox.first;
-  if (inbox.first.from == kNoNode) {
-    inbox.first.from = from;
-    return inbox.first;
-  }
-  for (Channel& c : inbox.others)
-    if (c.from == from) return c;
-  Channel& added = inbox.others.emplace_back();
-  added.from = from;
-  return added;
-}
-
-bool ReliableTransport::admit(Channel& ch, std::uint64_t seq) {
-  using Mask = unsigned __int128;
-  const auto store = [&ch](Mask mask) {
-    ch.mask_lo = static_cast<std::uint64_t>(mask);
-    ch.mask_hi = static_cast<std::uint64_t>(mask >> 64);
-  };
-  Mask mask = (static_cast<Mask>(ch.mask_hi) << 64) | ch.mask_lo;
-  if (seq > ch.hi) {
-    // Newer than anything seen: slide the window forward.
-    const std::uint64_t shift = seq - ch.hi;
-    mask = shift >= kDedupWindow ? 0 : mask << shift;
-    store(mask | 1);
-    ch.hi = seq;
-    return true;
-  }
-  const std::uint64_t age = ch.hi - seq;
-  if (age >= kDedupWindow) {
-    // The window no longer covers seqs this old: if this frame is a late
-    // retransmit it will be re-processed.  Count the wrap (the guarantee
-    // boundary) but deliver -- the transport cannot tell it from a
-    // never-seen frame.
-    ++dedup_window_wraps_;
-    if (wraps_counter_) wraps_counter_->inc();
-    return true;
-  }
-  const Mask bit = static_cast<Mask>(1) << age;
-  if (mask & bit) return false;
-  store(mask | bit);
-  return true;
-}
-
 SimTime ReliableTransport::attempt_failed(int attempt) {
   if (attempt <= options_.max_retries) {
     ++retransmits_;
@@ -131,40 +64,20 @@ SimTime ReliableTransport::attempt_failed(int attempt) {
   return 0;
 }
 
+void ReliableTransport::duplicate_suppressed() {
+  ++duplicates_suppressed_;
+  if (duplicates_counter_) duplicates_counter_->inc();
+}
+
 void ReliableTransport::send(NodeId from, NodeId to, Message msg,
                              SimTime timeout, SendCallback on_complete) {
   if (from >= network_.node_count() || to >= network_.node_count())
     throw std::out_of_range("ReliableTransport::send: bad node id");
-  const std::uint32_t slot = slot_of(msg.type);  // throws on a negative type
+  if (msg.type < 0) throw std::out_of_range("ReliableTransport::send: negative message type");
   ++sends_;
   if (sends_counter_) sends_counter_->inc();
-  msg.seq = channel(slot, from, to).next_seq++;
   network_.launch(
       network_.open(from, to, std::move(msg), timeout, std::move(on_complete), this));
-}
-
-bool ReliableTransport::admit_frame(std::uint32_t slot, NodeId self, const Message& frame) {
-  if (admit(channel(slot, frame.src, self), frame.seq)) return true;
-  // Retransmit after a lost ack, or a chaos duplicate: ack it (the
-  // network already does) but do not re-process.
-  ++duplicates_suppressed_;
-  if (duplicates_counter_) duplicates_counter_->inc();
-  return false;
-}
-
-void ReliableTransport::register_handler(MessageType type, Handler handler) {
-  network_.register_handler(
-      type, [this, slot = slot_of(type), handler = std::move(handler)](NodeId self,
-                                                                       const Message& frame) {
-        if (admit_frame(slot, self, frame)) handler(self, frame);
-      });
-  registered_types_.push_back(type);
-}
-
-void ReliableTransport::unregister_handler(MessageType type) {
-  network_.unregister_handler(type);
-  registered_types_.erase(std::remove(registered_types_.begin(), registered_types_.end(), type),
-                          registered_types_.end());
 }
 
 }  // namespace eslurm::net

@@ -84,15 +84,14 @@ EslurmRm::EslurmRm(sim::Engine& engine, net::Network& network,
   }
   // Tasks, heartbeats and re-registrations go to satellites, results to
   // whichever node is the master; a task names its satellite's index.
-  rm_register(kMsgSatelliteTask,
-              [this](NodeId, const net::Message& m) { on_satellite_task(m); });
+  net_.register_handler(kMsgSatelliteTask,
+                        [this](NodeId, const net::Message& m) { on_satellite_task(m); });
   // Heartbeats need no application handler (the network-level ack is
-  // the liveness signal), but registering one through the transport
-  // puts chaos-duplicated pings behind the dedup window so they show
-  // up as suppressed duplicates instead of vanishing silently.
-  rm_register(kMsgSatelliteHeartbeat, [](NodeId, const net::Message&) {});
-  rm_register(kMsgSatelliteResult,
-              [this](NodeId, const net::Message& m) { on_satellite_result(m); });
+  // the liveness signal), but registering one makes a chaos-duplicated
+  // reliable ping show up as a suppressed duplicate instead of a drop.
+  net_.register_handler(kMsgSatelliteHeartbeat, [](NodeId, const net::Message&) {});
+  net_.register_handler(kMsgSatelliteResult,
+                        [this](NodeId, const net::Message& m) { on_satellite_result(m); });
 
   if (config_.ha.enabled && !satellites_.empty()) {
     // The first satellite doubles as the standby master; it keeps its
@@ -104,8 +103,14 @@ EslurmRm::EslurmRm(sim::Engine& engine, net::Network& network,
     ha_->set_endpoints(deployment_.master, satellites_.front().node);
     // Re-registration needs no application logic; the transport-level
     // ack is the confirmation the new master aggregates.
-    rm_register(kMsgSatelliteReregister, [](NodeId, const net::Message&) {});
+    net_.register_handler(kMsgSatelliteReregister, [](NodeId, const net::Message&) {});
   }
+}
+
+EslurmRm::~EslurmRm() {
+  for (const net::MessageType type : {kMsgSatelliteTask, kMsgSatelliteHeartbeat,
+                                      kMsgSatelliteResult, kMsgSatelliteReregister})
+    net_.unregister_handler(type);
 }
 
 void EslurmRm::rm_send(NodeId from, NodeId to, net::Message msg, SimTime timeout,
@@ -114,14 +119,6 @@ void EslurmRm::rm_send(NodeId from, NodeId to, net::Message msg, SimTime timeout
     transport_->send(from, to, std::move(msg), timeout, std::move(on_complete));
   } else {
     net_.send(from, to, std::move(msg), timeout, std::move(on_complete));
-  }
-}
-
-void EslurmRm::rm_register(net::MessageType type, net::Handler handler) {
-  if (transport_) {
-    transport_->register_handler(type, std::move(handler));
-  } else {
-    net_.register_handler(type, std::move(handler));
   }
 }
 

@@ -40,6 +40,7 @@ class EslurmRm final : public ResourceManager {
   EslurmRm(sim::Engine& engine, net::Network& network, cluster::ClusterModel& cluster,
            RmCostProfile profile, RmDeployment deployment, RmRuntimeConfig config,
            const cluster::FailurePredictor* predictor = nullptr);
+  ~EslurmRm() override;
 
   void start(SimTime horizon) override;
 
@@ -73,7 +74,7 @@ class EslurmRm final : public ResourceManager {
   static std::size_t satellites_for(std::size_t s, int w, std::size_t m);
 
   /// The RM's reliable channel (nullptr when use_reliable_transport is
-  /// off).  Tests read its retransmit/dedup counters.
+  /// off).  Tests and esim read its retransmit and suppression counters.
   const net::ReliableTransport* transport() const { return transport_.get(); }
 
   /// Satellites that acked the promoted master's re-registration round.
@@ -141,11 +142,10 @@ class EslurmRm final : public ResourceManager {
   /// (role swap) -- or recovers as master if no promotion happened.
   void master_rejoined(NodeId old_master);
 
-  /// Control-plane send / handler registration, routed through the
-  /// reliable transport when enabled, raw Network::send otherwise.
+  /// Control-plane send, routed through the reliable transport when
+  /// enabled, raw Network::send otherwise.
   void rm_send(NodeId from, NodeId to, net::Message msg, SimTime timeout,
                net::SendCallback on_complete = {});
-  void rm_register(net::MessageType type, net::Handler handler);
 
   const cluster::FailurePredictor* predictor_;
   cluster::NullFailurePredictor null_predictor_;

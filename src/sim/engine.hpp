@@ -193,7 +193,7 @@ class Engine {
     std::uint64_t seq = 0;
   };
   /// Callable, sequence and free-list link: one cache line per slot.
-  using EventPool = util::SlabPool<EventSlot, /*StableStorage=*/true, /*SlotAlign=*/64>;
+  using EventPool = util::SlabPool<EventSlot, /*SlotAlign=*/64>;
   static_assert(EventPool::kSlotBytes == 64 && EventPool::kSlotAlign == 64,
                 "an event slot must be exactly one 64-byte line");
 

@@ -12,18 +12,13 @@
 // of indices a deterministic caller observes is itself deterministic --
 // pools never introduce cross-run divergence.
 //
-// Storage flavours:
-//   * SlabPool<T>            -- vector-backed, contiguous, best cache
-//     behaviour.  Growth MOVES existing slots: never hold a T& across an
-//     acquire().
-//   * SlabPool<T, true>      -- fixed chunks of kChunkSlots slots, stable
-//     addresses.  For slots that must stay referenceable while arbitrary
-//     reentrant code runs (the network dispatches a handler while the
-//     send's slot is live, and the handler may send again; the sim
-//     engine invokes an event's callable in place while the callable
-//     schedules more events).  Chunks are a power of two in size, so an
-//     index is a shift and a mask, and a new chunk default-constructs
-//     its slots up front.
+// Storage: fixed chunks of kChunkSlots slots, so a slot's address is
+// stable across growth.  Slots must stay referenceable while arbitrary
+// reentrant code runs (the network dispatches a handler while the send's
+// slot is live, and the handler may send again; the sim engine invokes an
+// event's callable in place while the callable schedules more events).
+// Chunks are a power of two in size, so an index is a shift and a mask,
+// and a new chunk default-constructs its slots up front.
 //
 // `SlotAlign` over-aligns each slot (the stored T plus its free-list
 // link).  The engine uses 64 so that one event slot is one cache line;
@@ -34,17 +29,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <type_traits>
 #include <vector>
 
 namespace eslurm::util {
 
-template <typename T, bool StableStorage = false, std::size_t SlotAlign = alignof(T)>
+template <typename T, std::size_t SlotAlign = alignof(T)>
 class SlabPool {
  public:
   using Index = std::uint32_t;
   static constexpr Index kNone = UINT32_MAX;
-  /// Slots per chunk of the stable flavour.
+  /// Slots per chunk.
   static constexpr Index kChunkBits = 8;
   static constexpr Index kChunkSlots = Index{1} << kChunkBits;
 
@@ -60,12 +54,7 @@ class SlabPool {
       return index;
     }
     assert(size_ < kNone);
-    if constexpr (StableStorage) {
-      if ((size_ & (kChunkSlots - 1)) == 0)
-        store_.push_back(std::make_unique<Slot[]>(kChunkSlots));
-    } else {
-      store_.emplace_back();
-    }
+    if ((size_ & (kChunkSlots - 1)) == 0) store_.push_back(std::make_unique<Slot[]>(kChunkSlots));
     ++in_use_;
     return size_++;
   }
@@ -89,10 +78,6 @@ class SlabPool {
   std::size_t capacity() const { return size_; }
   std::size_t in_use() const { return in_use_; }
 
-  void reserve(std::size_t slots) {
-    if constexpr (!StableStorage) store_.reserve(slots);
-  }
-
  private:
   struct alignas(SlotAlign) Slot {
     T value{};
@@ -105,20 +90,13 @@ class SlabPool {
   static constexpr std::size_t kSlotAlign = alignof(Slot);
 
  private:
-  using Store = std::conditional_t<StableStorage, std::vector<std::unique_ptr<Slot[]>>,
-                                   std::vector<Slot>>;
-
   /// Shared by the const and non-const accessors.
   template <typename Self>
   static auto& slot_at(Self& self, Index index) {
-    if constexpr (StableStorage) {
-      return self.store_[index >> kChunkBits][index & (kChunkSlots - 1)];
-    } else {
-      return self.store_[index];
-    }
+    return self.store_[index >> kChunkBits][index & (kChunkSlots - 1)];
   }
 
-  Store store_;
+  std::vector<std::unique_ptr<Slot[]>> store_;
   Index size_ = 0;
   Index free_head_ = kNone;
   std::size_t in_use_ = 0;

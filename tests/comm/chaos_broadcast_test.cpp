@@ -81,7 +81,7 @@ TEST(ChaosBroadcast, ReliableFpTreeLosesNothingAtFivePercentDrop) {
     ASSERT_EQ(hits[n], 1) << "node " << n;
   EXPECT_EQ(world.transport->permanent_failures(), 0u);
   // The chaos actually bit: frames were dropped and retransmitted, and
-  // duplicated/re-sent frames were caught by the dedup window.
+  // duplicated/re-sent frames were suppressed as repeats of their send.
   EXPECT_GT(world.chaos->dropped(), 0u);
   EXPECT_GT(world.transport->retransmits(), 0u);
   EXPECT_GT(world.transport->duplicates_suppressed(), 0u);
@@ -98,6 +98,33 @@ TEST(ChaosBroadcast, RawTreeLosesMessagesUnderTheSameChaos) {
   EXPECT_LT(result.delivered, kTargets);
   EXPECT_GT(result.unreachable, 0u);
   EXPECT_GT(world.chaos->dropped(), 0u);
+}
+
+TEST(ChaosBroadcast, RawTreeIgnoresRepeatedRelaysFromTheSameParent) {
+  // Every leg is duplicated on the wire and 42 targets are dead.  A
+  // relay's duplicate reaches a node that already has the payload; it
+  // must not answer its own parent with a completion, or the parent
+  // closes that child's slot before the subtree is done and the root
+  // finishes (and recycles its state) while dead children are still
+  // being retried, stranding live nodes below them.
+  ChaosWorld world(kTargets, /*drop=*/0.0, /*duplicate=*/1.0, /*reliable=*/false);
+  constexpr std::size_t kDead = 42;
+  std::vector<bool> dead(kTargets + 1, false);
+  for (std::size_t k = 0; k < kDead; ++k) {
+    const auto node = static_cast<net::NodeId>(1 + 97 * k);
+    dead[node] = true;
+    world.cluster_model->fail(node);
+  }
+  std::vector<int> hits(kTargets + 1, 0);
+  world.raw_tree->set_delivery_hook([&](net::NodeId n, std::uint64_t) { ++hits[n]; });
+  const auto result = world.run({});
+  EXPECT_EQ(result.delivered, kTargets - kDead);
+  EXPECT_EQ(result.unreachable, kDead);
+  // The dead children cost their parents three 1 s connection attempts.
+  EXPECT_GE(result.elapsed(), seconds(3));
+  for (net::NodeId n = 1; n <= kTargets; ++n)
+    ASSERT_EQ(hits[n], dead[n] ? 0 : 1) << "node " << n;
+  EXPECT_GT(world.chaos->duplicated(), 0u);
 }
 
 TEST(ChaosBroadcast, IdenticalSeedsBitIdenticalAcrossThreads) {

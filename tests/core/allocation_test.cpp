@@ -11,9 +11,10 @@
 //   * network: recycled SendOp slots, a flat handler table and inline
 //     {this, op} event captures across all legs of a send;
 //   * transport: one pooled send op per reliable send (held through
-//     retransmit backoffs), dense per-channel anti-replay windows and
-//     inline message bodies, so a reliable round trip -- retransmits
-//     included -- hashes nothing and allocates nothing;
+//     retransmit backoffs and marked once processed) and inline message
+//     bodies, so a reliable round trip -- retransmits included -- hashes
+//     nothing and allocates nothing (one test also checks that reliable
+//     sends to many receivers grow no per-peer state);
 //   * tree broadcast through the transport: recycled broadcast state
 //     (position-indexed relay contexts, child slots, delivered bitmap);
 //   * "policy" scheduler pass plus limit audit: dense user/account
@@ -205,10 +206,53 @@ TEST(AllocationBytes, HandlerRegistrationIsIndependentOfNodeCount) {
   {
     CountingScope scope;
     network.register_handler(kPing, [](net::NodeId, const net::Message&) {});
-    transport.register_handler(kPong, [](net::NodeId, const net::Message&) {});
+    network.register_handler(kPong, [](net::NodeId, const net::Message&) {});
     bytes = CountingScope::bytes();
   }
   EXPECT_LT(bytes, 1024u);
+}
+
+TEST(AllocationBytes, ReliableSendsToManyReceiversAllocateOnlyTheSendOpPool) {
+  if (!ESLURM_ALLOC_HOOK) GTEST_SKIP() << "allocation hook disabled under sanitizers";
+
+  // N senders each send to a distinct receiver.  A raw burst of the same
+  // shape first grows the network's send-op and event pools to their
+  // plateau; the burst sent reliably then allocates nothing: the
+  // transport keeps no per-receiver or per-sender state.
+  constexpr net::NodeId kPairs = 512;
+  sim::Engine engine;
+  net::LinkModel model;
+  model.jitter_frac = 0.0;  // both bursts replay the same timing
+  net::Network network(engine, 2 * kPairs, model, Rng(42));
+  net::ReliableTransport transport(network, Rng(43));
+  std::uint64_t processed = 0;
+  network.register_handler(kPing, [&processed](net::NodeId, const net::Message&) { ++processed; });
+  const auto burst = [&](bool reliable) {
+    for (net::NodeId i = 0; i < kPairs; ++i) {
+      net::Message msg;
+      msg.type = kPing;
+      msg.bytes = 64;
+      if (reliable) {
+        transport.send(i, kPairs + i, std::move(msg));
+      } else {
+        network.send(i, kPairs + i, std::move(msg));
+      }
+    }
+    engine.run();
+  };
+  burst(/*reliable=*/false);
+  const std::size_t warm_ops = network.send_op_pool_capacity();
+
+  std::uint64_t bytes;
+  {
+    CountingScope scope;
+    burst(/*reliable=*/true);
+    bytes = CountingScope::bytes();
+  }
+  EXPECT_EQ(bytes, 0u) << "reliable sends must not grow per-peer transport state";
+  EXPECT_EQ(network.send_op_pool_capacity(), warm_ops);
+  EXPECT_EQ(processed, 2u * kPairs);
+  EXPECT_EQ(transport.sends(), kPairs);
 }
 
 TEST(ZeroAllocation, NetworkSteadyStatePingPong) {
@@ -278,10 +322,10 @@ TEST(ZeroAllocation, TransportSteadyStatePingPong) {
     }
   };
   PingPong pp{transport};
-  transport.register_handler(kPing, [&pp](net::NodeId, const net::Message& m) {
+  network.register_handler(kPing, [&pp](net::NodeId, const net::Message& m) {
     pp.send(1, 0, kPong, m.body<Round>().n);
   });
-  transport.register_handler(kPong, [&pp](net::NodeId, const net::Message& m) {
+  network.register_handler(kPong, [&pp](net::NodeId, const net::Message& m) {
     ++pp.rounds;
     pp.send(0, 1, kPing, m.body<Round>().n + 1);
   });
@@ -338,9 +382,9 @@ TEST(ZeroAllocation, TransportRetransmitSteadyState) {
     }
   };
   PingPong pp{transport};
-  transport.register_handler(kPing,
-                             [&pp](net::NodeId, const net::Message&) { pp.send(1, 0, kPong); });
-  transport.register_handler(kPong, [&pp](net::NodeId, const net::Message&) {
+  network.register_handler(kPing,
+                           [&pp](net::NodeId, const net::Message&) { pp.send(1, 0, kPong); });
+  network.register_handler(kPong, [&pp](net::NodeId, const net::Message&) {
     ++pp.rounds;
     pp.send(0, 1, kPing);
   });

@@ -151,21 +151,6 @@ TEST(ExperimentTest, FrontendIsBuiltOnlyWhenUsersArePresent) {
             enabled.frontend()->clients().completed());
 }
 
-TEST(ExperimentTest, TopologyWiring) {
-  ExperimentConfig config;
-  config.rm = "eslurm";
-  config.compute_nodes = 64;
-  config.horizon = minutes(30);
-  config.use_topology = true;
-  config.topology.nodes_per_rack = 16;
-  Experiment experiment(config);
-  ASSERT_NE(experiment.network().topology(), nullptr);
-  EXPECT_EQ(experiment.network().topology()->rack_of(20), 1u);
-  experiment.submit_trace(tiny_trace(5, 2, minutes(2)));
-  experiment.run();
-  EXPECT_EQ(experiment.report().jobs_finished, 5u);
-}
-
 TEST(ExperimentTest, GeneratedTraceReplaysThroughEslurm) {
   trace::WorkloadProfile profile = trace::tianhe2a_profile();
   profile.jobs_per_hour = 20;

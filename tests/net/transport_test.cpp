@@ -1,5 +1,6 @@
 // Behavioural tests of the reliable transport: retry/backoff, permanent
-// failure, the anti-replay window, and timing-neutrality without chaos.
+// failure, exactly-once processing per send, and timing-neutrality
+// without chaos.
 #include "net/transport.hpp"
 
 #include <gtest/gtest.h>
@@ -36,7 +37,7 @@ TEST_F(TransportFixture, DeliversPayloadAndAcks) {
   ReliableTransport transport(net, Rng(9));
   int got = 0;
   bool ok = false;
-  transport.register_handler(7, [&](NodeId, const Message& m) {
+  net.register_handler(7, [&](NodeId, const Message& m) {
     EXPECT_EQ(m.src, 0u);
     EXPECT_EQ(m.type, 7);
     EXPECT_EQ(m.body<int>(), 41);
@@ -90,7 +91,7 @@ TEST_F(TransportFixture, RetriesUntilAFlakyPeerComesBack) {
   engine.schedule_at(seconds(2), [&] { up[1] = true; });
   int got = 0;
   bool ok = false;
-  transport.register_handler(7, [&](NodeId, const Message&) { ++got; });
+  net.register_handler(7, [&](NodeId, const Message&) { ++got; });
   transport.send(0, 1, Message{.type = 7}, seconds(1),
                  [&](bool result) { ok = result; });
   engine.run();
@@ -141,7 +142,7 @@ TEST_F(TransportFixture, DedupSuppressesChaosDuplicates) {
   net.set_chaos(&chaos);
   ReliableTransport transport(net, Rng(9));
   int got = 0;
-  transport.register_handler(7, [&](NodeId, const Message&) { ++got; });
+  net.register_handler(7, [&](NodeId, const Message&) { ++got; });
   for (int i = 0; i < 3; ++i) transport.send(0, 1, Message{.type = 7});
   engine.run();
   // Every frame reached the receiver twice; the handler saw each once.
@@ -167,7 +168,7 @@ TEST_F(TransportFixture, ExactlyOnceProcessingUnderHeavyLoss) {
   constexpr int kMessages = 50;
   std::map<int, int> seen;
   int completions = 0;
-  transport.register_handler(7, [&](NodeId, const Message& m) { ++seen[m.body<int>()]; });
+  net.register_handler(7, [&](NodeId, const Message& m) { ++seen[m.body<int>()]; });
   for (int i = 0; i < kMessages; ++i) {
     Message msg;
     msg.type = 7;
@@ -190,13 +191,13 @@ TEST_F(TransportFixture, ExactlyOnceProcessingUnderHeavyLoss) {
 }
 
 TEST_F(TransportFixture, ChannelsKeepIndependentSequenceSpaces) {
-  // Same seq numbers flow on (0->1, type 7), (0->1, type 8) and
-  // (2->1, type 7); the per-channel dedup windows must not cross-talk.
+  // Sends on (0->1, type 7), (0->1, type 8) and (2->1, type 7) are
+  // distinct sends: none may be taken for a repeat of another.
   Network net = make(3);
   ReliableTransport transport(net, Rng(9));
   int type7 = 0, type8 = 0;
-  transport.register_handler(7, [&](NodeId, const Message&) { ++type7; });
-  transport.register_handler(8, [&](NodeId, const Message&) { ++type8; });
+  net.register_handler(7, [&](NodeId, const Message&) { ++type7; });
+  net.register_handler(8, [&](NodeId, const Message&) { ++type8; });
   for (int i = 0; i < 4; ++i) {
     transport.send(0, 1, Message{.type = 7});
     transport.send(0, 1, Message{.type = 8});
@@ -208,128 +209,44 @@ TEST_F(TransportFixture, ChannelsKeepIndependentSequenceSpaces) {
   EXPECT_EQ(transport.duplicates_suppressed(), 0u);
 }
 
-/// Forges one frame on channel (0 -> 1, type 7) with an explicit seq,
-/// bypassing the sender side: a delayed retransmit as the receiver sees it.
-void forge(sim::Engine& engine, Network& net, std::uint64_t seq) {
-  Message frame;
-  frame.type = 7;
-  frame.seq = seq;
-  net.send(0, 1, std::move(frame));
-  engine.run();
-}
-
-TEST_F(TransportFixture, DedupWindowWrapIsCountedAndReprocessed) {
-  // The exactly-once guarantee is bounded by the window.  A frame delayed
-  // long enough that >= 128 newer seqs passed it (a long partition
-  // releasing a stale retransmit) falls behind the window: the receiver
-  // cannot distinguish it from a fresh frame, so it IS re-processed --
-  // every time it arrives -- and the wrap counter must record that the
-  // guarantee boundary was crossed instead of staying silent.
+TEST_F(TransportFixture, RetransmitAfter130NewerFramesIsProcessedOnce) {
+  // A retransmit is recognised however many newer sends overtook it on
+  // the same (type, sender, receiver): a short partition drops only the
+  // first frame's ack, then 130 more sends land before its backoff
+  // expires, and its retransmit still reaches the handler's type as a
+  // repeat.
   Network net = make(2);
+  ChaosInjector chaos(engine, 2, Rng(7));
+  ChaosPlan plan;
+  // Cuts 0 <-> 1 while only the first frame's ack leg leaves (the frame
+  // is delivered at 110 us); the other sends start after the cut heals.
+  plan.partition(microseconds(100), microseconds(100), {0}, {1});
+  chaos.set_plan(std::move(plan));
+  net.set_chaos(&chaos);
   ReliableTransport transport(net, Rng(9), exact_options());
-  int got = 0;
-  transport.register_handler(7, [&](NodeId, const Message&) { ++got; });
-
-  // 130 sends on one channel: seqs 0..129; the window covers 2..129.
-  for (int i = 0; i < 130; ++i) transport.send(0, 1, Message{.type = 7});
+  std::vector<int> seen;
+  net.register_handler(7, [&](NodeId, const Message& m) { seen.push_back(m.body<int>()); });
+  auto send = [&](int id) {
+    Message msg;
+    msg.type = 7;
+    msg.payload = id;
+    transport.send(0, 1, std::move(msg), seconds(1));
+  };
+  send(0);
+  for (int i = 1; i <= 130; ++i)
+    engine.schedule_at(milliseconds(1) + i * milliseconds(5), [&send, i] { send(i); });
   engine.run();
-  ASSERT_EQ(got, 130);
-  EXPECT_EQ(transport.dedup_window_wraps(), 0u);
-
-  // Late duplicates of the newest and the oldest seq still inside the
-  // window: suppressed, not wraps.
-  forge(engine, net, 129);
-  forge(engine, net, 2);
-  EXPECT_EQ(got, 130);
-  EXPECT_EQ(transport.duplicates_suppressed(), 2u);
-  EXPECT_EQ(transport.dedup_window_wraps(), 0u);
-
-  // A late duplicate of seq 1 is behind the window: the handler fires a
-  // 131st time for 130 logical sends, and the counter exposes it.  The
-  // window does not start remembering it, so a second copy wraps again.
-  forge(engine, net, 1);
-  EXPECT_EQ(got, 131);
-  EXPECT_EQ(transport.dedup_window_wraps(), 1u);
-  forge(engine, net, 1);
-  EXPECT_EQ(got, 132);
-  EXPECT_EQ(transport.dedup_window_wraps(), 2u);
-  EXPECT_EQ(transport.duplicates_suppressed(), 2u);
-}
-
-TEST_F(TransportFixture, OutOfOrderSeqInsideWindowIsAcceptedOnce) {
-  Network net = make(2);
-  ReliableTransport transport(net, Rng(9));
-  std::vector<std::uint64_t> seen;
-  transport.register_handler(7, [&](NodeId, const Message& m) { seen.push_back(m.seq); });
-  for (const std::uint64_t seq : {0, 5, 3, 3, 5, 4, 0}) forge(engine, net, seq);
-  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 5, 3, 4}));
-  EXPECT_EQ(transport.duplicates_suppressed(), 3u);
-  EXPECT_EQ(transport.dedup_window_wraps(), 0u);
-}
-
-TEST_F(TransportFixture, WindowEdgeRemembers127SeqsBack) {
-  // After seq 127 the window spans 0..127 exactly: seq 0 is its last bit.
-  Network net = make(2);
-  ReliableTransport transport(net, Rng(9));
-  int got = 0;
-  transport.register_handler(7, [&](NodeId, const Message&) { ++got; });
-  forge(engine, net, 0);
-  forge(engine, net, 127);
-  forge(engine, net, 0);
-  EXPECT_EQ(got, 2);
+  // Frame 0's ack was lost, so it was sent twice; the retransmit (at
+  // 1.5 s) arrived after all 130 newer frames and was not re-processed.
+  EXPECT_EQ(transport.retransmits(), 1u);
   EXPECT_EQ(transport.duplicates_suppressed(), 1u);
-  EXPECT_EQ(transport.dedup_window_wraps(), 0u);
-}
-
-TEST_F(TransportFixture, JumpOf128OrMoreClearsTheMask) {
-  Network net = make(2);
-  ReliableTransport transport(net, Rng(9));
-  int got = 0;
-  transport.register_handler(7, [&](NodeId, const Message&) { ++got; });
-  forge(engine, net, 0);
-  forge(engine, net, 1);
-  // A jump of exactly 128 shifts every remembered seq out of the window;
-  // none of the old bits may linger as "seen" (seq 128 was never sent).
-  forge(engine, net, 129);
-  forge(engine, net, 128);
-  // Same for a longer jump of 201 (= 128 + 73): seqs 257 and 256, where
-  // a shift taken modulo 128 would leave the old bits, are fresh.
-  forge(engine, net, 330);
-  forge(engine, net, 257);
-  forge(engine, net, 256);
-  EXPECT_EQ(got, 7);
-  EXPECT_EQ(transport.duplicates_suppressed(), 0u);
-  EXPECT_EQ(transport.dedup_window_wraps(), 0u);
-  // The window still dedups what it holds, and 129 is now behind it:
-  // delivered and counted on each arrival.
-  forge(engine, net, 330);
-  forge(engine, net, 257);
-  forge(engine, net, 129);
-  forge(engine, net, 129);
-  EXPECT_EQ(got, 9);
-  EXPECT_EQ(transport.duplicates_suppressed(), 2u);
-  EXPECT_EQ(transport.dedup_window_wraps(), 2u);
-}
-
-TEST_F(TransportFixture, SenderStampsPerChannelSeqs) {
-  Network net = make(3);
-  ReliableTransport transport(net, Rng(9));
-  std::vector<std::pair<NodeId, std::uint64_t>> seen;
-  transport.register_handler(7, [&](NodeId, const Message& m) { seen.emplace_back(m.src, m.seq); });
-  for (int i = 0; i < 2; ++i) {
-    transport.send(0, 1, Message{.type = 7});
-    engine.run();
-    transport.send(2, 1, Message{.type = 7});
-    engine.run();
-  }
-  EXPECT_EQ(seen, (std::vector<std::pair<NodeId, std::uint64_t>>{
-                      {0, 0}, {2, 0}, {0, 1}, {2, 1}}));
+  ASSERT_EQ(seen.size(), 131u);
+  for (int i = 0; i <= 130; ++i) EXPECT_EQ(seen[static_cast<std::size_t>(i)], i);
 }
 
 TEST_F(TransportFixture, LargeWindowNeverWrapsUnderChaosDuplicates) {
-  // With the 128-seq window and duplicates that arrive promptly,
-  // every duplicate lands while its seq is still remembered: suppression
-  // fires, the wrap counter stays zero.
+  // 200 sends on one (type, sender, receiver), each duplicated on the
+  // wire: every duplicate is suppressed.
   Network net = make(2);
   ChaosInjector chaos(engine, 2, Rng(7));
   ChaosPlan plan;
@@ -338,20 +255,19 @@ TEST_F(TransportFixture, LargeWindowNeverWrapsUnderChaosDuplicates) {
   net.set_chaos(&chaos);
   ReliableTransport transport(net, Rng(9));
   int got = 0;
-  transport.register_handler(7, [&](NodeId, const Message&) { ++got; });
+  net.register_handler(7, [&](NodeId, const Message&) { ++got; });
   for (int i = 0; i < 200; ++i) transport.send(0, 1, Message{.type = 7});
   engine.run();
   EXPECT_EQ(got, 200);
   EXPECT_EQ(transport.duplicates_suppressed(), 200u);
-  EXPECT_EQ(transport.dedup_window_wraps(), 0u);
 }
 
 TEST_F(TransportFixture, UnregisterStopsDelivery) {
   Network net = make(2);
   ReliableTransport transport(net, Rng(9));
   int got = 0;
-  transport.register_handler(7, [&](NodeId, const Message&) { ++got; });
-  transport.unregister_handler(7);
+  net.register_handler(7, [&](NodeId, const Message&) { ++got; });
+  net.unregister_handler(7);
   bool ok = false;
   transport.send(0, 1, Message{.type = 7}, 0, [&](bool result) { ok = result; });
   engine.run();
@@ -362,8 +278,8 @@ TEST_F(TransportFixture, UnregisterStopsDelivery) {
 TEST_F(TransportFixture, BadEndpointOrTypeThrowsWithoutTouchingState) {
   Network net = make(3);
   ReliableTransport transport(net, Rng(9));
-  std::vector<std::uint64_t> seqs;
-  transport.register_handler(7, [&](NodeId, const Message& m) { seqs.push_back(m.seq); });
+  int got = 0;
+  net.register_handler(7, [&](NodeId, const Message&) { ++got; });
   EXPECT_THROW(transport.send(9, 1, Message{.type = 7}), std::out_of_range);
   EXPECT_THROW(transport.send(0, 9, Message{.type = 7}), std::out_of_range);
   EXPECT_THROW(transport.send(0, 1, Message{.type = -1}), std::out_of_range);
@@ -372,17 +288,17 @@ TEST_F(TransportFixture, BadEndpointOrTypeThrowsWithoutTouchingState) {
   transport.send(0, 1, Message{.type = 7});
   engine.run();
   EXPECT_EQ(transport.sends(), 1u);
-  EXPECT_EQ(seqs, std::vector<std::uint64_t>{0});
+  EXPECT_EQ(got, 1);
   EXPECT_EQ(net.in_flight_sends(), 0u);
 }
 
 TEST_F(TransportFixture, TypeHandlerReceivesSelfAndPerChannelSeqs) {
   Network net = make(3);
   ReliableTransport transport(net, Rng(9));
-  std::vector<std::pair<NodeId, std::uint64_t>> seen;  // (self, seq)
-  transport.register_handler(7, [&](NodeId self, const Message& m) {
+  std::vector<std::pair<NodeId, NodeId>> seen;  // (self, src)
+  net.register_handler(7, [&](NodeId self, const Message& m) {
     EXPECT_EQ(m.type, 7);
-    seen.emplace_back(self, m.seq);
+    seen.emplace_back(self, m.src);
   });
   transport.send(0, 1, Message{.type = 7});
   transport.send(0, 1, Message{.type = 7});
@@ -390,23 +306,36 @@ TEST_F(TransportFixture, TypeHandlerReceivesSelfAndPerChannelSeqs) {
   transport.send(2, 0, Message{.type = 7});
   engine.run();
   std::sort(seen.begin(), seen.end());
-  const std::vector<std::pair<NodeId, std::uint64_t>> expected{{0, 0}, {1, 0}, {1, 1}, {2, 0}};
+  const std::vector<std::pair<NodeId, NodeId>> expected{{0, 2}, {1, 0}, {1, 0}, {2, 0}};
   EXPECT_EQ(seen, expected);
 }
 
 TEST_F(TransportFixture, FrameAfterTransportDestroyedIsDropped) {
+  // The transport dies between a send's first delivery and its
+  // duplicated leg: the detached op still remembers it was processed, so
+  // the late copy reaches the (still registered) handler's type and is
+  // dropped.
   Network net = make(2);
+  ChaosInjector chaos(engine, 2, Rng(7));
+  ChaosPlan plan;
+  plan.ambient(0.0, /*duplicate=*/1.0);
+  chaos.set_plan(std::move(plan));
+  net.set_chaos(&chaos);
   int got = 0;
-  {
-    ReliableTransport transport(net, Rng(9));
-    transport.register_handler(7, [&](NodeId, const Message&) { ++got; });
-  }
+  net.register_handler(7, [&](NodeId, const Message&) { ++got; });
+  auto transport = std::make_unique<ReliableTransport>(net, Rng(9));
   bool ok = false;
-  net.send(0, 1, Message{.type = 7}, 0, [&](bool result) { ok = result; });
-  engine.run();
-  EXPECT_EQ(got, 0);
-  EXPECT_TRUE(ok);  // delivered to the node, dropped for want of a handler
+  transport->send(0, 1, Message{.type = 7}, 0, [&](bool result) { ok = result; });
+  // The first copy is processed at 110 us; its duplicate queues behind
+  // it in node 1's receive serializer until 125 us.
+  engine.run_until(microseconds(115));
+  ASSERT_EQ(got, 1);
   EXPECT_EQ(net.messages_received(1), 1u);
+  transport.reset();
+  engine.run();
+  EXPECT_EQ(got, 1);
+  EXPECT_EQ(net.messages_received(1), 2u);  // the duplicate was delivered, not processed
+  EXPECT_TRUE(ok);
 }
 
 TEST_F(TransportFixture, SendInFlightWhenTransportIsDestroyedCompletesOnce) {
@@ -481,7 +410,7 @@ TEST_F(TransportFixture, RetransmitsReuseOneSendRecord) {
   ReliableTransport transport(net, Rng(9), exact_options());
   int got = 0;
   int calls = 0;
-  transport.register_handler(7, [&](NodeId, const Message& m) {
+  net.register_handler(7, [&](NodeId, const Message& m) {
     EXPECT_EQ(m.body<int>(), 41);
     ++got;
   });

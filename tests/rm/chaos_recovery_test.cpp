@@ -62,7 +62,7 @@ TEST(ChaosRecovery, AmbientLossAbsorbedWithoutDuplicateProcessing) {
   EXPECT_EQ(rm->transport()->permanent_failures(), 0u);
   EXPECT_GT(rm->transport()->retransmits(), 0u);
   // Chaos duplicated frames (and lost acks forced re-sends of processed
-  // ones); the dedup window kept task execution exactly-once.
+  // ones); repeat suppression kept task execution exactly-once.
   EXPECT_GT(rm->transport()->duplicates_suppressed(), 0u);
   EXPECT_GT(experiment.chaos()->dropped(), 0u);
   for (std::size_t i = 0; i < config.satellite_count; ++i)

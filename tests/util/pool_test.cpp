@@ -4,7 +4,6 @@
 
 #include <random>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace eslurm::util {
@@ -41,7 +40,7 @@ TEST(SlabPool, RecycledSlotsKeepTheirContents) {
 }
 
 TEST(SlabPool, StableStorageKeepsAddressesAcrossGrowth) {
-  SlabPool<int, /*StableStorage=*/true> pool;
+  SlabPool<int> pool;
   const auto first = pool.acquire();
   pool[first] = 11;
   int* address = &pool[first];
@@ -51,7 +50,7 @@ TEST(SlabPool, StableStorageKeepsAddressesAcrossGrowth) {
 }
 
 TEST(SlabPool, StableStorageKeepsAddressesAcrossAChunkBoundary) {
-  using Pool = SlabPool<std::string, /*StableStorage=*/true>;
+  using Pool = SlabPool<std::string>;
   Pool pool;
   std::vector<std::string*> addresses;
   for (Pool::Index i = 0; i < Pool::kChunkSlots; ++i) {
@@ -71,33 +70,36 @@ TEST(SlabPool, StableStorageKeepsAddressesAcrossAChunkBoundary) {
   EXPECT_NE(&pool[next], addresses.back() + 1);  // a new chunk, not contiguous
 }
 
-TEST(SlabPool, BothFlavoursYieldTheSameIndexSequence) {
-  // A seeded acquire/release script: the free list and append order, not
-  // the storage, decide every index handed out.
-  auto script = [](auto& pool) {
-    std::mt19937_64 rng(20240601);
-    std::vector<std::uint32_t> live;
-    std::vector<std::uint32_t> sequence;
-    for (int step = 0; step < 5000; ++step) {
-      if (live.empty() || rng() % 5 < 3) {
-        live.push_back(pool.acquire());
-        sequence.push_back(live.back());
+TEST(SlabPool, IndexSequenceFollowsTheFreeListModel) {
+  // A seeded acquire/release script: the LIFO free list and append order,
+  // not the chunked storage, decide every index handed out.
+  std::mt19937_64 rng(20240601);
+  SlabPool<int> pool;
+  std::vector<std::uint32_t> live;
+  std::vector<std::uint32_t> model_free;  // back = next index to reuse
+  std::uint32_t model_size = 0;
+  for (int step = 0; step < 5000; ++step) {
+    if (live.empty() || rng() % 5 < 3) {
+      std::uint32_t expected = model_size;
+      if (model_free.empty()) {
+        ++model_size;
       } else {
-        const std::size_t pick = rng() % live.size();
-        pool.release(live[pick]);
-        live[pick] = live.back();
-        live.pop_back();
+        expected = model_free.back();
+        model_free.pop_back();
       }
+      live.push_back(pool.acquire());
+      ASSERT_EQ(live.back(), expected) << "step " << step;
+    } else {
+      const std::size_t pick = rng() % live.size();
+      pool.release(live[pick]);
+      model_free.push_back(live[pick]);
+      live[pick] = live.back();
+      live.pop_back();
     }
-    return std::make_pair(sequence, pool.capacity());
-  };
-  SlabPool<int> contiguous;
-  SlabPool<int, /*StableStorage=*/true> stable;
-  const auto a = script(contiguous);
-  const auto b = script(stable);
-  EXPECT_EQ(a, b);
-  EXPECT_GT(a.second, (SlabPool<int, true>::kChunkSlots));  // crossed chunks
-  EXPECT_EQ(contiguous.in_use(), stable.in_use());
+  }
+  EXPECT_EQ(pool.capacity(), model_size);
+  EXPECT_GT(pool.capacity(), SlabPool<int>::kChunkSlots);  // crossed chunks
+  EXPECT_EQ(pool.in_use(), live.size());
 }
 
 TEST(SlabPool, SteadyStateChurnsWithoutNewSlots) {

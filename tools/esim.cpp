@@ -164,6 +164,15 @@ int main(int argc, char** argv) {
                 (unsigned long long)chaos->partitioned(),
                 (unsigned long long)chaos->duplicated(),
                 (unsigned long long)chaos->delayed());
+    if (const auto* eslurm_rm = experiment.eslurm(); eslurm_rm && eslurm_rm->transport()) {
+      const net::ReliableTransport& rm_transport = *eslurm_rm->transport();
+      std::printf("rm transport: sends %llu | retransmits %llu | permanent failures %llu | "
+                  "duplicates suppressed %llu\n",
+                  (unsigned long long)rm_transport.sends(),
+                  (unsigned long long)rm_transport.retransmits(),
+                  (unsigned long long)rm_transport.permanent_failures(),
+                  (unsigned long long)rm_transport.duplicates_suppressed());
+    }
   }
 
   if (const auto path = args.get("acct")) {
