@@ -6,14 +6,11 @@
 //
 // Hot state (up/down/drain status, state timestamps, failure counts)
 // lives in flat struct-of-arrays storage (node_soa.hpp) so 100K-node
-// sweeps touch contiguous arrays and bitset words, not per-node objects;
-// names are materialized on demand (they appear in logs, never in hot
-// loops).
+// sweeps touch contiguous arrays and bitset words, not per-node objects.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "cluster/node_soa.hpp"
@@ -25,29 +22,12 @@ namespace eslurm::cluster {
 
 using net::NodeId;
 
-/// On-demand per-node view; assembled from the SoA arrays and the
-/// homogeneous hardware description.  Returned by value -- do not hold
-/// references into it.
-struct NodeInfo {
-  NodeId id = net::kNoNode;
-  std::string name;
-  int cores = 12;
-  std::int64_t memory_mb = 64 * 1024;
-  NodeState state = NodeState::Up;
-  SimTime state_since = 0;
-  std::uint32_t failure_count = 0;  ///< lifetime failures observed
-};
-
 class ClusterModel {
  public:
-  /// Builds `n` nodes named `<prefix><index>` (cn0, cn1, ...).
-  ClusterModel(sim::Engine& engine, std::size_t n, std::string name_prefix = "cn",
-               int cores_per_node = 12, std::int64_t memory_mb = 64 * 1024);
+  /// Builds `n` nodes, all up.
+  ClusterModel(sim::Engine& engine, std::size_t n);
 
   std::size_t size() const { return soa_.size(); }
-  /// Materialized per-node view (cold paths: logs, tests, dashboards).
-  NodeInfo node(NodeId id) const;
-  std::string node_name(NodeId id) const { return name_prefix_ + std::to_string(id); }
 
   // --- hot-path field accessors (O(1) array reads) ---------------------
   bool alive(NodeId id) const { return soa_.up.test(id); }
@@ -68,9 +48,6 @@ class ClusterModel {
   const NodeSoa& soa() const { return soa_; }
   NodeSoa& soa() { return soa_; }
 
-  /// All node ids currently in the given state.
-  std::vector<NodeId> ids_in_state(NodeState state) const;
-
   /// State transitions.  Idempotent; observers fire only on real changes.
   void set_state(NodeId id, NodeState state);
   void fail(NodeId id) { set_state(id, NodeState::Down); }
@@ -88,9 +65,6 @@ class ClusterModel {
  private:
   sim::Engine& engine_;
   NodeSoa soa_;
-  std::string name_prefix_;
-  int cores_per_node_;
-  std::int64_t memory_mb_;
   std::vector<StateObserver> observers_;
 };
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "telemetry/telemetry.hpp"
-#include "util/log.hpp"
 
 namespace eslurm::cluster {
 
@@ -79,8 +78,6 @@ void FailureModel::execute_failure(NodeId node, SimTime repair_after) {
   }
   repair_at_[node] = repair_at;
   ++injected_;
-  ESLURM_DEBUG("failure: node ", node, " down at t=", to_seconds(cluster_.engine().now()),
-               "s for ", to_seconds(repair_after), "s");
   cluster_.fail(node);
   if (auto* t = cluster_.engine().telemetry()) {
     t->metrics.counter("cluster.failures_injected").inc();
@@ -131,8 +128,6 @@ void FailureModel::schedule_burst(const BurstEvent& burst) {
       });
       ++taken;
     }
-    ESLURM_INFO("burst failure: ", taken, " nodes at t=",
-                to_seconds(cluster_.engine().now()), "s");
   });
 }
 

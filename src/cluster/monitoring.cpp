@@ -1,24 +1,6 @@
 #include "cluster/monitoring.hpp"
 
-#include <algorithm>
-
-#include "util/log.hpp"
-
 namespace eslurm::cluster {
-
-const char* indicator_name(IndicatorKind kind) {
-  switch (kind) {
-    case IndicatorKind::Voltage: return "voltage";
-    case IndicatorKind::Current: return "current";
-    case IndicatorKind::Temperature: return "temperature";
-    case IndicatorKind::Humidity: return "humidity";
-    case IndicatorKind::LiquidCooling: return "liquid-cooling";
-    case IndicatorKind::AirCooling: return "air-cooling";
-    case IndicatorKind::NetworkCard: return "network-card";
-    case IndicatorKind::Memory: return "memory";
-  }
-  return "?";
-}
 
 StaticFailurePredictor::StaticFailurePredictor(std::vector<NodeId> nodes)
     : set_(nodes.begin(), nodes.end()) {}
@@ -83,26 +65,21 @@ void MonitoringSystem::raise_alert(NodeId node, bool genuine, SimTime expires_at
   else
     ++false_;
   predicted_.set(node);
-  Entry& entry = active_[node];
-  entry.alert.node = node;
-  entry.alert.kind = static_cast<IndicatorKind>(rng_.uniform_int(0, 7));
-  entry.alert.raised_at = cluster_.engine().now();
-  entry.alert.expires_at = expires_at;
-  entry.alert.genuine = genuine;
-  entry.token = next_token_++;
-  const std::uint64_t token = entry.token;
+  // The alert's indicator family (one of eight) is drawn but not kept:
+  // nothing reads it, and the draw keeps the monitoring rng stream.
+  (void)rng_.uniform_int(0, 7);
+  const std::uint64_t token = next_token_++;
+  active_[node] = token;
   if (expires_at != kTimeNever) {
     cluster_.engine().schedule_at(expires_at, [this, node, token] {
       expire_alert(node, token);
     });
   }
-  ESLURM_DEBUG("monitoring: alert on node ", node, " (",
-               indicator_name(entry.alert.kind), genuine ? ", genuine)" : ", false)");
 }
 
 void MonitoringSystem::expire_alert(NodeId node, std::uint64_t token) {
   const auto it = active_.find(node);
-  if (it != active_.end() && it->second.token == token) {
+  if (it != active_.end() && it->second == token) {
     active_.erase(it);
     predicted_.reset(node);
   }
@@ -110,18 +87,6 @@ void MonitoringSystem::expire_alert(NodeId node, std::uint64_t token) {
 
 void MonitoringSystem::clear_alert(NodeId node) {
   if (active_.erase(node) > 0) predicted_.reset(node);
-}
-
-std::vector<Alert> MonitoringSystem::active_alerts() const {
-  std::vector<Alert> out;
-  out.reserve(active_.size());
-  for (const auto& [node, entry] : active_) {
-    (void)node;
-    out.push_back(entry.alert);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const Alert& a, const Alert& b) { return a.node < b.node; });
-  return out;
 }
 
 }  // namespace eslurm::cluster

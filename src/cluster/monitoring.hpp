@@ -27,29 +27,6 @@
 
 namespace eslurm::cluster {
 
-/// Indicator families carried by alerts, mirroring the categories the
-/// paper lists for the Tianhe monitoring subsystem.
-enum class IndicatorKind : std::uint8_t {
-  Voltage,
-  Current,
-  Temperature,
-  Humidity,
-  LiquidCooling,
-  AirCooling,
-  NetworkCard,
-  Memory,
-};
-
-const char* indicator_name(IndicatorKind kind);
-
-struct Alert {
-  NodeId node = net::kNoNode;
-  IndicatorKind kind = IndicatorKind::Voltage;
-  SimTime raised_at = 0;
-  SimTime expires_at = kTimeNever;
-  bool genuine = false;  ///< whether a real failure is scheduled behind it
-};
-
 struct MonitoringParams {
   double hit_rate = 0.85;            ///< P(alert precedes a real failure)
   double false_alarms_per_node_day = 0.002;
@@ -113,9 +90,6 @@ class MonitoringSystem final : public FailurePredictor {
   /// The live predicted-failed bitset (for word-level scans).
   const NodeBitset& predicted_bits() const { return predicted_; }
 
-  /// Full current alert set (e.g. for an administrator dashboard).
-  std::vector<Alert> active_alerts() const;
-
   std::uint64_t alerts_raised() const { return raised_; }
   std::uint64_t genuine_alerts() const { return genuine_; }
   std::uint64_t false_alarms() const { return false_; }
@@ -129,13 +103,9 @@ class MonitoringSystem final : public FailurePredictor {
   ClusterModel& cluster_;
   Rng rng_;
   MonitoringParams params_;
-  // node -> (alert, generation token); the token invalidates stale expiry
-  // events when an alert is refreshed.
-  struct Entry {
-    Alert alert;
-    std::uint64_t token = 0;
-  };
-  std::unordered_map<NodeId, Entry> active_;
+  // node -> generation token of its live alert; the token invalidates
+  // stale expiry events when an alert is refreshed.
+  std::unordered_map<NodeId, std::uint64_t> active_;
   NodeBitset predicted_;  ///< bit per node: an alert is live
   std::uint64_t next_token_ = 1;
   std::uint64_t raised_ = 0, genuine_ = 0, false_ = 0;

@@ -8,11 +8,6 @@ void NodeBitset::resize(std::size_t bits) {
   count_ = 0;
 }
 
-void NodeBitset::clear_all() {
-  std::fill(words_.begin(), words_.end(), 0);
-  count_ = 0;
-}
-
 void NodeBitset::set_all() {
   std::fill(words_.begin(), words_.end(), ~0ull);
   if (bits_ & 63) words_.back() = (1ull << (bits_ & 63)) - 1;
@@ -25,17 +20,6 @@ void NodeBitset::assign_and_not(const NodeBitset& a, const NodeBitset& b) {
   std::size_t count = 0;
   for (std::size_t w = 0; w < words_.size(); ++w) {
     words_[w] = a.words_[w] & ~b.words_[w];
-    count += static_cast<std::size_t>(__builtin_popcountll(words_[w]));
-  }
-  count_ = count;
-}
-
-void NodeBitset::assign_and(const NodeBitset& a, const NodeBitset& b) {
-  words_.resize(a.words_.size());
-  bits_ = a.bits_;
-  std::size_t count = 0;
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    words_[w] = a.words_[w] & b.words_[w];
     count += static_cast<std::size_t>(__builtin_popcountll(words_[w]));
   }
   count_ = count;

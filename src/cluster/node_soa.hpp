@@ -68,13 +68,10 @@ class NodeBitset {
   std::size_t count() const { return count_; }
   bool any() const { return count_ > 0; }
   bool none() const { return count_ == 0; }
-  void clear_all();
   void set_all();
 
   /// *this = a & ~b (sizes must match); recounts in one word pass.
   void assign_and_not(const NodeBitset& a, const NodeBitset& b);
-  /// *this = a & b.
-  void assign_and(const NodeBitset& a, const NodeBitset& b);
 
   /// Calls `fn(NodeId)` for every set bit in ascending id order.
   template <typename Fn>

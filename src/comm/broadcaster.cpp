@@ -11,10 +11,16 @@ Broadcaster::Broadcaster(net::Network& network, std::string name,
       transport_(transport),
       name_(std::move(name)) {}
 
+Broadcaster::~Broadcaster() {
+  for (int i = 0; i < type_count_; ++i) net_.unregister_handler(first_type_ + i);
+}
+
 net::MessageType Broadcaster::alloc_type_range(int width) {
   // Per-network allocation keeps type assignment deterministic in
   // construction order even with several worlds in one process.
-  return net_.alloc_message_types(width);
+  first_type_ = net_.alloc_message_types(width);
+  type_count_ = width;
+  return first_type_;
 }
 
 void Broadcaster::relay_send(NodeId from, NodeId to, net::Message msg,

@@ -68,7 +68,10 @@ class Broadcaster {
   /// behaviour.
   explicit Broadcaster(net::Network& network, std::string name,
                        net::ReliableTransport* transport = nullptr);
-  virtual ~Broadcaster() = default;
+  /// Unregisters every handler of this instance's message-type range, so
+  /// a message of a dead broadcaster's type is received but handled by
+  /// nothing.  The network must outlive the broadcaster.
+  virtual ~Broadcaster();
   Broadcaster(const Broadcaster&) = delete;
   Broadcaster& operator=(const Broadcaster&) = delete;
 
@@ -89,7 +92,8 @@ class Broadcaster {
   net::ReliableTransport* transport() { return transport_; }
 
  protected:
-  /// Allocates this instance's private message-type range.
+  /// Allocates this instance's private message-type range (once per
+  /// instance); the destructor unregisters it.
   net::MessageType alloc_type_range(int width);
 
   /// Send routed through the reliable transport when one is attached,
@@ -128,6 +132,10 @@ class Broadcaster {
   std::string name_;
   DeliveryHook delivery_hook_;
   std::uint64_t next_broadcast_id_ = 1;
+
+ private:
+  net::MessageType first_type_ = 0;
+  int type_count_ = 0;
 };
 
 }  // namespace eslurm::comm

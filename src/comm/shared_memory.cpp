@@ -4,8 +4,8 @@ namespace eslurm::comm {
 
 SharedMemoryBroadcaster::SharedMemoryBroadcaster(net::Network& network, std::string name)
     : Broadcaster(network, std::move(name)), rng_(0xE5E5E5E5ULL) {
+  // Fetchers register no handler: the payload is counted at the sender.
   fetch_type_ = alloc_type_range(1);
-  net_.register_handler(fetch_type_, [](NodeId, const net::Message&) {});
 }
 
 void SharedMemoryBroadcaster::broadcast(NodeId root,

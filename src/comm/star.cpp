@@ -4,10 +4,9 @@ namespace eslurm::comm {
 
 StarBroadcaster::StarBroadcaster(net::Network& network, std::string name)
     : Broadcaster(network, std::move(name)) {
+  // Targets register no handler: delivery is counted via the sender-side
+  // completion, and the hook fires through mark_delivered.
   payload_type_ = alloc_type_range(1);
-  // Targets only need to accept the payload; delivery is counted via the
-  // sender-side completion, and the hook fires through mark_delivered.
-  net_.register_handler(payload_type_, [](NodeId, const net::Message&) {});
 }
 
 void StarBroadcaster::broadcast(NodeId root,

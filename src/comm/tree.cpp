@@ -4,15 +4,7 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "util/log.hpp"
-
 namespace eslurm::comm {
-
-std::vector<Range> partition_range(std::size_t begin, std::size_t end, int width) {
-  std::vector<Range> groups;
-  for_each_group(begin, end, width, [&groups](Range group) { groups.push_back(group); });
-  return groups;
-}
 
 int tree_depth_estimate(std::size_t n, int width) {
   int depth = 0;
@@ -34,11 +26,6 @@ TreeBroadcaster::TreeBroadcaster(net::Network& network, std::string name,
                         [this](NodeId self, const net::Message& m) { on_relay(self, m); });
   net_.register_handler(done_type_,
                         [this](NodeId self, const net::Message& m) { on_done(self, m); });
-}
-
-TreeBroadcaster::~TreeBroadcaster() {
-  net_.unregister_handler(relay_type_);
-  net_.unregister_handler(done_type_);
 }
 
 std::shared_ptr<const std::vector<NodeId>> TreeBroadcaster::prepare(
@@ -152,7 +139,6 @@ void TreeBroadcaster::watchdog_fired(std::uint64_t id, std::uint32_t index, Pos 
   NodeCtx& c = st->ctx[pos];
   const ChildSlot& s = c.slots[slot_index];
   if (s.done) return;
-  ESLURM_DEBUG("tree: watchdog adoption of subtree under node ", s.child);
   ++c.agg_repairs;
   ++total_repairs_;
   const Range subtree = s.subtree;

@@ -47,17 +47,14 @@ struct Range {
 };
 
 /// Splits [begin, end) into min(width, len) contiguous near-equal groups
-/// (earlier groups take the remainder).  Shared by the live broadcaster
-/// and the FP-Tree leaf locator so both see the same tree shape.
-std::vector<Range> partition_range(std::size_t begin, std::size_t end, int width);
-
-/// Calls `visit(Range)` for each group partition_range would return, in
-/// order, without building the vector.
+/// (earlier groups take the remainder) and calls `visit(Range)` for each,
+/// in order.  Shared by the live broadcaster and the FP-Tree leaf locator
+/// so both see the same tree shape.
 template <typename Visit>
 void for_each_group(std::size_t begin, std::size_t end, int width, Visit&& visit) {
   const std::size_t len = end - begin;
   if (len == 0) return;
-  if (width < 1) throw std::invalid_argument("partition_range: width must be >= 1");
+  if (width < 1) throw std::invalid_argument("for_each_group: width must be >= 1");
   const std::size_t g = std::min<std::size_t>(static_cast<std::size_t>(width), len);
   const std::size_t base = len / g;
   const std::size_t rem = len % g;
@@ -78,7 +75,6 @@ class TreeBroadcaster : public Broadcaster {
   /// channel -- see Broadcaster.
   explicit TreeBroadcaster(net::Network& network, std::string name = "tree",
                            net::ReliableTransport* transport = nullptr);
-  ~TreeBroadcaster() override;
 
   void broadcast(NodeId root, std::shared_ptr<const std::vector<NodeId>> targets,
                  const BroadcastOptions& options, Callback done) override;

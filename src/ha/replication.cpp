@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "telemetry/telemetry.hpp"
-#include "util/log.hpp"
 
 namespace eslurm::ha {
 

@@ -47,21 +47,6 @@ std::uint32_t crc32(const void* data, std::size_t size) {
   return c ^ 0xFFFFFFFFu;
 }
 
-const char* wal_record_type_name(WalRecordType type) {
-  switch (type) {
-    case WalRecordType::JobSubmitted: return "job_submitted";
-    case WalRecordType::JobStarted: return "job_started";
-    case WalRecordType::JobFinished: return "job_finished";
-    case WalRecordType::JobReleased: return "job_released";
-    case WalRecordType::JobRequeued: return "job_requeued";
-    case WalRecordType::NodeDown: return "node_down";
-    case WalRecordType::NodeUp: return "node_up";
-    case WalRecordType::SnapshotMark: return "snapshot_mark";
-    case WalRecordType::JobNodeFailed: return "job_node_failed";
-  }
-  return "unknown";
-}
-
 std::string encode_frame(const WalRecord& record) {
   char head[128];
   const int n = std::snprintf(

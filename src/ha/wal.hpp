@@ -54,8 +54,6 @@ enum class WalRecordType : std::uint8_t {
   JobNodeFailed = 9,
 };
 
-const char* wal_record_type_name(WalRecordType type);
-
 struct WalRecord {
   std::uint64_t seq = 0;   ///< global append order, starts at 1
   SimTime time = 0;        ///< sim time of the append

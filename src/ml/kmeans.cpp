@@ -107,20 +107,6 @@ void KMeans::fit(const Dataset& data) {
   inertia_ = run_lloyd(data.x);
 }
 
-std::size_t KMeans::assign(const std::vector<double>& row) const {
-  if (!fitted()) throw std::logic_error("KMeans::assign before fit");
-  double best = std::numeric_limits<double>::max();
-  std::size_t best_c = 0;
-  for (std::size_t c = 0; c < centroids_.size(); ++c) {
-    const double dist = squared_distance(row, centroids_[c]);
-    if (dist < best) {
-      best = dist;
-      best_c = c;
-    }
-  }
-  return best_c;
-}
-
 std::size_t elbow_select_k(const Dataset& data, std::size_t k_min, std::size_t k_max,
                            Rng rng, std::vector<double>* inertias) {
   if (k_min < 1 || k_max < k_min)

@@ -25,12 +25,8 @@ class KMeans {
   /// If there are fewer rows than k, k is reduced to the row count.
   void fit(const Dataset& data);
 
-  bool fitted() const { return !centroids_.empty(); }
   std::size_t k() const { return centroids_.size(); }
   const std::vector<std::vector<double>>& centroids() const { return centroids_; }
-
-  /// Index of the closest centroid.
-  std::size_t assign(const std::vector<double>& row) const;
 
   /// Cluster labels for every training row (valid after fit()).
   const std::vector<std::size_t>& labels() const { return labels_; }

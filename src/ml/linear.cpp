@@ -79,31 +79,6 @@ std::vector<double> cholesky_solve(std::vector<double> a, std::vector<double> b,
   return b;
 }
 
-RidgeRegression::RidgeRegression(double lambda) : lambda_(lambda) {
-  if (lambda_ < 0) throw std::invalid_argument("RidgeRegression: lambda >= 0");
-}
-
-void RidgeRegression::fit(const Dataset& data) {
-  data.check();
-  if (data.rows() == 0) throw std::invalid_argument("RidgeRegression::fit: empty dataset");
-  const std::size_t d = data.cols();
-  const Centered c = center_stats(data);
-  std::vector<double> xtx, xty;
-  normal_equations(data, c, xtx, xty);
-  for (std::size_t j = 0; j < d; ++j) xtx[j * d + j] += lambda_ + 1e-9;
-  w_ = cholesky_solve(std::move(xtx), std::move(xty), d);
-  b_ = c.y_mean;
-  for (std::size_t j = 0; j < d; ++j) b_ -= w_[j] * c.x_mean[j];
-  trained_ = true;
-}
-
-double RidgeRegression::predict(const std::vector<double>& features) const {
-  if (!trained_) throw std::logic_error("RidgeRegression::predict before fit");
-  double out = b_;
-  for (std::size_t j = 0; j < w_.size(); ++j) out += w_[j] * features[j];
-  return out;
-}
-
 BayesianRidge::BayesianRidge(std::size_t max_iters, double tol)
     : max_iters_(max_iters), tol_(tol) {}
 

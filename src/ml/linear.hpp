@@ -1,6 +1,5 @@
-// Linear models: ridge regression (closed form) and Bayesian ridge
-// (evidence-approximation hyper-parameter estimation).  Bayesian ridge is
-// one leg of the IRPA ensemble baseline (Wu et al.).
+// Bayesian ridge regression (evidence-approximation hyper-parameter
+// estimation): one leg of the IRPA ensemble baseline (Wu et al.).
 #pragma once
 
 #include <vector>
@@ -14,24 +13,6 @@ namespace eslurm::ml {
 /// non-positive-definite matrix.
 std::vector<double> cholesky_solve(std::vector<double> a, std::vector<double> b,
                                    std::size_t d);
-
-class RidgeRegression final : public Regressor {
- public:
-  explicit RidgeRegression(double lambda = 1.0);
-
-  void fit(const Dataset& data) override;
-  double predict(const std::vector<double>& features) const override;
-  bool trained() const override { return trained_; }
-
-  const std::vector<double>& weights() const { return w_; }
-  double intercept() const { return b_; }
-
- private:
-  double lambda_;
-  bool trained_ = false;
-  std::vector<double> w_;
-  double b_ = 0.0;
-};
 
 /// Bayesian ridge: iteratively re-estimates the noise precision (alpha)
 /// and weight precision (lambda) by the evidence approximation, yielding

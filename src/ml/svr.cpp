@@ -114,6 +114,4 @@ double Svr::predict(const std::vector<double>& features) const {
   return out;
 }
 
-std::size_t Svr::support_vector_count() const { return beta_.size(); }
-
 }  // namespace eslurm::ml

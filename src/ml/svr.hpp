@@ -37,9 +37,6 @@ class Svr final : public Regressor {
   double predict(const std::vector<double>& features) const override;
   bool trained() const override { return trained_; }
 
-  /// Number of support vectors (beta != 0) after training.
-  std::size_t support_vector_count() const;
-
   const SvrParams& params() const { return params_; }
 
  private:

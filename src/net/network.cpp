@@ -7,7 +7,6 @@
 #include "net/chaos.hpp"
 #include "net/transport.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/log.hpp"
 
 namespace eslurm::net {
 
@@ -102,7 +101,7 @@ void Network::complete(std::uint32_t op, bool ok) {
   if (cb) cb(ok);
 }
 
-void Network::dispatch(SendOp& state, bool duplicate) {
+void Network::dispatch(SendOp& state) {
   ++hot_[state.to].received;
   if (delivered_counter_) delivered_counter_->inc();
   const Message& msg = state.msg;
@@ -118,11 +117,8 @@ void Network::dispatch(SendOp& state, bool duplicate) {
         state.processed = true;
       }
       handler(state.to, msg);
-      return;
     }
   }
-  ESLURM_DEBUG("node ", state.to, duplicate ? " dropped duplicate type " : " dropped message type ",
-               msg.type, " from ", msg.src);
 }
 
 void Network::arrival_step(std::uint32_t op) {
@@ -146,7 +142,7 @@ void Network::deliver_step(std::uint32_t op) {
   // stable and this op holds a reference, so reentrant sends cannot move
   // or reuse the slot.
   SendOp& state = send_ops_[op];
-  dispatch(state, /*duplicate=*/false);
+  dispatch(state);
 
   if (state.duplicate) {
     // A second copy arrived on the wire: it queues behind this one in
@@ -177,7 +173,7 @@ void Network::deliver_step(std::uint32_t op) {
 }
 
 void Network::deliver_duplicate(std::uint32_t op) {
-  dispatch(send_ops_[op], /*duplicate=*/true);
+  dispatch(send_ops_[op]);
   release_op(op);
 }
 

@@ -245,7 +245,7 @@ class Network {
   void release_op(std::uint32_t op);
   /// Receive counters, then the type's handler -- unless the op is a
   /// reliable one already processed, whose repeat is suppressed.
-  void dispatch(SendOp& state, bool duplicate);
+  void dispatch(SendOp& state);
 
   sim::Engine& engine_;
   LinkModel model_;

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "telemetry/telemetry.hpp"
-#include "util/log.hpp"
 
 namespace eslurm::predict {
 
@@ -106,7 +105,6 @@ void RuntimeEstimator::retrain() {
                            {"k", static_cast<double>(kmeans_->k())},
                            {"wall_ms", wall_ms}});
   }
-  ESLURM_DEBUG("estimator: retrained on ", window, " jobs, k=", kmeans_->k());
 }
 
 void RuntimeEstimator::maybe_retrain(SimTime now) {
@@ -171,10 +169,6 @@ Estimate RuntimeEstimator::estimate(const sched::Job& job) const {
     out.value = job.user_estimate;
   }
   return out;
-}
-
-double RuntimeEstimator::cluster_aea(std::size_t cluster) const {
-  return cluster < models_.size() ? models_[cluster].accuracy.aea() : 0.0;
 }
 
 }  // namespace eslurm::predict

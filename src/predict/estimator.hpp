@@ -86,7 +86,6 @@ class RuntimeEstimator {
   /// Real-time estimation module (Eq. 3 + the AEA gate).
   Estimate estimate(const sched::Job& job) const;
 
-  double cluster_aea(std::size_t cluster) const;
   /// Overall AEA / UR of the model predictions made so far (Section
   /// VII-E metrics, used by Table VIII and Fig. 11b).
   const AccuracyTracker& model_accuracy() const { return model_accuracy_; }

@@ -142,10 +142,6 @@ void EslurmRm::apply_event(std::size_t sat_index, SatelliteEvent event) {
   if (sat.state == SatelliteState::Fault && old_state != SatelliteState::Fault)
     sat.fault_since = engine_.now();
   if (sat.state != old_state) {
-    ESLURM_DEBUG("eslurm: satellite ", sat.node, " ",
-                 satellite_state_name(old_state), " -> ",
-                 satellite_state_name(sat.state), " on ",
-                 satellite_event_name(event));
     if (auto* t = telemetry_) {
       // One counter per edge of the Table II FSM, so a run's churn is
       // directly readable (e.g. rm.sat_transitions{from=RUNNING,to=FAULT}).
@@ -483,8 +479,6 @@ void EslurmRm::crash_master() {
   master_up_ = false;
   ++crashes_;
   crashed_at_ = engine_.now();
-  ESLURM_INFO(profile_.name, ": master crashed at t=", to_seconds(engine_.now()),
-              "s (HA: standby will promote)");
   if (auto* t = telemetry_) {
     t->metrics.counter("rm.master_crashes", {{"rm", profile_.name}}).inc();
     t->tracer.instant("master-crash", "rm");
@@ -531,10 +525,6 @@ void EslurmRm::begin_promotion() {
   ha::StateImage image = ha_->recovered_image(&replay_records);
   const SimTime detection = engine_.now() - crashed_at_;
   const SimTime cost = ha_->replay_cost(replay_records);
-  ESLURM_INFO(profile_.name, ": standby ", ha_->standby(),
-              " promoting; snapshot ", ha_->replicator().store().snapshot().size(),
-              " B + ", replay_records, " WAL records, replay cost ",
-              to_seconds(cost), "s");
   if (auto* t = telemetry_)
     t->tracer.instant("ha-promotion-begin", "rm",
                       {{"replay_records", static_cast<double>(replay_records)}});
@@ -571,16 +561,11 @@ void EslurmRm::finish_promotion(ha::StateImage image, SimTime detection,
   if (engine_.now() < horizon_)
     master_stats_->start_sampling(config_.sample_interval, horizon_);
 
-  const auto stats = reconcile_with_image(image);
+  reconcile_with_image(image);
   master_up_ = true;
   downtime_ += engine_.now() - crashed_at_;
   ha_->finish_takeover(new_master, detection, engine_.now() - crashed_at_,
                        replay_records);
-  ESLURM_INFO(profile_.name, ": node ", new_master, " is master after ",
-              to_seconds(engine_.now() - crashed_at_), "s (replayed ",
-              replay_records, " records; requeued ", stats.requeued,
-              ", re-terminated ", stats.reissued, ", dropped ", stats.dropped,
-              " uncommitted)");
   if (auto* t = telemetry_)
     t->tracer.complete("master-outage", "rm", crashed_at_,
                        engine_.now() - crashed_at_);
@@ -616,8 +601,6 @@ void EslurmRm::master_rejoined(NodeId old_master) {
   cluster_.restore(old_master);
   if (master_up_) {
     // Role swap: the rebooted node comes back as the new standby.
-    ESLURM_INFO(profile_.name, ": node ", old_master,
-                " rebooted; adopting as standby");
     if (auto* t = telemetry_)
       t->metrics.counter("ha.failover.standby_adopted").inc();
     ha_->adopt_standby(old_master);

@@ -155,13 +155,10 @@ void HaMaster::take_snapshot() {
 
 void HaMaster::on_master_crashed() {
   crash_time_ = engine_.now();
-  const auto lost = wal_.lose_uncommitted();
+  wal_.lose_uncommitted();
   replicator_.abort_all();
   if (snapshot_task_) snapshot_task_->stop();
   snapshot_in_progress_ = false;
-  ESLURM_INFO("ha: master crashed; ", lost.records,
-              " uncommitted WAL records lost (", lost.job_submits,
-              " unacked submissions)");
   // The detector runs on the standby and stays armed -- it is the
   // component that turns this crash into a promotion.
 }

@@ -5,7 +5,6 @@
 
 #include "rm/ha_master.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/log.hpp"
 
 namespace eslurm::rm {
 
@@ -24,8 +23,7 @@ ResourceManager::ResourceManager(sim::Engine& engine, net::Network& network,
   master_stats_ = std::make_unique<DaemonStats>(engine_, net_, deployment_.master,
                                                 profile_.accounting);
   scheduler_ = sched::make_scheduler(
-      config_.scheduler, static_cast<int>(deployment_.compute.size()),
-      config_.partitions.empty() ? nullptr : &config_.partitions, config_.policy);
+      config_.scheduler, static_cast<int>(deployment_.compute.size()), config_.policy);
   scheduler_.set_telemetry(telemetry_);
   if (config_.use_runtime_estimation) {
     estimator_ = std::make_unique<predict::RuntimeEstimator>(
@@ -164,20 +162,6 @@ void ResourceManager::start(SimTime horizon) {
 void ResourceManager::submit(sched::Job job) {
   // Request handling cost on the master.
   master_stats_->charge_cpu_us(200.0);
-  if (!config_.partitions.empty()) {
-    if (const auto error = config_.partitions.validate(job)) {
-      // Rejected at the gate: the job is recorded (cancelled) so no
-      // submission ever vanishes, but it never enters the queue.
-      ++partition_rejects_;
-      const sched::JobId id = pool_.submit(std::move(job));
-      pool_.cancel_pending(id, engine_.now());
-      accounting_db_.record(pool_.get(id));
-      if (auto* t = telemetry_)
-        t->metrics.counter("sched.policy.partition_rejects", {{"rm", profile_.name}})
-            .inc();
-      return;
-    }
-  }
   if (estimator_) {
     const predict::Estimate est = estimator_->estimate(job);
     job.estimate_used = est.value;
@@ -630,7 +614,6 @@ void ResourceManager::crash_master() {
   master_up_ = false;
   ++crashes_;
   crashed_at_ = engine_.now();
-  ESLURM_INFO(profile_.name, ": master crashed at t=", to_seconds(engine_.now()), "s");
   if (auto* t = telemetry_) {
     t->metrics.counter("rm.master_crashes", {{"rm", profile_.name}}).inc();
     t->tracer.instant("master-crash", "rm");
@@ -671,9 +654,13 @@ ha::StateImage ResourceManager::build_state_image() const {
   return image;
 }
 
-ResourceManager::ReconcileStats ResourceManager::reconcile_with_image(
-    const ha::StateImage& image) {
-  ReconcileStats stats;
+void ResourceManager::reconcile_with_image(const ha::StateImage& image) {
+  struct {
+    std::size_t resurrected = 0;  ///< in image, unknown to the pool
+    std::size_t dropped = 0;      ///< in the pool, never committed
+    std::size_t requeued = 0;     ///< launch died with the old master
+    std::size_t reissued = 0;     ///< termination re-broadcast
+  } stats;
   const SimTime now = engine_.now();
 
   // Jobs the durable state knows but the pool does not: a committed
@@ -742,7 +729,6 @@ ResourceManager::ReconcileStats ResourceManager::reconcile_with_image(
     t->metrics.counter("ha.promotion.reissued_terminations")
         .inc(static_cast<double>(stats.reissued));
   }
-  return stats;
 }
 
 sched::SchedulingReport ResourceManager::report(SimTime t0, SimTime t1) const {

@@ -26,7 +26,6 @@
 #include "rm/node_ledger.hpp"
 #include "rm/profiles.hpp"
 #include "sched/metrics.hpp"
-#include "sched/partition.hpp"
 #include "sched/policy/policy.hpp"
 #include "sched/recovery/placement.hpp"
 #include "sched/recovery/recovery.hpp"
@@ -72,9 +71,6 @@ struct RmRuntimeConfig {
   /// (multifactor EASY), or "policy" (the full QoS/limits/reservations/
   /// preemption suite driven by `policy`).  Any other name runs "easy".
   std::string scheduler = "easy";
-  /// Partitions validated at submit time and feeding the priority boost;
-  /// the empty default skips validation entirely.
-  sched::PartitionSet partitions;
   /// Policy-suite knobs: "policy" reads all of them, "priority" only
   /// `policy.weights`, the other presets none.
   sched::policy::PolicyConfig policy;
@@ -162,8 +158,6 @@ class ResourceManager {
   /// than a live reservation leaves spare (must stay 0: reserved windows
   /// are never backfilled across).
   std::uint64_t reservation_intrusions() const { return reservation_intrusions_; }
-  /// Submissions rejected by partition validation.
-  std::uint64_t partition_rejects() const { return partition_rejects_; }
 
   // --- user request service (Section II-B) ------------------------------
   /// Records one end-to-end user request observed by the RPC front-end
@@ -252,17 +246,12 @@ class ResourceManager {
   /// Captures the live RM state (jobs, allocations, node health,
   /// accounting) as a snapshot image.
   ha::StateImage build_state_image() const;
-  struct ReconcileStats {
-    std::size_t resurrected = 0;  ///< in image, unknown to the pool
-    std::size_t dropped = 0;      ///< in the pool, never committed
-    std::size_t requeued = 0;     ///< launch died with the old master
-    std::size_t reissued = 0;     ///< termination re-broadcast
-  };
   /// Aligns the job pool with the recovered image at promotion time:
   /// uncommitted submissions are dropped (the durable state never heard
   /// of them), half-launched jobs requeue, half-terminated jobs get
   /// their termination re-issued, running jobs are adopted unchanged.
-  ReconcileStats reconcile_with_image(const ha::StateImage& image);
+  /// Telemetry counts each kind under `ha.promotion.*`.
+  void reconcile_with_image(const ha::StateImage& image);
 
   sim::Engine& engine_;
   net::Network& net_;
@@ -301,7 +290,6 @@ class ResourceManager {
   std::uint64_t preempt_requeued_ = 0;
   std::uint64_t preempt_cancelled_ = 0;
   std::uint64_t reservation_intrusions_ = 0;
-  std::uint64_t partition_rejects_ = 0;
 
   RunningStats request_times_;
   std::uint64_t requests_issued_ = 0;

@@ -13,19 +13,6 @@ const char* satellite_state_name(SatelliteState state) {
   return "?";
 }
 
-const char* satellite_event_name(SatelliteEvent event) {
-  switch (event) {
-    case SatelliteEvent::BtStart: return "BT-start";
-    case SatelliteEvent::BtSuccess: return "BT-success";
-    case SatelliteEvent::BtFailure: return "BT-failure";
-    case SatelliteEvent::HbSuccess: return "HB-success";
-    case SatelliteEvent::HbFailure: return "HB-failure";
-    case SatelliteEvent::Shutdown: return "SHUTDOWN";
-    case SatelliteEvent::Timeout: return "TIMEOUT";
-  }
-  return "?";
-}
-
 SatelliteState satellite_transition(SatelliteState state, SatelliteEvent event) {
   // DOWN is terminal until an administrator intervenes (Table II).
   if (state == SatelliteState::Down) return SatelliteState::Down;

@@ -33,7 +33,6 @@ enum class SatelliteEvent : std::uint8_t {
 };
 
 const char* satellite_state_name(SatelliteState state);
-const char* satellite_event_name(SatelliteEvent event);
 
 /// Pure transition function of the Fig. 2 state machine.
 SatelliteState satellite_transition(SatelliteState state, SatelliteEvent event);

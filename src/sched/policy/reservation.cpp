@@ -40,32 +40,4 @@ int ReservationCalendar::carve_out(const Job& job, SimTime t0, SimTime t1) const
   return best;
 }
 
-int ReservationCalendar::reserved_at(const Job& job, SimTime t) const {
-  int sum = 0;
-  for (const Reservation& r : reservations_)
-    if (r.active_at(t) && !r.allows(job)) sum += r.nodes;
-  return sum;
-}
-
-std::vector<Reservation> ReservationCalendar::periodic(
-    const std::string& name_prefix, SimTime first_start, SimTime duration,
-    SimTime period, int count, int nodes, std::vector<std::string> accounts,
-    std::vector<std::string> users, std::vector<std::string> qos) {
-  if (period <= 0) throw std::invalid_argument("periodic: period must be positive");
-  std::vector<Reservation> out;
-  out.reserve(static_cast<std::size_t>(std::max(count, 0)));
-  for (int i = 0; i < count; ++i) {
-    Reservation r;
-    r.name = name_prefix + "-" + std::to_string(i);
-    r.start = first_start + static_cast<SimTime>(i) * period;
-    r.end = r.start + duration;
-    r.nodes = nodes;
-    r.accounts = accounts;
-    r.users = users;
-    r.qos = qos;
-    out.push_back(std::move(r));
-  }
-  return out;
-}
-
 }  // namespace eslurm::sched::policy

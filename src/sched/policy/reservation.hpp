@@ -49,18 +49,6 @@ class ReservationCalendar {
   /// allow the job do not carve against it.
   int carve_out(const Job& job, SimTime t0, SimTime t1) const;
 
-  /// Node count reserved away from `job` right at `t` (audit probes).
-  int reserved_at(const Job& job, SimTime t) const;
-
-  /// Appends `count` periodic windows (start, start+period, ...), e.g. a
-  /// nightly maintenance or a recurring allowed-account window.
-  static std::vector<Reservation> periodic(const std::string& name_prefix,
-                                           SimTime first_start, SimTime duration,
-                                           SimTime period, int count, int nodes,
-                                           std::vector<std::string> accounts = {},
-                                           std::vector<std::string> users = {},
-                                           std::vector<std::string> qos = {});
-
  private:
   std::vector<Reservation> reservations_;
 };

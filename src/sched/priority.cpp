@@ -43,22 +43,19 @@ PriorityCalculator::PriorityCalculator(PriorityWeights weights, int cluster_node
       norm_(cluster_node_seconds_per_halflife) {}
 
 double PriorityCalculator::priority(const Job& job, SimTime now,
-                                    const FairshareTracker& fairshare,
-                                    double partition_factor) const {
-  return priority_from_factors(job, now, fairshare.share_factor(job.user, now, norm_),
-                               partition_factor);
+                                    const FairshareTracker& fairshare) const {
+  return priority_from_factors(job, now, fairshare.share_factor(job.user, now, norm_));
 }
 
 double PriorityCalculator::priority_from_factors(const Job& job, SimTime now,
-                                                 double share_factor,
-                                                 double partition_factor) const {
+                                                 double share_factor) const {
   const double age_days =
       std::min(to_hours(std::max<SimTime>(now - job.submit_time, 0)) / 24.0,
                weights_.age_cap_days);
   const double size =
       static_cast<double>(job.nodes) / static_cast<double>(cluster_nodes_);
   return weights_.age_per_day * age_days + weights_.job_size * size +
-         weights_.fairshare * share_factor + weights_.partition * partition_factor;
+         weights_.fairshare * share_factor;
 }
 
 }  // namespace eslurm::sched

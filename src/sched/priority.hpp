@@ -3,8 +3,8 @@
 // The paper lists fairness among the optimization metrics an RM owns
 // (Section I); production Slurm/ESLURM deployments order the backfill
 // queue by a multifactor priority.  This module implements the standard
-// factors: queue age, job size, fair-share (exponentially decayed usage
-// per user) and a per-partition boost.
+// factors: queue age, job size and fair-share (exponentially decayed
+// usage per user).
 #pragma once
 
 #include <string>
@@ -48,28 +48,18 @@ struct PriorityWeights {
   double age_cap_days = 7.0;     ///< age factor saturates
   double job_size = 500.0;       ///< x (nodes / cluster nodes)
   double fairshare = 2000.0;     ///< x share factor
-  /// x partition priority factor.  0.0 means "pick a default": schedulers
-  /// constructed with a PartitionSet promote it to kDefaultPartitionWeight
-  /// so configured partitions actually influence the order.
-  double partition = 0.0;
 };
-
-/// Weight given to the partition factor when a PartitionSet is supplied
-/// but PriorityWeights::partition was left at its 0.0 default.
-inline constexpr double kDefaultPartitionWeight = 1000.0;
 
 class PriorityCalculator {
  public:
   PriorityCalculator(PriorityWeights weights, int cluster_nodes,
                      double cluster_node_seconds_per_halflife);
 
-  double priority(const Job& job, SimTime now, const FairshareTracker& fairshare,
-                  double partition_factor = 0.0) const;
+  double priority(const Job& job, SimTime now, const FairshareTracker& fairshare) const;
 
   /// Priority with an externally supplied share factor in (0, 1] --
   /// hierarchical fair-tree policies replace the flat tracker's factor.
-  double priority_from_factors(const Job& job, SimTime now, double share_factor,
-                               double partition_factor) const;
+  double priority_from_factors(const Job& job, SimTime now, double share_factor) const;
 
   const PriorityWeights& weights() const { return weights_; }
 

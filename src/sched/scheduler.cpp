@@ -12,13 +12,6 @@ namespace {
 /// PriorityDecayHalfLife).
 constexpr SimTime kFairshareHalfLife = days(7);
 
-PriorityWeights with_partition_default(PriorityWeights weights,
-                                       const PartitionSet* partitions) {
-  if (partitions && !partitions->empty() && weights.partition == 0.0)
-    weights.partition = kDefaultPartitionWeight;
-  return weights;
-}
-
 SimTime estimate_of(const Job& job) {
   return job.estimate_used > 0 ? job.estimate_used : job.user_estimate;
 }
@@ -51,14 +44,12 @@ bool dependency_ready(const JobPool& pool, const Job& job, bool* failed) {
 }
 
 Scheduler make_scheduler(std::string_view preset, int cluster_nodes,
-                         const PartitionSet* partitions,
                          const policy::PolicyConfig& policy,
                          std::size_t planning_depth) {
   using Ordering = Scheduler::Ordering;
   using Backfill = Scheduler::Backfill;
   const auto build = [&](Ordering ordering, Backfill backfill) {
-    return Scheduler(ordering, backfill, cluster_nodes, partitions, policy.weights,
-                     planning_depth);
+    return Scheduler(ordering, backfill, cluster_nodes, policy.weights, planning_depth);
   };
   if (preset == "fcfs") return build(Ordering::Submit, Backfill::None);
   if (preset == "conservative") return build(Ordering::Submit, Backfill::Conservative);
@@ -72,19 +63,17 @@ Scheduler make_scheduler(std::string_view preset, int cluster_nodes,
 }
 
 Scheduler::Scheduler()
-    : Scheduler(Ordering::Submit, Backfill::Easy, 1, nullptr, PriorityWeights{},
+    : Scheduler(Ordering::Submit, Backfill::Easy, 1, PriorityWeights{},
                 kConservativePlanningDepth) {}
 
 Scheduler::Scheduler(Ordering ordering, Backfill backfill, int cluster_nodes,
-                     const PartitionSet* partitions, const PriorityWeights& weights,
-                     std::size_t planning_depth)
+                     const PriorityWeights& weights, std::size_t planning_depth)
     : ordering_(ordering),
       backfill_(backfill),
       planning_depth_(planning_depth),
-      calculator_(with_partition_default(weights, partitions), cluster_nodes,
+      calculator_(weights, cluster_nodes,
                   static_cast<double>(cluster_nodes) * to_seconds(kFairshareHalfLife)),
-      fairshare_(kFairshareHalfLife),
-      partitions_(partitions) {}
+      fairshare_(kFairshareHalfLife) {}
 
 void Scheduler::set_telemetry(telemetry::Telemetry* telemetry) {
   telemetry_ = telemetry;
@@ -92,16 +81,9 @@ void Scheduler::set_telemetry(telemetry::Telemetry* telemetry) {
 }
 
 double Scheduler::priority_of(const Job& job, SimTime now) const {
-  double partition_factor = 0.0;
-  if (partitions_) {
-    if (const Partition* partition = partitions_->find(job.partition))
-      partition_factor = partition->priority_factor;
-  }
-  if (ordering_ != Ordering::FairTree)
-    return calculator_.priority(job, now, fairshare_, partition_factor);
+  if (ordering_ != Ordering::FairTree) return calculator_.priority(job, now, fairshare_);
   const policy::PolicyConfig& config = policy_->config_;
-  return calculator_.priority_from_factors(job, now, policy_->share_factor(job.user),
-                                           partition_factor) +
+  return calculator_.priority_from_factors(job, now, policy_->share_factor(job.user)) +
          config.qos_weight * config.qos.resolve(job.qos).priority_boost;
 }
 

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "sched/job_pool.hpp"
-#include "sched/partition.hpp"
 #include "sched/policy/policy.hpp"
 #include "sched/priority.hpp"
 
@@ -82,15 +81,14 @@ class Scheduler {
   std::uint64_t backfilled_jobs() const { return backfilled_; }
 
  private:
-  friend Scheduler make_scheduler(std::string_view, int, const PartitionSet*,
-                                  const policy::PolicyConfig&, std::size_t);
+  friend Scheduler make_scheduler(std::string_view, int, const policy::PolicyConfig&,
+                                  std::size_t);
 
   enum class Ordering : std::uint8_t { Submit, Multifactor, FairTree };
   enum class Backfill : std::uint8_t { None, Easy, Conservative };
 
   Scheduler(Ordering ordering, Backfill backfill, int cluster_nodes,
-            const PartitionSet* partitions, const PriorityWeights& weights,
-            std::size_t planning_depth);
+            const PriorityWeights& weights, std::size_t planning_depth);
 
   /// Fills ordered_ with the dependency-ready pending jobs in queue order.
   void rank(const JobPool& pool, SimTime now);
@@ -112,7 +110,6 @@ class Scheduler {
   std::size_t planning_depth_;
   PriorityCalculator calculator_;
   FairshareTracker fairshare_;
-  const PartitionSet* partitions_;
   std::unique_ptr<policy::PolicyState> policy_;
   telemetry::Telemetry* telemetry_ = nullptr;
   std::uint64_t backfilled_ = 0;
@@ -140,15 +137,10 @@ class Scheduler {
 inline constexpr std::size_t kConservativePlanningDepth = 500;
 
 /// Builds a preset: "fcfs", "easy", "conservative", "priority" or "policy";
-/// any other name gives "easy".  `partitions` (optional, must outlive the
-/// scheduler) feeds the multifactor partition boost; when a non-empty set
-/// is supplied and `policy.weights.partition` was left at its 0.0 default,
-/// the weight is promoted to kDefaultPartitionWeight -- configuring
-/// partitions without a weight would otherwise silently ignore them.
-/// "priority" reads `policy.weights`; "policy" reads all of `policy`.
-/// `planning_depth` bounds the conservative preset's work per pass.
+/// any other name gives "easy".  "priority" reads `policy.weights`;
+/// "policy" reads all of `policy`.  `planning_depth` bounds the
+/// conservative preset's work per pass.
 Scheduler make_scheduler(std::string_view preset, int cluster_nodes,
-                         const PartitionSet* partitions = nullptr,
                          const policy::PolicyConfig& policy = policy::PolicyConfig(),
                          std::size_t planning_depth = kConservativePlanningDepth);
 

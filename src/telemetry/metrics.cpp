@@ -173,22 +173,4 @@ void Registry::write_json(std::ostream& os) const {
   os << "}}";
 }
 
-std::string Registry::to_json() const {
-  std::ostringstream os;
-  write_json(os);
-  return os.str();
-}
-
-void Registry::write_csv(std::ostream& os) const {
-  os << "kind,name,count,value,p50,p95,p99\n";
-  for (const auto& [name, c] : counters_)
-    os << "counter,\"" << name << "\",," << c.value() << ",,,\n";
-  for (const auto& [name, g] : gauges_)
-    os << "gauge,\"" << name << "\",," << g.value() << ",,,\n";
-  for (const auto& [name, h] : histograms_) {
-    os << "histogram,\"" << name << "\"," << h.count() << ',' << h.sum() << ','
-       << h.p50() << ',' << h.p95() << ',' << h.p99() << '\n';
-  }
-}
-
 }  // namespace eslurm::telemetry

@@ -1,5 +1,5 @@
 // Metrics registry: named, optionally labeled counters, gauges and
-// fixed-bucket histograms with JSON and CSV sinks.
+// fixed-bucket histograms with a JSON sink.
 //
 // The registry is the "what happened over the whole run" half of the
 // telemetry subsystem (the Tracer is the "when did it happen" half).
@@ -108,7 +108,7 @@ class Registry {
   }
   void clear();
 
-  /// Deterministic (name-sorted) views for the sinks and tests.
+  /// Deterministic (name-sorted) views for the sink and tests.
   const std::map<std::string, Counter>& counters() const { return counters_; }
   const std::map<std::string, Gauge>& gauges() const { return gauges_; }
   const std::map<std::string, Histogram>& histograms() const { return histograms_; }
@@ -117,14 +117,10 @@ class Registry {
   ///   {"counters": {...}, "gauges": {...},
   ///    "histograms": {"name": {"count":..,"sum":..,"p50":..,...}, ...}}
   void write_json(std::ostream& os) const;
-  std::string to_json() const;
-
-  /// Flat CSV: kind,name,count,sum/value,p50,p95,p99
-  void write_csv(std::ostream& os) const;
 
  private:
   // std::map gives both stable references (node-based) and the sorted
-  // iteration the sinks rely on for reproducible artifacts.
+  // iteration the sink relies on for reproducible artifacts.
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;

@@ -84,11 +84,6 @@ void Tracer::counter_sample(std::string name, double value) {
   push(TraceEvent{'C', now(), 0, 0, std::move(name), "metric", os.str()});
 }
 
-Tracer::Span Tracer::span(std::string name, std::string cat) {
-  if (!enabled_) return Span();
-  return Span(this, std::move(name), std::move(cat));
-}
-
 void Tracer::write_chrome_trace(std::ostream& os, const Registry* metrics) const {
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
@@ -111,12 +106,6 @@ void Tracer::write_chrome_trace(std::ostream& os, const Registry* metrics) const
     metrics->write_json(os);
   }
   os << '}';
-}
-
-std::string Tracer::to_chrome_trace(const Registry* metrics) const {
-  std::ostringstream os;
-  write_chrome_trace(os, metrics);
-  return os.str();
 }
 
 }  // namespace eslurm::telemetry

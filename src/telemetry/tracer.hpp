@@ -9,9 +9,8 @@
 //   * no dependency on sim::Engine (telemetry sits below sim in the
 //     library order): the clock is injected as a callback, and
 //     sim::Engine registers itself as the clock source on construction;
-//   * callback-shaped async work (broadcasts, dispatches) records a
-//     `complete()` event after the fact with an explicit start/duration,
-//     while synchronous nested phases use the RAII Span.
+//   * work that spans sim time (broadcasts, dispatches) records a
+//     `complete()` event after the fact with an explicit start/duration.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +44,6 @@ using TraceArgs = std::initializer_list<std::pair<const char*, double>>;
 
 class Tracer {
  public:
-  class Span;
-
   bool enabled() const { return enabled_; }
   /// Turns recording on.  `max_events` bounds memory; once reached, new
   /// events are dropped and `dropped_events()` counts them.
@@ -70,10 +67,6 @@ class Tracer {
   /// Counter track sample ("C" phase): renders as a filled area chart.
   void counter_sample(std::string name, double value);
 
-  /// RAII span: records a complete event covering construction to
-  /// destruction (sim-time).  Inert when tracing is disabled.
-  Span span(std::string name, std::string cat);
-
   std::size_t event_count() const { return events_.size(); }
   std::size_t dropped_events() const { return dropped_; }
   const std::vector<TraceEvent>& events() const { return events_; }
@@ -82,7 +75,6 @@ class Tracer {
   /// `metrics` is given, the registry snapshot is embedded under a
   /// top-level "metrics" key (ignored by trace viewers, read by esprof).
   void write_chrome_trace(std::ostream& os, const Registry* metrics = nullptr) const;
-  std::string to_chrome_trace(const Registry* metrics = nullptr) const;
 
  private:
   void push(TraceEvent event);
@@ -93,41 +85,6 @@ class Tracer {
   std::function<SimTime()> clock_;
   const void* clock_owner_ = nullptr;
   std::vector<TraceEvent> events_;
-};
-
-class Tracer::Span {
- public:
-  Span() = default;  ///< inert
-  Span(Tracer* tracer, std::string name, std::string cat)
-      : tracer_(tracer), name_(std::move(name)), cat_(std::move(cat)),
-        start_(tracer ? tracer->now() : 0) {}
-  Span(Span&& other) noexcept { *this = std::move(other); }
-  Span& operator=(Span&& other) noexcept {
-    finish();
-    tracer_ = other.tracer_;
-    name_ = std::move(other.name_);
-    cat_ = std::move(other.cat_);
-    start_ = other.start_;
-    other.tracer_ = nullptr;
-    return *this;
-  }
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  ~Span() { finish(); }
-
-  /// Ends the span early (idempotent).
-  void finish() {
-    if (!tracer_) return;
-    tracer_->complete(std::move(name_), std::move(cat_), start_,
-                      tracer_->now() - start_);
-    tracer_ = nullptr;
-  }
-
- private:
-  Tracer* tracer_ = nullptr;
-  std::string name_;
-  std::string cat_;
-  SimTime start_ = 0;
 };
 
 }  // namespace eslurm::telemetry

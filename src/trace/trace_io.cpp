@@ -23,12 +23,6 @@ void write_trace(std::ostream& os, const std::vector<sched::Job>& jobs) {
   }
 }
 
-std::string trace_to_string(const std::vector<sched::Job>& jobs) {
-  std::ostringstream os;
-  write_trace(os, jobs);
-  return os.str();
-}
-
 std::vector<sched::Job> read_trace(std::istream& is) {
   std::vector<sched::Job> jobs;
   std::string line;
@@ -52,11 +46,6 @@ std::vector<sched::Job> read_trace(std::istream& is) {
     jobs.push_back(std::move(job));
   }
   return jobs;
-}
-
-std::vector<sched::Job> trace_from_string(const std::string& text) {
-  std::istringstream is(text);
-  return read_trace(is);
 }
 
 }  // namespace eslurm::trace

@@ -15,10 +15,8 @@
 namespace eslurm::trace {
 
 void write_trace(std::ostream& os, const std::vector<sched::Job>& jobs);
-std::string trace_to_string(const std::vector<sched::Job>& jobs);
 
 /// Parses a trace; throws std::invalid_argument on malformed lines.
 std::vector<sched::Job> read_trace(std::istream& is);
-std::vector<sched::Job> trace_from_string(const std::string& text);
 
 }  // namespace eslurm::trace

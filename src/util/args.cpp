@@ -2,13 +2,13 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 
 namespace eslurm {
 
 void ArgParser::add_option(const std::string& name, const std::string& help,
                            const std::string& default_value) {
   declared_[name] = Declaration{help, default_value, false};
-  if (!default_value.empty()) values_[name] = default_value;
 }
 
 void ArgParser::add_flag(const std::string& name, const std::string& help) {
@@ -77,7 +77,9 @@ std::int64_t ArgParser::get_int(const std::string& name, std::int64_t fallback) 
   if (!value) return fallback;
   char* end = nullptr;
   const long long parsed = std::strtoll(value->c_str(), &end, 10);
-  return (end && *end == '\0' && !value->empty()) ? parsed : fallback;
+  if (value->empty() || *end != '\0')
+    throw std::invalid_argument("--" + name + " needs an integer, got '" + *value + "'");
+  return parsed;
 }
 
 double ArgParser::get_double(const std::string& name, double fallback) const {
@@ -85,7 +87,9 @@ double ArgParser::get_double(const std::string& name, double fallback) const {
   if (!value) return fallback;
   char* end = nullptr;
   const double parsed = std::strtod(value->c_str(), &end);
-  return (end && *end == '\0' && !value->empty()) ? parsed : fallback;
+  if (value->empty() || *end != '\0')
+    throw std::invalid_argument("--" + name + " needs a number, got '" + *value + "'");
+  return parsed;
 }
 
 }  // namespace eslurm

@@ -12,7 +12,9 @@ namespace eslurm {
 
 class ArgParser {
  public:
-  /// Declares a value option (for --help and validation).
+  /// Declares a value option (for --help and validation).  The default
+  /// is shown in --help only: an option that was not given has no value,
+  /// so callers can tell a given flag from an absent one.
   void add_option(const std::string& name, const std::string& help,
                   const std::string& default_value = "");
   /// Declares a boolean flag.
@@ -28,8 +30,11 @@ class ArgParser {
   /// Usage text from the declarations.
   std::string usage(const std::string& program, const std::string& summary) const;
 
+  /// The given value, or nullopt when the option was not given.
   std::optional<std::string> get(const std::string& name) const;
   std::string get_or(const std::string& name, const std::string& fallback) const;
+  /// The given value as a number, or `fallback` when the option was not
+  /// given.  Throws std::invalid_argument when the value is not a number.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool has_flag(const std::string& name) const { return flags_set_.count(name) > 0; }

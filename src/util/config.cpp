@@ -38,8 +38,6 @@ void Config::set(const std::string& key, const std::string& value) {
   entries_[lower(key)] = value;
 }
 
-bool Config::has(const std::string& key) const { return entries_.count(lower(key)) > 0; }
-
 std::optional<std::string> Config::get(const std::string& key) const {
   const auto it = entries_.find(lower(key));
   if (it == entries_.end()) return std::nullopt;

@@ -20,7 +20,6 @@ class Config {
   static Config parse(const std::string& text);
 
   void set(const std::string& key, const std::string& value);
-  bool has(const std::string& key) const;
 
   std::optional<std::string> get(const std::string& key) const;
   std::string get_or(const std::string& key, const std::string& fallback) const;

@@ -3,27 +3,9 @@
 #include <cstdio>
 
 namespace eslurm {
-namespace {
-LogLevel g_level = LogLevel::Warn;
 
-const char* level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::Trace: return "TRACE";
-    case LogLevel::Debug: return "DEBUG";
-    case LogLevel::Info: return "INFO";
-    case LogLevel::Warn: return "WARN";
-    case LogLevel::Error: return "ERROR";
-    case LogLevel::Off: return "OFF";
-  }
-  return "?";
-}
-}  // namespace
-
-void set_log_level(LogLevel level) { g_level = level; }
-LogLevel log_level() { return g_level; }
-
-void log_line(LogLevel level, const std::string& message) {
-  std::fprintf(stderr, "[%s] %s\n", level_name(level), message.c_str());
+void log_warning(const std::string& message) {
+  std::fprintf(stderr, "[WARN] %s\n", message.c_str());
 }
 
 }  // namespace eslurm

@@ -1,5 +1,8 @@
-// Minimal leveled logger.  The simulator is single-threaded, so no locking
-// is needed; benches usually run at Warn to keep output clean.
+// Warnings to stderr.  A warning marks a run that took a degraded path
+// (a corrupt replicated snapshot, a master and standby down together);
+// routine events -- failures, repairs, retrains, takeovers -- are
+// recorded as telemetry counters and tracer events instead.  The
+// simulator is single-threaded, so no locking is needed.
 #pragma once
 
 #include <sstream>
@@ -7,14 +10,8 @@
 
 namespace eslurm {
 
-enum class LogLevel { Trace = 0, Debug, Info, Warn, Error, Off };
-
-/// Global minimum level (default Warn).
-void set_log_level(LogLevel level);
-LogLevel log_level();
-
-/// Emits one line to stderr if `level` is enabled.
-void log_line(LogLevel level, const std::string& message);
+/// Emits "[WARN] <message>" as one line to stderr.
+void log_warning(const std::string& message);
 
 namespace detail {
 template <typename... Args>
@@ -25,15 +22,6 @@ std::string concat(Args&&... args) {
 }
 }  // namespace detail
 
-#define ESLURM_LOG(level, ...)                                          \
-  do {                                                                  \
-    if (static_cast<int>(level) >= static_cast<int>(::eslurm::log_level())) \
-      ::eslurm::log_line(level, ::eslurm::detail::concat(__VA_ARGS__)); \
-  } while (0)
-
-#define ESLURM_DEBUG(...) ESLURM_LOG(::eslurm::LogLevel::Debug, __VA_ARGS__)
-#define ESLURM_INFO(...) ESLURM_LOG(::eslurm::LogLevel::Info, __VA_ARGS__)
-#define ESLURM_WARN(...) ESLURM_LOG(::eslurm::LogLevel::Warn, __VA_ARGS__)
-#define ESLURM_ERROR(...) ESLURM_LOG(::eslurm::LogLevel::Error, __VA_ARGS__)
+#define ESLURM_WARN(...) ::eslurm::log_warning(::eslurm::detail::concat(__VA_ARGS__))
 
 }  // namespace eslurm

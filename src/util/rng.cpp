@@ -82,16 +82,6 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * mag * std::cos(2.0 * M_PI * u2);
 }
 
-double Rng::lognormal(double mu, double sigma) { return std::exp(normal(mu, sigma)); }
-
-double Rng::weibull(double shape, double scale) {
-  double u;
-  do {
-    u = next_double();
-  } while (u <= 0.0);
-  return scale * std::pow(-std::log(u), 1.0 / shape);
-}
-
 std::size_t Rng::zipf(std::size_t n, double s) {
   if (n == 0) return 0;
   // Inverse-CDF over the (small) harmonic table would cost O(n) per draw;

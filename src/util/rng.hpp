@@ -45,12 +45,6 @@ class Rng {
   /// Standard normal via Box-Muller (cached spare).
   double normal(double mean = 0.0, double stddev = 1.0);
 
-  /// Log-normal with parameters of the underlying normal.
-  double lognormal(double mu, double sigma);
-
-  /// Weibull variate; used to model node time-to-failure.
-  double weibull(double shape, double scale);
-
   /// Zipf-like rank selection over n items, exponent s (>= 0).
   /// Rank 0 is the most popular.  Used for user/application popularity.
   std::size_t zipf(std::size_t n, double s);

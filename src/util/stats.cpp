@@ -1,7 +1,6 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace eslurm {
 
@@ -15,31 +14,7 @@ void RunningStats::add(double x) {
   ++n_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
 }
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto n1 = static_cast<double>(n_);
-  const auto n2 = static_cast<double>(other.n_);
-  const double nt = n1 + n2;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / nt;
-  mean_ = (n1 * mean_ + n2 * other.mean_) / nt;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
-double RunningStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double percentile(std::vector<double> values, double q) {
   if (values.empty()) return 0.0;
@@ -93,7 +68,6 @@ void Histogram::add(double x) {
 }
 
 double Histogram::bucket_low(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-double Histogram::bucket_high(std::size_t i) const { return bucket_low(i) + width_; }
 
 double Histogram::quantile(double q) const {
   if (total_ == 0) return 0.0;
@@ -146,53 +120,11 @@ double TimeSeries::mean_value() const {
   return s / static_cast<double>(points_.size());
 }
 
-double TimeSeries::time_weighted_mean(SimTime t0, SimTime t1) const {
-  if (points_.empty() || t1 <= t0) return 0.0;
-  double acc = 0.0;
-  double current = 0.0;
-  SimTime prev = t0;
-  for (const auto& [t, v] : points_) {
-    if (t <= t0) {
-      current = v;
-      continue;
-    }
-    if (t >= t1) break;
-    acc += current * static_cast<double>(t - prev);
-    current = v;
-    prev = t;
-  }
-  acc += current * static_cast<double>(t1 - prev);
-  return acc / static_cast<double>(t1 - t0);
-}
-
 double TimeSeries::max_since(SimTime t0) const {
   double best = 0.0;
   for (auto it = points_.rbegin(); it != points_.rend() && it->first >= t0; ++it)
     best = std::max(best, it->second);
   return best;
-}
-
-std::vector<std::pair<SimTime, double>> TimeSeries::downsample_max(std::size_t n) const {
-  if (points_.size() <= n || n == 0) return points_;
-  std::vector<std::pair<SimTime, double>> out;
-  out.reserve(n);
-  const std::size_t stride = (points_.size() + n - 1) / n;
-  for (std::size_t i = 0; i < points_.size(); i += stride) {
-    const std::size_t end = std::min(i + stride, points_.size());
-    auto best = points_[i];
-    for (std::size_t j = i + 1; j < end; ++j) {
-      if (points_[j].second > best.second) best = points_[j];
-    }
-    out.push_back(best);
-  }
-  return out;
-}
-
-double mean_of(const std::vector<double>& v) {
-  if (v.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : v) s += x;
-  return s / static_cast<double>(v.size());
 }
 
 }  // namespace eslurm

@@ -12,16 +12,13 @@
 
 namespace eslurm {
 
-/// Welford online mean/variance plus min/max.
+/// Streaming mean plus min/max.
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;     ///< Sample variance (n-1 denominator).
-  double stddev() const;
   double min() const { return n_ ? min_ : 0.0; }
   double max() const { return n_ ? max_ : 0.0; }
   double sum() const { return mean_ * static_cast<double>(n_); }
@@ -29,7 +26,6 @@ class RunningStats {
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };
@@ -59,7 +55,6 @@ class Histogram {
   std::size_t total() const { return total_; }
   const std::vector<std::size_t>& buckets() const { return counts_; }
   double bucket_low(std::size_t i) const;
-  double bucket_high(std::size_t i) const;
   std::size_t underflow() const { return underflow_; }
   std::size_t overflow() const { return overflow_; }
 
@@ -98,23 +93,12 @@ class TimeSeries {
   double max_value() const;
   double mean_value() const;
 
-  /// Mean of the series interpreted as a step function over [t0, t1]
-  /// (each sample holds until the next).  More faithful than the sample
-  /// mean when sampling is irregular.
-  double time_weighted_mean(SimTime t0, SimTime t1) const;
-
   /// Max of values recorded at t >= t0 (scans from the end; intended for
   /// recent windows).  Returns 0 for an empty window.
   double max_since(SimTime t0) const;
 
-  /// Down-samples to at most n points (bucket max), for compact reports.
-  std::vector<std::pair<SimTime, double>> downsample_max(std::size_t n) const;
-
  private:
   std::vector<std::pair<SimTime, double>> points_;
 };
-
-/// Mean of a vector (0 for empty).
-double mean_of(const std::vector<double>& v);
 
 }  // namespace eslurm

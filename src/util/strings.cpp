@@ -6,21 +6,6 @@
 
 namespace eslurm {
 
-std::vector<std::string> split(std::string_view s, char delim) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = s.find(delim, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(s.substr(start));
-      break;
-    }
-    out.emplace_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
-}
-
 std::string_view trim(std::string_view s) {
   std::size_t b = 0;
   std::size_t e = s.size();

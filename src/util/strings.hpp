@@ -3,12 +3,8 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace eslurm {
-
-/// Splits on a delimiter; empty fields are preserved.
-std::vector<std::string> split(std::string_view s, char delim);
 
 /// Trims ASCII whitespace from both ends.
 std::string_view trim(std::string_view s);

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "util/strings.hpp"
-
 namespace eslurm {
 
 Table::Table(std::vector<std::string> header) : header_(std::move(header)) {}
@@ -13,13 +11,6 @@ Table::Table(std::vector<std::string> header) : header_(std::move(header)) {}
 void Table::add_row(std::vector<std::string> cells) {
   cells.resize(header_.size());
   rows_.push_back(std::move(cells));
-}
-
-void Table::add_row_values(const std::vector<double>& values, int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size());
-  for (double v : values) cells.push_back(format_double(v, precision));
-  add_row(std::move(cells));
 }
 
 std::string Table::render() const {

@@ -13,9 +13,6 @@ class Table {
 
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: formats doubles with the given precision.
-  void add_row_values(const std::vector<double>& values, int precision = 4);
-
   /// Renders with column alignment and a separator under the header.
   std::string render() const;
 

@@ -5,14 +5,16 @@
 namespace eslurm::cluster {
 namespace {
 
-TEST(ClusterModelTest, BuildsNamedNodes) {
+TEST(ClusterModelTest, BuildsNodesAllUp) {
   sim::Engine engine;
-  ClusterModel cluster(engine, 4, "cn", 12, 64 * 1024);
+  ClusterModel cluster(engine, 4);
   EXPECT_EQ(cluster.size(), 4u);
-  EXPECT_EQ(cluster.node(0).name, "cn0");
-  EXPECT_EQ(cluster.node(3).name, "cn3");
-  EXPECT_EQ(cluster.node(0).cores, 12);
   EXPECT_EQ(cluster.alive_count(), 4u);
+  for (NodeId id = 0; id < 4; ++id) {
+    EXPECT_EQ(cluster.state(id), NodeState::Up);
+    EXPECT_EQ(cluster.state_since(id), 0);
+    EXPECT_EQ(cluster.failure_count(id), 0u);
+  }
 }
 
 TEST(ClusterModelTest, FailAndRestoreUpdateCounts) {
@@ -35,7 +37,7 @@ TEST(ClusterModelTest, StateChangeIsIdempotent) {
   cluster.fail(0);
   cluster.fail(0);
   EXPECT_EQ(notifications, 1);
-  EXPECT_EQ(cluster.node(0).failure_count, 1u);
+  EXPECT_EQ(cluster.failure_count(0), 1u);
 }
 
 TEST(ClusterModelTest, ObserverSeesTransition) {
@@ -55,15 +57,6 @@ TEST(ClusterModelTest, ObserverSeesTransition) {
   EXPECT_FALSE(cluster.alive(1));
 }
 
-TEST(ClusterModelTest, IdsInState) {
-  sim::Engine engine;
-  ClusterModel cluster(engine, 5);
-  cluster.fail(1);
-  cluster.fail(3);
-  EXPECT_EQ(cluster.ids_in_state(NodeState::Down), (std::vector<NodeId>{1, 3}));
-  EXPECT_EQ(cluster.ids_in_state(NodeState::Up), (std::vector<NodeId>{0, 2, 4}));
-}
-
 TEST(ClusterModelTest, LivenessOracleMatches) {
   sim::Engine engine;
   ClusterModel cluster(engine, 2);
@@ -78,7 +71,7 @@ TEST(ClusterModelTest, StateSinceTracksClock) {
   ClusterModel cluster(engine, 1);
   engine.schedule_at(seconds(5), [&] { cluster.fail(0); });
   engine.run();
-  EXPECT_EQ(cluster.node(0).state_since, seconds(5));
+  EXPECT_EQ(cluster.state_since(0), seconds(5));
 }
 
 }  // namespace

@@ -101,22 +101,5 @@ TEST_F(MonitoringFixture, StaticAndNullPredictors) {
   EXPECT_EQ(null.predicted_count(), 0u);
 }
 
-TEST_F(MonitoringFixture, ActiveAlertsSortedAndDescriptive) {
-  ClusterModel cluster(engine, 10);
-  FailureModel failures(cluster, Rng(9));
-  MonitoringParams mparams;
-  mparams.hit_rate = 1.0;
-  MonitoringSystem monitoring(cluster, failures, Rng(10), mparams);
-  failures.fail_now(5, hours(1));
-  failures.fail_now(1, hours(1));
-  engine.run_until(seconds(1));
-  const auto alerts = monitoring.active_alerts();
-  ASSERT_EQ(alerts.size(), 2u);
-  EXPECT_EQ(alerts[0].node, 1u);
-  EXPECT_EQ(alerts[1].node, 5u);
-  EXPECT_TRUE(alerts[0].genuine);
-  EXPECT_NE(std::string(indicator_name(alerts[0].kind)), "?");
-}
-
 }  // namespace
 }  // namespace eslurm::cluster

@@ -38,8 +38,6 @@ TEST(NodeBitsetTest, SetAllMasksTailWord) {
     ++seen;
   });
   EXPECT_EQ(seen, 70u);
-  bits.clear_all();
-  EXPECT_TRUE(bits.none());
 }
 
 TEST(NodeBitsetTest, ForEachSetAscending) {
@@ -80,9 +78,6 @@ TEST(NodeBitsetTest, WordCombinatorsMatchPerBitOps) {
     if (a.test(id) && !b.test(id)) ++expect;
   }
   EXPECT_EQ(out.count(), expect);
-  out.assign_and(a, b);
-  for (NodeId id = 0; id < 300; ++id)
-    EXPECT_EQ(out.test(id), a.test(id) && b.test(id));
 }
 
 TEST(NodeSoaTest, ApplyStateMaintainsRiskAndUp) {
@@ -161,8 +156,9 @@ TEST(NodeSoaChurnTest, RandomChurnMatchesNaiveModel) {
       ASSERT_EQ(cluster.failure_count(id), ref.nodes[id].failures) << "node " << id;
       ASSERT_EQ(cluster.alive(id), ref.up.count(id) > 0) << "node " << id;
     }
-    // ids_in_state(Up) comes off the bitset scan: ascending and complete.
-    const auto ids = cluster.ids_in_state(NodeState::Up);
+    // The alive bitset scan is ascending and complete.
+    std::vector<NodeId> ids;
+    cluster.alive_bits().for_each_set([&](NodeId id) { ids.push_back(id); });
     ASSERT_EQ(ids.size(), ref.up.size());
     EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
   }

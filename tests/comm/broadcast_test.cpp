@@ -45,6 +45,23 @@ struct CommFixture : ::testing::Test {
   }
 };
 
+TEST_F(CommFixture, DestroyedBroadcasterLeavesNoHandlerOnItsTypes) {
+  // A destroyed ring unregisters its hop type: a later message of that
+  // type is received and acked like any type without a handler, and
+  // reaches no handler that points at the dead ring.
+  const net::MessageType hop_type = net->alloc_message_types(0);  // the next type
+  { RingBroadcaster ring(*net); }
+  net::Message msg;
+  msg.type = hop_type;
+  msg.bytes = 64;
+  std::optional<bool> acked;
+  net->send(0, 1, std::move(msg), seconds(1), [&](bool ok) { acked = ok; });
+  engine.run();
+  ASSERT_TRUE(acked.has_value());
+  EXPECT_TRUE(*acked);
+  EXPECT_EQ(net->messages_received(1), 1u);
+}
+
 TEST_F(CommFixture, TreeDeliversToAllHealthyTargets) {
   TreeBroadcaster tree(*net);
   std::vector<NodeId> seen;
@@ -138,8 +155,8 @@ TEST_F(CommFixture, FpTreeBeatsPlainTreeWhenPredictedInternalNodesFail) {
   opts.tree_width = 4;
   const auto t = targets(150);
   std::vector<NodeId> doomed;
-  for (const auto& g : partition_range(0, t.size(), opts.tree_width))
-    doomed.push_back(t[g.begin]);
+  for_each_group(0, t.size(), opts.tree_width,
+                 [&](Range g) { doomed.push_back(t[g.begin]); });
   for (NodeId n : doomed) cluster_model->fail(n);
 
   TreeBroadcaster plain(*net);

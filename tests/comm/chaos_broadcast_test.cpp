@@ -127,6 +127,39 @@ TEST(ChaosBroadcast, RawTreeIgnoresRepeatedRelaysFromTheSameParent) {
   EXPECT_GT(world.chaos->duplicated(), 0u);
 }
 
+TEST(ChaosBroadcast, TransportTreeAdoptsTheSubtreeOfARelayKilledMidBroadcast) {
+  // Drop and duplicate chaos on every leg, the tree's relay and
+  // completion traffic sent through the reliable transport, and the
+  // root's first child -- the relay of a 1/4 subtree at width 4 -- dies
+  // right after it took the payload.  The root's watchdog adopts that
+  // subtree; every target still gets the payload exactly once, and only
+  // the killed relay is unreachable.
+  constexpr std::size_t kNodes = 1024;
+  constexpr net::NodeId kRelay = 1;
+  ChaosWorld world(kNodes, /*drop=*/0.05, /*duplicate=*/0.05, /*reliable=*/true);
+  TreeBroadcaster tree(*world.net, "tree", &*world.transport);
+  std::vector<int> hits(kNodes + 1, 0);
+  tree.set_delivery_hook([&](net::NodeId n, std::uint64_t) {
+    ++hits[n];
+    if (n == kRelay)
+      world.engine.schedule_after(microseconds(1), [&] { world.cluster_model->fail(kRelay); });
+  });
+  std::vector<net::NodeId> targets(kNodes);
+  for (std::size_t i = 0; i < kNodes; ++i) targets[i] = static_cast<net::NodeId>(1 + i);
+  BroadcastOptions opts;
+  opts.tree_width = 4;
+  std::optional<BroadcastResult> result;
+  tree.broadcast(0, std::move(targets), opts, [&](const BroadcastResult& r) { result = r; });
+  world.engine.run();
+  ASSERT_TRUE(result.has_value());
+  ASSERT_FALSE(world.cluster_model->alive(kRelay));
+  for (net::NodeId n = 1; n <= kNodes; ++n) ASSERT_EQ(hits[n], 1) << "node " << n;
+  EXPECT_EQ(result->unreachable, 1u);
+  EXPECT_GE(result->repairs, 1);
+  EXPECT_GT(world.chaos->dropped(), 0u);
+  EXPECT_GT(world.transport->duplicates_suppressed(), 0u);
+}
+
 TEST(ChaosBroadcast, IdenticalSeedsBitIdenticalAcrossThreads) {
   // The sweep contract: two worlds with the same seeds produce the same
   // chaos schedule and the same outcome even when run concurrently --

@@ -11,6 +11,12 @@
 namespace eslurm::comm {
 namespace {
 
+std::vector<Range> partition_range(std::size_t begin, std::size_t end, int width) {
+  std::vector<Range> groups;
+  for_each_group(begin, end, width, [&groups](Range group) { groups.push_back(group); });
+  return groups;
+}
+
 TEST(PartitionRange, EvenSplit) {
   const auto groups = partition_range(0, 12, 3);
   ASSERT_EQ(groups.size(), 3u);

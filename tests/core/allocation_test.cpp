@@ -468,7 +468,7 @@ TEST(ZeroAllocation, PolicySchedulerPassAndAudit) {
                               sched::policy::AccountLimits{.max_nodes = 64});
   config.accounts.add_account("project-b", "division");
   config.accounts.add_account("project-c");
-  sched::Scheduler scheduler = sched::make_scheduler("policy", 256, nullptr, config);
+  sched::Scheduler scheduler = sched::make_scheduler("policy", 256, config);
   sched::policy::PolicyState& policy = *scheduler.policy();
 
   const char* const projects[] = {"project-a", "project-b", "project-c"};

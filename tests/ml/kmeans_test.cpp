@@ -33,16 +33,6 @@ TEST(KMeansTest, RecoversWellSeparatedBlobs) {
   EXPECT_LT(km.inertia() / 120.0, 1.0);
 }
 
-TEST(KMeansTest, AssignMatchesNearestCentroid) {
-  const Dataset data = three_blobs();
-  KMeans km(KMeansParams{.k = 3}, Rng(3));
-  km.fit(data);
-  const std::size_t c = km.assign({10.2, 9.8});
-  const auto& centroid = km.centroids()[c];
-  EXPECT_NEAR(centroid[0], 10.0, 1.0);
-  EXPECT_NEAR(centroid[1], 10.0, 1.0);
-}
-
 TEST(KMeansTest, KLargerThanRowsIsClamped) {
   Dataset data;
   data.add({1.0}, 0);
@@ -73,7 +63,6 @@ TEST(KMeansTest, DuplicatePointsHandled) {
 TEST(KMeansTest, EmptyDatasetThrows) {
   KMeans km(KMeansParams{.k = 2});
   EXPECT_THROW(km.fit(Dataset{}), std::invalid_argument);
-  EXPECT_THROW(km.assign({1.0}), std::logic_error);
 }
 
 TEST(ElbowTest, PicksTrueClusterCountOnBlobs) {

@@ -21,43 +21,6 @@ TEST(CholeskyTest, RejectsNonSpd) {
   EXPECT_THROW(cholesky_solve({0, 0, 0, 0}, {1, 1}, 2), std::runtime_error);
 }
 
-TEST(RidgeTest, RecoversLinearRelationship) {
-  Rng rng(1);
-  Dataset data;
-  for (int i = 0; i < 200; ++i) {
-    const double x1 = rng.uniform(-5, 5), x2 = rng.uniform(-5, 5);
-    data.add({x1, x2}, 2.0 * x1 - 0.5 * x2 + 3.0 + rng.normal(0, 0.01));
-  }
-  RidgeRegression ridge(1e-6);
-  ridge.fit(data);
-  EXPECT_NEAR(ridge.weights()[0], 2.0, 0.01);
-  EXPECT_NEAR(ridge.weights()[1], -0.5, 0.01);
-  EXPECT_NEAR(ridge.intercept(), 3.0, 0.05);
-  EXPECT_NEAR(ridge.predict({1.0, 1.0}), 4.5, 0.05);
-}
-
-TEST(RidgeTest, RegularizationShrinksWeights) {
-  Rng rng(2);
-  Dataset data;
-  for (int i = 0; i < 50; ++i) {
-    const double x = rng.uniform(-1, 1);
-    data.add({x}, 10.0 * x);
-  }
-  RidgeRegression weak(1e-9), strong(1e4);
-  weak.fit(data);
-  strong.fit(data);
-  EXPECT_GT(std::abs(weak.weights()[0]), std::abs(strong.weights()[0]) * 10);
-}
-
-TEST(RidgeTest, HandlesConstantFeature) {
-  Dataset data;
-  for (int i = 0; i < 20; ++i)
-    data.add({1.0, static_cast<double>(i)}, 2.0 * i + 5.0);
-  RidgeRegression ridge(1e-6);
-  EXPECT_NO_THROW(ridge.fit(data));
-  EXPECT_NEAR(ridge.predict({1.0, 10.0}), 25.0, 0.1);
-}
-
 TEST(BayesianRidgeTest, FitsAndEstimatesNoise) {
   Rng rng(3);
   Dataset data;
@@ -109,10 +72,10 @@ TEST(TobitTest, CorrectsForRightCensoring) {
   }
   TobitRegression tobit(TobitParams{.max_iters = 3000, .learning_rate = 0.1});
   tobit.fit_censored(cd);
-  RidgeRegression ridge(1e-6);
-  ridge.fit(naive);
+  BayesianRidge linear;
+  linear.fit(naive);
   const double tobit_pred = tobit.predict({3.5});  // true value 7
-  const double naive_pred = ridge.predict({3.5});
+  const double naive_pred = linear.predict({3.5});
   EXPECT_GT(tobit_pred, naive_pred + 0.5);
   EXPECT_NEAR(tobit_pred, 7.0, 1.0);
 }

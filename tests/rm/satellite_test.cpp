@@ -67,7 +67,6 @@ TEST(SatelliteMachine, BusyStaysBusyOnHeartbeat) {
 
 TEST(SatelliteMachine, NamesResolve) {
   EXPECT_STREQ(satellite_state_name(SatelliteState::Fault), "FAULT");
-  EXPECT_STREQ(satellite_event_name(SatelliteEvent::BtSuccess), "BT-success");
 }
 
 // Eq. 1 of the paper: N = 1 for s <= w; s/w in between; m at saturation.

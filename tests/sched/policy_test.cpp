@@ -321,21 +321,6 @@ TEST(ReservationTest, StackedWindowsCarveTheirConcurrentMaximum) {
   EXPECT_EQ(calendar.carve_out(job, 0, seconds(150)), 4);    // only "a"
   EXPECT_EQ(calendar.carve_out(job, 0, seconds(500)), 10);   // both stack at 200
   EXPECT_EQ(calendar.carve_out(job, seconds(350), seconds(360)), 6);  // only "b"
-  EXPECT_EQ(calendar.reserved_at(job, seconds(250)), 10);
-  EXPECT_EQ(calendar.reserved_at(job, seconds(50)), 0);
-}
-
-TEST(ReservationTest, PeriodicExpandsRecurringWindows) {
-  const auto windows = ReservationCalendar::periodic(
-      "nightly", hours(2), hours(1), hours(24), 3, 32, {}, {}, {"high"});
-  ASSERT_EQ(windows.size(), 3u);
-  EXPECT_EQ(windows[0].name, "nightly-0");
-  EXPECT_EQ(windows[2].start, hours(2) + 2 * hours(24));
-  EXPECT_EQ(windows[2].end, hours(3) + 2 * hours(24));
-  EXPECT_EQ(windows[1].nodes, 32);
-  EXPECT_EQ(windows[1].qos, std::vector<std::string>{"high"});
-  EXPECT_THROW(ReservationCalendar::periodic("x", 0, 10, 0, 1, 1),
-               std::invalid_argument);
 }
 
 // --- assembled scheduler ----------------------------------------------------
@@ -354,7 +339,7 @@ TEST(PolicySchedulerTest, QosBoostJumpsTheQueue) {
   JobPool pool;
   pool.submit(make_job(1, "a", 8, minutes(10), 0));
   pool.submit(make_job(2, "b", 8, minutes(10), seconds(1), "high"));
-  Scheduler sched = make_scheduler("policy", 16, nullptr, flat_config());
+  Scheduler sched = make_scheduler("policy", 16, flat_config());
   const auto decisions = sched.schedule(pool, 8, seconds(2));
   ASSERT_FALSE(decisions.empty());
   EXPECT_EQ(decisions.front(), 2u);
@@ -372,7 +357,7 @@ TEST(PolicySchedulerTest, LimitHeldJobIsSkippedNotBlocking) {
   pool.mark_running(1, 0);
   pool.submit(make_job(2, "capped", 4, minutes(10), 0));
   pool.submit(make_job(3, "other", 4, minutes(10), seconds(1)));
-  Scheduler sched = make_scheduler("policy", 16, nullptr, config);
+  Scheduler sched = make_scheduler("policy", 16, config);
   const auto decisions = sched.schedule(pool, 12, seconds(2));
   EXPECT_EQ(decisions, (std::vector<JobId>{3}));
   EXPECT_GE(sched.policy()->limit_holds(), 1u);
@@ -385,7 +370,7 @@ TEST(PolicySchedulerTest, DisabledEnforcementStartsEverything) {
   JobPool pool;
   pool.submit(make_job(1, "capped", 4, minutes(10)));
   pool.submit(make_job(2, "capped", 4, minutes(10)));
-  Scheduler sched = make_scheduler("policy", 16, nullptr, config);
+  Scheduler sched = make_scheduler("policy", 16, config);
   EXPECT_EQ(sched.schedule(pool, 16, 0).size(), 2u);
   EXPECT_EQ(sched.policy()->limit_holds(), 0u);
 }
@@ -401,7 +386,7 @@ TEST(PolicySchedulerTest, ReservationCarveBlocksOverlappingStart) {
     // and 16 > 16 - 8: it may not start even though the machine is empty.
     JobPool pool;
     pool.submit(make_job(1, "u", 16, seconds(300)));
-    Scheduler sched = make_scheduler("policy", 16, nullptr, config);
+    Scheduler sched = make_scheduler("policy", 16, config);
     EXPECT_TRUE(sched.schedule(pool, 16, 0).empty());
     EXPECT_EQ(sched.policy()->reservation_carve_skips(), 1u);
   }
@@ -409,14 +394,14 @@ TEST(PolicySchedulerTest, ReservationCarveBlocksOverlappingStart) {
     // The allowed population is not carved against.
     JobPool pool;
     pool.submit(make_job(2, "u", 16, seconds(300), 0, "high"));
-    Scheduler sched = make_scheduler("policy", 16, nullptr, config);
+    Scheduler sched = make_scheduler("policy", 16, config);
     EXPECT_EQ(sched.schedule(pool, 16, 0), (std::vector<JobId>{2}));
   }
   {
     // A short job whose window closes before the reservation opens fits.
     JobPool pool;
     pool.submit(make_job(3, "u", 16, seconds(10)));
-    Scheduler sched = make_scheduler("policy", 16, nullptr, config);
+    Scheduler sched = make_scheduler("policy", 16, config);
     EXPECT_EQ(sched.schedule(pool, 16, 0), (std::vector<JobId>{3}));
     EXPECT_EQ(sched.policy()->reservation_carve_skips(), 0u);
   }
@@ -446,7 +431,7 @@ struct PreemptFixture : ::testing::Test {
 TEST_F(PreemptFixture, EvictsCheapestVictimForBlockedHighHead) {
   fill_machine_with_low();
   pool.submit(make_job(3, "vip", 8, minutes(10), 0, "high"));
-  Scheduler sched = make_scheduler("policy", 16, nullptr, config);
+  Scheduler sched = make_scheduler("policy", 16, config);
   const SimTime now = minutes(3);  // head has outwaited preempt_wait
   EXPECT_TRUE(sched.schedule(pool, 0, now).empty());
   const auto orders = sched.preemption_orders(pool, 0, now);
@@ -460,7 +445,7 @@ TEST_F(PreemptFixture, EvictsCheapestVictimForBlockedHighHead) {
 TEST_F(PreemptFixture, PendingGraceWindowsAreNotDoubleOrdered) {
   fill_machine_with_low();
   pool.submit(make_job(3, "vip", 8, minutes(10), 0, "high"));
-  Scheduler sched = make_scheduler("policy", 16, nullptr, config);
+  Scheduler sched = make_scheduler("policy", 16, config);
   const SimTime now = minutes(3);
   sched.schedule(pool, 0, now);
   const JobId victim = sched.preemption_orders(pool, 0, now)[0].victim;
@@ -474,7 +459,7 @@ TEST_F(PreemptFixture, PendingGraceWindowsAreNotDoubleOrdered) {
 TEST_F(PreemptFixture, HeadMustOutwaitPreemptWait) {
   fill_machine_with_low();
   pool.submit(make_job(3, "vip", 8, minutes(10), seconds(30), "high"));
-  Scheduler sched = make_scheduler("policy", 16, nullptr, config);
+  Scheduler sched = make_scheduler("policy", 16, config);
   const SimTime now = seconds(60);  // waited 30 s < 2 min
   sched.schedule(pool, 0, now);
   EXPECT_TRUE(sched.preemption_orders(pool, 0, now).empty());
@@ -483,7 +468,7 @@ TEST_F(PreemptFixture, HeadMustOutwaitPreemptWait) {
 TEST_F(PreemptFixture, SparesEveryoneWhenEvictionCannotFreeEnough) {
   fill_machine_with_low();
   pool.submit(make_job(3, "vip", 32, minutes(10), 0, "high"));  // > machine
-  Scheduler sched = make_scheduler("policy", 16, nullptr, config);
+  Scheduler sched = make_scheduler("policy", 16, config);
   sched.schedule(pool, 0, minutes(5));
   EXPECT_TRUE(sched.preemption_orders(pool, 0, minutes(5)).empty());
   EXPECT_EQ(sched.policy()->preempt_orders_issued(), 0u);
@@ -492,7 +477,7 @@ TEST_F(PreemptFixture, SparesEveryoneWhenEvictionCannotFreeEnough) {
 TEST_F(PreemptFixture, NormalHeadNeverTriggersEvictions) {
   fill_machine_with_low();
   pool.submit(make_job(3, "user", 8, minutes(10), 0, "normal"));
-  Scheduler sched = make_scheduler("policy", 16, nullptr, config);
+  Scheduler sched = make_scheduler("policy", 16, config);
   sched.schedule(pool, 0, minutes(5));
   EXPECT_TRUE(sched.preemption_orders(pool, 0, minutes(5)).empty());
 }
@@ -506,13 +491,13 @@ TEST(PolicySchedulerTest, AuditCountsLimitViolations) {
     pool.mark_starting(id);
     pool.mark_running(id, 0);
   }
-  Scheduler sched = make_scheduler("policy", 16, nullptr, config);
+  Scheduler sched = make_scheduler("policy", 16, config);
   sched.policy()->audit(pool);
   EXPECT_EQ(sched.policy()->limit_violations(), 1u);
 }
 
 TEST(PolicySchedulerTest, ReleaseAndPreemptChargeTheLedger) {
-  Scheduler sched = make_scheduler("policy", 64, nullptr, flat_config());
+  Scheduler sched = make_scheduler("policy", 64, flat_config());
   Job done = make_job(1, "u", 4, minutes(10), 0, "", "proj");
   done.start_time = 0;
   done.end_time = minutes(10);

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "sched/partition.hpp"
 #include "sched/priority.hpp"
 #include "sched/scheduler.hpp"
 
@@ -24,11 +23,10 @@ Job make_job(JobId id, const std::string& user, int nodes, SimTime estimate,
 }
 
 /// The "priority" preset (multifactor EASY) with the given weights.
-Scheduler priority_preset(const PriorityWeights& weights, int cluster_nodes,
-                          const PartitionSet* partitions = nullptr) {
+Scheduler priority_preset(const PriorityWeights& weights, int cluster_nodes) {
   policy::PolicyConfig config;
   config.weights = weights;
-  return make_scheduler("priority", cluster_nodes, partitions, config);
+  return make_scheduler("priority", cluster_nodes, config);
 }
 
 TEST(FairshareTest, UsageDecaysWithHalfLife) {
@@ -116,38 +114,6 @@ TEST(PriorityCalcTest, SizeAndFairshareContribute) {
   EXPECT_LT(calc.priority(hog_job, 0, fairshare), calc.priority(wide, 0, fairshare));
 }
 
-TEST(PartitionTest, ValidationEnforcesLimits) {
-  const PartitionSet set = PartitionSet::tianhe_default();
-  Job ok = make_job(1, "u", 32, minutes(10));
-  ok.partition = "debug";
-  EXPECT_FALSE(set.validate(ok).has_value());
-
-  Job too_wide = make_job(2, "u", 100, minutes(10));
-  too_wide.partition = "debug";
-  EXPECT_TRUE(set.validate(too_wide).has_value());
-
-  Job too_long = make_job(3, "u", 8, hours(2));
-  too_long.partition = "debug";
-  EXPECT_TRUE(set.validate(too_long).has_value());
-
-  Job unknown = make_job(4, "u", 8, minutes(5));
-  unknown.partition = "gpu";
-  EXPECT_TRUE(set.validate(unknown).has_value());
-}
-
-TEST(PartitionTest, EmptySetAcceptsEverything) {
-  PartitionSet set;
-  Job job = make_job(1, "u", 1 << 20, days(30));
-  job.partition = "whatever";
-  EXPECT_FALSE(set.validate(job).has_value());
-}
-
-TEST(PartitionTest, DuplicateNameThrows) {
-  PartitionSet set;
-  set.add(Partition{.name = "p"});
-  EXPECT_THROW(set.add(Partition{.name = "p"}), std::invalid_argument);
-}
-
 TEST(PrioritySchedulerTest, HighPriorityJumpsTheQueue) {
   JobPool pool;
   // Heavy user submits first; fresh user's identical job should rank
@@ -163,40 +129,6 @@ TEST(PrioritySchedulerTest, HighPriorityJumpsTheQueue) {
   const auto decisions = sched.schedule(pool, 8, seconds(2));
   ASSERT_FALSE(decisions.empty());
   EXPECT_EQ(decisions.front(), 2u);
-}
-
-TEST(PrioritySchedulerTest, PartitionBoostApplies) {
-  const PartitionSet partitions = PartitionSet::tianhe_default();
-  PriorityWeights weights;
-  weights.age_per_day = 0.0;
-  weights.job_size = 0.0;
-  weights.fairshare = 0.0;
-  weights.partition = 100.0;
-  Scheduler sched = priority_preset(weights, 128, &partitions);
-  Job debug_job = make_job(1, "u", 4, minutes(5));
-  debug_job.partition = "debug";
-  Job batch_job = make_job(2, "u", 4, minutes(5));
-  batch_job.partition = "batch";
-  EXPECT_GT(sched.priority_of(debug_job, 0), sched.priority_of(batch_job, 0));
-}
-
-TEST(PrioritySchedulerTest, PartitionSetPromotesDefaultWeight) {
-  // Configuring partitions while leaving weights.partition at its 0.0
-  // default must promote the weight: partitions without a weight would
-  // otherwise be silently ignored.
-  const PartitionSet partitions = PartitionSet::tianhe_default();
-  PriorityWeights weights;  // partition left at 0.0
-  Scheduler promoted = priority_preset(weights, 128, &partitions);
-  EXPECT_DOUBLE_EQ(promoted.weights().partition, kDefaultPartitionWeight);
-
-  // An explicit weight wins over the promotion...
-  weights.partition = 42.0;
-  Scheduler pinned = priority_preset(weights, 128, &partitions);
-  EXPECT_DOUBLE_EQ(pinned.weights().partition, 42.0);
-
-  // ...and without partitions the zero default stays untouched.
-  Scheduler bare = priority_preset(PriorityWeights{}, 128);
-  EXPECT_DOUBLE_EQ(bare.weights().partition, 0.0);
 }
 
 TEST(PrioritySchedulerTest, ReleasedUsageFeedsFairshare) {
@@ -254,7 +186,7 @@ TEST(ConservativeTest, PlanningDepthBoundsWork) {
   JobPool pool;
   pool.submit(make_job(1, "u", 100, seconds(100)));  // blocks everything
   for (JobId id = 2; id <= 20; ++id) pool.submit(make_job(id, "u", 1, seconds(10)));
-  Scheduler sched = make_scheduler("conservative", 10, nullptr, policy::PolicyConfig(),
+  Scheduler sched = make_scheduler("conservative", 10, policy::PolicyConfig(),
                                    /*planning_depth=*/5);
   const auto decisions = sched.schedule(pool, 10, 0);
   // Only the first 5 queue entries were planned; 4 narrow ones fit now.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 
 #include "trace/generator.hpp"
 #include "trace/statistics.hpp"
@@ -222,8 +223,9 @@ TEST(StatisticsTest, EmptyInputsAreSafe) {
 TEST(TraceIoTest, RoundTripPreservesJobs) {
   const auto jobs = small_trace(ng_tianhe_profile(), hours(20));
   ASSERT_FALSE(jobs.empty());
-  const std::string text = trace_to_string(jobs);
-  const auto parsed = trace_from_string(text);
+  std::stringstream text;
+  write_trace(text, jobs);
+  const auto parsed = read_trace(text);
   ASSERT_EQ(parsed.size(), jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_EQ(parsed[i].id, jobs[i].id);
@@ -239,13 +241,15 @@ TEST(TraceIoTest, RoundTripPreservesJobs) {
 }
 
 TEST(TraceIoTest, CommentsAndBlanksSkipped) {
-  const auto jobs = trace_from_string("# header\n\n1 0.0 10.0 20.0 2 24 u a\n");
+  std::istringstream text("# header\n\n1 0.0 10.0 20.0 2 24 u a\n");
+  const auto jobs = read_trace(text);
   ASSERT_EQ(jobs.size(), 1u);
   EXPECT_EQ(jobs[0].nodes, 2);
 }
 
 TEST(TraceIoTest, MalformedLineThrows) {
-  EXPECT_THROW(trace_from_string("1 2 3\n"), std::invalid_argument);
+  std::istringstream text("1 2 3\n");
+  EXPECT_THROW(read_trace(text), std::invalid_argument);
 }
 
 TEST(ProfilesTest, NamedProfilesDiffer) {

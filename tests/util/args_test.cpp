@@ -21,7 +21,10 @@ bool parse(ArgParser& args, std::vector<const char*> argv) {
 TEST(ArgsTest, DefaultsAndOverrides) {
   ArgParser args = make_parser();
   ASSERT_TRUE(parse(args, {"--rm", "slurm"}));
-  EXPECT_EQ(args.get_int("nodes", 0), 1024);  // default
+  // The declared default is --help text only: an absent option has no
+  // value, so the caller's fallback (say, a config file's) applies.
+  EXPECT_FALSE(args.get("nodes").has_value());
+  EXPECT_EQ(args.get_int("nodes", 0), 0);
   EXPECT_EQ(args.get_or("rm", ""), "slurm");
   EXPECT_FALSE(args.has_flag("failures"));
 }
@@ -56,10 +59,13 @@ TEST(ArgsTest, HelpRequested) {
 
 TEST(ArgsTest, NumericFallbacks) {
   ArgParser args = make_parser();
-  ASSERT_TRUE(parse(args, {"--rm", "notanumber"}));
-  EXPECT_EQ(args.get_int("rm", 7), 7);
-  EXPECT_DOUBLE_EQ(args.get_double("rm", 1.5), 1.5);
+  ASSERT_TRUE(parse(args, {"--rm", "notanumber", "--nodes", "4k"}));
+  // A given value that is not a number is an error, never the fallback.
+  EXPECT_THROW(args.get_int("rm", 7), std::invalid_argument);
+  EXPECT_THROW(args.get_double("rm", 1.5), std::invalid_argument);
+  EXPECT_THROW(args.get_int("nodes", 1024), std::invalid_argument);
   EXPECT_DOUBLE_EQ(args.get_double("missing", 2.5), 2.5);
+  EXPECT_EQ(args.get_int("missing", 7), 7);
 }
 
 }  // namespace

@@ -15,7 +15,7 @@ TEST(Config, KeysCaseInsensitive) {
   const auto cfg = Config::parse("TreeWidth=50");
   EXPECT_EQ(cfg.get_int("treewidth", 0), 50);
   EXPECT_EQ(cfg.get_int("TREEWIDTH", 0), 50);
-  EXPECT_TRUE(cfg.has("TreeWidth"));
+  EXPECT_TRUE(cfg.get("TreeWidth").has_value());
 }
 
 TEST(Config, CommentsAndBlanksIgnored) {

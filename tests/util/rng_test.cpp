@@ -94,11 +94,6 @@ TEST(Rng, ZipfWithinBounds) {
   for (int i = 0; i < 1000; ++i) EXPECT_LT(rng.zipf(7, 0.8), 7u);
 }
 
-TEST(Rng, WeibullPositive) {
-  Rng rng(29);
-  for (int i = 0; i < 1000; ++i) EXPECT_GT(rng.weibull(1.5, 100.0), 0.0);
-}
-
 TEST(Rng, ShufflePreservesElements) {
   Rng rng(31);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};

@@ -5,12 +5,6 @@
 namespace eslurm {
 namespace {
 
-TEST(Strings, SplitPreservesEmptyFields) {
-  EXPECT_EQ(split("a,,b", ','), (std::vector<std::string>{"a", "", "b"}));
-  EXPECT_EQ(split("", ','), (std::vector<std::string>{""}));
-  EXPECT_EQ(split("x", ','), (std::vector<std::string>{"x"}));
-}
-
 TEST(Strings, TrimBothEnds) {
   EXPECT_EQ(trim("  hi \t"), "hi");
   EXPECT_EQ(trim(""), "");

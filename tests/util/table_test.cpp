@@ -22,12 +22,5 @@ TEST(TableTest, ShortRowsPadded) {
   EXPECT_NO_THROW(t.render());
 }
 
-TEST(TableTest, AddRowValuesFormats) {
-  Table t({"x", "y"});
-  t.add_row_values({1.23456, 2.0}, 3);
-  const std::string out = t.render();
-  EXPECT_NE(out.find("1.23"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace eslurm

@@ -10,8 +10,10 @@
 // scheduling report, master resource usage, and (for ESLURM) the
 // satellite table.  Optionally dumps the accounting database.
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/experiment.hpp"
 #include "trace/generator.hpp"
@@ -25,21 +27,22 @@ using namespace eslurm;
 int main(int argc, char** argv) {
   ArgParser args;
   args.add_option("config", "slurm.conf-style experiment description file");
-  args.add_option("rm", "resource manager (overrides config)", "");
-  args.add_option("nodes", "compute node count (overrides config)", "");
-  args.add_option("satellites", "satellite count (overrides config)", "");
-  args.add_option("hours", "simulated horizon in hours", "24");
-  args.add_option("seed", "experiment seed", "42");
+  args.add_option("rm", "resource manager (overrides config)", "eslurm");
+  args.add_option("nodes", "compute node count (overrides config)", "1024");
+  args.add_option("satellites", "satellite count (overrides config)", "2");
+  args.add_option("hours", "simulated horizon in hours (overrides config)", "24");
+  args.add_option("seed", "experiment seed (overrides config)", "42");
   args.add_option("trace", "workload trace file to replay");
   args.add_option("profile", "generate workload: tianhe-2a | ng-tianhe", "tianhe-2a");
   args.add_option("jobs", "generate workload: approximate job count", "2000");
   args.add_option("acct", "write the accounting database to this file");
   args.add_flag("estimation", "enable the runtime-estimation framework");
   args.add_flag("failures", "enable failure injection");
-  args.add_option("chaos-drop", "message drop probability (0-1)", "0");
-  args.add_option("chaos-dup", "message duplication probability (0-1)", "0");
-  args.add_option("chaos-delay", "delay-spike probability (0-1)", "0");
-  args.add_option("chaos-delay-ms", "mean delay-spike size in ms", "250");
+  args.add_option("chaos-drop", "message drop probability, 0-1 (overrides config)", "0");
+  args.add_option("chaos-dup", "message duplication probability, 0-1 (overrides config)",
+                  "0");
+  args.add_option("chaos-delay", "delay-spike probability, 0-1 (overrides config)", "0");
+  args.add_option("chaos-delay-ms", "mean delay-spike size in ms (overrides config)", "250");
   args.add_option("chaos-partition",
                   "master<->satellite partition as start:duration seconds");
   args.add_flag("no-reliable-transport",
@@ -54,7 +57,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Build the configuration: file first, flags override.
+  // Build the configuration: file first, then each flag that was given.
   core::ExperimentConfig config;
   if (const auto path = args.get("config")) {
     std::ifstream file(*path);
@@ -66,32 +69,44 @@ int main(int argc, char** argv) {
     text << file.rdbuf();
     config = core::Experiment::config_from_text(text.str());
   }
-  if (const auto rm = args.get("rm"); rm && !rm->empty()) config.rm = *rm;
-  if (const auto nodes = args.get("nodes"); nodes && !nodes->empty())
-    config.compute_nodes = static_cast<std::size_t>(args.get_int("nodes", 1024));
-  if (const auto satellites = args.get("satellites"); satellites && !satellites->empty())
-    config.satellite_count = static_cast<std::size_t>(args.get_int("satellites", 2));
-  config.horizon = hours(args.get_int("hours", 24));
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  config.rm = args.get_or("rm", config.rm);
+  std::int64_t job_count = 0;
+  try {
+    config.compute_nodes = static_cast<std::size_t>(
+        args.get_int("nodes", static_cast<std::int64_t>(config.compute_nodes)));
+    config.satellite_count = static_cast<std::size_t>(
+        args.get_int("satellites", static_cast<std::int64_t>(config.satellite_count)));
+    config.horizon = hours(args.get_int("hours", config.horizon / hours(1)));
+    config.seed = static_cast<std::uint64_t>(
+        args.get_int("seed", static_cast<std::int64_t>(config.seed)));
+    config.chaos.drop_prob = args.get_double("chaos-drop", config.chaos.drop_prob);
+    config.chaos.duplicate_prob =
+        args.get_double("chaos-dup", config.chaos.duplicate_prob);
+    config.chaos.delay_spike_prob =
+        args.get_double("chaos-delay", config.chaos.delay_spike_prob);
+    config.chaos.delay_spike_ms =
+        args.get_double("chaos-delay-ms", config.chaos.delay_spike_ms);
+    job_count = args.get_int("jobs", 2000);
+    if (const auto partition = args.get("chaos-partition")) {
+      const auto colon = partition->find(':');
+      const auto seconds_at = [&](std::size_t begin, std::size_t end) {
+        const std::string text = partition->substr(begin, end - begin);
+        char* stop = nullptr;
+        const double value = std::strtod(text.c_str(), &stop);
+        if (colon == std::string::npos || text.empty() || *stop != '\0')
+          throw std::invalid_argument("--chaos-partition wants start:duration seconds, got '" +
+                                      *partition + "'");
+        return value;
+      };
+      config.chaos.partition_start_s = seconds_at(0, colon);
+      config.chaos.partition_duration_s = seconds_at(colon + 1, partition->size());
+    }
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "esim: %s\n", error.what());
+    return 2;
+  }
   if (args.has_flag("estimation")) config.rm_config.use_runtime_estimation = true;
   if (args.has_flag("failures")) config.enable_failures = true;
-  config.chaos.drop_prob = args.get_double("chaos-drop", config.chaos.drop_prob);
-  config.chaos.duplicate_prob =
-      args.get_double("chaos-dup", config.chaos.duplicate_prob);
-  config.chaos.delay_spike_prob =
-      args.get_double("chaos-delay", config.chaos.delay_spike_prob);
-  config.chaos.delay_spike_ms =
-      args.get_double("chaos-delay-ms", config.chaos.delay_spike_ms);
-  if (const auto partition = args.get("chaos-partition");
-      partition && !partition->empty()) {
-    const auto colon = partition->find(':');
-    if (colon == std::string::npos) {
-      std::fprintf(stderr, "esim: --chaos-partition wants start:duration\n");
-      return 2;
-    }
-    config.chaos.partition_start_s = std::stod(partition->substr(0, colon));
-    config.chaos.partition_duration_s = std::stod(partition->substr(colon + 1));
-  }
   if (args.has_flag("no-reliable-transport")) {
     config.rm_config.use_reliable_transport = false;
     config.frontend.gateway.reliable_responses = false;
@@ -115,8 +130,7 @@ int main(int argc, char** argv) {
         std::min<int>(profile.max_nodes_per_job,
                       static_cast<int>(config.compute_nodes));
     trace::TraceGenerator generator(profile);
-    jobs = generator.generate_jobs(
-        static_cast<std::size_t>(args.get_int("jobs", 2000)), config.horizon);
+    jobs = generator.generate_jobs(static_cast<std::size_t>(job_count), config.horizon);
   }
 
   std::printf("esim: %s on %zu nodes, %zu jobs, %lld h horizon, seed %llu\n",

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "trace/generator.hpp"
 #include "trace/statistics.hpp"
@@ -127,7 +128,14 @@ int main(int argc, char** argv) {
     return args.help_requested() ? 0 : 2;
   }
   const std::string command = args.positional()[0];
-  if (command == "generate") return cmd_generate(args);
+  if (command == "generate") {
+    try {
+      return cmd_generate(args);
+    } catch (const std::invalid_argument& error) {  // a malformed number
+      std::fprintf(stderr, "estrace: %s\n", error.what());
+      return 2;
+    }
+  }
   if (command == "stats") return cmd_stats(args);
   std::fprintf(stderr, "estrace: unknown command '%s'\n", command.c_str());
   return 2;
