@@ -178,8 +178,6 @@ ExperimentConfig Experiment::config_from_text(const std::string& text) {
       "cachettlseconds", to_seconds(config.frontend.gateway.cache_ttl)));
   config.rm_config.use_reliable_transport = parsed.get_bool(
       "usereliabletransport", config.rm_config.use_reliable_transport);
-  config.frontend.gateway.reliable_responses =
-      config.rm_config.use_reliable_transport;
   config.chaos.drop_prob =
       parsed.get_double("chaosdropprob", config.chaos.drop_prob);
   config.chaos.duplicate_prob =

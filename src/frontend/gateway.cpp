@@ -53,7 +53,7 @@ Gateway::Gateway(sim::Engine& engine, net::Network& network,
       rm_(rm),
       eslurm_(dynamic_cast<rm::EslurmRm*>(&rm)),
       config_(config) {
-  if (config_.reliable_responses) {
+  if (rm_.config().use_reliable_transport) {
     transport_ = std::make_unique<net::ReliableTransport>(
         net_, Rng(derive_seed(config_.transport_seed, 0xF3)), config_.transport,
         "frontend");
@@ -199,18 +199,13 @@ std::size_t Gateway::pick_satellite() {
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t idx = (rr_next_ + i) % n;
     const SatelliteEndpoint& sat = sats_[idx];
-    if (!satellite_serviceable(idx)) continue;
+    if (!rm::serviceable(eslurm_->satellite_state(idx))) continue;
     if (engine_.now() < sat.cooldown_until) continue;
     if (sat.inflight >= config_.satellite_connection_cap) continue;
     rr_next_ = (idx + 1) % n;
     return idx;
   }
   return SIZE_MAX;
-}
-
-bool Gateway::satellite_serviceable(std::size_t sat_index) const {
-  const rm::SatelliteState state = eslurm_->satellite_state(sat_index);
-  return state == rm::SatelliteState::Running || state == rm::SatelliteState::Busy;
 }
 
 void Gateway::send_to_satellite(std::uint64_t id, std::size_t sat_index) {

@@ -81,11 +81,11 @@ struct GatewayConfig {
   SimTime request_timeout = seconds(45);
   /// After a send to a satellite fails, leave it alone for this long.
   SimTime satellite_retry_cooldown = seconds(30);
-  /// Route server->client RPC responses through a ReliableTransport: a
-  /// response lost to network chaos is retransmitted instead of failing a
-  /// request the server already did the work for.  Requests keep raw
-  /// sends -- the client-side retry/backoff policy already covers them.
-  bool reliable_responses = true;
+  /// Server->client RPC responses go through a ReliableTransport whenever
+  /// the fronted RM's `use_reliable_transport` is on: a response lost to
+  /// network chaos is retransmitted instead of failing a request the
+  /// server already did the work for.  Requests keep raw sends -- the
+  /// client-side retry/backoff policy already covers them.
   net::TransportOptions transport;
   std::uint64_t transport_seed = 1;
 };
@@ -178,7 +178,6 @@ class Gateway {
   /// Round-robin pick of a serviceable satellite with a free slot;
   /// SIZE_MAX when none qualifies.
   std::size_t pick_satellite();
-  bool satellite_serviceable(std::size_t sat_index) const;
   void send_to_satellite(std::uint64_t id, std::size_t sat_index);
   void on_master_request(const net::Message& msg);
   void on_satellite_read(const net::Message& msg);

@@ -161,8 +161,7 @@ std::size_t EslurmRm::pick_satellite() {
   // satellites stay eligible: they are processing tasks, not failed.
   for (std::size_t step = 0; step < satellites_.size(); ++step) {
     const std::size_t i = (rr_next_ + step) % satellites_.size();
-    if (satellites_[i].state == SatelliteState::Running ||
-        satellites_[i].state == SatelliteState::Busy) {
+    if (serviceable(satellites_[i].state)) {
       rr_next_ = (i + 1) % satellites_.size();
       return i;
     }
@@ -196,8 +195,7 @@ void EslurmRm::dispatch(std::vector<NodeId> targets, std::size_t bytes,
   // Eq. 1: split the participation list into N contiguous sublists.
   std::size_t running = 0;
   for (const auto& sat : satellites_)
-    if (sat.state == SatelliteState::Running || sat.state == SatelliteState::Busy)
-      ++running;
+    if (serviceable(sat.state)) ++running;
   const std::size_t n = std::max<std::size_t>(
       1, satellites_for(targets.size(), config_.bcast.tree_width,
                         std::max<std::size_t>(running, satellites_.empty() ? 0 : 1)));
@@ -275,37 +273,36 @@ void EslurmRm::send_task(NodeId sat_node, std::size_t bytes, std::uint64_t dispa
                          static_cast<std::uint32_t>(sat_index)};
   rm_send(deployment_.master, sat_node, std::move(msg), config_.bcast.timeout,
           [this, dispatch_id, subtask_index, sat_index](bool ok) {
-              const auto it2 = dispatches_.find(dispatch_id);
-              if (it2 == dispatches_.end()) return;
-              Subtask& st = it2->second->subtasks[subtask_index];
-              if (st.done) return;
-              if (!ok) {
-                // The satellite did not accept the task: BT-failure.
-                apply_event(sat_index, SatelliteEvent::BtFailure);
-                ++st.reallocations;
-                ++reallocations_;
-                if (auto* t = telemetry_)
-                  t->metrics.counter("rm.subtask_reallocations").inc();
-                assign_subtask(dispatch_id, subtask_index);
-                return;
-              }
-              // Accepted; watch for a missing completion report (the
-              // satellite may die mid-broadcast).
-              st.watchdog = engine_.schedule_after(
-                  subtask_watchdog_delay(st.list->size()),
-                  [this, dispatch_id, subtask_index, sat_index] {
-                    const auto it3 = dispatches_.find(dispatch_id);
-                    if (it3 == dispatches_.end()) return;
-                    Subtask& st2 = it3->second->subtasks[subtask_index];
-                    if (st2.done) return;
-                    apply_event(sat_index, SatelliteEvent::BtFailure);
-                    ++st2.reallocations;
-                    ++reallocations_;
-                    if (auto* t = telemetry_)
-                      t->metrics.counter("rm.subtask_reallocations").inc();
-                    assign_subtask(dispatch_id, subtask_index);
-                  });
-            });
+            if (!ok) {
+              // The satellite did not accept the task.
+              subtask_failed(dispatch_id, subtask_index, sat_index);
+              return;
+            }
+            const auto it = dispatches_.find(dispatch_id);
+            if (it == dispatches_.end()) return;
+            Subtask& st = it->second->subtasks[subtask_index];
+            if (st.done) return;
+            // Accepted; watch for a missing completion report (the
+            // satellite may die mid-broadcast).
+            st.watchdog = engine_.schedule_after(
+                subtask_watchdog_delay(st.list->size()),
+                [this, dispatch_id, subtask_index, sat_index] {
+                  subtask_failed(dispatch_id, subtask_index, sat_index);
+                });
+          });
+}
+
+void EslurmRm::subtask_failed(std::uint64_t dispatch_id, std::size_t subtask_index,
+                              std::size_t sat_index) {
+  const auto it = dispatches_.find(dispatch_id);
+  if (it == dispatches_.end()) return;
+  Subtask& subtask = it->second->subtasks[subtask_index];
+  if (subtask.done) return;
+  apply_event(sat_index, SatelliteEvent::BtFailure);
+  ++subtask.reallocations;
+  ++reallocations_;
+  if (auto* t = telemetry_) t->metrics.counter("rm.subtask_reallocations").inc();
+  assign_subtask(dispatch_id, subtask_index);
 }
 
 void EslurmRm::on_satellite_task(const net::Message& msg) {
@@ -470,26 +467,17 @@ void EslurmRm::heartbeat_satellites() {
   }
 }
 
-void EslurmRm::crash_master() {
+void EslurmRm::begin_outage() {
   if (!ha_) {
-    ResourceManager::crash_master();
+    ResourceManager::begin_outage();
     return;
-  }
-  if (!master_up_) return;
-  master_up_ = false;
-  ++crashes_;
-  crashed_at_ = engine_.now();
-  if (auto* t = telemetry_) {
-    t->metrics.counter("rm.master_crashes", {{"rm", profile_.name}}).inc();
-    t->tracer.instant("master-crash", "rm");
   }
   // The master's in-memory dispatch bookkeeping dies with it.  In-flight
   // launch/termination broadcasts abort: the launch protocol ends with a
   // commit RPC from the master, and a dead master never commits, so the
   // compute nodes abandon the half-delivered payload.
-  for (auto& [id, state] : dispatches_) {
-    (void)id;
-    for (auto& subtask : state->subtasks) {
+  for (auto& entry : dispatches_) {
+    for (auto& subtask : entry.second->subtasks) {
       if (subtask.watchdog != sim::kInvalidEvent) {
         engine_.cancel(subtask.watchdog);
         subtask.watchdog = sim::kInvalidEvent;
@@ -562,13 +550,9 @@ void EslurmRm::finish_promotion(ha::StateImage image, SimTime detection,
     master_stats_->start_sampling(config_.sample_interval, horizon_);
 
   reconcile_with_image(image);
-  master_up_ = true;
-  downtime_ += engine_.now() - crashed_at_;
   ha_->finish_takeover(new_master, detection, engine_.now() - crashed_at_,
                        replay_records);
-  if (auto* t = telemetry_)
-    t->tracer.complete("master-outage", "rm", crashed_at_,
-                       engine_.now() - crashed_at_);
+  recover_master();
 
   // Surviving satellites re-home their control channel to the new
   // master; the ack doubles as a liveness probe feeding the FSM.
@@ -590,10 +574,8 @@ void EslurmRm::finish_promotion(ha::StateImage image, SimTime detection,
             });
   }
 
-  // Completions that arrived while no master was up.
-  auto deferred = std::move(deferred_completions_);
-  deferred_completions_.clear();
-  for (const auto& [id, end_state] : deferred) job_ended(id, end_state);
+  // Completions that reached no master, now that the satellites re-homed.
+  replay_deferred_completions();
   try_start_jobs();
 }
 
@@ -607,7 +589,8 @@ void EslurmRm::master_rejoined(NodeId old_master) {
   } else {
     // No promotion happened (standby was dead too): plain reboot
     // recovery on the original node.
-    ResourceManager::recover_master();
+    recover_master();
+    replay_deferred_completions();
     ha_->resume_as_master(old_master);
   }
 }

@@ -84,11 +84,11 @@ class EslurmRm final : public ResourceManager {
   void dispatch(std::vector<NodeId> targets, std::size_t bytes,
                 comm::Broadcaster::Callback done) override;
 
-  /// HA-aware crash: the master *node* goes down (sends to it fail),
+  /// HA-aware outage: the master *node* goes down (sends to it fail),
   /// its in-memory dispatch state dies, and the standby's detector is
   /// left to discover the death.  Without HA, defers to the base
   /// reboot-and-recover model.
-  void crash_master() override;
+  void begin_outage() override;
 
  private:
   struct Satellite {
@@ -120,6 +120,9 @@ class EslurmRm final : public ResourceManager {
   void apply_event(std::size_t sat_index, SatelliteEvent event);
   void send_task(NodeId sat_node, std::size_t bytes, std::uint64_t dispatch_id,
                  std::size_t subtask_index, std::size_t sat_index);
+  /// BT-failure (task rejected or watchdog fired): re-allocate the subtask.
+  void subtask_failed(std::uint64_t dispatch_id, std::size_t subtask_index,
+                      std::size_t sat_index);
   void start_relay(std::uint64_t dispatch_id, std::uint32_t subtask_index,
                    std::size_t sat_index, NodeId sat_node);
   std::size_t pick_satellite();  ///< round-robin over RUNNING/BUSY, SIZE_MAX if none

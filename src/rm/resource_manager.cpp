@@ -173,7 +173,7 @@ void ResourceManager::submit(sched::Job job) {
   // The submission becomes durable when its WAL record commits; the
   // acked-jobs oracle in HaMaster tracks exactly that.
   if (ha_) ha_->log_job_submitted(pool_.get(id));
-  master_stats_->set_tracked_jobs(pool_.pending().size() + pool_.active().size());
+  master_stats_->set_tracked_jobs(live_jobs());
   if (auto* t = telemetry_)
     t->metrics.counter("rm.jobs_submitted", {{"rm", profile_.name}}).inc();
 }
@@ -192,11 +192,10 @@ void ResourceManager::run_sched_cycle() {
   const auto& acc = profile_.accounting;
   master_stats_->charge_cpu_us(
       acc.cpu_us_sched_base +
-      acc.cpu_us_sched_per_job *
-          static_cast<double>(pool_.pending().size() + pool_.active().size()) +
+      acc.cpu_us_sched_per_job * static_cast<double>(live_jobs()) +
       acc.cpu_us_sched_per_node * static_cast<double>(deployment_.compute.size()));
   master_stats_->set_tracked_nodes(deployment_.compute.size());
-  master_stats_->set_tracked_jobs(pool_.pending().size() + pool_.active().size());
+  master_stats_->set_tracked_jobs(live_jobs());
   // afterok dependencies that terminally failed cancel their dependents.
   std::vector<sched::JobId> doomed;
   for (const sched::JobId id : pool_.pending()) {
@@ -288,7 +287,7 @@ void ResourceManager::start_job(sched::JobId id) {
     const SimTime limit =
         j.user_estimate > 0 ? std::max(j.user_estimate, j.estimate_used)
                             : j.estimate_used;
-    if (config_.enforce_limits && limit > 0 && run_for > limit) {
+    if (limit > 0 && run_for > limit) {
       run_for = limit;
       end_state = sched::JobState::TimedOut;
     }
@@ -318,34 +317,92 @@ void ResourceManager::job_ended(sched::JobId id, sched::JobState end_state) {
   }
   pool_.mark_finished(id, engine_.now(), end_state);
   if (ha_) ha_->log_job_finished(id, end_state);
-  release_job(id);
+  tear_down(id, Teardown::End);
 }
 
-void ResourceManager::release_job(sched::JobId id) {
-  // Termination broadcast ("job termination message") reclaims resources.
-  dispatch(nodes_.nodes(id), 512, [this, id](const comm::BroadcastResult& result) {
+bool ResourceManager::disarm_run_timer(sched::JobId id) {
+  const auto event = end_events_.find(id);
+  if (event == end_events_.end()) return false;
+  if (!pool_.contains(id) || pool_.get(id).state != sched::JobState::Running) return false;
+  engine_.cancel(event->second);
+  end_events_.erase(event);
+  return true;
+}
+
+void ResourceManager::tear_down(sched::JobId id, Teardown outcome) {
+  dispatch(nodes_.nodes(id), 512, [this, id, outcome](const comm::BroadcastResult& result) {
     term_bcast_.add(to_seconds(result.elapsed()));
-    if (auto* t = telemetry_) {
-      t->metrics.histogram("rm.term_broadcast_seconds", {{"rm", profile_.name}})
-          .observe(to_seconds(result.elapsed()));
-      t->metrics.counter("rm.jobs_finished", {{"rm", profile_.name}}).inc();
+    if (outcome == Teardown::End) {
+      if (auto* t = telemetry_) {
+        t->metrics.histogram("rm.term_broadcast_seconds", {{"rm", profile_.name}})
+            .observe(to_seconds(result.elapsed()));
+        t->metrics.counter("rm.jobs_finished", {{"rm", profile_.name}}).inc();
+      }
+      nodes_.release(id);
+    } else {
+      // An aborted payload may have lost nodes: reclaim learns which.
+      nodes_.reclaim(id, cluster_.alive_bits());
     }
-    if (ha_) {
-      ha_->log_job_released(id);
-      ha_->launch_complete(id);
+    if (ha_) ha_->launch_complete(id);
+    switch (outcome) {
+      case Teardown::End:
+        retire(id);
+        break;
+      case Teardown::Requeue:
+        // The job reruns from scratch at the queue head.
+        pool_.requeue_running(id);
+        if (ha_) ha_->log_job_requeued(id);
+        break;
+      case Teardown::Retry:
+      case Teardown::Migrate: {
+        sched::Job& job = pool_.get(id);
+        SimTime backoff = 0;
+        if (outcome == Teardown::Migrate) {
+          ++recovery_stats_.proactive_migrations;
+        } else {
+          ++job.retry_count;
+          ++recovery_stats_.retries;
+          if (auto* t = telemetry_)
+            t->metrics.counter("recovery.retries", {{"rm", profile_.name}}).inc();
+          backoff = sched::recovery::retry_backoff(job.retry_count, config_.recovery);
+        }
+        pool_.requeue_held(id);
+        if (ha_) ha_->log_job_node_failed(id, job.retry_count, job.checkpoint_progress);
+        if (backoff <= 0) pool_.release_held(id);
+        else engine_.schedule_after(backoff, [this, id] { finish_hold(id); });
+        break;
+      }
+      case Teardown::Fail:
+        ++recovery_stats_.jobs_failed;
+        if (auto* t = telemetry_)
+          t->metrics.counter("recovery.jobs_failed", {{"rm", profile_.name}}).inc();
+        pool_.mark_finished(id, engine_.now(), sched::JobState::Failed);
+        if (ha_) ha_->log_job_finished(id, sched::JobState::Failed);
+        retire(id);
+        break;
     }
-    pool_.mark_released(id, engine_.now());
-    const sched::Job& job = pool_.get(id);
-    occupation_.add(to_seconds(job.release_time - job.submit_time));
-    nodes_.release(id);
-    // Stateful schedulers (fair-share ledgers, account usage) charge the
-    // observed consumption on the release path.
-    scheduler_.on_job_released(job, engine_.now());
-    on_job_finished(job);
-    master_stats_->set_tracked_jobs(pool_.pending().size() + pool_.active().size());
+    master_stats_->set_tracked_jobs(live_jobs());
     // Freed resources: give the scheduler an immediate chance.
     try_start_jobs();
   });
+}
+
+void ResourceManager::retire(sched::JobId id) {
+  if (ha_) ha_->log_job_released(id);
+  pool_.mark_released(id, engine_.now());
+  const sched::Job& job = pool_.get(id);
+  occupation_.add(to_seconds(job.release_time - job.submit_time));
+  // Stateful schedulers (fair-share ledgers, account usage) charge the
+  // observed consumption on the release path.
+  scheduler_.on_job_released(job, engine_.now());
+  accounting_db_.record(job);
+  if (estimator_) {
+    // Feed the record module with the *observed* runtime; a timed-out
+    // job reports its (censored) limit, exactly what production sees.
+    sched::Job observed = job;
+    observed.actual_runtime = job.observed_runtime();
+    estimator_->record_completion(observed);
+  }
 }
 
 void ResourceManager::apply_preemptions() {
@@ -368,11 +425,7 @@ void ResourceManager::finish_preemption(sched::JobId id,
   if (!master_up_) return;  // reprieved: the eviction died with the master
   // Only a job still physically running with its run timer armed can be
   // stopped; anything else completed (possibly deferred) during grace.
-  const auto event = end_events_.find(id);
-  if (event == end_events_.end()) return;
-  if (!pool_.contains(id) || pool_.get(id).state != sched::JobState::Running) return;
-  engine_.cancel(event->second);
-  end_events_.erase(event);
+  if (!disarm_run_timer(id)) return;
 
   scheduler_.on_job_preempted(pool_.get(id), engine_.now());
   if (auto* t = telemetry_)
@@ -386,24 +439,11 @@ void ResourceManager::finish_preemption(sched::JobId id,
     ++preempt_cancelled_;
     pool_.mark_finished(id, engine_.now(), sched::JobState::Cancelled);
     if (ha_) ha_->log_job_finished(id, sched::JobState::Cancelled);
-    release_job(id);
+    tear_down(id, Teardown::End);
     return;
   }
-
-  // Requeue: termination broadcast stops the payload, the nodes return,
-  // and the job re-enters the queue head to rerun from scratch.
   ++preempt_requeued_;
-  dispatch(nodes_.nodes(id), 512, [this, id](const comm::BroadcastResult& result) {
-    term_bcast_.add(to_seconds(result.elapsed()));
-    nodes_.reclaim(id, cluster_.alive_bits());
-    pool_.requeue_running(id);
-    if (ha_) {
-      ha_->log_job_requeued(id);
-      ha_->launch_complete(id);
-    }
-    master_stats_->set_tracked_jobs(pool_.pending().size() + pool_.active().size());
-    try_start_jobs();  // the evicted capacity goes to the blocked head
-  });
+  tear_down(id, Teardown::Requeue);
 }
 
 void ResourceManager::on_node_down(NodeId node) {
@@ -423,15 +463,7 @@ void ResourceManager::on_node_up(NodeId node) {
 }
 
 void ResourceManager::kill_allocation(sched::JobId id, bool proactive) {
-  if (recovering_.count(id)) return;  // a second death raced the teardown
-  const auto event = end_events_.find(id);
-  if (event == end_events_.end()) return;  // Starting: the launch-failure
-                                           // requeue path owns that case
-  if (!pool_.contains(id) || pool_.get(id).state != sched::JobState::Running)
-    return;
-  engine_.cancel(event->second);
-  end_events_.erase(event);
-  recovering_.insert(id);
+  if (!disarm_run_timer(id)) return;
 
   const auto& opts = config_.recovery;
   sched::Job& job = pool_.get(id);
@@ -461,58 +493,12 @@ void ResourceManager::kill_allocation(sched::JobId id, bool proactive) {
         .inc(to_seconds(outcome.lost_wall) * job.nodes);
   }
 
-  // Termination broadcast stops the payload on the surviving nodes; the
-  // retry decision lands when the teardown completes.
-  const bool retry = proactive || job.retry_count < opts.max_retries;
-  dispatch(nodes_.nodes(id), 512,
-           [this, id, retry, proactive](const comm::BroadcastResult& result) {
-    term_bcast_.add(to_seconds(result.elapsed()));
-    recovering_.erase(id);
-    nodes_.reclaim(id, cluster_.alive_bits());
-    if (ha_) ha_->launch_complete(id);
-    sched::Job& j = pool_.get(id);
-    if (retry) {
-      if (proactive) {
-        ++recovery_stats_.proactive_migrations;
-      } else {
-        ++j.retry_count;
-        ++recovery_stats_.retries;
-        if (auto* t = telemetry_)
-          t->metrics.counter("recovery.retries", {{"rm", profile_.name}}).inc();
-      }
-      pool_.requeue_held(id);
-      if (ha_) ha_->log_job_node_failed(id, j.retry_count, j.checkpoint_progress);
-      const SimTime backoff =
-          proactive ? 0
-                    : sched::recovery::retry_backoff(j.retry_count, config_.recovery);
-      if (backoff <= 0) {
-        pool_.release_held(id);
-      } else {
-        hold_events_[id] =
-            engine_.schedule_after(backoff, [this, id] { finish_hold(id); });
-      }
-    } else {
-      // Retry budget exhausted: terminal failure.
-      ++recovery_stats_.jobs_failed;
-      if (auto* t = telemetry_)
-        t->metrics.counter("recovery.jobs_failed", {{"rm", profile_.name}}).inc();
-      pool_.mark_finished(id, engine_.now(), sched::JobState::Failed);
-      if (ha_) {
-        ha_->log_job_finished(id, sched::JobState::Failed);
-        ha_->log_job_released(id);
-      }
-      pool_.mark_released(id, engine_.now());
-      occupation_.add(to_seconds(j.release_time - j.submit_time));
-      scheduler_.on_job_released(j, engine_.now());
-      on_job_finished(j);
-    }
-    master_stats_->set_tracked_jobs(pool_.pending().size() + pool_.active().size());
-    try_start_jobs();
-  });
+  // The retry budget is charged when the teardown completes.
+  const bool retry = job.retry_count < opts.max_retries;
+  tear_down(id, proactive ? Teardown::Migrate : retry ? Teardown::Retry : Teardown::Fail);
 }
 
 void ResourceManager::finish_hold(sched::JobId id) {
-  hold_events_.erase(id);
   if (!pool_.contains(id)) return;
   const auto& held = pool_.held();
   if (std::find(held.begin(), held.end(), id) == held.end()) return;
@@ -576,17 +562,6 @@ void ResourceManager::probe_reservations() {
   }
 }
 
-void ResourceManager::on_job_finished(const sched::Job& job) {
-  accounting_db_.record(job);
-  if (estimator_) {
-    // Feed the record module with the *observed* runtime; a timed-out
-    // job reports its (censored) limit, exactly what production sees.
-    sched::Job observed = job;
-    observed.actual_runtime = job.observed_runtime();
-    estimator_->record_completion(observed);
-  }
-}
-
 void ResourceManager::drain_node(NodeId node) {
   master_stats_->charge_cpu_us(100.0);
   nodes_.drain(node);
@@ -618,7 +593,14 @@ void ResourceManager::crash_master() {
     t->metrics.counter("rm.master_crashes", {{"rm", profile_.name}}).inc();
     t->tracer.instant("master-crash", "rm");
   }
-  engine_.schedule_after(profile_.reboot_time, [this] { recover_master(); });
+  begin_outage();
+}
+
+void ResourceManager::begin_outage() {
+  engine_.schedule_after(profile_.reboot_time, [this] {
+    recover_master();
+    replay_deferred_completions();
+  });
 }
 
 void ResourceManager::recover_master() {
@@ -626,7 +608,9 @@ void ResourceManager::recover_master() {
   downtime_ += engine_.now() - crashed_at_;
   if (auto* t = telemetry_)
     t->tracer.complete("master-outage", "rm", crashed_at_, engine_.now() - crashed_at_);
-  // Process completions that piled up during the outage.
+}
+
+void ResourceManager::replay_deferred_completions() {
   auto deferred = std::move(deferred_completions_);
   deferred_completions_.clear();
   for (const auto& [id, end_state] : deferred) job_ended(id, end_state);
@@ -713,7 +697,7 @@ void ResourceManager::reconcile_with_image(const ha::StateImage& image) {
         // Terminal but unreleased: the termination broadcast was in
         // flight when the master died.  Re-issue it.
         if (job.release_time < 0) {
-          release_job(id);
+          tear_down(id, Teardown::End);
           ++stats.reissued;
         }
         break;

@@ -12,7 +12,6 @@
 
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -50,7 +49,6 @@ struct RmRuntimeConfig {
   SimTime master_subtask_service = milliseconds(2);
   comm::BroadcastOptions bcast;                 ///< timeouts/retries/width
   bool enable_pings = true;
-  bool enforce_limits = true;     ///< kill jobs at their wall limit
   bool use_runtime_estimation = false;          ///< ESLURM's Section V
   bool use_fp_tree = true;                      ///< ablation switch
   /// Routes master<->satellite control traffic (subtask loads, result
@@ -104,6 +102,7 @@ class ResourceManager {
   void resume_node(NodeId node);
 
   const std::string& name() const { return profile_.name; }
+  const RmRuntimeConfig& config() const { return config_; }
   sched::JobPool& pool() { return pool_; }
   const sched::JobPool& pool() const { return pool_; }
   DaemonStats& master_stats() { return *master_stats_; }
@@ -208,9 +207,6 @@ class ResourceManager {
   /// nodes.  ESLURM overrides to go through satellites with aggregation.
   virtual void ping_all();
 
-  /// Hook invoked when a job finishes (feeds the record module).
-  virtual void on_job_finished(const sched::Job& job);
-
   void run_sched_cycle();
   void try_start_jobs();
   void start_job(sched::JobId id);
@@ -222,10 +218,30 @@ class ResourceManager {
   /// Audit probe fired inside reservation windows: counts capacity held
   /// by payloads (Starting/Running) of jobs a live reservation excludes.
   void probe_reservations();
-  /// Termination broadcast + resource reclamation for a finished job.
-  /// Split out of job_ended so HA promotion can re-issue it for jobs
+  // --- job teardown ------------------------------------------------------
+  /// What the give-back does once a termination broadcast completes
+  /// (DESIGN.md §13 tabulates each outcome).
+  enum class Teardown : std::uint8_t {
+    End,      ///< already terminal (ended, cancelled): release, retire
+    Requeue,  ///< preempted: reclaim, back to the queue head
+    Retry,    ///< node death within the retry budget: reclaim, hold
+    Migrate,  ///< predicted failure: reclaim, requeue with no backoff
+    Fail,     ///< node death past the budget: reclaim, retire Failed
+  };
+  /// Cancels the armed run timer of a Running job.  False when there is
+  /// none: the job is Starting (the launch-failure requeue owns it), its
+  /// timer fired, or its teardown is already in flight.
+  bool disarm_run_timer(sched::JobId id);
+  /// The one termination broadcast ("job termination message"): stops
+  /// the payload on the allocation, then gives the nodes back and moves
+  /// the job as `outcome` says.  HA promotion re-issues it (End) for jobs
   /// whose termination died with the old master.
-  void release_job(sched::JobId id);
+  void tear_down(sched::JobId id, Teardown outcome);
+  /// Closes a terminal job's record: WAL release, pool release time,
+  /// occupation, scheduler charge, accounting and the estimator's history.
+  void retire(sched::JobId id);
+  /// Pending plus active jobs: the master's tracked-job count.
+  std::size_t live_jobs() const { return pool_.pending().size() + pool_.active().size(); }
   // --- recovery state machine (all gated on config_.recovery.enabled) --
   /// Cluster-observer entry points; only compute nodes reach them.
   void on_node_down(NodeId node);
@@ -239,8 +255,18 @@ class ResourceManager {
   /// Un-drains a proactively drained node whose predicted failure never
   /// landed (false alarm) once its alert has cleared.
   void recheck_proactive_drain(NodeId node);
-  virtual void crash_master();
-  virtual void recover_master();
+  // --- master outage -----------------------------------------------------
+  /// The one place the master goes down: counts the crash, opens the
+  /// outage, then hands over to begin_outage.
+  void crash_master();
+  /// What follows the crash.  Default: the daemon reboots in place after
+  /// profile_.reboot_time.  ESLURM with HA fails over to the standby.
+  virtual void begin_outage();
+  /// The one place the master comes back (reboot or promotion): sums the
+  /// downtime and closes the outage span.
+  void recover_master();
+  /// Runs the completions that reached no master during the outage.
+  void replay_deferred_completions();
 
   // --- HA support ------------------------------------------------------
   /// Captures the live RM state (jobs, allocations, node health,
@@ -274,19 +300,14 @@ class ResourceManager {
   /// The config_.scheduler preset; the default "easy" is the paper's
   /// EASY backfill in submit order.
   sched::Scheduler scheduler_;
-  /// Armed run timers of running jobs: preemption cancels them.  An entry
-  /// disappears when its timer fires (job_ended) or is preempted.
+  /// Armed run timers of running jobs; an entry disappears when its timer
+  /// fires or a preemption or kill disarms it (its teardown is in flight).
   std::unordered_map<sched::JobId, sim::EventId> end_events_;
   std::uint64_t requeues_ = 0;
   // --- recovery state (empty / unused while config_.recovery is off) ---
   const cluster::FailurePredictor* failure_predictor_ = nullptr;
   std::unique_ptr<sched::recovery::PlacementScorer> placement_scorer_;
   sched::recovery::RecoveryStats recovery_stats_;
-  /// Jobs whose kill/migration termination broadcast is in flight; a
-  /// second node death in the same allocation must not double-handle.
-  std::unordered_set<sched::JobId> recovering_;
-  /// Armed backoff timers of held jobs.
-  std::unordered_map<sched::JobId, sim::EventId> hold_events_;
   std::uint64_t preempt_requeued_ = 0;
   std::uint64_t preempt_cancelled_ = 0;
   std::uint64_t reservation_intrusions_ = 0;

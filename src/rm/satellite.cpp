@@ -22,9 +22,7 @@ SatelliteState satellite_transition(SatelliteState state, SatelliteEvent event) 
     case SatelliteEvent::BtStart:
       // Only RUNNING satellites are assigned tasks; a second task keeps
       // a BUSY satellite busy.
-      return (state == SatelliteState::Running || state == SatelliteState::Busy)
-                 ? SatelliteState::Busy
-                 : state;
+      return serviceable(state) ? SatelliteState::Busy : state;
     case SatelliteEvent::BtSuccess:
       return state == SatelliteState::Busy ? SatelliteState::Running : state;
     case SatelliteEvent::BtFailure:

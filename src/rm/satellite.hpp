@@ -34,6 +34,11 @@ enum class SatelliteEvent : std::uint8_t {
 
 const char* satellite_state_name(SatelliteState state);
 
+/// RUNNING or BUSY: the satellite takes broadcast tasks and serves reads.
+constexpr bool serviceable(SatelliteState state) {
+  return state == SatelliteState::Running || state == SatelliteState::Busy;
+}
+
 /// Pure transition function of the Fig. 2 state machine.
 SatelliteState satellite_transition(SatelliteState state, SatelliteEvent event);
 

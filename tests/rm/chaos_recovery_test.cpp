@@ -75,7 +75,6 @@ TEST(ChaosRecovery, RawSendsLeakTheSameChaosIntoTheScheduler) {
   ExperimentConfig config = base_config();
   config.chaos.drop_prob = 0.2;
   config.rm_config.use_reliable_transport = false;
-  config.frontend.gateway.reliable_responses = false;
   Experiment experiment(config);
   rm::LedgerAudit audit(experiment.engine(), experiment.manager());
   experiment.submit_trace(steady_stream(20, 32));

@@ -4,6 +4,7 @@
 // serializing a capped user's jobs.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <optional>
 
 #include "ledger_audit.hpp"
@@ -132,6 +133,55 @@ TEST_F(PolicyRmFixture, CancelModeKillsVictimOutright) {
   EXPECT_EQ(manager.preempt_requeues(), 0u);
   EXPECT_EQ(manager.pool().get(1).state, sched::JobState::Cancelled);
   EXPECT_EQ(manager.pool().get(2).state, sched::JobState::Completed);
+}
+
+TEST_F(PolicyRmFixture, NodeDeathDuringRequeueTeardownIsHandledOnce) {
+  // A node of a preempted job dies while the job's termination broadcast
+  // is in flight.  The preemption teardown owns the job: the death notice
+  // finds its run timer disarmed, so no node-death kill, retry or second
+  // termination broadcast follows.
+  config.scheduler = "policy";
+  config.policy.enabled = true;
+  config.policy.enable_preemption = true;
+  config.policy.preempt_mode = sched::policy::PreemptMode::Requeue;
+  config.policy.preempt_wait = seconds(30);
+  config.recovery.enabled = true;
+  CentralizedRm manager(engine, *net, *cluster_model, slurm_profile(), deployment,
+                        config);
+  LedgerAudit audit(engine, manager);
+  manager.start(hours(3));
+  engine.schedule_at(seconds(1),
+                     [&] { manager.submit(make_job(1, "scav", 48, hours(1), 0, "low")); });
+  engine.schedule_at(minutes(1),
+                     [&] { manager.submit(make_job(2, "vip", 32, minutes(5), 0, "high")); });
+  // Scheduling cycles and the grace period are whole seconds, so a poll
+  // each second runs in the same instant as the preemption, right after
+  // it has started the termination broadcast.
+  NodeId killed = net::kNoNode;
+  std::function<void()> poll = [&] {
+    if (manager.preempt_requeues() == 1 &&
+        manager.pool().get(1).state == sched::JobState::Running) {
+      killed = manager.nodes().nodes(1).front();
+      cluster_model->fail(killed);
+      return;
+    }
+    if (manager.preempt_requeues() == 0) engine.schedule_after(seconds(1), poll);
+  };
+  engine.schedule_at(minutes(1), poll);
+  engine.run_until(hours(3));
+
+  ASSERT_NE(killed, net::kNoNode) << "no poll saw the termination broadcast in flight";
+  EXPECT_EQ(manager.preempt_requeues(), 1u);
+  EXPECT_EQ(manager.pool().get(1).preempt_count, 1);
+  const auto& stats = manager.recovery_stats();
+  EXPECT_EQ(stats.retries, 0u);
+  EXPECT_EQ(stats.node_failure_kills, 0u);
+  // One termination broadcast each: the preemption, the vip's end and the
+  // rerun's end on the 63 surviving nodes.
+  EXPECT_EQ(manager.termination_broadcast_seconds().count(), 3u);
+  EXPECT_EQ(manager.pool().get(1).state, sched::JobState::Completed);
+  EXPECT_EQ(manager.pool().get(2).state, sched::JobState::Completed);
+  EXPECT_TRUE(manager.nodes().believed_down().test(killed));
 }
 
 TEST_F(PolicyRmFixture, ReservedWindowIsNeverBackfilledAcross) {

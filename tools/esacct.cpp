@@ -6,6 +6,7 @@
 //   esacct jobs.acct --state TIMEOUT      # jobs killed at their limit
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 
 #include "rm/accounting_storage.hpp"
 #include "util/args.hpp"
@@ -36,7 +37,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "esacct: cannot read '%s'\n", args.positional()[0].c_str());
     return 1;
   }
-  const auto db = rm::AccountingStorage::load(file);
+  rm::AccountingStorage db;
+  try {
+    db = rm::AccountingStorage::load(file);
+  } catch (const std::invalid_argument& error) {  // a malformed line
+    std::fprintf(stderr, "esacct: %s: %s\n", args.positional()[0].c_str(), error.what());
+    return 1;
+  }
 
   rm::JobFilter filter;
   bool filtered = false;

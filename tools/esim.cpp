@@ -46,7 +46,8 @@ int main(int argc, char** argv) {
   args.add_option("chaos-partition",
                   "master<->satellite partition as start:duration seconds");
   args.add_flag("no-reliable-transport",
-                "raw sends for RM control traffic (no retry/backoff/dedup)");
+                "raw sends for RM control traffic and RPC responses "
+                "(no retry/backoff/dedup)");
   if (!args.parse(argc, argv)) {
     std::fprintf(stderr, "esim: %s\n", args.error().c_str());
     return 2;
@@ -107,10 +108,8 @@ int main(int argc, char** argv) {
   }
   if (args.has_flag("estimation")) config.rm_config.use_runtime_estimation = true;
   if (args.has_flag("failures")) config.enable_failures = true;
-  if (args.has_flag("no-reliable-transport")) {
+  if (args.has_flag("no-reliable-transport"))
     config.rm_config.use_reliable_transport = false;
-    config.frontend.gateway.reliable_responses = false;
-  }
 
   // Workload: trace file or generated.
   std::vector<sched::Job> jobs;
@@ -120,7 +119,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "esim: cannot read trace '%s'\n", path->c_str());
       return 1;
     }
-    jobs = trace::read_trace(file);
+    try {
+      jobs = trace::read_trace(file);
+    } catch (const std::invalid_argument& error) {  // a malformed line
+      std::fprintf(stderr, "esim: %s: %s\n", path->c_str(), error.what());
+      return 1;
+    }
   } else {
     const std::string profile_name = args.get_or("profile", "tianhe-2a");
     trace::WorkloadProfile profile = profile_name == "ng-tianhe"

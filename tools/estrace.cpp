@@ -82,7 +82,13 @@ int cmd_stats(const ArgParser& args) {
     std::fprintf(stderr, "estrace: cannot read '%s'\n", args.positional()[1].c_str());
     return 1;
   }
-  const auto jobs = read_any(args, args.positional()[1], file);
+  std::vector<sched::Job> jobs;
+  try {
+    jobs = read_any(args, args.positional()[1], file);
+  } catch (const std::invalid_argument& error) {  // a malformed line
+    std::fprintf(stderr, "estrace: %s: %s\n", args.positional()[1].c_str(), error.what());
+    return 1;
+  }
   std::printf("%zu jobs\n\n", jobs.size());
 
   const auto samples = trace::estimate_accuracy_samples(jobs);
