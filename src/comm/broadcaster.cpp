@@ -4,12 +4,8 @@
 
 namespace eslurm::comm {
 
-Broadcaster::Broadcaster(net::Network& network, std::string name,
-                         net::ReliableTransport* transport)
-    : net_(network),
-      telemetry_(network.engine().telemetry()),
-      transport_(transport),
-      name_(std::move(name)) {}
+Broadcaster::Broadcaster(net::Network& network, std::string name)
+    : net_(network), telemetry_(network.engine().telemetry()), name_(std::move(name)) {}
 
 Broadcaster::~Broadcaster() {
   for (int i = 0; i < type_count_; ++i) net_.unregister_handler(first_type_ + i);
@@ -21,21 +17,6 @@ net::MessageType Broadcaster::alloc_type_range(int width) {
   first_type_ = net_.alloc_message_types(width);
   type_count_ = width;
   return first_type_;
-}
-
-void Broadcaster::relay_send(NodeId from, NodeId to, net::Message msg,
-                             SimTime timeout, net::SendCallback on_complete) {
-  if (transport_) {
-    transport_->send(from, to, std::move(msg), timeout, std::move(on_complete));
-  } else {
-    net_.send(from, to, std::move(msg), timeout, std::move(on_complete));
-  }
-}
-
-SimTime Broadcaster::contact_budget(SimTime timeout) const {
-  if (timeout <= 0) timeout = net_.link_model().default_timeout;
-  if (!transport_) return timeout;
-  return net::worst_case_send_time(transport_->options(), timeout);
 }
 
 void Broadcaster::broadcast(NodeId root, std::vector<NodeId> targets,
@@ -69,12 +50,45 @@ void Broadcaster::record_retry() {
     t->metrics.counter("comm.send_retries", {{"structure", name_}}).inc();
 }
 
-bool Broadcaster::mark_delivered(std::uint64_t broadcast_id, std::vector<bool>& bitmap,
-                                 NodeId node) {
-  if (bitmap[node]) return false;
-  bitmap[node] = true;
-  if (delivery_hook_) delivery_hook_(node, broadcast_id);
+void Broadcaster::begin(Record& record, std::uint32_t index, NodeId root,
+                        std::shared_ptr<const std::vector<NodeId>> list,
+                        const BroadcastOptions& options, Callback done) {
+  record.id = next_broadcast_id_++;
+  record.index = index;
+  record.root = root;
+  record.list = std::move(list);
+  record.opts = options;
+  record.done = std::move(done);
+  record.started = net_.engine().now();
+  record.reached.assign(net_.node_count(), false);
+  record.delivered = 0;
+  record.unreachable = 0;
+  record.repairs = 0;
+}
+
+bool Broadcaster::deliver(Record& record, NodeId node) {
+  if (record.reached[node]) return false;
+  record.reached[node] = true;
+  ++record.delivered;
+  if (delivery_hook_) delivery_hook_(node, record.id);
   return true;
+}
+
+void Broadcaster::finish(Record& record) {
+  BroadcastResult result;
+  result.broadcast_id = record.id;
+  result.started = record.started;
+  result.finished = net_.engine().now();
+  result.targets = record.list->size();
+  result.delivered = record.delivered;
+  result.unreachable = record.unreachable;
+  result.repairs = record.repairs;
+  record_result(result);
+  Callback done = std::move(record.done);
+  record.list.reset();
+  record.id = 0;
+  recycle(record.index);
+  if (done) done(result);
 }
 
 }  // namespace eslurm::comm

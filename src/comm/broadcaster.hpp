@@ -9,6 +9,19 @@
 // Failure semantics shared by all implementations: a send to a dead node
 // is detected only after `timeout`; `retries` connection attempts are
 // made before a peer is declared unreachable (the paper sets 3).
+//
+// Lifecycle, shared by all implementations: the broadcaster owns the
+// record of every in-flight broadcast.  A record is one slot of a
+// recycled pool (util::SlabPool, held by PooledBroadcaster<Route>, the
+// base of every structure): the common header (Record) followed by the
+// structure's own routing fields (Route).  begin() takes a slot and
+// stamps a fresh id; messages and timers name a broadcast by (id, slot),
+// and find() returns nullptr once the slot's id has changed, so a late
+// callback never touches a recycled record.  deliver() is the one
+// delivery rule: a node is counted, and the delivery hook fires, once
+// per broadcast.  finish() builds the BroadcastResult, records telemetry
+// and recycles the slot, and only then calls the user callback -- which
+// may start the next broadcast in the very same slot.
 #pragma once
 
 #include <functional>
@@ -17,7 +30,7 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "net/transport.hpp"
+#include "util/pool.hpp"
 
 namespace eslurm::comm {
 
@@ -59,15 +72,7 @@ class Broadcaster {
   /// Called once per target node when the payload reaches it.
   using DeliveryHook = std::function<void(NodeId node, std::uint64_t broadcast_id)>;
 
-  /// With a `transport`, all control traffic (relay + completion
-  /// messages) is sent through the reliable channel: transient message
-  /// loss is retried below the tree's own retry logic, and a retransmitted
-  /// or duplicated relay is suppressed before it reaches the forwarding
-  /// handlers.  The transport must outlive the broadcaster; nullptr
-  /// (default) keeps raw Network::send semantics and bit-identical
-  /// behaviour.
-  explicit Broadcaster(net::Network& network, std::string name,
-                       net::ReliableTransport* transport = nullptr);
+  Broadcaster(net::Network& network, std::string name);
   /// Unregisters every handler of this instance's message-type range, so
   /// a message of a dead broadcaster's type is received but handled by
   /// nothing.  The network must outlive the broadcaster.
@@ -88,54 +93,102 @@ class Broadcaster {
   void set_delivery_hook(DeliveryHook hook) { delivery_hook_ = std::move(hook); }
 
   const std::string& name() const { return name_; }
-  net::Network& network() { return net_; }
-  net::ReliableTransport* transport() { return transport_; }
 
  protected:
+  /// Header of one in-flight broadcast: what every structure tracks.
+  struct Record {
+    std::uint64_t id = 0;     ///< 0 while the slot is free; ids start at 1
+    std::uint32_t index = 0;  ///< this record's pool slot
+    NodeId root = net::kNoNode;
+    std::shared_ptr<const std::vector<NodeId>> list;
+    BroadcastOptions opts;
+    Callback done;
+    SimTime started = 0;
+    std::vector<bool> reached;  ///< indexed by node id
+    std::size_t delivered = 0;
+    std::size_t unreachable = 0;
+    int repairs = 0;
+  };
+
   /// Allocates this instance's private message-type range (once per
   /// instance); the destructor unregisters it.
   net::MessageType alloc_type_range(int width);
 
-  /// Send routed through the reliable transport when one is attached,
-  /// raw Network otherwise.  Implementations use it for their control
-  /// traffic so one construction argument flips the whole structure
-  /// between lossy and reliable delivery; their handlers register on the
-  /// network either way.
-  void relay_send(NodeId from, NodeId to, net::Message msg, SimTime timeout,
-                  net::SendCallback on_complete = {});
+  /// Stamps a freshly acquired slot's header with a new id.  A recycled
+  /// slot keeps its bitmap capacity, so a steady-state begin allocates
+  /// nothing.
+  void begin(Record& record, std::uint32_t index, NodeId root,
+             std::shared_ptr<const std::vector<NodeId>> list,
+             const BroadcastOptions& options, Callback done);
 
-  /// Worst-case duration of one relay_send against an unresponsive peer:
-  /// `timeout` raw, the transport's full retransmit schedule otherwise.
-  /// Watchdogs must scale with this or they fire mid-retransmit.
-  SimTime contact_budget(SimTime timeout) const;
+  /// The delivery rule: counts `node` and fires the delivery hook the
+  /// first time it is reached in this broadcast.  Returns false (and does
+  /// nothing) on a repeat.
+  bool deliver(Record& record, NodeId node);
 
-  /// Telemetry tap: every implementation calls this once per finished
-  /// broadcast (latency histogram + counters labeled by structure name,
-  /// and a trace span covering the broadcast).  No-op when telemetry is
-  /// disabled.
-  void record_result(const BroadcastResult& result);
+  /// Ends the broadcast: builds the result from the header, records
+  /// telemetry, recycles the slot, then calls the user callback.
+  void finish(Record& record);
 
   /// Telemetry tap for a failed send attempt that will be retried.
   void record_retry();
-
-  /// Records a delivery in the per-broadcast bitmap (idempotent) and
-  /// fires the delivery hook for first-time deliveries.  Returns true if
-  /// this was the first delivery to that node.
-  bool mark_delivered(std::uint64_t broadcast_id, std::vector<bool>& bitmap, NodeId node);
 
   net::Network& net_;
   /// The world's telemetry context (via the network's engine); nullptr
   /// when telemetry is off.  Cached at construction like every other
   /// instrumented subsystem.
   telemetry::Telemetry* telemetry_;
-  net::ReliableTransport* transport_ = nullptr;
+
+ private:
+  /// Returns a finished record's slot to the pool that holds it.
+  virtual void recycle(std::uint32_t index) = 0;
+  /// Latency histogram + counters labeled by structure name, and a trace
+  /// span covering the broadcast.  No-op when telemetry is disabled.
+  void record_result(const BroadcastResult& result);
+
   std::string name_;
   DeliveryHook delivery_hook_;
   std::uint64_t next_broadcast_id_ = 1;
-
- private:
   net::MessageType first_type_ = 0;
   int type_count_ = 0;
+};
+
+/// Routing fields of a structure that needs none beyond the header.
+struct NoRoute {};
+
+/// A Broadcaster whose records carry the structure's routing fields
+/// `Route` in the same pool slot, so a relay or completion finds both
+/// with one lookup.
+template <typename Route = NoRoute>
+class PooledBroadcaster : public Broadcaster {
+ protected:
+  using Broadcaster::Broadcaster;
+
+  struct InFlight : Record {
+    Route route;  ///< stale on a recycled slot: each structure resets it
+  };
+
+  /// Acquires a slot and begins a broadcast in it.
+  InFlight& begin(NodeId root, std::shared_ptr<const std::vector<NodeId>> list,
+                  const BroadcastOptions& options, Callback done) {
+    const std::uint32_t index = records_.acquire();
+    InFlight& record = records_[index];
+    Broadcaster::begin(record, index, root, std::move(list), options, std::move(done));
+    return record;
+  }
+
+  /// The live broadcast `id` in slot `index`, or nullptr if it finished.
+  InFlight* find(std::uint64_t id, std::uint32_t index) {
+    InFlight& record = records_[index];
+    return record.id == id ? &record : nullptr;
+  }
+
+ private:
+  void recycle(std::uint32_t index) final { records_.release(index); }
+
+  /// Stable storage: a delivery hook may start another broadcast while a
+  /// handler still holds its record.
+  util::SlabPool<InFlight> records_;
 };
 
 }  // namespace eslurm::comm

@@ -62,7 +62,7 @@ std::vector<NodeId> rearrange_nodelist(const std::vector<NodeId>& list, int widt
 class FpTreeBroadcaster final : public TreeBroadcaster {
  public:
   /// `transport` (optional) routes relay/done traffic through a reliable
-  /// channel -- see Broadcaster.
+  /// channel -- see TreeBroadcaster.
   FpTreeBroadcaster(net::Network& network, const cluster::FailurePredictor& predictor,
                     std::string name = "fp-tree",
                     net::ReliableTransport* transport = nullptr);

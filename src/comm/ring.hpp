@@ -6,13 +6,11 @@
 // chain -- the worst curve in Fig. 8b.
 #pragma once
 
-#include <unordered_map>
-
 #include "comm/broadcaster.hpp"
 
 namespace eslurm::comm {
 
-class RingBroadcaster final : public Broadcaster {
+class RingBroadcaster final : public PooledBroadcaster<> {
  public:
   explicit RingBroadcaster(net::Network& network, std::string name = "ring");
 
@@ -21,29 +19,17 @@ class RingBroadcaster final : public Broadcaster {
   using Broadcaster::broadcast;
 
  private:
-  struct State {
-    std::uint64_t id = 0;
-    NodeId root = net::kNoNode;
-    std::shared_ptr<const std::vector<NodeId>> list;
-    BroadcastOptions opts;
-    Callback done;
-    SimTime started = 0;
-    std::size_t delivered = 0;
-    std::size_t unreachable = 0;
-  };
-
   struct HopBody {
     std::uint64_t broadcast_id;
+    std::uint32_t record;
     std::size_t next_index;  ///< index the receiver should forward to
   };
 
   /// Forwards from `from` to list[index]; skips dead successors.
-  void forward(State& state, NodeId from, std::size_t index);
+  void forward(InFlight& record, NodeId from, std::size_t index);
   void on_hop(NodeId self, const net::Message& msg);
-  void finish(State& state);
 
   net::MessageType hop_type_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<State>> active_;
 };
 
 }  // namespace eslurm::comm

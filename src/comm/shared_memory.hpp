@@ -6,13 +6,16 @@
 // (Fig. 8b).  The price is the poll latency floor on every broadcast.
 #pragma once
 
-#include <unordered_map>
-
 #include "comm/broadcaster.hpp"
 
 namespace eslurm::comm {
 
-class SharedMemoryBroadcaster final : public Broadcaster {
+/// The shared-memory routing field of a broadcast record.
+struct ShmRoute {
+  std::size_t outstanding = 0;  ///< fetches not yet settled
+};
+
+class SharedMemoryBroadcaster final : public PooledBroadcaster<ShmRoute> {
  public:
   explicit SharedMemoryBroadcaster(net::Network& network, std::string name = "shm");
 
@@ -21,22 +24,9 @@ class SharedMemoryBroadcaster final : public Broadcaster {
   using Broadcaster::broadcast;
 
  private:
-  struct State {
-    std::uint64_t id = 0;
-    NodeId root = net::kNoNode;
-    std::shared_ptr<const std::vector<NodeId>> list;
-    BroadcastOptions opts;
-    Callback done;
-    SimTime started = 0;
-    std::size_t outstanding = 0;
-    std::size_t delivered = 0;
-    std::size_t unreachable = 0;
-  };
-
-  void finish(State& state);
+  void fetch(std::uint64_t id, std::uint32_t slot, NodeId target);
 
   net::MessageType fetch_type_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<State>> active_;
   Rng rng_;
 };
 

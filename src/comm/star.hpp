@@ -5,13 +5,19 @@
 // the failure ratio grows (Fig. 8b).
 #pragma once
 
-#include <unordered_map>
-
 #include "comm/broadcaster.hpp"
 
 namespace eslurm::comm {
 
-class StarBroadcaster final : public Broadcaster {
+/// The star's routing field of a broadcast record: the root's dispatch
+/// cursor over the target list.
+struct StarRoute {
+  std::size_t next = 0;  ///< next target index to start
+  std::size_t in_flight = 0;
+  std::size_t completed = 0;
+};
+
+class StarBroadcaster final : public PooledBroadcaster<StarRoute> {
  public:
   explicit StarBroadcaster(net::Network& network, std::string name = "star");
 
@@ -20,29 +26,13 @@ class StarBroadcaster final : public Broadcaster {
   using Broadcaster::broadcast;
 
  private:
-  struct State {
-    std::uint64_t id = 0;
-    NodeId root = net::kNoNode;
-    std::shared_ptr<const std::vector<NodeId>> list;
-    BroadcastOptions opts;
-    Callback done;
-    SimTime started = 0;
-    std::vector<bool> delivered;
-    std::size_t next = 0;        ///< next target index to start
-    std::size_t in_flight = 0;
-    std::size_t unreachable = 0;
-    std::size_t completed = 0;
-  };
-
-  void pump(State& state);
+  void pump(InFlight& record);
   /// `service_paid`: whether the root's per-target service time has
   /// already been spent for this attempt.
-  void attempt(State& state, std::size_t index, int attempts_left,
+  void attempt(InFlight& record, std::size_t index, int attempts_left,
                bool service_paid = false);
-  void finish(State& state);
 
   net::MessageType payload_type_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<State>> active_;
 };
 
 }  // namespace eslurm::comm

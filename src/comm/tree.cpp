@@ -19,7 +19,7 @@ int tree_depth_estimate(std::size_t n, int width) {
 
 TreeBroadcaster::TreeBroadcaster(net::Network& network, std::string name,
                                  net::ReliableTransport* transport)
-    : Broadcaster(network, std::move(name), transport) {
+    : PooledBroadcaster(network, std::move(name)), transport_(transport) {
   relay_type_ = alloc_type_range(2);
   done_type_ = relay_type_ + 1;
   net_.register_handler(relay_type_,
@@ -33,71 +33,58 @@ std::shared_ptr<const std::vector<NodeId>> TreeBroadcaster::prepare(
   return targets;
 }
 
-TreeBroadcaster::State* TreeBroadcaster::find(std::uint64_t id, std::uint32_t index) {
-  State& state = states_[index];
-  return state.id == id ? &state : nullptr;
-}
-
 void TreeBroadcaster::broadcast(NodeId root,
                                 std::shared_ptr<const std::vector<NodeId>> targets,
                                 const BroadcastOptions& options, Callback done) {
-  const std::uint32_t index = states_.acquire();
-  State& state = states_[index];
-  state.id = next_broadcast_id_++;
-  state.index = index;
-  state.root = root;
-  state.list = prepare(std::move(targets), options);
-  state.opts = options;
-  state.done = std::move(done);
-  state.started = net_.engine().now();
-  state.delivered.assign(net_.node_count(), false);
-  state.delivered_count = 0;
-  // Grow only: a recycled state keeps every position's slot capacity.
-  const std::size_t n = state.list->size();
-  if (state.ctx.size() < n + 1) state.ctx.resize(n + 1);
+  InFlight& record = begin(root, prepare(std::move(targets), options), options, std::move(done));
+  // Grow only: a recycled record keeps every position's slot capacity.
+  const std::size_t n = record.list->size();
+  std::vector<NodeCtx>& ctx = record.route.ctx;
+  if (ctx.size() < n + 1) ctx.resize(n + 1);
 
   const auto root_pos = static_cast<Pos>(n);
-  state.ctx[root_pos].reset(kNoPos);
-  fan_out(state, root_pos, Range{0, n});
-  maybe_finish_node(state, root_pos);
+  ctx[root_pos].reset(kNoPos);
+  fan_out(record, root_pos, Range{0, n});
+  maybe_finish_node(record, root_pos);
 }
 
-void TreeBroadcaster::fan_out(State& state, Pos pos, Range range) {
+void TreeBroadcaster::fan_out(InFlight& record, Pos pos, Range range) {
   // Create every slot before issuing any send so `pending` can never dip
   // to zero while work remains.
-  NodeCtx& ctx = state.ctx[pos];
+  NodeCtx& ctx = record.route.ctx[pos];
   const std::size_t first_slot = ctx.slots.size();
-  for_each_group(range.begin, range.end, state.opts.tree_width, [&](Range group) {
-    ctx.slots.push_back(ChildSlot{(*state.list)[group.begin],
+  for_each_group(range.begin, range.end, record.opts.tree_width, [&](Range group) {
+    ctx.slots.push_back(ChildSlot{(*record.list)[group.begin],
                                   Range{group.begin + 1, group.end}});
     ++ctx.pending;
   });
   const std::size_t end_slot = ctx.slots.size();
   for (std::size_t i = first_slot; i < end_slot; ++i)
-    attempt_child(state, pos, static_cast<std::uint32_t>(i), state.opts.retries);
+    attempt_child(record, pos, static_cast<std::uint32_t>(i), record.opts.retries);
 }
 
-void TreeBroadcaster::attempt_child(State& state, Pos pos, std::uint32_t slot_index,
+void TreeBroadcaster::attempt_child(InFlight& record, Pos pos, std::uint32_t slot_index,
                                     int attempts_left) {
-  const ChildSlot& slot = state.ctx[pos].slots[slot_index];
+  const ChildSlot& slot = record.route.ctx[pos].slots[slot_index];
   net::Message msg;
   msg.type = relay_type_;
   // The relay carries the payload plus the serialized subtree list.
-  msg.bytes = state.opts.payload_bytes + 8 * slot.subtree.size();
-  msg.payload = RelayBody{state.id, state.index, pos, slot.subtree};
-  relay_send(node_at(state, pos), slot.child, std::move(msg), state.opts.timeout,
-             [this, id = state.id, index = state.index, pos, slot_index,
-              attempts_left](bool ok) {
-               child_accepted(id, index, pos, slot_index, attempts_left, ok);
-             });
+  msg.bytes = record.opts.payload_bytes + 8 * slot.subtree.size();
+  msg.payload = RelayBody{record.id, record.index, pos, slot.subtree};
+  net::send(net_, transport_, node_at(record, pos), slot.child, std::move(msg),
+            record.opts.timeout,
+            [this, id = record.id, index = record.index, pos, slot_index,
+             attempts_left](bool ok) {
+              child_accepted(id, index, pos, slot_index, attempts_left, ok);
+            });
 }
 
 void TreeBroadcaster::child_accepted(std::uint64_t id, std::uint32_t index, Pos pos,
                                      std::uint32_t slot_index, int attempts_left,
                                      bool ok) {
-  State* st = find(id, index);
+  InFlight* st = find(id, index);
   if (!st) return;  // broadcast already finished
-  NodeCtx& c = st->ctx[pos];
+  NodeCtx& c = st->route.ctx[pos];
   ChildSlot& s = c.slots[slot_index];
   if (s.done) return;
   if (ok) {
@@ -108,8 +95,8 @@ void TreeBroadcaster::child_accepted(std::uint64_t id, std::uint32_t index, Pos 
     // contact_budget covers the transport's retransmit schedule (==
     // timeout raw), so a watchdog never fires while a descendant is still
     // legitimately retrying.
-    const SimTime deadline =
-        contact_budget(st->opts.timeout) * (st->opts.retries + 1) * (depth + 1);
+    const SimTime deadline = net::contact_budget(net_, transport_, st->opts.timeout) *
+                             (st->opts.retries + 1) * (depth + 1);
     s.watchdog = net_.engine().schedule_after(
         deadline, [this, id, index, pos, slot_index] {
           watchdog_fired(id, index, pos, slot_index);
@@ -134,9 +121,9 @@ void TreeBroadcaster::child_accepted(std::uint64_t id, std::uint32_t index, Pos 
 
 void TreeBroadcaster::watchdog_fired(std::uint64_t id, std::uint32_t index, Pos pos,
                                      std::uint32_t slot_index) {
-  State* st = find(id, index);
+  InFlight* st = find(id, index);
   if (!st) return;
-  NodeCtx& c = st->ctx[pos];
+  NodeCtx& c = st->route.ctx[pos];
   const ChildSlot& s = c.slots[slot_index];
   if (s.done) return;
   ++c.agg_repairs;
@@ -146,9 +133,9 @@ void TreeBroadcaster::watchdog_fired(std::uint64_t id, std::uint32_t index, Pos 
   child_finished(*st, pos, slot_index, /*unreachable=*/1, /*repairs=*/0);
 }
 
-void TreeBroadcaster::child_finished(State& state, Pos pos, std::size_t slot_index,
+void TreeBroadcaster::child_finished(InFlight& record, Pos pos, std::size_t slot_index,
                                      std::size_t unreachable, int repairs) {
-  NodeCtx& ctx = state.ctx[pos];
+  NodeCtx& ctx = record.route.ctx[pos];
   ChildSlot& slot = ctx.slots[slot_index];
   if (slot.done) return;
   slot.done = true;
@@ -160,80 +147,62 @@ void TreeBroadcaster::child_finished(State& state, Pos pos, std::size_t slot_ind
   ctx.agg_repairs += repairs;
   assert(ctx.pending > 0);
   --ctx.pending;
-  maybe_finish_node(state, pos);
+  maybe_finish_node(record, pos);
 }
 
-void TreeBroadcaster::maybe_finish_node(State& state, Pos pos) {
-  NodeCtx& ctx = state.ctx[pos];
+void TreeBroadcaster::maybe_finish_node(InFlight& record, Pos pos) {
+  NodeCtx& ctx = record.route.ctx[pos];
   if (ctx.pending > 0 || ctx.done_sent) return;
   ctx.done_sent = true;
   if (ctx.parent == kNoPos) {
-    finish_root(state);
+    record.unreachable = ctx.agg_unreachable;
+    record.repairs = ctx.agg_repairs;
+    finish(record);
     return;
   }
-  send_done(state, pos, ctx.parent, ctx.agg_unreachable, ctx.agg_repairs);
+  send_done(record, pos, ctx.parent, ctx.agg_unreachable, ctx.agg_repairs);
 }
 
-void TreeBroadcaster::send_done(State& state, Pos from, Pos to, std::size_t unreachable,
+void TreeBroadcaster::send_done(InFlight& record, Pos from, Pos to, std::size_t unreachable,
                                 int repairs) {
   net::Message msg;
   msg.type = done_type_;
   msg.bytes = 64;
-  msg.payload = DoneBody{state.id, state.index, to, unreachable, repairs};
-  relay_send(node_at(state, from), node_at(state, to), std::move(msg), state.opts.timeout);
-}
-
-void TreeBroadcaster::finish_root(State& state) {
-  const NodeCtx& ctx = state.ctx[state.list->size()];
-  BroadcastResult result;
-  result.broadcast_id = state.id;
-  result.started = state.started;
-  result.finished = net_.engine().now();
-  result.targets = state.list->size();
-  result.delivered = state.delivered_count;
-  result.unreachable = ctx.agg_unreachable;
-  result.repairs = ctx.agg_repairs;
-  record_result(result);
-  // Recycle the state before the callback, which may start the next
-  // broadcast (and reuse this very slot).
-  Callback done = std::move(state.done);
-  state.list.reset();
-  state.id = 0;
-  states_.release(state.index);
-  if (done) done(result);
+  msg.payload = DoneBody{record.id, record.index, to, unreachable, repairs};
+  net::send(net_, transport_, node_at(record, from), node_at(record, to), std::move(msg),
+            record.opts.timeout);
 }
 
 void TreeBroadcaster::on_relay(NodeId self, const net::Message& msg) {
   const auto& body = msg.body<RelayBody>();
-  State* state = find(body.broadcast_id, body.state);
-  if (!state) return;
+  InFlight* record = find(body.broadcast_id, body.record);
+  if (!record) return;
   // The relay for subtree [b, e) went to the node at position b - 1.
   const auto pos = static_cast<Pos>(body.subtree.begin - 1);
-  if (state->delivered[self]) {
+  NodeCtx& ctx = record->route.ctx[pos];
+  if (!deliver(*record, self)) {
     // A repeat from this node's own parent (a wire duplicate, or the
     // parent's retry after a lost ack) is dropped: the relay it repeats
     // still covers the subtree, and the node's own completion closes the
     // parent's slot.  A relay from an adopting parent (a repair) is
     // acknowledged with an empty completion, without re-relaying.
-    if (body.parent != state->ctx[pos].parent) send_done(*state, pos, body.parent, 0, 0);
+    if (body.parent != ctx.parent) send_done(*record, pos, body.parent, 0, 0);
     return;
   }
-  mark_delivered(state->id, state->delivered, self);
-  ++state->delivered_count;
-  state->ctx[pos].reset(body.parent);
-  fan_out(*state, pos, body.subtree);
-  maybe_finish_node(*state, pos);
+  ctx.reset(body.parent);
+  fan_out(*record, pos, body.subtree);
+  maybe_finish_node(*record, pos);
 }
 
 void TreeBroadcaster::on_done(NodeId, const net::Message& msg) {
   const auto& body = msg.body<DoneBody>();
-  State* state = find(body.broadcast_id, body.state);
-  if (!state) return;
-  NodeCtx& ctx = state->ctx[body.parent];
+  InFlight* record = find(body.broadcast_id, body.record);
+  if (!record) return;
+  NodeCtx& ctx = record->route.ctx[body.parent];
   // Match the first unfinished slot for this child.
   for (std::size_t i = 0; i < ctx.slots.size(); ++i) {
     if (!ctx.slots[i].done && ctx.slots[i].child == msg.src) {
-      child_finished(*state, body.parent, i, body.unreachable, body.repairs);
+      child_finished(*record, body.parent, i, body.unreachable, body.repairs);
       return;
     }
   }

@@ -23,10 +23,10 @@
 // at position p keeps its relay context in ctx[p] (the root sits at
 // list.size()), and since a relay for subtree [b, e) goes to the node at
 // position b - 1, relay and completion messages name their parent by
-// position.  Broadcast states -- the ctx vector, its child-slot vectors
-// and the delivered bitmap -- are recycled, and relay bodies carry the
-// state's pool index, so a steady-state broadcast neither hashes nor
-// allocates.
+// position.  The ctx vector is the tree's routing field of the pooled
+// broadcast record (see Broadcaster): it, its child-slot vectors and the
+// delivered bitmap are recycled, and relay bodies carry the record's pool
+// slot, so a steady-state broadcast neither hashes nor allocates.
 #pragma once
 
 #include <algorithm>
@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "comm/broadcaster.hpp"
-#include "util/pool.hpp"
+#include "net/transport.hpp"
 
 namespace eslurm::comm {
 
@@ -69,27 +69,9 @@ void for_each_group(std::size_t begin, std::size_t end, int width, Visit&& visit
 /// Tree depth estimate used to size completion watchdogs.
 int tree_depth_estimate(std::size_t n, int width);
 
-class TreeBroadcaster : public Broadcaster {
- public:
-  /// `transport` (optional) routes relay/done traffic through a reliable
-  /// channel -- see Broadcaster.
-  explicit TreeBroadcaster(net::Network& network, std::string name = "tree",
-                           net::ReliableTransport* transport = nullptr);
-
-  void broadcast(NodeId root, std::shared_ptr<const std::vector<NodeId>> targets,
-                 const BroadcastOptions& options, Callback done) override;
-  using Broadcaster::broadcast;
-
-  /// Number of subtree adoptions across all finished broadcasts.
-  std::uint64_t total_repairs() const { return total_repairs_; }
-
- protected:
-  /// Hook for the FP-Tree: returns the (possibly rearranged) node list to
-  /// build the tree from.  Default: identity.
-  virtual std::shared_ptr<const std::vector<NodeId>> prepare(
-      std::shared_ptr<const std::vector<NodeId>> targets, const BroadcastOptions& options);
-
- private:
+/// The tree's routing field of a broadcast record: the relay context of
+/// each list position.
+struct TreeRoute {
   /// A list position (the root's is list.size()); kNoPos marks "none".
   using Pos = std::uint32_t;
   static constexpr Pos kNoPos = UINT32_MAX;
@@ -121,59 +103,74 @@ class TreeBroadcaster : public Broadcaster {
       agg_repairs = 0;
     }
   };
-  /// One broadcast; pooled and recycled.  `id` is 0 while the slot is
-  /// free, so a stale message or callback (ids start at 1) never matches.
-  struct State {
-    std::uint64_t id = 0;
-    std::uint32_t index = 0;  ///< this state's pool index
-    NodeId root = net::kNoNode;
-    std::shared_ptr<const std::vector<NodeId>> list;
-    BroadcastOptions opts;
-    Callback done;
-    SimTime started = 0;
-    std::vector<bool> delivered;  ///< indexed by node id
-    std::size_t delivered_count = 0;
-    std::vector<NodeCtx> ctx;     ///< indexed by position; only [0, n] in use
-  };
+
+  std::vector<NodeCtx> ctx;  ///< indexed by position; only [0, n] in use
+};
+
+class TreeBroadcaster : public PooledBroadcaster<TreeRoute> {
+ public:
+  /// With a `transport`, all control traffic (relay + completion
+  /// messages) is sent through the reliable channel: transient message
+  /// loss is retried below the tree's own retry logic, and a retransmitted
+  /// or duplicated relay is suppressed before it reaches the forwarding
+  /// handlers.  The transport must outlive the broadcaster; nullptr
+  /// (default) keeps raw Network::send semantics and bit-identical
+  /// behaviour.
+  explicit TreeBroadcaster(net::Network& network, std::string name = "tree",
+                           net::ReliableTransport* transport = nullptr);
+
+  void broadcast(NodeId root, std::shared_ptr<const std::vector<NodeId>> targets,
+                 const BroadcastOptions& options, Callback done) override;
+  using Broadcaster::broadcast;
+
+  /// Number of subtree adoptions across all finished broadcasts.
+  std::uint64_t total_repairs() const { return total_repairs_; }
+
+ protected:
+  /// Hook for the FP-Tree: returns the (possibly rearranged) node list to
+  /// build the tree from.  Default: identity.
+  virtual std::shared_ptr<const std::vector<NodeId>> prepare(
+      std::shared_ptr<const std::vector<NodeId>> targets, const BroadcastOptions& options);
+
+ private:
+  using Pos = TreeRoute::Pos;
+  static constexpr Pos kNoPos = TreeRoute::kNoPos;
+  using ChildSlot = TreeRoute::ChildSlot;
+  using NodeCtx = TreeRoute::NodeCtx;
 
   struct RelayBody {
     std::uint64_t broadcast_id;
-    std::uint32_t state;
+    std::uint32_t record;
     Pos parent;
     Range subtree;
   };
   struct DoneBody {
     std::uint64_t broadcast_id;
-    std::uint32_t state;
+    std::uint32_t record;
     Pos parent;
     std::size_t unreachable;
     int repairs;
   };
 
-  /// The live state `id` in pool slot `index`, or nullptr if finished.
-  State* find(std::uint64_t id, std::uint32_t index);
-  static NodeId node_at(const State& state, Pos pos) {
-    return pos == state.list->size() ? state.root : (*state.list)[pos];
+  static NodeId node_at(const Record& record, Pos pos) {
+    return pos == record.list->size() ? record.root : (*record.list)[pos];
   }
   void on_relay(NodeId self, const net::Message& msg);
   void on_done(NodeId self, const net::Message& msg);
-  void fan_out(State& state, Pos pos, Range range);
-  void attempt_child(State& state, Pos pos, std::uint32_t slot_index, int attempts_left);
+  void fan_out(InFlight& record, Pos pos, Range range);
+  void attempt_child(InFlight& record, Pos pos, std::uint32_t slot_index, int attempts_left);
   void child_accepted(std::uint64_t id, std::uint32_t index, Pos pos,
                       std::uint32_t slot_index, int attempts_left, bool ok);
   void watchdog_fired(std::uint64_t id, std::uint32_t index, Pos pos,
                       std::uint32_t slot_index);
-  void child_finished(State& state, Pos pos, std::size_t slot_index,
+  void child_finished(InFlight& record, Pos pos, std::size_t slot_index,
                       std::size_t unreachable, int repairs);
-  void maybe_finish_node(State& state, Pos pos);
-  void finish_root(State& state);
-  void send_done(State& state, Pos from, Pos to, std::size_t unreachable, int repairs);
+  void maybe_finish_node(InFlight& record, Pos pos);
+  void send_done(InFlight& record, Pos from, Pos to, std::size_t unreachable, int repairs);
 
+  net::ReliableTransport* transport_;
   net::MessageType relay_type_;
   net::MessageType done_type_;
-  /// Stable storage: a delivery hook may start another broadcast while
-  /// on_relay still holds its State.
-  util::SlabPool<State> states_;
   std::uint64_t total_repairs_ = 0;
 };
 

@@ -55,7 +55,7 @@ Gateway::Gateway(sim::Engine& engine, net::Network& network,
       config_(config) {
   if (rm_.config().use_reliable_transport) {
     transport_ = std::make_unique<net::ReliableTransport>(
-        net_, Rng(derive_seed(config_.transport_seed, 0xF3)), config_.transport,
+        net_, Rng(derive_seed(config_.transport_seed, 0xF3)), net::TransportOptions{},
         "frontend");
   }
   // Requests and refreshes go to the master, reads and refresh replies
@@ -82,15 +82,6 @@ Gateway::Gateway(sim::Engine& engine, net::Network& network,
   // no-op handler keeps the delivery from being logged as a drop (and
   // counts a retransmitted reliable response as a suppressed duplicate).
   net_.register_handler(kMsgRpcResponse, [](net::NodeId, const net::Message&) {});
-}
-
-void Gateway::respond(net::NodeId from, net::NodeId to, net::Message msg,
-                      net::SendCallback on_complete) {
-  if (transport_) {
-    transport_->send(from, to, std::move(msg), 0, std::move(on_complete));
-  } else {
-    net_.send(from, to, std::move(msg), 0, std::move(on_complete));
-  }
 }
 
 Gateway::~Gateway() {
@@ -251,10 +242,10 @@ void Gateway::on_master_request(const net::Message& msg) {
     net::Message resp;
     resp.type = kMsgRpcResponse;
     resp.bytes = bytes;
-    respond(rm_.deployment().master, it->second.source, std::move(resp),
-            [this, id](bool ok) {
-              resolve(id, ok ? RpcOutcome::Ok : RpcOutcome::Unavailable);
-            });
+    net::send(net_, transport_.get(), rm_.deployment().master, it->second.source,
+              std::move(resp), 0, [this, id](bool ok) {
+                resolve(id, ok ? RpcOutcome::Ok : RpcOutcome::Unavailable);
+              });
   });
 }
 
@@ -294,9 +285,10 @@ void Gateway::serve_from_cache(std::size_t sat_index, std::uint64_t id) {
   net::Message resp;
   resp.type = kMsgRpcResponse;
   resp.bytes = response_bytes(kind, entries);
-  respond(sat.node, it->second.source, std::move(resp), [this, id](bool ok) {
-    resolve(id, ok ? RpcOutcome::Ok : RpcOutcome::Unavailable);
-  });
+  net::send(net_, transport_.get(), sat.node, it->second.source, std::move(resp), 0,
+            [this, id](bool ok) {
+              resolve(id, ok ? RpcOutcome::Ok : RpcOutcome::Unavailable);
+            });
 }
 
 void Gateway::begin_refresh(std::size_t sat_index, RpcKind kind) {

@@ -86,7 +86,6 @@ struct GatewayConfig {
   /// network chaos is retransmitted instead of failing a request the
   /// server already did the work for.  Requests keep raw sends -- the
   /// client-side retry/backoff policy already covers them.
-  net::TransportOptions transport;
   std::uint64_t transport_seed = 1;
 };
 
@@ -188,9 +187,6 @@ class Gateway {
   void on_refresh_request(const net::Message& msg);
   void resolve(std::uint64_t id, RpcOutcome outcome);
   void arm_watchdog(std::uint64_t id);
-  /// Sends a kMsgRpcResponse through the reliable transport when enabled.
-  void respond(net::NodeId from, net::NodeId to, net::Message msg,
-               net::SendCallback on_complete);
   /// Listing size of a read query's snapshot right now.
   std::size_t live_entries(RpcKind kind) const;
   std::size_t response_bytes(RpcKind kind, std::size_t entries) const;

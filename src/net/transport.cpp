@@ -21,6 +21,22 @@ SimTime worst_case_send_time(const TransportOptions& options,
          static_cast<SimTime>(backoff_sum);
 }
 
+void send(Network& network, ReliableTransport* transport, NodeId from, NodeId to,
+          Message msg, SimTime timeout, SendCallback on_complete) {
+  if (transport) {
+    transport->send(from, to, std::move(msg), timeout, std::move(on_complete));
+  } else {
+    network.send(from, to, std::move(msg), timeout, std::move(on_complete));
+  }
+}
+
+SimTime contact_budget(const Network& network, const ReliableTransport* transport,
+                       SimTime timeout) {
+  if (timeout <= 0) timeout = network.link_model().default_timeout;
+  if (!transport) return timeout;
+  return worst_case_send_time(transport->options(), timeout);
+}
+
 ReliableTransport::ReliableTransport(Network& network, Rng rng,
                                      TransportOptions options, std::string name)
     : network_(network),

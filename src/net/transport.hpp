@@ -64,6 +64,20 @@ struct TransportOptions {
 SimTime worst_case_send_time(const TransportOptions& options,
                              SimTime per_attempt_timeout);
 
+class ReliableTransport;
+
+/// The one raw-or-reliable switch of the control plane: sends through
+/// `transport` when one is given, as one raw Network::send otherwise.
+void send(Network& network, ReliableTransport* transport, NodeId from, NodeId to,
+          Message msg, SimTime timeout = 0, SendCallback on_complete = {});
+
+/// Worst-case duration of one such send against an unresponsive peer:
+/// `timeout` (the link default when <= 0) raw, the transport's full
+/// retransmit schedule otherwise.  Watchdogs must scale with this or they
+/// fire mid-retransmit.
+SimTime contact_budget(const Network& network, const ReliableTransport* transport,
+                       SimTime timeout);
+
 /// Reliable sender multiplexed over one Network.  One instance serves
 /// many (from, to, type) streams; subsystems typically own one transport
 /// and route all their control traffic through it.

@@ -58,7 +58,7 @@ EslurmRm::EslurmRm(sim::Engine& engine, net::Network& network,
     // Own seed stream: the transport draws rng only on retransmit
     // backoffs, so loss-free runs stay bit-identical to raw sends.
     transport_ = std::make_unique<net::ReliableTransport>(
-        net_, Rng(derive_seed(config_.seed, 0x7A7)), config_.transport, "rm");
+        net_, Rng(derive_seed(config_.seed, 0x7A7)), net::TransportOptions{}, "rm");
   }
   if (config_.use_fp_tree) {
     auto fp = std::make_unique<comm::FpTreeBroadcaster>(
@@ -111,15 +111,6 @@ EslurmRm::~EslurmRm() {
   for (const net::MessageType type : {kMsgSatelliteTask, kMsgSatelliteHeartbeat,
                                       kMsgSatelliteResult, kMsgSatelliteReregister})
     net_.unregister_handler(type);
-}
-
-void EslurmRm::rm_send(NodeId from, NodeId to, net::Message msg, SimTime timeout,
-                       net::SendCallback on_complete) {
-  if (transport_) {
-    transport_->send(from, to, std::move(msg), timeout, std::move(on_complete));
-  } else {
-    net_.send(from, to, std::move(msg), timeout, std::move(on_complete));
-  }
 }
 
 void EslurmRm::start(SimTime horizon) {
@@ -175,10 +166,7 @@ SimTime EslurmRm::subtask_watchdog_delay(std::size_t list_size) const {
   // With the reliable transport every tree contact may run a full
   // retransmit schedule before failing, so the watchdog budgets that
   // per-contact worst case instead of one raw timeout.
-  const SimTime contact =
-      transport_ ? net::worst_case_send_time(transport_->options(),
-                                             config_.bcast.timeout)
-                 : config_.bcast.timeout;
+  const SimTime contact = net::contact_budget(net_, transport_.get(), config_.bcast.timeout);
   return contact * (config_.bcast.retries + 1) * (depth + 3);
 }
 
@@ -271,25 +259,26 @@ void EslurmRm::send_task(NodeId sat_node, std::size_t bytes, std::uint64_t dispa
   msg.bytes = bytes;
   msg.payload = TaskBody{dispatch_id, static_cast<std::uint32_t>(subtask_index),
                          static_cast<std::uint32_t>(sat_index)};
-  rm_send(deployment_.master, sat_node, std::move(msg), config_.bcast.timeout,
-          [this, dispatch_id, subtask_index, sat_index](bool ok) {
-            if (!ok) {
-              // The satellite did not accept the task.
-              subtask_failed(dispatch_id, subtask_index, sat_index);
-              return;
-            }
-            const auto it = dispatches_.find(dispatch_id);
-            if (it == dispatches_.end()) return;
-            Subtask& st = it->second->subtasks[subtask_index];
-            if (st.done) return;
-            // Accepted; watch for a missing completion report (the
-            // satellite may die mid-broadcast).
-            st.watchdog = engine_.schedule_after(
-                subtask_watchdog_delay(st.list->size()),
-                [this, dispatch_id, subtask_index, sat_index] {
-                  subtask_failed(dispatch_id, subtask_index, sat_index);
-                });
-          });
+  net::send(net_, transport_.get(), deployment_.master, sat_node, std::move(msg),
+            config_.bcast.timeout,
+            [this, dispatch_id, subtask_index, sat_index](bool ok) {
+              if (!ok) {
+                // The satellite did not accept the task.
+                subtask_failed(dispatch_id, subtask_index, sat_index);
+                return;
+              }
+              const auto it = dispatches_.find(dispatch_id);
+              if (it == dispatches_.end()) return;
+              Subtask& st = it->second->subtasks[subtask_index];
+              if (st.done) return;
+              // Accepted; watch for a missing completion report (the
+              // satellite may die mid-broadcast).
+              st.watchdog = engine_.schedule_after(
+                  subtask_watchdog_delay(st.list->size()),
+                  [this, dispatch_id, subtask_index, sat_index] {
+                    subtask_failed(dispatch_id, subtask_index, sat_index);
+                  });
+            });
 }
 
 void EslurmRm::subtask_failed(std::uint64_t dispatch_id, std::size_t subtask_index,
@@ -358,8 +347,8 @@ void EslurmRm::start_relay(std::uint64_t dispatch_id, std::uint32_t subtask_inde
         reply.type = kMsgSatelliteResult;
         reply.bytes = 128;
         reply.payload = ResultBody{dispatch_id, subtask_index, result};
-        rm_send(sat_node, deployment_.master, std::move(reply),
-                config_.bcast.timeout);
+        net::send(net_, transport_.get(), sat_node, deployment_.master, std::move(reply),
+                  config_.bcast.timeout);
       });
 }
 
@@ -454,16 +443,17 @@ void EslurmRm::heartbeat_satellites() {
     ping.bytes = 64;
     if (auto* t = telemetry_)
       t->metrics.counter("rm.heartbeats_sent").inc();
-    rm_send(deployment_.master, sat.node, std::move(ping), config_.bcast.timeout,
-            [this, i](bool ok) {
-                if (auto* t = telemetry_)
-                  t->metrics
-                      .counter("rm.heartbeat_results",
-                               {{"result", ok ? "ok" : "fail"}})
-                      .inc();
-                apply_event(i, ok ? SatelliteEvent::HbSuccess
-                                  : SatelliteEvent::HbFailure);
-              });
+    net::send(net_, transport_.get(), deployment_.master, sat.node, std::move(ping),
+              config_.bcast.timeout,
+              [this, i](bool ok) {
+                  if (auto* t = telemetry_)
+                    t->metrics
+                        .counter("rm.heartbeat_results",
+                                 {{"result", ok ? "ok" : "fail"}})
+                        .inc();
+                  apply_event(i, ok ? SatelliteEvent::HbSuccess
+                                    : SatelliteEvent::HbFailure);
+                });
   }
 }
 
@@ -561,17 +551,17 @@ void EslurmRm::finish_promotion(ha::StateImage image, SimTime detection,
     net::Message msg;
     msg.type = kMsgSatelliteReregister;
     msg.bytes = 128;
-    rm_send(new_master, satellites_[i].node, std::move(msg),
-            config_.bcast.timeout, [this, i](bool ok) {
-              if (ok) ++reregistered_;
-              if (auto* t = telemetry_)
-                t->metrics
-                    .counter("ha.failover.reregistrations",
-                             {{"result", ok ? "ok" : "fail"}})
-                    .inc();
-              apply_event(i, ok ? SatelliteEvent::HbSuccess
-                                : SatelliteEvent::HbFailure);
-            });
+    net::send(net_, transport_.get(), new_master, satellites_[i].node, std::move(msg),
+              config_.bcast.timeout, [this, i](bool ok) {
+                if (ok) ++reregistered_;
+                if (auto* t = telemetry_)
+                  t->metrics
+                      .counter("ha.failover.reregistrations",
+                               {{"result", ok ? "ok" : "fail"}})
+                      .inc();
+                apply_event(i, ok ? SatelliteEvent::HbSuccess
+                                  : SatelliteEvent::HbFailure);
+              });
   }
 
   // Completions that reached no master, now that the satellites re-homed.

@@ -145,11 +145,6 @@ class EslurmRm final : public ResourceManager {
   /// (role swap) -- or recovers as master if no promotion happened.
   void master_rejoined(NodeId old_master);
 
-  /// Control-plane send, routed through the reliable transport when
-  /// enabled, raw Network::send otherwise.
-  void rm_send(NodeId from, NodeId to, net::Message msg, SimTime timeout,
-               net::SendCallback on_complete = {});
-
   const cluster::FailurePredictor* predictor_;
   cluster::NullFailurePredictor null_predictor_;
   /// Constructed before relay_ so the broadcaster can route through it.

@@ -332,12 +332,12 @@ bool ResourceManager::disarm_run_timer(sched::JobId id) {
 void ResourceManager::tear_down(sched::JobId id, Teardown outcome) {
   dispatch(nodes_.nodes(id), 512, [this, id, outcome](const comm::BroadcastResult& result) {
     term_bcast_.add(to_seconds(result.elapsed()));
+    if (auto* t = telemetry_)
+      t->metrics.histogram("rm.term_broadcast_seconds", {{"rm", profile_.name}})
+          .observe(to_seconds(result.elapsed()));
     if (outcome == Teardown::End) {
-      if (auto* t = telemetry_) {
-        t->metrics.histogram("rm.term_broadcast_seconds", {{"rm", profile_.name}})
-            .observe(to_seconds(result.elapsed()));
+      if (auto* t = telemetry_)
         t->metrics.counter("rm.jobs_finished", {{"rm", profile_.name}}).inc();
-      }
       nodes_.release(id);
     } else {
       // An aborted payload may have lost nodes: reclaim learns which.

@@ -58,7 +58,6 @@ struct RmRuntimeConfig {
   /// deduplicated so a job is never launched twice.  With no chaos
   /// injector attached behaviour is bit-identical to raw sends.
   bool use_reliable_transport = true;
-  net::TransportOptions transport;
   predict::EstimatorConfig estimator;
   /// High-availability master (WAL + replicated snapshots + standby
   /// promotion).  Off by default; when off, no HA code path runs and

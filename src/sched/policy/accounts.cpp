@@ -1,7 +1,6 @@
 #include "sched/policy/accounts.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace eslurm::sched::policy {
@@ -162,22 +161,12 @@ std::size_t AccountTree::violations(const LiveUsage& usage) const {
   return count;
 }
 
-double AccountTree::decayed(const DecayEntry& entry, SimTime now) const {
-  if (now <= entry.as_of) return entry.usage;
-  const double half_lives = static_cast<double>(now - entry.as_of) / half_life_;
-  return entry.usage * std::exp2(-half_lives);
-}
-
 void AccountTree::charge(const Job& job, double node_seconds, SimTime now) {
   if (node_seconds <= 0) return;
-  const auto charge_entry = [&](DecayEntry& entry) {
-    entry.usage = decayed(entry, now) + node_seconds;
-    entry.as_of = now;
-  };
   const int user = intern_user(job.user);
-  charge_entry(users_[user].decay);
+  users_[user].decay.add(node_seconds, now, half_life_);
   for (int a = effective_account(job, user); a != kNone; a = accounts_[a].parent) {
-    charge_entry(accounts_[a].decay);
+    accounts_[a].decay.add(node_seconds, now, half_life_);
     accounts_[a].budget_spent += node_seconds;  // budgets do not decay
   }
 }
@@ -189,7 +178,7 @@ double AccountTree::charged_node_seconds(const std::string& account) const {
 
 double AccountTree::decayed_usage(const std::string& user, SimTime now) const {
   const int index = user_index(user);
-  return index == kNone ? 0.0 : decayed(users_[index].decay, now);
+  return index == kNone ? 0.0 : users_[index].decay.at(now, half_life_);
 }
 
 void AccountTree::rank_children(int parent, SimTime now) {
@@ -198,8 +187,8 @@ void AccountTree::rank_children(int parent, SimTime now) {
   level_.clear();
   double total_shares = 0.0;
   double total_usage = 0.0;
-  const auto collect = [&](int index, bool is_user, double shares, const DecayEntry& decay) {
-    const double usage = decayed(decay, now);
+  const auto collect = [&](int index, bool is_user, double shares, const DecayedUsage& decay) {
+    const double usage = decay.at(now, half_life_);
     level_.push_back({shares, usage, index, is_user});  // level_fs stashes shares
     total_shares += shares;
     total_usage += usage;

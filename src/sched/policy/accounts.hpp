@@ -25,6 +25,7 @@
 
 #include "sched/job_pool.hpp"
 #include "sched/policy/qos.hpp"
+#include "sched/priority.hpp"
 
 namespace eslurm::sched::policy {
 
@@ -125,16 +126,12 @@ class AccountTree {
   std::unordered_map<std::string, double> fair_tree_factors(SimTime now);
 
  private:
-  struct DecayEntry {
-    double usage = 0.0;
-    SimTime as_of = 0;
-  };
   struct Account {
     std::string name;
     int parent = kNone;  ///< kNone = root
     double shares = 1.0;
     AccountLimits limits;
-    DecayEntry decay;
+    DecayedUsage decay;
     double budget_spent = 0.0;  ///< un-decayed node-seconds charged
   };
   struct User {
@@ -145,7 +142,7 @@ class AccountTree {
     int account = kNone;  ///< kNone = root
     double shares = 1.0;
     UserLimits limits;
-    DecayEntry decay;
+    DecayedUsage decay;
   };
   /// One child of a fair-tree level: an account or a user index.
   struct Ranked {
@@ -160,7 +157,6 @@ class AccountTree {
   /// The account a job charges: its own tag (kNone when the tag is not
   /// registered), else its user's registration.
   int effective_account(const Job& job, int user) const;
-  double decayed(const DecayEntry& entry, SimTime now) const;
   /// Fills level_ with the children of `parent` (kNone = root), sorted by
   /// descending level fairshare, ties broken by name, then accounts first.
   void rank_children(int parent, SimTime now);

@@ -6,27 +6,29 @@
 
 namespace eslurm::sched {
 
+double DecayedUsage::at(SimTime now, SimTime half_life) const {
+  if (now <= as_of) return usage;
+  const double half_lives = static_cast<double>(now - as_of) / half_life;
+  return usage * std::exp2(-half_lives);
+}
+
+void DecayedUsage::add(double amount, SimTime now, SimTime half_life) {
+  usage = at(now, half_life) + amount;
+  as_of = now;
+}
+
 FairshareTracker::FairshareTracker(SimTime half_life) : half_life_(half_life) {
   if (half_life_ <= 0) throw std::invalid_argument("FairshareTracker: half_life > 0");
 }
 
-double FairshareTracker::decayed(double value, SimTime from, SimTime to) const {
-  if (to <= from) return value;
-  const double half_lives = static_cast<double>(to - from) / half_life_;
-  return value * std::exp2(-half_lives);
-}
-
 void FairshareTracker::record_usage(const std::string& user, double node_seconds,
                                     SimTime now) {
-  Entry& entry = usage_[user];
-  entry.usage = decayed(entry.usage, entry.as_of, now) + node_seconds;
-  entry.as_of = now;
+  usage_[user].add(node_seconds, now, half_life_);
 }
 
 double FairshareTracker::raw_usage(const std::string& user, SimTime now) const {
   const auto it = usage_.find(user);
-  if (it == usage_.end()) return 0.0;
-  return decayed(it->second.usage, it->second.as_of, now);
+  return it == usage_.end() ? 0.0 : it->second.at(now, half_life_);
 }
 
 double FairshareTracker::share_factor(const std::string& user, SimTime now,

@@ -14,6 +14,18 @@
 
 namespace eslurm::sched {
 
+/// Usage that decays as `usage * exp2(-(now - as_of) / half_life)`: the
+/// fair-share rule of FairshareTracker and of AccountTree's fair tree.
+struct DecayedUsage {
+  double usage = 0.0;
+  SimTime as_of = 0;
+
+  /// The usage decayed to `now` (unchanged for `now <= as_of`).
+  double at(SimTime now, SimTime half_life) const;
+  /// Decays the usage to `now`, then adds `amount`.
+  void add(double amount, SimTime now, SimTime half_life);
+};
+
 /// Exponentially decayed per-user usage, as in Slurm's fair-share: a
 /// user's share factor falls toward 0 as their recent consumption grows
 /// relative to the cluster.
@@ -33,14 +45,8 @@ class FairshareTracker {
   double raw_usage(const std::string& user, SimTime now) const;
 
  private:
-  double decayed(double value, SimTime from, SimTime to) const;
-
   SimTime half_life_;
-  struct Entry {
-    double usage = 0.0;
-    SimTime as_of = 0;
-  };
-  std::unordered_map<std::string, Entry> usage_;
+  std::unordered_map<std::string, DecayedUsage> usage_;
 };
 
 struct PriorityWeights {

@@ -2,6 +2,7 @@
 // network, with and without node failures.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 #include <optional>
 
@@ -279,17 +280,86 @@ TEST_F(CommFixture, SharedMemoryBoundedByPollInterval) {
   EXPECT_GE(result.elapsed(), milliseconds(100));
 }
 
-TEST_F(CommFixture, DeliveryHookFiresOncePerTarget) {
-  TreeBroadcaster tree(*net);
-  std::vector<int> hits(kNodes, 0);
-  tree.set_delivery_hook([&](NodeId n, std::uint64_t) { ++hits[n]; });
+/// One broadcast structure under test; test names print its name.
+struct Structure {
+  const char* name;
+};
+void PrintTo(const Structure& structure, std::ostream* os) { *os << structure.name; }
+
+// The lifecycle every structure shares (Broadcaster): a record per
+// broadcast, recycled before the callback, and one delivery rule.
+struct BroadcastLifecycle : CommFixture, ::testing::WithParamInterface<Structure> {
+  cluster::StaticFailurePredictor predictor{{1}};
+
+  std::unique_ptr<Broadcaster> make() {
+    const std::string structure = GetParam().name;
+    if (structure == "ring") return std::make_unique<RingBroadcaster>(*net);
+    if (structure == "star") return std::make_unique<StarBroadcaster>(*net);
+    if (structure == "shm") return std::make_unique<SharedMemoryBroadcaster>(*net);
+    if (structure == "tree") return std::make_unique<TreeBroadcaster>(*net);
+    return std::make_unique<FpTreeBroadcaster>(*net, predictor);
+  }
+};
+
+TEST_P(BroadcastLifecycle, EmptyTargetListCompletesOnce) {
+  const auto b = make();
+  int calls = 0;
+  BroadcastResult result;
+  b->broadcast(0, std::vector<NodeId>{}, {}, [&](const BroadcastResult& r) {
+    ++calls;
+    result = r;
+  });
+  engine.run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(result.targets, 0u);
+  EXPECT_EQ(result.delivered, 0u);
+  EXPECT_EQ(result.unreachable, 0u);
+}
+
+TEST_P(BroadcastLifecycle, CallbackStartsTheNextBroadcastInTheFreedSlot) {
+  // The first record is recycled before its callback runs, so the second
+  // broadcast takes the same slot while the first one's late acks and
+  // timers are still in the engine.
+  const auto b = make();
   BroadcastOptions opts;
   opts.tree_width = 3;
-  cluster_model->fail(1);  // force adoption / duplicate relays
-  run(tree, targets(100), opts);
+  std::vector<BroadcastResult> results;
+  b->broadcast(0, targets(20), opts, [&](const BroadcastResult& first) {
+    results.push_back(first);
+    b->broadcast(0, targets(30, 50), opts,
+                 [&](const BroadcastResult& second) { results.push_back(second); });
+  });
+  engine.run();
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_NE(results[0].broadcast_id, results[1].broadcast_id);
+  EXPECT_EQ(results[0].delivered, 20u);
+  EXPECT_EQ(results[1].delivered, 30u);
+  EXPECT_GE(results[1].started, results[0].finished);
+}
+
+TEST_P(BroadcastLifecycle, DeliveryHookFiresOncePerTarget) {
+  const auto b = make();
+  std::vector<int> hits(kNodes, 0);
+  std::size_t hook_calls = 0;
+  b->set_delivery_hook([&](NodeId n, std::uint64_t) {
+    ++hits[n];
+    ++hook_calls;
+  });
+  BroadcastOptions opts;
+  opts.tree_width = 3;
+  cluster_model->fail(1);  // a dead target: the trees adopt its subtree
+  const auto result = run(*b, targets(100), opts);
   for (NodeId n = 2; n <= 100; ++n) EXPECT_EQ(hits[n], 1) << "node " << n;
   EXPECT_EQ(hits[1], 0);
+  EXPECT_EQ(result.delivered, hook_calls);
+  EXPECT_EQ(result.delivered, 99u);
+  EXPECT_EQ(result.unreachable, 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(AllStructures, BroadcastLifecycle,
+                         ::testing::Values(Structure{"ring"}, Structure{"star"},
+                                           Structure{"shm"}, Structure{"tree"},
+                                           Structure{"fptree"}));
 
 }  // namespace
 }  // namespace eslurm::comm

@@ -10,13 +10,20 @@
 #include "ledger_audit.hpp"
 #include "rm/centralized_rm.hpp"
 #include "sched/scheduler.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace eslurm::rm {
 namespace {
 
+/// Enabled before the engine that carries it is built.
+struct EnabledTelemetry : telemetry::Telemetry {
+  EnabledTelemetry() { enable(); }
+};
+
 struct PolicyRmFixture : ::testing::Test {
   static constexpr std::size_t kCompute = 64;
-  sim::Engine engine;
+  EnabledTelemetry telemetry;
+  sim::Engine engine{&telemetry};
   std::optional<net::Network> net;
   std::optional<cluster::ClusterModel> cluster_model;
   RmDeployment deployment;
@@ -179,6 +186,12 @@ TEST_F(PolicyRmFixture, NodeDeathDuringRequeueTeardownIsHandledOnce) {
   // One termination broadcast each: the preemption, the vip's end and the
   // rerun's end on the 63 surviving nodes.
   EXPECT_EQ(manager.termination_broadcast_seconds().count(), 3u);
+  // The telemetry histogram observes every termination broadcast as well,
+  // whatever its outcome.
+  EXPECT_EQ(telemetry.metrics
+                .histogram("rm.term_broadcast_seconds", {{"rm", slurm_profile().name}})
+                .count(),
+            3u);
   EXPECT_EQ(manager.pool().get(1).state, sched::JobState::Completed);
   EXPECT_EQ(manager.pool().get(2).state, sched::JobState::Completed);
   EXPECT_TRUE(manager.nodes().believed_down().test(killed));
