@@ -11,7 +11,7 @@
 namespace eslurm::net {
 
 Network::Network(sim::Engine& engine, std::size_t node_count, LinkModel model, Rng rng)
-    : engine_(engine), model_(model), rng_(rng), hot_(node_count), cold_(node_count) {
+    : engine_(engine), model_(model), rng_(rng), hot_(node_count) {
   if (auto* t = engine_.telemetry()) {
     messages_counter_ = &t->metrics.counter("net.messages_total");
     bytes_counter_ = &t->metrics.counter("net.bytes_total");
@@ -22,14 +22,20 @@ Network::Network(sim::Engine& engine, std::size_t node_count, LinkModel model, R
 
 void Network::set_liveness(std::function<bool(NodeId)> alive) { alive_ = std::move(alive); }
 
-void Network::set_recv_processing(NodeId node, SimTime per_message) {
-  cold_.at(node).recv_processing_override = per_message;
-  hot_[node].has_override = per_message > 0;
+Network::NodeCold& Network::cold_entry(NodeId node) {
+  NodeHot& hot = hot_.at(node);
+  if (hot.cold == 0) {
+    cold_.push_back(NodeCold{.recv_processing = model_.recv_processing});
+    hot.cold = static_cast<std::uint32_t>(cold_.size());
+  }
+  return cold_[hot.cold - 1];
 }
 
-SimTime Network::recv_processing(NodeId node) const {
-  return receive_cost(hot_.at(node), node);
+void Network::set_recv_processing(NodeId node, SimTime per_message) {
+  cold_entry(node).recv_processing = per_message > 0 ? per_message : model_.recv_processing;
 }
+
+SimTime Network::recv_processing(NodeId node) const { return receive_cost(hot_.at(node)); }
 
 void Network::register_handler(MessageType type, Handler handler) {
   if (type < 0) throw std::out_of_range("Network::register_handler: negative type");
@@ -52,17 +58,21 @@ SimTime Network::jittered(SimTime t) {
 void Network::adjust_sockets(NodeId node, int delta) {
   NodeHot& hot = hot_[node];
   hot.open_sockets += delta;
-  if (hot.watched) cold_[node].socket_ts.record(engine_.now(), hot.open_sockets);
+  if (hot.cold == 0) return;
+  NodeCold& entry = cold_[hot.cold - 1];
+  if (entry.watched) entry.socket_ts.record(engine_.now(), hot.open_sockets);
 }
 
 void Network::watch_sockets(NodeId node) {
-  NodeHot& hot = hot_.at(node);
-  hot.watched = true;
-  cold_[node].socket_ts.record(engine_.now(), hot.open_sockets);
+  NodeCold& entry = cold_entry(node);
+  entry.watched = true;
+  entry.socket_ts.record(engine_.now(), hot_[node].open_sockets);
 }
 
 const TimeSeries& Network::socket_series(NodeId node) const {
-  return cold_.at(node).socket_ts;
+  static const TimeSeries kUnwatched;
+  const NodeHot& hot = hot_.at(node);
+  return hot.cold ? cold_[hot.cold - 1].socket_ts : kUnwatched;
 }
 
 void Network::fail_at_deadline(std::uint32_t op) {
@@ -132,7 +142,7 @@ void Network::arrival_step(std::uint32_t op) {
   // Receive-side serialization: one message at a time per node.
   NodeHot& receiver = hot_[state.to];
   const SimTime recv_start = std::max(engine_.now(), receiver.recv_busy_until);
-  const SimTime recv_done = recv_start + receive_cost(receiver, state.to);
+  const SimTime recv_done = recv_start + receive_cost(receiver);
   receiver.recv_busy_until = recv_done;
   engine_.schedule_at(recv_done, Leg<&Network::deliver_step>{this, op});
 }
@@ -150,7 +160,7 @@ void Network::deliver_step(std::uint32_t op) {
     // the same frame -- a reliable op suppresses it like a retransmit.
     NodeHot& r = hot_[state.to];
     const SimTime dup_start = std::max(engine_.now(), r.recv_busy_until);
-    const SimTime dup_done = dup_start + receive_cost(r, state.to);
+    const SimTime dup_done = dup_start + receive_cost(r);
     r.recv_busy_until = dup_done;
     ++state.refs;
     engine_.schedule_at(dup_done, Leg<&Network::deliver_duplicate>{this, op});

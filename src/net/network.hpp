@@ -125,9 +125,12 @@ class Network {
   /// --- socket / traffic accounting -------------------------------------
   int open_sockets(NodeId node) const { return hot_[node].open_sockets; }
 
-  /// Starts recording this node's concurrent-socket count as a time
-  /// series (one point per change).  Only watched nodes pay the memory.
+  /// Starts recording this node's concurrent-socket count as a running
+  /// summary (one record per change, plus one now).  Only watched nodes
+  /// pay the memory; watching a node again only records the current count.
   void watch_sockets(NodeId node);
+  /// The node's socket summary; empty for a node that is not watched.
+  /// The reference is valid until another node is watched or overridden.
   const TimeSeries& socket_series(NodeId node) const;
 
   std::uint64_t total_messages() const { return total_messages_; }
@@ -157,13 +160,14 @@ class Network {
     std::uint64_t sent = 0;
     std::uint64_t received = 0;
     int open_sockets = 0;
-    bool watched = false;       ///< socket_ts records every change
-    bool has_override = false;  ///< recv_processing_override is set
+    std::uint32_t cold = 0;  ///< 1 + the node's index in cold_; 0 = none
   };
   static_assert(sizeof(NodeHot) <= 40, "NodeHot must stay one dense record");
-  /// Per-node state only watched or overridden nodes read.
+  /// State only watched or overridden nodes have: a handful of masters and
+  /// satellites, so cold_ is a small side table, not a per-node one.
   struct NodeCold {
-    SimTime recv_processing_override = 0;
+    SimTime recv_processing = 0;  ///< the override, or the model default
+    bool watched = false;         ///< socket_ts records every change
     TimeSeries socket_ts;
   };
 
@@ -206,9 +210,11 @@ class Network {
 
   bool alive(NodeId node) const { return alive_ ? alive_(node) : true; }
   /// Receive cost of the node whose hot record is `hot`.
-  SimTime receive_cost(const NodeHot& hot, NodeId node) const {
-    return hot.has_override ? cold_[node].recv_processing_override : model_.recv_processing;
+  SimTime receive_cost(const NodeHot& hot) const {
+    return hot.cold ? cold_[hot.cold - 1].recv_processing : model_.recv_processing;
   }
+  /// The node's cold entry, created on first use.
+  NodeCold& cold_entry(NodeId node);
   void adjust_sockets(NodeId node, int delta);
   SimTime jittered(SimTime t);
 
@@ -253,7 +259,7 @@ class Network {
   std::function<bool(NodeId)> alive_;
   ChaosInjector* chaos_ = nullptr;
   std::vector<NodeHot> hot_;
-  std::vector<NodeCold> cold_;
+  std::vector<NodeCold> cold_;  ///< indexed by NodeHot::cold - 1
   /// One handler per message type, indexed by type: delivery is one
   /// vector index -- no hashing, and no table that grows with the node
   /// count.  Message types are small dense integers (see

@@ -44,7 +44,6 @@ int DaemonStats::sockets_now() const {
 void DaemonStats::sample() {
   const SimTime now = engine_.now();
   const double cpu = cpu_seconds();
-  cpu_minutes_.record(now, cpu / 60.0);
   const double wall = to_seconds(now - last_sample_at_);
   if (wall > 0) {
     const double util = 100.0 * (cpu - last_sample_cpu_) / wall;

@@ -59,7 +59,6 @@ class DaemonStats {
   int sockets_now() const;
 
   // --- sampled series (one point per sample tick) ---------------------
-  const TimeSeries& cpu_minutes_series() const { return cpu_minutes_; }
   const TimeSeries& cpu_util_series() const { return cpu_util_; }   ///< %
   const TimeSeries& rss_series() const { return rss_mb_series_; }
   const TimeSeries& vmem_series() const { return vmem_gb_series_; }
@@ -82,7 +81,7 @@ class DaemonStats {
   double last_sample_cpu_ = 0.0;
   SimTime last_sample_at_ = 0;
   SimTime last_window_start_ = 0;
-  TimeSeries cpu_minutes_, cpu_util_, rss_mb_series_, vmem_gb_series_, sockets_;
+  TimeSeries cpu_util_, rss_mb_series_, vmem_gb_series_, sockets_;
   std::unique_ptr<sim::PeriodicTask> sampler_;
 };
 

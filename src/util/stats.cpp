@@ -1,6 +1,7 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace eslurm {
 
@@ -97,34 +98,19 @@ double Histogram::quantile(double q) const {
   return clamp_observed(hi_ + (max_ - hi_) * std::clamp(frac, 0.0, 1.0));
 }
 
-void TimeSeries::record(SimTime t, double value) { points_.emplace_back(t, value); }
-
-double TimeSeries::max_value() const {
-  double m = 0.0;
-  bool first = true;
-  for (const auto& [t, v] : points_) {
-    (void)t;
-    if (first || v > m) m = v;
-    first = false;
-  }
-  return m;
-}
-
-double TimeSeries::mean_value() const {
-  if (points_.empty()) return 0.0;
-  double s = 0.0;
-  for (const auto& [t, v] : points_) {
-    (void)t;
-    s += v;
-  }
-  return s / static_cast<double>(points_.size());
+void TimeSeries::record(SimTime t, double value) {
+  assert(peaks_.empty() || t >= peaks_.back().first);
+  if (count_ == 0 || value > max_) max_ = value;
+  sum_ += value;
+  ++count_;
+  while (!peaks_.empty() && peaks_.back().second <= value) peaks_.pop_back();
+  peaks_.emplace_back(t, value);
 }
 
 double TimeSeries::max_since(SimTime t0) const {
-  double best = 0.0;
-  for (auto it = points_.rbegin(); it != points_.rend() && it->first >= t0; ++it)
-    best = std::max(best, it->second);
-  return best;
+  const auto it = std::lower_bound(peaks_.begin(), peaks_.end(), t0,
+                                   [](const auto& p, SimTime t) { return p.first < t; });
+  return it == peaks_.end() ? 0.0 : std::max(0.0, it->second);
 }
 
 }  // namespace eslurm

@@ -78,27 +78,40 @@ class Histogram {
   double min_ = 0.0, max_ = 0.0, sum_ = 0.0;
 };
 
-/// Time series of (sim time, value) samples with down-sampled summaries.
-/// The resource accountant records one of these per metric per daemon
-/// (CPU time, memory, concurrent sockets ...).
+/// Running summary of a (sim time, value) series: the count, the sum in
+/// record order, the first-then-greater maximum, and a suffix-maximum
+/// stack that answers last() and max_since().  No point list is kept.
+/// The stack holds only points greater than every later one, so its
+/// values strictly decrease front to back, and its size is bounded by
+/// the number of distinct values recorded (for a socket count, the peak
+/// count plus one), not by the number of records.  The resource
+/// accountant keeps one per metric per daemon (CPU, memory, concurrent
+/// sockets ...), and the network one per watched node.
+///
+/// `record` requires non-decreasing `t` (every caller passes the
+/// engine's current time); this is asserted in debug builds.
 class TimeSeries {
  public:
   void record(SimTime t, double value);
 
-  std::size_t size() const { return points_.size(); }
-  bool empty() const { return points_.empty(); }
-  const std::vector<std::pair<SimTime, double>>& points() const { return points_; }
+  std::size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
 
-  double last() const { return points_.empty() ? 0.0 : points_.back().second; }
-  double max_value() const;
-  double mean_value() const;
+  double last() const { return peaks_.empty() ? 0.0 : peaks_.back().second; }
+  double max_value() const { return max_; }
+  double mean_value() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
 
-  /// Max of values recorded at t >= t0 (scans from the end; intended for
-  /// recent windows).  Returns 0 for an empty window.
+  /// Max of the values recorded at t >= t0, floored at 0.  Returns 0 for
+  /// an empty window.  O(log stack size).
   double max_since(SimTime t0) const;
 
  private:
-  std::vector<std::pair<SimTime, double>> points_;
+  std::size_t count_ = 0;
+  double sum_ = 0.0;
+  double max_ = 0.0;
+  /// Suffix maxima, values strictly decreasing, times non-decreasing;
+  /// the back is the last point recorded.
+  std::vector<std::pair<SimTime, double>> peaks_;
 };
 
 }  // namespace eslurm

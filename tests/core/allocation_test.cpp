@@ -9,7 +9,8 @@
 //   * engine: pooled event slots + inline captures, so schedule/execute
 //     cycles touch no allocator;
 //   * network: recycled SendOp slots, a flat handler table and inline
-//     {this, op} event captures across all legs of a send;
+//     {this, op} event captures across all legs of a send; a watched
+//     node's socket series is a bounded summary, not a point list;
 //   * transport: one pooled send op per reliable send (held through
 //     retransmit backoffs and marked once processed) and inline message
 //     bodies, so a reliable round trip -- retransmits included -- hashes
@@ -292,6 +293,48 @@ TEST(ZeroAllocation, NetworkSteadyStatePingPong) {
   EXPECT_EQ(network.send_op_pool_capacity(), warm_ops);
   EXPECT_EQ(engine.heap_fallback_events(), 0u);
   EXPECT_GT(pinger.sent, warm_sent + 100);  // traffic actually flowed
+  EXPECT_EQ(network.failed_sends(), 0u);
+}
+
+TEST(ZeroAllocation, WatchedSocketSeriesSteadyState) {
+  if (!ESLURM_ALLOC_HOOK) GTEST_SKIP() << "allocation hook disabled under sanitizers";
+
+  // NetworkSteadyStatePingPong with both endpoints watched: every socket
+  // open and close records into a bounded running summary, so the
+  // series stops allocating once its peak stack has reached the peak
+  // socket count.
+  sim::Engine engine;
+  net::Network network(engine, 4, net::LinkModel{}, Rng(42));
+  network.watch_sockets(0);
+  network.watch_sockets(1);
+  network.register_handler(kPing, [](net::NodeId, const net::Message&) {});
+
+  struct Pinger {
+    net::Network& network;
+    std::uint64_t sent = 0;
+    void fire() {
+      ++sent;
+      net::Message msg;
+      msg.type = kPing;
+      msg.bytes = 64;
+      network.send(0, 1, std::move(msg), /*timeout=*/0, [this](bool) { fire(); });
+    }
+  };
+  Pinger pinger{network};
+  pinger.fire();
+  engine.run_until(milliseconds(50));  // warm-up
+  const std::size_t warm_records = network.socket_series(0).size();
+
+  std::uint64_t allocated;
+  {
+    CountingScope scope;
+    engine.run_until(seconds(1));
+    allocated = CountingScope::count();
+  }
+  EXPECT_EQ(allocated, 0u) << "recording a watched node's sockets must not grow "
+                              "with the number of messages";
+  EXPECT_GT(network.socket_series(0).size(), warm_records + 200);  // it kept recording
+  EXPECT_EQ(network.socket_series(0).max_value(), 1.0);
   EXPECT_EQ(network.failed_sends(), 0u);
 }
 

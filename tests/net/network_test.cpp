@@ -7,6 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "../util/time_series_oracle.hpp"
+
 namespace eslurm::net {
 namespace {
 
@@ -105,13 +107,24 @@ TEST_F(NetFixture, SocketAccountingOpensAndCloses) {
   net.watch_sockets(0);
   EXPECT_EQ(net.open_sockets(0), 0);
   net.send(0, 1, Message{.type = 1});
-  bool saw_open = false;
   engine.run();
   EXPECT_EQ(net.open_sockets(0), 0);
   EXPECT_EQ(net.open_sockets(1), 0);
-  for (const auto& [t, v] : net.socket_series(0).points())
-    if (v > 0) saw_open = true;
-  EXPECT_TRUE(saw_open);
+  EXPECT_GT(net.socket_series(0).max_value(), 0);  // saw the socket open
+}
+
+TEST_F(NetFixture, WatchingAgainKeepsOneSeriesAndTheOverride) {
+  Network net = make(2);
+  net.set_recv_processing(0, microseconds(70));
+  net.watch_sockets(0);
+  net.watch_sockets(0);  // re-sample, as an HA takeover does
+  EXPECT_EQ(net.recv_processing(0), microseconds(70));
+  net.send(0, 1, Message{.type = 1});
+  engine.run();
+  // Two watch samples plus one record per socket change (open, close).
+  EXPECT_EQ(net.socket_series(0).size(), 4u);
+  EXPECT_EQ(net.socket_series(0).max_value(), 1.0);
+  EXPECT_TRUE(net.socket_series(1).empty());
 }
 
 TEST_F(NetFixture, LargerMessagesTakeLonger) {
@@ -210,7 +223,7 @@ TEST_F(NetFixture, PingPongSocketSeriesAndCountersMatchPinnedValues) {
     for (NodeId n = 1; n < 4; ++n) net.send(0, n, Message{.type = 2});
   engine.run();
   EXPECT_EQ(pongs, 9);
-  using Series = std::vector<std::pair<SimTime, double>>;
+  using Series = PointListSeries::Points;
   const Series master{
       {0, 0},       {0, 1},       {0, 2},       {0, 3},       {0, 4},       {0, 5},
       {0, 6},       {0, 7},       {0, 8},       {0, 9},       {115951, 10}, {125525, 11},
@@ -222,8 +235,8 @@ TEST_F(NetFixture, PingPongSocketSeriesAndCountersMatchPinnedValues) {
   const Series node2{{0, 0},      {0, 1},      {0, 2},      {0, 3},      {125525, 4},
                      {152137, 3}, {153690, 4}, {180933, 3}, {186163, 4}, {213448, 3},
                      {318133, 2}, {439829, 1}, {560104, 0}};
-  EXPECT_EQ(net.socket_series(0).points(), master);
-  EXPECT_EQ(net.socket_series(2).points(), node2);
+  expect_same_summary(net.socket_series(0), PointListSeries(master));
+  expect_same_summary(net.socket_series(2), PointListSeries(node2));
   EXPECT_TRUE(net.socket_series(1).empty());  // unwatched
   EXPECT_EQ(net.messages_sent(0), 9u);
   EXPECT_EQ(net.messages_received(0), 9u);

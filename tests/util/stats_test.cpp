@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
+#include "time_series_oracle.hpp"
 
 namespace eslurm {
 namespace {
@@ -120,6 +123,49 @@ TEST(TimeSeriesTest, LastMaxMean) {
   EXPECT_DOUBLE_EQ(ts.last(), 4.0);
   EXPECT_DOUBLE_EQ(ts.max_value(), 6.0);
   EXPECT_DOUBLE_EQ(ts.mean_value(), 4.0);
+}
+
+TEST(TimeSeriesTest, MatchesBruteForce) {
+  // Randomized sequences mixing equal timestamps, negative values,
+  // repeated levels and long monotone runs; after every record the
+  // running summary must equal a full scan of the points, exactly.
+  std::mt19937_64 gen(2024);
+  for (int sequence = 0; sequence < 24; ++sequence) {
+    TimeSeries live;
+    PointListSeries oracle;
+    expect_same_summary(live, oracle);
+    SimTime t = static_cast<SimTime>(gen() % 1000);
+    double level = 0.0;
+    for (int i = 0; i < 160; ++i) {
+      switch (gen() % 4) {  // time step: repeats are common
+        case 0: break;
+        case 1: t += 1; break;
+        case 2: t += static_cast<SimTime>(gen() % 50); break;
+        default: t += static_cast<SimTime>(gen() % 100000); break;
+      }
+      double value = 0.0;
+      switch ((i / 40 + sequence) % 4) {  // 40-record runs of one kind
+        case 0:  // small integer levels, negatives included
+          value = static_cast<double>(static_cast<int>(gen() % 13) - 4);
+          break;
+        case 1:  // long rising run
+          level += static_cast<double>(gen() % 3);
+          value = level;
+          break;
+        case 2:  // long falling run into negatives
+          level -= static_cast<double>(gen() % 3);
+          value = level;
+          break;
+        default:  // arbitrary reals
+          value = std::uniform_real_distribution<double>(-50.0, 50.0)(gen);
+          break;
+      }
+      live.record(t, value);
+      oracle.record(t, value);
+      expect_same_summary(live, oracle);
+      if (::testing::Test::HasFailure()) return;  // one report, not thousands
+    }
+  }
 }
 
 }  // namespace
