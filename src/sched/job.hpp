@@ -12,6 +12,11 @@ namespace eslurm::sched {
 using JobId = std::uint64_t;
 inline constexpr JobId kNoJob = 0;
 
+/// Dense key of a user, account or QoS name in one JobPool's name tables
+/// (set by JobPool::submit); kNoKey on a job never submitted to a pool.
+using NameKey = std::int32_t;
+inline constexpr NameKey kNoKey = -1;
+
 enum class JobState : std::uint8_t {
   Pending,    ///< submitted, waiting for resources
   Starting,   ///< allocation done, launch broadcast in flight
@@ -52,6 +57,11 @@ struct Job {
   /// attempt resumes here instead of zero when checkpointing is on.
   SimTime checkpoint_progress = 0;
   JobState state = JobState::Pending;
+  // Keys of `user`, `account` and `qos` in the pool that holds the job:
+  // the scheduler pass resolves names through these, never by string.
+  NameKey user_key = kNoKey;
+  NameKey account_key = kNoKey;
+  NameKey qos_key = kNoKey;
 
   SimTime wait_time() const { return start_time >= 0 ? start_time - submit_time : -1; }
   /// Runtime the system observed (censored at the limit for timeouts).

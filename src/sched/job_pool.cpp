@@ -1,17 +1,33 @@
 #include "sched/job_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 
 namespace eslurm::sched {
+
+namespace {
+
+std::atomic<std::uint64_t> next_serial{1};
+
+NameKey intern(std::unordered_map<std::string, NameKey>& table, const std::string& name) {
+  return table.try_emplace(name, static_cast<NameKey>(table.size())).first->second;
+}
+
+}  // namespace
+
+JobPool::Serial::Serial() : value(next_serial.fetch_add(1, std::memory_order_relaxed)) {}
 
 JobId JobPool::submit(Job job) {
   if (job.id == kNoJob) throw std::invalid_argument("JobPool::submit: job needs an id");
   if (job.state != JobState::Pending)
     throw std::invalid_argument("JobPool::submit: job must be Pending");
   const JobId id = job.id;
-  if (!jobs_.emplace(id, std::move(job)).second)
-    throw std::invalid_argument("JobPool::submit: duplicate job id");
+  if (jobs_.count(id)) throw std::invalid_argument("JobPool::submit: duplicate job id");
+  job.user_key = intern(user_keys_, job.user);
+  job.account_key = intern(account_keys_, job.account);
+  job.qos_key = intern(qos_keys_, job.qos);
+  jobs_.emplace(id, std::move(job));
   pending_.push_back(id);
   return id;
 }

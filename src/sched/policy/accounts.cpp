@@ -1,12 +1,37 @@
 #include "sched/policy/accounts.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 namespace eslurm::sched::policy {
 
 namespace {
+
 const std::string kEmpty;
+
+static_assert(KeyCache::kMiss == AccountTree::kNone);
+
+/// Re-sorts `order`, already ranked by the previous walk, under the strict
+/// total order `less`: insertion sort while the order is nearly right,
+/// std::sort once it has shifted elements more than twice its length.
+/// Any correct sort of a strict total order returns the same sequence.
+template <class Less>
+void warm_sort(std::vector<int>& order, Less less) {
+  std::size_t budget = 2 * order.size();
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    const int item = order[i];
+    std::size_t j = i;
+    for (; j > 0 && less(item, order[j - 1]); --j) order[j] = order[j - 1];
+    order[j] = item;
+    if (i - j > budget) {
+      std::sort(order.begin(), order.end(), less);
+      return;
+    }
+    budget -= i - j;
+  }
+}
+
 }  // namespace
 
 AccountTree::AccountTree(SimTime half_life) : half_life_(half_life) {
@@ -51,6 +76,12 @@ void AccountTree::ensure_user(const std::string& user, const std::string& accoun
   set_user(user, account);
 }
 
+void AccountTree::ensure_user(const Job& job) {
+  if (job.user.empty()) return;
+  const int index = user_of(job);
+  if (index == kNone || !users_[index].registered) set_user(job.user, job.account);
+}
+
 bool AccountTree::has_user(const std::string& user) const {
   const int index = user_index(user);
   return index != kNone && users_[index].registered;
@@ -78,12 +109,23 @@ int AccountTree::intern_user(const std::string& user) {
   return it->second;
 }
 
+int AccountTree::user_of(const Job& job) const {
+  return user_keys_.find_or(job.user_key, [&] { return user_index(job.user); });
+}
+
 int AccountTree::effective_account(const Job& job, int user) const {
-  if (!job.account.empty()) return find_account(job.account);  // unregistered: no caps
+  if (!job.account.empty())  // unregistered: no caps
+    return account_keys_.find_or(job.account_key, [&] { return find_account(job.account); });
   return user == kNone ? kNone : users_[user].account;
 }
 
+void AccountTree::bind(const JobPool& pool) {
+  user_keys_.bind(pool);
+  account_keys_.bind(pool);
+}
+
 void AccountTree::usage_from(const JobPool& pool, LiveUsage& usage) {
+  bind(pool);
   usage.by_user.assign(users_.size(), LiveUsage::Entry{});
   usage.by_account.assign(accounts_.size(), LiveUsage::Entry{});
   for (const JobId id : pool.active()) {
@@ -94,7 +136,7 @@ void AccountTree::usage_from(const JobPool& pool, LiveUsage& usage) {
 }
 
 void AccountTree::add_usage(LiveUsage& usage, const Job& job) {
-  const int user = intern_user(job.user);
+  const int user = user_keys_.find_or(job.user_key, [&] { return intern_user(job.user); });
   if (usage.by_user.size() <= static_cast<std::size_t>(user))
     usage.by_user.resize(users_.size());
   LiveUsage::Entry& mine = usage.by_user[user];
@@ -117,7 +159,7 @@ std::optional<std::string_view> AccountTree::may_start(const Job& job,
                ? table[index]
                : kNoUsage;
   };
-  const int user = user_index(job.user);
+  const int user = user_of(job);
   const LiveUsage::Entry& mine = held_in(usage.by_user, user);
   // Per-QoS per-user caps bind first (Slurm checks QOS before
   // association limits).
@@ -165,7 +207,8 @@ void AccountTree::charge(const Job& job, double node_seconds, SimTime now) {
   if (node_seconds <= 0) return;
   const int user = intern_user(job.user);
   users_[user].decay.add(node_seconds, now, half_life_);
-  for (int a = effective_account(job, user); a != kNone; a = accounts_[a].parent) {
+  const int charged = job.account.empty() ? users_[user].account : find_account(job.account);
+  for (int a = charged; a != kNone; a = accounts_[a].parent) {
     accounts_[a].decay.add(node_seconds, now, half_life_);
     accounts_[a].budget_spent += node_seconds;  // budgets do not decay
   }
@@ -181,34 +224,55 @@ double AccountTree::decayed_usage(const std::string& user, SimTime now) const {
   return index == kNone ? 0.0 : users_[index].decay.at(now, half_life_);
 }
 
-void AccountTree::rank_children(int parent, SimTime now) {
+void AccountTree::rebuild_levels() {
+  levels_.resize(accounts_.size() + 1);
+  for (Level& level : levels_) level.children.clear();
+  for (std::size_t a = 0; a < accounts_.size(); ++a)
+    levels_[accounts_[a].parent + 1].children.push_back({.index = static_cast<int>(a)});
+  for (std::size_t u = 0; u < users_.size(); ++u)
+    if (users_[u].registered)
+      levels_[users_[u].account + 1].children.push_back(
+          {.index = static_cast<int>(u), .is_user = true});
+
+  std::vector<Child*> by_name;
+  for (Level& level : levels_) {
+    for (Child& child : level.children) by_name.push_back(&child);
+    level.order.resize(level.children.size());
+    std::iota(level.order.begin(), level.order.end(), 0);
+  }
+  const auto name_of = [this](const Child& c) -> const std::string& {
+    return c.is_user ? users_[c.index].name : accounts_[c.index].name;
+  };
+  std::sort(by_name.begin(), by_name.end(), [&](const Child* a, const Child* b) {
+    if (const int order = name_of(*a).compare(name_of(*b)); order != 0) return order < 0;
+    return a->is_user < b->is_user;  // an account and a user may share a name
+  });
+  for (std::size_t i = 0; i < by_name.size(); ++i) by_name[i]->ordinal = static_cast<int>(i);
+}
+
+void AccountTree::rank_level(Level& level, SimTime now) {
   // Level fairshare = shares fraction / decayed-usage fraction (Slurm's
   // Fair Tree).  With zero aggregate usage everything ties on shares.
-  level_.clear();
   double total_shares = 0.0;
   double total_usage = 0.0;
-  const auto collect = [&](int index, bool is_user, double shares, const DecayedUsage& decay) {
-    const double usage = decay.at(now, half_life_);
-    level_.push_back({shares, usage, index, is_user});  // level_fs stashes shares
+  for (Child& c : level.children) {
+    const double shares = c.is_user ? users_[c.index].shares : accounts_[c.index].shares;
+    const DecayedUsage& decay = c.is_user ? users_[c.index].decay : accounts_[c.index].decay;
+    c.usage = decay.at(now, half_life_);
+    c.level_fs = shares;  // stashed until the totals are known
     total_shares += shares;
-    total_usage += usage;
-  };
-  const std::size_t slot = static_cast<std::size_t>(parent + 1);
-  for (const int a : child_accounts_[slot])
-    collect(a, false, accounts_[a].shares, accounts_[a].decay);
-  for (const int u : child_users_[slot]) collect(u, true, users_[u].shares, users_[u].decay);
-  for (Ranked& r : level_) {
-    const double shares_frac = total_shares > 0.0 ? r.level_fs / total_shares : 1.0;
-    const double usage_frac = total_usage > 0.0 ? r.usage / total_usage : 0.0;
-    r.level_fs = shares_frac / std::max(usage_frac, 1e-9);
+    total_usage += c.usage;
   }
-  const auto name_of = [this](const Ranked& r) -> const std::string& {
-    return r.is_user ? users_[r.index].name : accounts_[r.index].name;
-  };
-  std::sort(level_.begin(), level_.end(), [&](const Ranked& a, const Ranked& b) {
-    if (a.level_fs != b.level_fs) return a.level_fs > b.level_fs;
-    if (const int order = name_of(a).compare(name_of(b)); order != 0) return order < 0;
-    return a.is_user < b.is_user;  // an account and a user may share a name
+  for (Child& c : level.children) {
+    const double shares_frac = total_shares > 0.0 ? c.level_fs / total_shares : 1.0;
+    const double usage_frac = total_usage > 0.0 ? c.usage / total_usage : 0.0;
+    c.level_fs = shares_frac / std::max(usage_frac, 1e-9);
+  }
+  warm_sort(level.order, [&children = level.children](int a, int b) {
+    const Child& x = children[a];
+    const Child& y = children[b];
+    if (x.level_fs != y.level_fs) return x.level_fs > y.level_fs;
+    return x.ordinal < y.ordinal;
   });
 }
 
@@ -217,15 +281,7 @@ void AccountTree::fair_tree_factors(SimTime now, std::vector<double>& factors) {
   if (registered_users_ == 0) return;
 
   if (children_stale_) {
-    child_accounts_.resize(accounts_.size() + 1);
-    child_users_.resize(accounts_.size() + 1);
-    for (auto& list : child_accounts_) list.clear();
-    for (auto& list : child_users_) list.clear();
-    for (std::size_t a = 0; a < accounts_.size(); ++a)
-      child_accounts_[accounts_[a].parent + 1].push_back(static_cast<int>(a));
-    for (std::size_t u = 0; u < users_.size(); ++u)
-      if (users_[u].registered)
-        child_users_[users_[u].account + 1].push_back(static_cast<int>(u));
+    rebuild_levels();
     children_stale_ = false;
   }
 
@@ -233,17 +289,21 @@ void AccountTree::fair_tree_factors(SimTime now, std::vector<double>& factors) {
   // and users receive rank / user_count in traversal order.
   const double total_users = static_cast<double>(registered_users_);
   std::size_t rank = registered_users_;
-  rank_children(kNone, now);
-  stack_.assign(level_.rbegin(), level_.rend());  // keep rank order on a LIFO stack
+  const auto push_ranked = [&](Level& level) {
+    rank_level(level, now);
+    for (auto it = level.order.rbegin(); it != level.order.rend(); ++it)
+      stack_.push_back(&level.children[*it]);  // rank order on a LIFO stack
+  };
+  stack_.clear();
+  push_ranked(levels_[0]);
   while (!stack_.empty()) {
-    const Ranked top = stack_.back();
+    const Child& top = *stack_.back();
     stack_.pop_back();
     if (top.is_user) {
       factors[top.index] = static_cast<double>(rank) / total_users;
       --rank;
     } else {
-      rank_children(top.index, now);
-      stack_.insert(stack_.end(), level_.rbegin(), level_.rend());
+      push_ranked(levels_[top.index + 1]);
     }
   }
 }

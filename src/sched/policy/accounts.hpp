@@ -81,6 +81,8 @@ class AccountTree {
   /// Lazily registers an unknown user the first time a job of theirs is
   /// seen, under the job's account tag.  Known users are untouched.
   void ensure_user(const std::string& user, const std::string& account);
+  /// ensure_user for a pool job, resolved through its name keys.
+  void ensure_user(const Job& job);
 
   bool has_account(const std::string& name) const { return find_account(name) != kNone; }
   bool has_user(const std::string& user) const;
@@ -90,10 +92,20 @@ class AccountTree {
   /// Dense index of a user seen so far (registered, charged or counted in
   /// live usage), kNone otherwise.
   int user_index(const std::string& user) const;
+  /// user_index of a job's user through its key (see bind).  A kNone
+  /// answer is never cached: the name may be added later.
+  int user_of(const Job& job) const;
+
+  // --- pool keys -------------------------------------------------------
+  /// Points the key translations at `pool` (dropping them when it is not
+  /// the pool they came from).  The Job overloads below resolve a job's
+  /// user and account through its keys once bound, and by name for a job
+  /// with no keys; between binds they must be handed jobs of that pool.
+  void bind(const JobPool& pool);
 
   // --- live usage ------------------------------------------------------
-  /// Refills `usage` with the pool's active (starting/running/completing)
-  /// jobs, reusing its storage.
+  /// Binds `pool`, then refills `usage` with its active
+  /// (starting/running/completing) jobs, reusing its storage.
   void usage_from(const JobPool& pool, LiveUsage& usage);
   /// Adds one job to a live snapshot (in-pass admission bookkeeping).
   void add_usage(LiveUsage& usage, const Job& job);
@@ -110,7 +122,8 @@ class AccountTree {
 
   // --- consumption ledger ----------------------------------------------
   /// Charges completed (or preempted-partial) consumption: budget ledger
-  /// plus decayed fair-tree usage for the user and every ancestor.
+  /// plus decayed fair-tree usage for the user and every ancestor.  A
+  /// released job may come from any pool, so this resolves names.
   void charge(const Job& job, double node_seconds, SimTime now);
   /// Un-decayed node-seconds charged against an account's budget so far.
   double charged_node_seconds(const std::string& account) const;
@@ -144,12 +157,25 @@ class AccountTree {
     UserLimits limits;
     DecayedUsage decay;
   };
-  /// One child of a fair-tree level: an account or a user index.
-  struct Ranked {
-    double level_fs = 0.0;
-    double usage = 0.0;
+  /// One child of a fair-tree level: an account or a registered user.
+  struct Child {
     int index = kNone;
     bool is_user = false;
+    /// Rank of (name, is_user) among all accounts and registered users:
+    /// the tie-break of equal level fairshares, name order with an
+    /// account before a user of the same name.
+    int ordinal = 0;
+    double usage = 0.0;     ///< decayed usage at the walk's time
+    double level_fs = 0.0;  ///< shares fraction / usage fraction
+  };
+  /// The children of one account (or of the root).
+  struct Level {
+    /// Child accounts, then registered users, each in index order: the
+    /// order in which the level's totals are summed.
+    std::vector<Child> children;
+    /// Positions in `children`, ranked by descending level fairshare,
+    /// then ordinal; the previous walk's ranking is the next one's start.
+    std::vector<int> order;
   };
 
   int find_account(const std::string& name) const;
@@ -157,9 +183,10 @@ class AccountTree {
   /// The account a job charges: its own tag (kNone when the tag is not
   /// registered), else its user's registration.
   int effective_account(const Job& job, int user) const;
-  /// Fills level_ with the children of `parent` (kNone = root), sorted by
-  /// descending level fairshare, ties broken by name, then accounts first.
-  void rank_children(int parent, SimTime now);
+  /// Rebuilds every level's children and the name ordinals.
+  void rebuild_levels();
+  /// Computes the level's fairshares at `now` and re-ranks `order`.
+  void rank_level(Level& level, SimTime now);
 
   SimTime half_life_;
   std::vector<Account> accounts_;
@@ -167,17 +194,18 @@ class AccountTree {
   std::unordered_map<std::string, int> account_ids_;
   std::unordered_map<std::string, int> user_ids_;
   std::size_t registered_users_ = 0;
+  /// Pool key -> user / account index, for the Job overloads.
+  mutable KeyCache user_keys_;
+  mutable KeyCache account_keys_;
 
-  // Fair-tree walk state.  The child lists change only when
+  // Fair-tree walk state.  The levels change only when
   // add_account/set_user reshape the tree, so they are rebuilt lazily on
-  // the next walk; level_ and stack_ are scratch reused across walks.
+  // the next walk; each level keeps its last ranking, and stack_ is
+  // scratch reused across walks.
   bool children_stale_ = true;
-  /// Child accounts / registered users in index order; slot 0 is the
-  /// root, slot a + 1 is account a.
-  std::vector<std::vector<int>> child_accounts_;
-  std::vector<std::vector<int>> child_users_;
-  std::vector<Ranked> level_;
-  std::vector<Ranked> stack_;
+  /// Slot 0 is the root, slot a + 1 is account a.
+  std::vector<Level> levels_;
+  std::vector<const Child*> stack_;
 };
 
 }  // namespace eslurm::sched::policy

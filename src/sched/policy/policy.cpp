@@ -9,16 +9,19 @@ namespace eslurm::sched::policy {
 
 PolicyState::PolicyState(PolicyConfig config) : config_(std::move(config)) {}
 
+void PolicyState::bind(const JobPool& pool) {
+  config_.accounts.bind(pool);
+  config_.qos.bind(pool);
+}
+
 void PolicyState::refresh_factors(const JobPool& pool, SimTime now) {
-  for (const JobId id : pool.pending()) {
-    const Job& job = pool.get(id);
-    config_.accounts.ensure_user(job.user, job.account);
-  }
+  bind(pool);
+  for (const JobId id : pool.pending()) config_.accounts.ensure_user(pool.get(id));
   config_.accounts.fair_tree_factors(now, factors_);
 }
 
-double PolicyState::share_factor(const std::string& user) const {
-  const int index = config_.accounts.user_index(user);
+double PolicyState::share_factor(const Job& job) const {
+  const int index = config_.accounts.user_of(job);
   return index == AccountTree::kNone || static_cast<std::size_t>(index) >= factors_.size()
              ? 1.0
              : factors_[index];
@@ -31,7 +34,7 @@ void PolicyState::begin_admission(const JobPool& pool) {
 bool PolicyState::held_by_limits(const Job& job) {
   if (!config_.enforce_limits) return false;
   const auto reason =
-      config_.accounts.may_start(job, config_.qos.resolve(job.qos), usage_);
+      config_.accounts.may_start(job, config_.qos.resolve(job), usage_);
   if (!reason) return false;
   ++limit_holds_;
   if (telemetry_)
@@ -101,6 +104,7 @@ std::vector<policy::PreemptionOrder> Scheduler::preemption_orders(const JobPool&
   if (state.blocked_head_ == kNoJob || !pool.contains(state.blocked_head_)) return {};
   const Job& head = pool.get(state.blocked_head_);
   if (head.state != JobState::Pending) return {};
+  state.bind(pool);  // victims are priced through their keys
   if (now - head.submit_time < config.preempt_wait) return {};
   const policy::QosClass& head_qos = config.qos.resolve(head.qos);
   if (head_qos.preempts.empty()) return {};

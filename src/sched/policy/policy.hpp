@@ -95,12 +95,16 @@ class PolicyState {
  private:
   friend class sched::Scheduler;
 
-  /// Fair-tree ordering input: registers first-seen users under their
-  /// job's account tag (the tree self-assembles, so fair-tree and account
-  /// limits cover the whole population without sacctmgr-style setup),
-  /// then recomputes the per-user factors.
+  /// Points the tree's and the QoS set's key translations at `pool`.
+  void bind(const JobPool& pool);
+  /// Fair-tree ordering input: binds `pool`, registers first-seen users
+  /// under their job's account tag (the tree self-assembles, so fair-tree
+  /// and account limits cover the whole population without
+  /// sacctmgr-style setup), then recomputes the per-user factors.
   void refresh_factors(const JobPool& pool, SimTime now);
-  double share_factor(const std::string& user) const;
+  /// The job's fair-tree factor from the latest pass (1 for a user the
+  /// pass did not rank).
+  double share_factor(const Job& job) const;
   /// Snapshot of live usage for this pass's admission decisions.
   void begin_admission(const JobPool& pool);
   /// True (and counted) when the job's QoS/user/account limits hold it.

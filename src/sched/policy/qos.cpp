@@ -22,6 +22,7 @@ void QosSet::add(QosClass qos) {
   if (qos.name.empty()) throw std::invalid_argument("QosSet::add: class needs a name");
   if (find(qos.name)) throw std::invalid_argument("QosSet::add: duplicate class");
   classes_.push_back(std::move(qos));
+  by_key_.clear();
 }
 
 const QosClass* QosSet::find(const std::string& name) const {
@@ -38,6 +39,15 @@ const QosClass& QosSet::resolve(const std::string& name) const {
   // built-in permissive default.
   if (const QosClass* normal = find("normal")) return *normal;
   return default_class_;
+}
+
+const QosClass& QosSet::resolve(const Job& job) const {
+  const int slot = by_key_.find_or(job.qos_key, [&] {
+    const QosClass& qos = resolve(job.qos);
+    return &qos == &default_class_ ? static_cast<int>(classes_.size())
+                                   : static_cast<int>(&qos - classes_.data());
+  });
+  return static_cast<std::size_t>(slot) < classes_.size() ? classes_[slot] : default_class_;
 }
 
 bool QosSet::may_preempt(const std::string& preemptor_class,

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "sched/job.hpp"
+#include "sched/job_pool.hpp"
 
 namespace eslurm::sched::policy {
 
@@ -59,6 +59,11 @@ class QosSet {
   /// The class for a job: its named class, or the default for "" and
   /// unknown names.
   const QosClass& resolve(const std::string& name) const;
+  /// resolve(job.qos) through the job's qos_key once `bind` named its
+  /// pool (by name for a job with no keys).
+  const QosClass& resolve(const Job& job) const;
+  /// Points the key translation at `pool` (see AccountTree::bind).
+  void bind(const JobPool& pool) { by_key_.bind(pool); }
 
   /// True when `preemptor_class` may evict `victim_class` per the matrix
   /// (the preemptor lists the victim AND the victim is not exempt).
@@ -73,6 +78,9 @@ class QosSet {
  private:
   std::vector<QosClass> classes_;
   QosClass default_class_;  ///< resolve("") / unknown-name fallback
+  /// Pool key -> index in classes_, or classes_.size() for default_class_;
+  /// add() clears it.
+  mutable KeyCache by_key_;
 };
 
 }  // namespace eslurm::sched::policy

@@ -1,6 +1,7 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "telemetry/telemetry.hpp"
 
@@ -83,8 +84,8 @@ void Scheduler::set_telemetry(telemetry::Telemetry* telemetry) {
 double Scheduler::priority_of(const Job& job, SimTime now) const {
   if (ordering_ != Ordering::FairTree) return calculator_.priority(job, now, fairshare_);
   const policy::PolicyConfig& config = policy_->config_;
-  return calculator_.priority_from_factors(job, now, policy_->share_factor(job.user)) +
-         config.qos_weight * config.qos.resolve(job.qos).priority_boost;
+  return calculator_.priority_from_factors(job, now, policy_->share_factor(job)) +
+         config.qos_weight * config.qos.resolve(job).priority_boost;
 }
 
 void Scheduler::on_job_released(const Job& job, SimTime now) {
@@ -139,14 +140,13 @@ void Scheduler::rank(const JobPool& pool, SimTime now) {
   for (const auto& [neg_priority, id] : ranked_) ordered_.push_back(id);
 }
 
-void Scheduler::sort_releases(const JobPool& pool, SimTime now) {
+void Scheduler::collect_releases(const JobPool& pool, SimTime now) {
   releases_.clear();
   releases_.reserve(pool.active().size());
   for (const JobId id : pool.active()) {
     const Job& job = pool.get(id);
     releases_.emplace_back(expected_end(job, now), job.nodes);
   }
-  std::sort(releases_.begin(), releases_.end());
 }
 
 std::vector<JobId> Scheduler::start_and_backfill(const JobPool& pool, int free_nodes,
@@ -184,13 +184,18 @@ std::vector<JobId> Scheduler::start_and_backfill(const JobPool& pool, int free_n
   // over at that moment after the head takes its share.  If running jobs
   // can never free enough nodes the head is unsatisfiable right now
   // (machine too small / draining) and no reservation constrains the
-  // backfill.
+  // backfill.  The walk usually stops after a few releases, so they come
+  // off a min-heap in sorted order rather than from a full sort.
   const int head_nodes = pool.get(ordered_[cursor++]).nodes;
-  sort_releases(pool, now);
+  collect_releases(pool, now);
+  const auto later = std::greater<>();
+  std::make_heap(releases_.begin(), releases_.end(), later);
   SimTime shadow = kTimeNever;
   int spare = 0;
   int avail = free_nodes;
-  for (const auto& [end, nodes] : releases_) {
+  for (auto heap_end = releases_.end(); heap_end != releases_.begin(); --heap_end) {
+    std::pop_heap(releases_.begin(), heap_end, later);
+    const auto& [end, nodes] = *(heap_end - 1);
     avail += nodes;
     if (avail >= head_nodes) {
       shadow = end;
@@ -229,7 +234,8 @@ std::vector<JobId> Scheduler::conservative_pass(const JobPool& pool, int free_no
   // that instant on, seeded by the expected ends of active jobs.  No job
   // can be delayed by a later arrival, at the cost of more planning work
   // per cycle.
-  sort_releases(pool, now);
+  collect_releases(pool, now);
+  std::sort(releases_.begin(), releases_.end());
   timeline_.clear();
   timeline_.push_back({now, free_nodes});
   int level = free_nodes;

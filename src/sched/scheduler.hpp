@@ -73,7 +73,9 @@ class Scheduler {
   const policy::PolicyState* policy() const { return policy_.get(); }
 
   /// Priority of one job right now under this ordering (squeue-style
-  /// introspection; also prices preemption victims).
+  /// introspection; also prices preemption victims).  The fair-tree
+  /// ordering reads the latest pass's factors through the job's name
+  /// keys, so `job` must be hand-made or come from that pass's pool.
   double priority_of(const Job& job, SimTime now) const;
   /// Flat fair-share ledger of the "priority" ordering.
   FairshareTracker& fairshare() { return fairshare_; }
@@ -102,8 +104,10 @@ class Scheduler {
   /// free-node timeline; a job starts only if "now" is its earliest slot.
   std::vector<JobId> conservative_pass(const JobPool& pool, int free_nodes,
                                        SimTime now);
-  /// Fills releases_ with (expected end, nodes) of every active job, sorted.
-  void sort_releases(const JobPool& pool, SimTime now);
+  /// Fills releases_ with (expected end, nodes) of every active job,
+  /// unordered: the EASY shadow heap-selects the earliest few, the
+  /// conservative timeline sorts them all.
+  void collect_releases(const JobPool& pool, SimTime now);
 
   Ordering ordering_;
   Backfill backfill_;

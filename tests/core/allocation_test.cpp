@@ -560,6 +560,69 @@ TEST(ZeroAllocation, PolicySchedulerPassAndAudit) {
   EXPECT_EQ(policy.limit_violations(), 0u);
 }
 
+TEST(ZeroAllocation, PolicySchedulerShadowPass) {
+  if (!ESLURM_ALLOC_HOOK) GTEST_SKIP() << "allocation hook disabled under sanitizers";
+
+  // Free nodes behind a blocked head: every pass ranks the queue, finds
+  // the head's shadow among the running jobs' releases, then walks the
+  // backfill candidates.  The wide jobs never fit and the narrow ones are
+  // held by their QoS's one-job cap; ranked last by their negative boost,
+  // they are all reached by the backfill walk, after the shadow.
+  sched::policy::PolicyConfig config;
+  config.qos.add(sched::policy::QosClass{
+      .name = "capped", .priority_boost = -5000.0, .max_running_jobs_per_user = 1});
+  config.accounts.add_account("division");
+  config.accounts.add_account("project-a", "division");
+  config.accounts.add_account("project-b");
+  sched::Scheduler scheduler = sched::make_scheduler("policy", 256, config);
+  sched::policy::PolicyState& policy = *scheduler.policy();
+
+  constexpr int kUsers = 16;
+  constexpr int kFreeNodes = 16;
+  sched::JobPool pool;
+  sched::JobId next = 1;
+  for (int u = 0; u < kUsers; ++u) {
+    const auto add = [&](int nodes, const char* qos) {
+      sched::Job job;
+      job.id = next++;
+      job.user = "user-" + std::to_string(u);
+      job.account = u % 2 ? "project-a" : "project-b";
+      job.qos = qos;
+      job.nodes = nodes;
+      job.submit_time = seconds(static_cast<SimTime>(job.id));
+      job.user_estimate = hours(1 + u % 5);
+      job.actual_runtime = minutes(30);
+      pool.submit(job);
+      return job.id;
+    };
+    const sched::JobId running = add(15, "");
+    pool.mark_starting(running);
+    pool.mark_running(running, minutes(u));
+    add(64, "");
+    add(2, "capped");
+  }
+
+  for (int pass = 0; pass < 3; ++pass) {
+    scheduler.schedule(pool, kFreeNodes, minutes(30 + pass));
+    policy.audit(pool);
+  }
+  const std::uint64_t warm_holds = policy.limit_holds();
+
+  std::uint64_t allocated;
+  std::size_t started;
+  {
+    CountingScope scope;
+    started = scheduler.schedule(pool, kFreeNodes, minutes(40)).size();
+    policy.audit(pool);
+    allocated = CountingScope::count();
+  }
+  EXPECT_EQ(allocated, 0u) << "a steady-state policy pass that computes the EASY "
+                              "shadow must not touch the allocator";
+  EXPECT_EQ(started, 0u);
+  EXPECT_EQ(policy.limit_holds() - warm_holds, static_cast<std::uint64_t>(kUsers));
+  EXPECT_EQ(policy.limit_violations(), 0u);
+}
+
 TEST(ZeroAllocation, EslurmWorldEventsFitInline) {
   // A small ESLURM world with two satellites and HA: the master's
   // subtask sends and the snapshot writes are events whose captures sit

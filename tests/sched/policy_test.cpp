@@ -4,6 +4,11 @@
 // backfill -> preemption orders).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <random>
+
 #include "sched/policy/policy.hpp"
 #include "sched/scheduler.hpp"
 
@@ -255,6 +260,69 @@ TEST(AccountTreeTest, FairTreeFollowsTreeChangesAfterARead) {
   // A re-parent that would close a cycle is refused and changes nothing.
   EXPECT_THROW(tree.add_account("heavy", "a"), std::invalid_argument);
   expect_order({"alice", "bob", "carl", "dave"});
+}
+
+TEST(AccountTreeTest, WarmFactorsMatchColdRecompute) {
+  // A long-lived tree re-ranks every level starting from its previous
+  // walk's order; a tree given the same history and walked once must
+  // give exactly the same factors.  Names are not in index order, a user
+  // may share an account's name, and idle members tie on shares.  With a
+  // one-hour half-life and charges spanning twelve orders of magnitude,
+  // old usage falls under the 1e-9 usage-fraction floor, so members that
+  // ranked apart come to tie: only the name tie-break orders them then.
+  std::mt19937_64 rng(7);
+  const auto pick = [&rng](int n) {
+    return std::uniform_int_distribution<int>(0, n - 1)(rng);
+  };
+  const std::vector<std::string> names = {"kiwi", "fig", "apple", "date",
+                                          "lime", "banana", "cherry", "elder"};
+  std::vector<std::string> accounts = {""};
+  const auto any_account = [&] { return accounts[pick(static_cast<int>(accounts.size()))]; };
+  std::vector<std::function<void(AccountTree&)>> history;
+  AccountTree warm(hours(1));
+  SimTime now = 0;
+  JobId next = 1;
+  for (int step = 0; step < 600; ++step) {
+    std::function<void(AccountTree&)> change;
+    const int kind = pick(20);
+    if (kind == 0) {
+      const std::string name = "proj-" + names[pick(8)];
+      const std::string parent = any_account();
+      if (std::find(accounts.begin(), accounts.end(), name) != accounts.end())
+        continue;  // only fresh accounts: a re-parent may close a cycle
+      const double shares = 1.0 + pick(3);
+      accounts.push_back(name);
+      change = [=](AccountTree& tree) { tree.add_account(name, parent, shares); };
+    } else if (kind <= 2) {
+      const std::string user = pick(4) == 0 ? "proj-" + names[pick(8)] : names[pick(8)];
+      const std::string account = any_account();
+      const double shares = 1.0 + pick(2);
+      if (pick(2) == 0)
+        change = [=](AccountTree& tree) { tree.set_user(user, account, shares); };
+      else
+        change = [=](AccountTree& tree) { tree.ensure_user(user, account); };
+    } else if (kind <= 13) {
+      const Job job = make_job(next++, names[pick(8)], 1 + pick(16), hours(1), 0, "",
+                               pick(3) == 0 ? any_account() : "");
+      const double node_seconds = 3600.0 * std::pow(10.0, 4 * pick(4));
+      const SimTime at = now;
+      change = [=](AccountTree& tree) { tree.charge(job, node_seconds, at); };
+    } else {
+      now += minutes(1 + pick(600));
+    }
+    if (change) {
+      change(warm);
+      history.push_back(change);
+    }
+    std::vector<double> warm_factors;
+    warm.fair_tree_factors(now, warm_factors);
+    AccountTree cold(hours(1));
+    for (const auto& replay : history) replay(cold);
+    std::vector<double> cold_factors;
+    cold.fair_tree_factors(now, cold_factors);
+    ASSERT_EQ(warm_factors, cold_factors) << "step " << step;
+  }
+  EXPECT_GT(warm.user_count(), 4u);
 }
 
 TEST(AccountTreeTest, UnknownParentThrows) {
@@ -510,6 +578,59 @@ TEST(PolicySchedulerTest, ReleaseAndPreemptChargeTheLedger) {
   sched.on_job_preempted(evicted, minutes(15));  // ran 5 of 60 minutes
   EXPECT_NEAR(sched.policy()->accounts().charged_node_seconds("proj"),
               4.0 * 600.0 + 4.0 * 300.0, 1e-6);
+}
+
+TEST(PolicyTest, LateAccountTagResolves) {
+  // The tag names no account yet, so the job charges no account chain and
+  // runs uncapped.  Once the account exists with a cap, the next pass must
+  // find it: an unknown tag is never remembered as "no account".
+  PolicyConfig config = flat_config();
+  config.accounts.set_user("u", "home");
+  JobPool pool;
+  pool.submit(make_job(1, "u", 4, minutes(30), 0, "", "late"));
+  pool.mark_starting(1);
+  pool.mark_running(1, 0);
+  pool.submit(make_job(2, "u", 4, minutes(10), seconds(1), "", "late"));
+  Scheduler sched = make_scheduler("policy", 16, config);
+  EXPECT_EQ(sched.schedule(pool, 12, seconds(2)), (std::vector<JobId>{2}));
+  EXPECT_EQ(sched.policy()->limit_holds(), 0u);
+
+  sched.policy()->accounts().add_account("late", "", 1.0, AccountLimits{.max_nodes = 6});
+  EXPECT_TRUE(sched.schedule(pool, 12, seconds(3)).empty());
+  EXPECT_EQ(sched.policy()->limit_holds(), 1u);
+}
+
+TEST(PolicyTest, OneSchedulerTwoPools) {
+  // The pools key their users and QoS classes in opposite orders, so key 0
+  // is alice (capped at one running job) in one and bob in the other, and
+  // "" in one and "high" in the other.  A scheduler handed one pool after
+  // the other must decide as a fresh scheduler does.
+  PolicyConfig config = flat_config();
+  config.accounts.set_user("alice", "", 1.0, UserLimits{.max_running_jobs = 1});
+  const auto run = [](JobPool& pool, JobId id, const std::string& user,
+                      const std::string& qos) {
+    pool.submit(make_job(id, user, 4, minutes(30), 0, qos));
+    pool.mark_starting(id);
+    pool.mark_running(id, 0);
+  };
+  JobPool first;
+  run(first, 1, "alice", "");
+  first.submit(make_job(2, "bob", 4, minutes(10), seconds(10), "high"));
+  first.submit(make_job(3, "alice", 4, minutes(10), seconds(20)));
+  first.submit(make_job(4, "carl", 4, minutes(10), seconds(30)));
+  JobPool second;
+  run(second, 1, "bob", "high");
+  run(second, 2, "alice", "");
+  second.submit(make_job(3, "carl", 4, minutes(10), 0));
+  second.submit(make_job(4, "bob", 4, minutes(10), seconds(5), "high"));
+  second.submit(make_job(5, "alice", 4, minutes(10), seconds(1)));
+
+  Scheduler shared = make_scheduler("policy", 32, config);
+  for (JobPool* pool : {&first, &second, &first, &second}) {
+    Scheduler fresh = make_scheduler("policy", 32, config);
+    EXPECT_EQ(shared.schedule(*pool, 8, minutes(1)), fresh.schedule(*pool, 8, minutes(1)));
+  }
+  EXPECT_EQ(shared.schedule(second, 8, minutes(1)), (std::vector<JobId>{4, 3}));
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "sched/metrics.hpp"
 
 namespace eslurm::sched {
@@ -153,6 +156,90 @@ TEST_F(BackfillFixture, UnsatisfiableHeadDoesNotBlockBackfillForever) {
   pool.submit(make_job(3, 2, seconds(50)));
   const auto decisions = sched.schedule(pool, 6, 0);
   EXPECT_EQ(decisions, (std::vector<JobId>{3}));
+}
+
+/// The EASY pass of the "easy" preset with its shadow found by sorting
+/// every release: the form the heap-selected shadow must reproduce.
+std::vector<JobId> sorted_shadow_easy(const JobPool& pool, int free_nodes, SimTime now) {
+  const auto estimate = [](const Job& job) {
+    return job.estimate_used > 0 ? job.estimate_used : job.user_estimate;
+  };
+  std::vector<JobId> ordered;
+  for (const JobId id : pool.pending())
+    if (dependency_ready(pool, pool.get(id))) ordered.push_back(id);
+  std::vector<JobId> out;
+  std::size_t cursor = 0;
+  for (; cursor < ordered.size(); ++cursor) {
+    const Job& job = pool.get(ordered[cursor]);
+    if (job.nodes > free_nodes) break;
+    free_nodes -= job.nodes;
+    out.push_back(job.id);
+  }
+  if (cursor >= ordered.size() || free_nodes <= 0) return out;
+  const int head_nodes = pool.get(ordered[cursor++]).nodes;
+  std::vector<std::pair<SimTime, int>> releases;
+  for (const JobId id : pool.active()) {
+    const Job& job = pool.get(id);
+    releases.emplace_back(expected_end(job, now), job.nodes);
+  }
+  std::sort(releases.begin(), releases.end());
+  SimTime shadow = kTimeNever;
+  int spare = 0;
+  int avail = free_nodes;
+  for (const auto& [end, nodes] : releases) {
+    avail += nodes;
+    if (avail >= head_nodes) {
+      shadow = end;
+      spare = avail - head_nodes;
+      break;
+    }
+  }
+  for (; cursor < ordered.size() && free_nodes > 0; ++cursor) {
+    const Job& job = pool.get(ordered[cursor]);
+    if (job.nodes > free_nodes) continue;
+    const bool ends_before_shadow = shadow == kTimeNever || now + estimate(job) <= shadow;
+    const bool fits_spare = shadow == kTimeNever || job.nodes <= spare;
+    if (ends_before_shadow || fits_spare) {
+      free_nodes -= job.nodes;
+      if (fits_spare && !ends_before_shadow) spare -= job.nodes;
+      out.push_back(job.id);
+    }
+  }
+  return out;
+}
+
+TEST(EasyShadowTest, HeapSelectedShadowMatchesSortedShadow) {
+  // Random machines with many equal release times (ends on a minute grid,
+  // overruns bumped past now) and heads of every width, including wider
+  // than the machine can ever free.
+  std::mt19937_64 rng(29);
+  const auto uniform = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  std::size_t backfilled = 0;
+  for (int round = 0; round < 400; ++round) {
+    JobPool pool;
+    JobId next = 1;
+    const SimTime now = minutes(60);
+    int busy = 0;
+    for (int a = uniform(0, 40); a > 0; --a) {
+      Job job = make_job(next++, uniform(1, 16), minutes(uniform(1, 90)));
+      job.estimate_used = uniform(0, 1) ? minutes(uniform(1, 90)) : 0;
+      pool.submit(job);
+      pool.mark_starting(job.id);
+      pool.mark_running(job.id, minutes(uniform(0, 60)));
+      busy += job.nodes;
+    }
+    for (int p = uniform(1, 30); p > 0; --p, ++next)
+      pool.submit(make_job(next, uniform(1, 48), minutes(uniform(1, 120)),
+                           seconds(static_cast<SimTime>(next))));
+    const int free_nodes = uniform(0, 24);
+    Scheduler sched = make_scheduler("easy", busy + free_nodes);
+    const auto expected = sorted_shadow_easy(pool, free_nodes, now);
+    EXPECT_EQ(sched.schedule(pool, free_nodes, now), expected) << "round " << round;
+    backfilled += sched.backfilled_jobs();
+  }
+  EXPECT_GT(backfilled, 0u);  // the rounds exercise the shadow, not just FCFS
 }
 
 TEST(ExpectedEndTest, UsesEstimateAndCorrectsOverruns) {
