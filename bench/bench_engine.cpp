@@ -16,6 +16,13 @@
 //                event is a functor whose prefetch() touches the record,
 //                so the engine starts loading it while the event before
 //                it runs (target: hooked ns/event <= plain).
+//   far_live  -- 256 churn chains beside 16,384 live events 1,000-2,000 s
+//                ahead, each re-armed as it fires: sched_backlog's queue
+//                shape (near traffic plus job ends hours ahead).  The
+//                chains tick in milliseconds, so a full run spans enough
+//                simulated time for the far events to fire.  The far
+//                tier keeps them out of the heap, so the target is
+//                ns/event close to churn_256.
 //   watchdog  -- arm a far-future watchdog, do a step of work, cancel and
 //                re-arm: the tree-broadcast / RM-subtask pattern that
 //                stresses cancel() and lazy-queue compaction.
@@ -58,6 +65,37 @@ double churn(bench::Harness& harness, std::uint64_t total_events, int chains) {
   drivers.reserve(static_cast<std::size_t>(chains));
   for (int c = 0; c < chains; ++c)
     drivers.push_back(Driver{engine, remaining, microseconds(10 + c)});
+
+  const auto t0 = std::chrono::steady_clock::now();
+  for (Driver& driver : drivers) driver.fire();
+  engine.run();
+  const double secs = wall_seconds(t0);
+  harness.record_events(engine.executed_events());
+  return static_cast<double>(engine.executed_events()) / secs;
+}
+
+/// Churn chains plus long-lived far events that re-arm themselves as
+/// they fire; both stop re-arming once `total_events` are spent.
+/// Returns events/sec.
+double far_live(bench::Harness& harness, std::uint64_t total_events, int chains, int far) {
+  sim::Engine engine;
+  std::uint64_t remaining = total_events;
+  struct Driver {
+    sim::Engine& engine;
+    std::uint64_t& remaining;
+    SimTime period;
+    void fire() {
+      if (remaining == 0) return;
+      --remaining;
+      engine.schedule_after(period, [this] { fire(); });
+    }
+  };
+  std::vector<Driver> drivers;
+  drivers.reserve(static_cast<std::size_t>(chains + far));
+  for (int c = 0; c < chains; ++c)
+    drivers.push_back(Driver{engine, remaining, milliseconds(10 + c)});
+  for (int f = 0; f < far; ++f)  // 1,000-2,000 s, spread over the range
+    drivers.push_back(Driver{engine, remaining, seconds(1000) + milliseconds((f * 7919) % 1'000'000)});
 
   const auto t0 = std::chrono::steady_clock::now();
   for (Driver& driver : drivers) driver.fire();
@@ -200,6 +238,11 @@ int main(int argc, char** argv) {
                          {{"events_per_sec", depth.eps}, {"ns_per_event", 1e9 / depth.eps}});
   }
 
+  const double far_live_eps = far_live(harness, n, 256, 16'384);
+  harness.record_point("far_live",
+                       {{"pattern", "far_live"}, {"chains", "256"}, {"far", "16384"}},
+                       {{"events_per_sec", far_live_eps}, {"ns_per_event", 1e9 / far_live_eps}});
+
   // The engine's prefetch hook on a working set beyond the private
   // caches: the same 65,536 chains and hop count as churn_64k.  The two
   // variants run interleaved, five times each, and each point keeps its
@@ -236,12 +279,15 @@ int main(int argc, char** argv) {
   add_row("churn (64 chains)", churn_eps);
   for (const DepthPoint& depth : depths)
     add_row("churn (" + std::to_string(depth.chains) + " chains)", depth.eps);
+  add_row("far_live (256 chains + 16,384 far)", far_live_eps);
   for (const StatePoint& state : states) add_row(state.label, state.eps);
   add_row("watchdog arm+cancel", watchdog_eps);
   add_row("fanout x64", fanout_eps);
   table.print();
   std::printf("churn depth ratio (65,536 / 256 chains, ns per event): %.2f  [target <= 2]\n",
               depths[0].eps / depths[1].eps);
+  std::printf("far-tier ratio (far_live / churn_256, ns per event): %.2f\n",
+              depths[0].eps / far_live_eps);
   std::printf("state hook ratio (hooked / plain, ns per event): %.2f  [target <= 1]\n",
               states[0].eps / states[1].eps);
   harness.check("simulated_events", harness.total_events() > 0,

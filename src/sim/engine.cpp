@@ -1,7 +1,9 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -18,6 +20,11 @@ constexpr std::size_t kCompactionMinQueue = 64;
 
 Engine::Engine(telemetry::Telemetry* telemetry)
     : telemetry_(telemetry && telemetry->enabled() ? telemetry : nullptr) {
+  std::fill(std::begin(wheel_head_), std::end(wheel_head_), kNoBlock);
+  std::fill(std::begin(wheel_first_), std::end(wheel_first_), ~std::uint64_t{0});
+  // The block pool's first chunk is made here, so that the first far
+  // event of a run allocates nothing.
+  blocks_.release(blocks_.acquire());
   if (auto* t = telemetry_) {
     executed_counter_ = &t->metrics.counter("sim.events_executed");
     depth_gauge_ = &t->metrics.gauge("sim.queue_depth");
@@ -40,7 +47,8 @@ bool Engine::cancel(EventId id) {
   const std::uint64_t seq = id >> kSlotBits;
   if (seq == 0 || index >= pool_.capacity()) return false;
   EventSlot& slot = pool_[index];
-  if (slot.seq != seq) return false;  // ran, cancelled, or slot reused
+  if ((slot.seq & ~kWheelBit) != seq) return false;  // ran, cancelled, or slot reused
+  if (slot.seq & kWheelBit) ++wheel_dead_;
   slot.fn.reset();  // destroy the capture now, not at slot reuse
   slot.seq = 0;
   pool_.release(index);
@@ -48,16 +56,149 @@ bool Engine::cancel(EventId id) {
   return true;
 }
 
+bool Engine::park(SimTime t, std::uint64_t key) {
+  const std::uint64_t bucket = bucket_of(t);
+  if (wheel_size_ == 0) {
+    cur_bucket_ = std::max(cur_bucket_, bucket_of(now_));
+    if (bucket <= cur_bucket_) return false;
+  }
+  const std::uint64_t pos = bucket & (kWheelBuckets - 1);
+  wheel_first_[pos] = std::min(wheel_first_[pos], bucket);
+  std::uint32_t head = wheel_head_[pos];
+  if (head == kNoBlock || blocks_[head].count == WheelBlock::kEntries) {
+    const std::uint32_t fresh = blocks_.acquire();
+    blocks_[fresh].next = head;
+    blocks_[fresh].count = 0;
+    wheel_head_[pos] = head = fresh;
+    wheel_occupied_[pos >> 6] |= std::uint64_t{1} << (pos & 63);
+  }
+  WheelBlock& block = blocks_[head];
+  block.entries[block.count++] = {static_cast<std::uint64_t>(t), key};
+  ++wheel_size_;
+  return true;
+}
+
+inline void Engine::settle() {
+  if (queue_.empty() && wheel_size_ != 0) advance_wheel();
+}
+
+std::uint64_t Engine::next_occupied(std::uint64_t* due) const {
+  // Scan the occupancy words from the index after the current bucket,
+  // wrapping around to the current bucket's own bit last.
+  const std::uint64_t start = (cur_bucket_ + 1) & (kWheelBuckets - 1);
+  std::uint64_t word = start >> 6;
+  std::uint64_t bits = wheel_occupied_[word] & (~std::uint64_t{0} << (start & 63));
+  while (bits == 0) {
+    word = (word + 1) % std::size(wheel_occupied_);
+    bits = wheel_occupied_[word];
+  }
+  const std::uint64_t pos = (word << 6) | static_cast<std::uint64_t>(std::countr_zero(bits));
+  *due = cur_bucket_ + 1 + ((pos - start) & (kWheelBuckets - 1));
+  return pos;
+}
+
+void Engine::advance_wheel() {
+  do {
+    std::uint64_t due;
+    const std::uint64_t pos = next_occupied(&due);
+    cur_bucket_ = due;
+    if (wheel_first_[pos] == due) sweep_bucket(pos, /*migrate=*/true);
+  } while (queue_.empty() && wheel_size_ != 0);
+}
+
+std::uint64_t Engine::peek_wheel() const {
+  std::uint64_t due;
+  const std::uint64_t pos = next_occupied(&due);
+  if (wheel_first_[pos] != due) return 0;  // only later laps there
+  QueueEntry best = ~QueueEntry{0};
+  for (std::uint32_t b = wheel_head_[pos]; b != kNoBlock; b = blocks_[b].next) {
+    const WheelBlock& block = blocks_[b];
+    for (std::uint32_t i = 0; i < block.count; ++i) {
+      const WheelEntry& e = block.entries[i];
+      const auto time = static_cast<SimTime>(e.time);
+      if (bucket_of(time) == due && parked_live(e.key)) best = std::min(best, make_entry(time, e.key));
+    }
+  }
+  return best == ~QueueEntry{0} ? 0 : entry_key(best);
+}
+
+void Engine::sweep_bucket(std::uint64_t pos, bool migrate) {
+  // Compacts the bucket's block list in place: a write cursor trails the
+  // read cursor, and the blocks past the last written one are freed.
+  const std::uint32_t head = wheel_head_[pos];
+  std::uint32_t write = head;
+  std::uint32_t written = 0;
+  std::uint64_t first = ~std::uint64_t{0};
+  for (std::uint32_t read = head; read != kNoBlock;) {
+    const WheelBlock& block = blocks_[read];
+    const std::uint32_t count = block.count;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const WheelEntry entry = block.entries[i];
+      if (!parked_live(entry.key)) {
+        --wheel_dead_;
+        --wheel_size_;
+        continue;
+      }
+      const std::uint64_t bucket = bucket_of(static_cast<SimTime>(entry.time));
+      if (migrate && bucket == cur_bucket_) {
+        pool_[static_cast<std::uint32_t>(entry.key & kSlotMask)].seq &= ~kWheelBit;
+        queue_.push(make_entry(static_cast<SimTime>(entry.time), entry.key));
+        --wheel_size_;
+        continue;
+      }
+      assert(bucket > cur_bucket_ && "a wheel entry lies past the current bucket");
+      if (written == WheelBlock::kEntries) {
+        blocks_[write].count = written;
+        write = blocks_[write].next;
+        written = 0;
+      }
+      blocks_[write].entries[written++] = entry;
+      first = std::min(first, bucket);
+    }
+    read = block.next;
+  }
+  wheel_first_[pos] = first;
+  std::uint32_t spare;
+  if (written == 0) {  // nothing kept: the bucket empties
+    spare = head;
+    wheel_head_[pos] = kNoBlock;
+    wheel_occupied_[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
+  } else {
+    blocks_[write].count = written;
+    spare = blocks_[write].next;
+    blocks_[write].next = kNoBlock;
+  }
+  while (spare != kNoBlock) {
+    const std::uint32_t next = blocks_[spare].next;
+    blocks_.release(spare);
+    spare = next;
+  }
+}
+
 void Engine::maybe_compact() {
-  // Lazy-cancel hygiene: cancelled entries stay in the queue until their
-  // timestamp would have fired.  Workloads that arm-and-cancel watchdogs
-  // far in the future (tree broadcasts, subtask monitors) accumulate
-  // them; once more than half the queue is dead weight, rebuild it.
-  if (queue_.size() < kCompactionMinQueue) return;
-  if (stale_entries() * 2 <= queue_.size()) return;
-  auto& entries = queue_.container();
-  std::erase_if(entries, [this](const QueueEntry& e) { return !entry_live(e); });
-  queue_.rebuild();
+  // Lazy-cancel hygiene: cancelled entries stay queued until they are
+  // popped from the heap or their wheel bucket comes due.  Workloads
+  // that arm-and-cancel watchdogs far in the future (tree broadcasts,
+  // subtask monitors) accumulate them; once more than half of heap plus
+  // wheel is dead weight, sweep both tiers.  Each tier is swept only if
+  // it holds dead entries, and the wheel sweep visits occupied buckets
+  // only, so a compaction costs what the queue holds.
+  const std::size_t total = queue_size();
+  if (total < kCompactionMinQueue) return;
+  const std::size_t stale = stale_entries();
+  if (stale * 2 <= total) return;
+  if (stale > wheel_dead_) {  // the heap holds some
+    auto& entries = queue_.container();
+    std::erase_if(entries, [this](const QueueEntry& e) { return !entry_live(e); });
+    queue_.rebuild();
+  }
+  if (wheel_dead_ != 0) {
+    for (std::uint64_t word = 0; word < std::size(wheel_occupied_); ++word) {
+      for (std::uint64_t bits = wheel_occupied_[word]; bits != 0; bits &= bits - 1)
+        sweep_bucket((word << 6) | static_cast<std::uint64_t>(std::countr_zero(bits)),
+                     /*migrate=*/false);
+    }
+  }
   ++compactions_;
   // No gauge refresh here: cancel() may run inside a callback, where the
   // running event is still pending (see stale_entries()).  The next
@@ -66,13 +207,15 @@ void Engine::maybe_compact() {
 }
 
 void Engine::publish_telemetry() {
-  depth_gauge_->set(static_cast<double>(queue_.size()));
+  depth_gauge_->set(static_cast<double>(queue_size()));
   stale_gauge_->set(stale_ratio());
   executed_counter_->inc(static_cast<double>(executed_) - executed_counter_->value());
 }
 
 bool Engine::step() {
-  while (!queue_.empty()) {
+  for (;;) {
+    settle();
+    if (queue_.empty()) return false;
     const QueueEntry top = queue_.top();
     queue_.pop();
     if (!entry_live(top)) continue;  // cancelled
@@ -86,12 +229,21 @@ bool Engine::step() {
     EventSlot& slot = pool_[index];
     // Two-stage pipeline.  Stage one: start loading the next entry's
     // slot now, so it is in cache by the time this callback returns.
+    // When the heap is empty the next entry may wait in the wheel; it is
+    // only peeked at, since migrating now would move the current bucket
+    // past the entries this callback is about to schedule.
     const EventSlot* next = nullptr;
     std::uint64_t next_seq = 0;
+    std::uint64_t next_key = 0;
     if (!queue_.empty()) {
-      const std::uint64_t next_key = entry_key(queue_.top());
-      next = &pool_[static_cast<std::uint32_t>(next_key & kSlotMask)];
+      next_key = entry_key(queue_.top());
       next_seq = next_key >> kSlotBits;
+    } else if (wheel_size_ != 0) {
+      next_key = peek_wheel();
+      next_seq = (next_key >> kSlotBits) | kWheelBit;
+    }
+    if (next_key != 0) {
+      next = &pool_[static_cast<std::uint32_t>(next_key & kSlotMask)];
       __builtin_prefetch(next);
     }
     slot.seq = 0;
@@ -113,11 +265,12 @@ bool Engine::step() {
     if (depth_gauge_ && (executed_ & 0xFFF) == 0) publish_telemetry();
     return true;
   }
-  return false;
 }
 
 void Engine::run_until(SimTime horizon) {
-  while (!queue_.empty()) {
+  for (;;) {
+    settle();
+    if (queue_.empty()) break;
     // Skip cancelled entries without advancing time.
     if (!entry_live(queue_.top())) {
       queue_.pop();

@@ -16,6 +16,16 @@
 // by the (time, seq) pair where `seq` is the monotonically increasing
 // scheduling sequence number; pooling therefore cannot perturb event
 // order, which the golden-sequence test pins bit-for-bit.
+//
+// Two-tier queue: a 4-ary min-heap holds the entries due in the current
+// bucket of simulated time (2^30 ns, about 1.07 s); a hashed timing wheel
+// (Varghese & Lauck, SOSP 1987) of 512 buckets holds everything due
+// later, laps included.  Watchdogs that are armed and cancelled minutes
+// ahead and job ends hours ahead therefore never enter the heap; a
+// bucket's live entries are pushed into it, with their original
+// (time, seq) key, only once the heap holds nothing earlier, so the
+// execution order is exactly that of a single heap.  DESIGN.md §10
+// describes the tiers, the residency bit and the compaction rule.
 #pragma once
 
 #include <cstdint>
@@ -95,10 +105,15 @@ class Engine {
     EventSlot& slot = pool_[index];
     std::uint64_t seq = next_seq_++ & kSeqMask;
     if (seq == 0) seq = next_seq_++ & kSeqMask;  // 0 marks a dead slot
-    slot.seq = seq;  // recycled handles to this slot die here (ABA safety)
     slot.fn = std::forward<F>(fn);
     const EventId id = (seq << kSlotBits) | index;
-    queue_.push(make_entry(t, id));
+    // Recycled handles to this slot die here (ABA safety).
+    if (bucket_of(t) > cur_bucket_ && park(t, id)) {
+      slot.seq = seq | kWheelBit;
+    } else {
+      slot.seq = seq;
+      queue_.push(make_entry(t, id));
+    }
     return id;
   }
 
@@ -151,25 +166,27 @@ class Engine {
   }
 
   // --- queue hygiene ---------------------------------------------------
-  /// Total priority-queue entries, live plus cancelled-but-unpopped.
-  std::size_t queue_size() const { return queue_.size(); }
-  /// Cancelled entries still occupying queue slots.  `cancel()` only
-  /// frees the event slot; the entry stays queued until its timestamp is
-  /// reached or a compaction sweeps it.  Inside a callback the running
-  /// event counts as pending (see pending_count()) although its entry is
-  /// already popped, so the figure there is one lower than the true stale
-  /// count and wraps when no entry is stale; read it between events.
-  std::size_t stale_entries() const { return queue_.size() - pool_.in_use(); }
+  /// Total queue entries in both tiers (heap plus wheel), live plus
+  /// cancelled-but-unswept.
+  std::size_t queue_size() const { return queue_.size() + wheel_size_; }
+  /// Cancelled entries still occupying either tier.  `cancel()` only
+  /// frees the event slot; the entry stays queued until it is popped
+  /// from the heap, its wheel bucket comes due, or a compaction sweeps
+  /// it.  Inside a callback the running event counts as pending (see
+  /// pending_count()) although its entry is already popped, so the
+  /// figure there is one lower than the true stale count and wraps when
+  /// no entry is stale; read it between events.
+  std::size_t stale_entries() const { return queue_size() - pool_.in_use(); }
   /// Stale fraction of the queue (0 when empty).
   double stale_ratio() const {
-    return queue_.empty() ? 0.0
-                          : static_cast<double>(stale_entries()) /
-                                static_cast<double>(queue_.size());
+    return queue_size() == 0 ? 0.0
+                             : static_cast<double>(stale_entries()) /
+                                   static_cast<double>(queue_size());
   }
   /// Times the queue was compacted because stale entries exceeded half
-  /// of it.  Watchdog-heavy workloads (broadcast trees arm one watchdog
-  /// per child and cancel nearly all of them) previously grew the queue
-  /// until the cancelled timestamps were reached.
+  /// of heap plus wheel.  Watchdog-heavy workloads (broadcast trees arm
+  /// one watchdog per child and cancel nearly all of them) previously
+  /// grew the queue until the cancelled timestamps were reached.
   std::uint64_t compactions() const { return compactions_; }
 
   // --- pool introspection ----------------------------------------------
@@ -185,11 +202,28 @@ class Engine {
   static constexpr unsigned kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1u << kSlotBits) - 1;
   static constexpr std::uint64_t kSeqMask = (1ull << 40) - 1;
+  /// Set in EventSlot::seq while the event's entry waits in the wheel.
+  /// Sequences use 40 bits, so the bit never collides with one; a heap
+  /// entry's slot never carries it, so live_key() needs no mask.
+  static constexpr std::uint64_t kWheelBit = 1ull << 63;
+
+  /// Far-tier geometry.  A bucket spans 2^30 ns (about 1.07 s): wide
+  /// enough that the RM's 1-10 s watchdogs and the 120-300 s tree
+  /// watchdogs leave the heap, narrow enough that a bucket migrated into
+  /// the heap stays small.  512 buckets make one lap about 9 minutes;
+  /// an entry further ahead stays in its bucket across laps until its
+  /// own lap comes.
+  static constexpr unsigned kBucketShift = 30;
+  static constexpr std::uint64_t kWheelBuckets = 512;
+  static std::uint64_t bucket_of(SimTime t) {
+    return static_cast<std::uint64_t>(t) >> kBucketShift;
+  }
 
   struct EventSlot {
     EventFn fn;
-    /// Sequence of the pending event in this slot; 0 once it executed
-    /// (from the start of its callback) or was cancelled.
+    /// Sequence of the pending event in this slot, plus kWheelBit while
+    /// its entry is in the wheel; 0 once it executed (from the start of
+    /// its callback) or was cancelled.
     std::uint64_t seq = 0;
   };
   /// Callable, sequence and free-list link: one cache line per slot.
@@ -322,13 +356,59 @@ class Engine {
     bool bottom_up_ = true;
   };
 
+  /// One wheel entry: a QueueEntry split into two words, so that a
+  /// block is 8-byte aligned and fills its pool slot exactly.
+  struct WheelEntry {
+    std::uint64_t time;
+    std::uint64_t key;
+  };
+  /// A bucket is a singly linked list of blocks, newest first; only the
+  /// head block has room.  Blocks come from a slab pool, so the wheel
+  /// reuses freed blocks and allocates nothing in a steady state.
+  struct WheelBlock {
+    static constexpr std::uint32_t kEntries = 31;
+    WheelEntry entries[kEntries];
+    std::uint32_t next = UINT32_MAX;
+    std::uint32_t count = 0;
+  };
+  /// Entries, link, count and the pool's free-list link: 512 bytes.
+  using BlockPool = util::SlabPool<WheelBlock>;
+  static_assert(BlockPool::kSlotBytes == 512, "a wheel block must be 512 bytes");
+  static constexpr std::uint32_t kNoBlock = BlockPool::kNone;
+
   /// Queued keys always carry a nonzero sequence, so a dead slot
   /// (seq 0) never matches.
   bool live_key(std::uint64_t key) const {
     return pool_[key & kSlotMask].seq == key >> kSlotBits;
   }
   bool entry_live(QueueEntry entry) const { return live_key(entry_key(entry)); }
+  bool parked_live(std::uint64_t key) const {
+    return pool_[key & kSlotMask].seq == ((key >> kSlotBits) | kWheelBit);
+  }
 
+  /// Adds an entry due after the current bucket to the wheel and returns
+  /// true, or returns false when the entry belongs in the heap: while
+  /// the wheel is empty the current bucket follows the clock, and
+  /// catching up here may put `t` in it.
+  bool park(SimTime t, std::uint64_t key);
+  /// Makes the heap top the earliest entry of both tiers.  Heap entries
+  /// never lie past the current bucket and wheel entries always do, so
+  /// only an empty heap needs work: advance_wheel() then moves to the
+  /// next occupied bucket and migrates its entries of the current lap,
+  /// until the heap holds one or the wheel is empty.
+  void settle();
+  void advance_wheel();
+  /// The next occupied wheel index after the current bucket, 1 to
+  /// kWheelBuckets steps ahead, and the bucket number it stands for on
+  /// this lap.  The wheel must not be empty.
+  std::uint64_t next_occupied(std::uint64_t* due) const;
+  /// The key of the earliest live entry the next bucket will migrate, or
+  /// 0: the prefetch hint for a step that empties the heap.
+  std::uint64_t peek_wheel() const;
+  /// Drops the dead entries of bucket `pos` and, when `migrate` is set,
+  /// moves the live entries of the current bucket into the heap; frees
+  /// the blocks that empties.
+  void sweep_bucket(std::uint64_t pos, bool migrate);
   void maybe_compact();
   void publish_telemetry();
 
@@ -341,6 +421,21 @@ class Engine {
   std::uint64_t compactions_ = 0;
   std::uint64_t heap_fallbacks_ = 0;
   EventHeap queue_;
+  /// The far tier.  Every wheel entry's bucket is past cur_bucket_ and
+  /// every heap entry's is not; cur_bucket_ never decreases.  A bucket's
+  /// entries sit at index bucket % kWheelBuckets, whatever their lap.  `wheel_occupied_` has one bit per non-empty bucket, so
+  /// finding the next due bucket and sweeping the wheel cost what it
+  /// holds, not its 512 headers.
+  std::uint64_t cur_bucket_ = 0;
+  std::size_t wheel_size_ = 0;
+  std::size_t wheel_dead_ = 0;  ///< cancelled entries still in the wheel
+  std::uint32_t wheel_head_[kWheelBuckets];
+  /// Per index, a lower bound on the bucket numbers it holds (exact
+  /// after a sweep, all ones when empty): a visit finds an index with
+  /// nothing due on this lap without reading its entries.
+  std::uint64_t wheel_first_[kWheelBuckets];
+  std::uint64_t wheel_occupied_[kWheelBuckets / 64] = {};
+  BlockPool blocks_;
   /// Stable (chunked) storage: step() invokes the callable in place,
   /// and a callback that schedules new events may grow the pool without
   /// relocating the storage the executing callable lives in.

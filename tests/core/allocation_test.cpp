@@ -193,6 +193,59 @@ TEST(ZeroAllocation, EngineCancelRecyclesSlots) {
   EXPECT_EQ(allocated, 0u) << "arm/cancel cycles must recycle slots, not allocate";
 }
 
+TEST(ZeroAllocation, EngineSteadyStateFarTier) {
+  if (!ESLURM_ALLOC_HOOK) GTEST_SKIP() << "allocation hook disabled under sanitizers";
+
+  sim::Engine engine;
+  // Both far-tier populations: watchdogs armed 200 s ahead and cancelled
+  // one work step later (dead wheel entries, swept by compactions), and
+  // job ends two hours ahead that re-arm as they fire (live entries that
+  // ride the wheel for many laps, then migrate into the heap).
+  struct Work {
+    sim::Engine& engine;
+    sim::EventId armed[4] = {};
+    void cycle() {
+      for (sim::EventId& id : armed) {
+        if (id != sim::kInvalidEvent) engine.cancel(id);
+        id = engine.schedule_after(seconds(200), [] {});
+      }
+      engine.schedule_after(milliseconds(50), [this] { cycle(); });
+    }
+  };
+  struct Job {
+    sim::Engine& engine;
+    std::uint64_t ends = 0;
+    void end() {
+      ++ends;
+      engine.schedule_after(hours(2), [this] { end(); });
+    }
+  };
+  Work work{engine};
+  std::vector<Job> jobs;
+  jobs.reserve(64);
+  for (int j = 0; j < 64; ++j) jobs.push_back(Job{engine});
+  for (int j = 0; j < 64; ++j)
+    engine.schedule_after(seconds(113 * j + 7), [job = &jobs[j]] { job->end(); });
+  work.cycle();
+
+  engine.run_until(hours(4));  // warm-up: two job periods
+  const std::size_t warm_capacity = engine.event_pool_capacity();
+  const std::uint64_t warm_compactions = engine.compactions();
+
+  std::uint64_t allocated;
+  {
+    CountingScope scope;
+    engine.run_until(hours(6));
+    allocated = CountingScope::count();
+  }
+  EXPECT_EQ(allocated, 0u) << "the far tier must recycle its blocks, not allocate";
+  EXPECT_EQ(engine.event_pool_capacity(), warm_capacity);
+  EXPECT_GT(engine.compactions(), warm_compactions);  // the wheel was swept
+  std::uint64_t ends = 0;
+  for (const Job& job : jobs) ends += job.ends;
+  EXPECT_EQ(ends, 64u * 3);  // every job ended in each of the three periods
+}
+
 TEST(AllocationBytes, HandlerRegistrationIsIndependentOfNodeCount) {
   if (!ESLURM_ALLOC_HOOK) GTEST_SKIP() << "allocation hook disabled under sanitizers";
 
