@@ -23,15 +23,19 @@
 // at position p keeps its relay context in ctx[p] (the root sits at
 // list.size()), and since a relay for subtree [b, e) goes to the node at
 // position b - 1, relay and completion messages name their parent by
-// position.  The ctx vector is the tree's routing field of the pooled
-// broadcast record (see Broadcaster): it, its child-slot vectors and the
-// delivered bitmap are recycled, and relay bodies carry the record's pool
+// position.  Every relay's child slots live in one arena per broadcast;
+// a relay names the parent's slot it fills, and the child's completion
+// carries that index back, so the parent closes the slot without a
+// search.  Both arrays are the tree's routing field of the pooled
+// broadcast record (see Broadcaster): they and the delivered bitmap are
+// recycled with their capacity, and relay bodies carry the record's pool
 // slot, so a steady-state broadcast neither hashes nor allocates.
 #pragma once
 
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "comm/broadcaster.hpp"
@@ -70,41 +74,57 @@ void for_each_group(std::size_t begin, std::size_t end, int width, Visit&& visit
 int tree_depth_estimate(std::size_t n, int width);
 
 /// The tree's routing field of a broadcast record: the relay context of
-/// each list position.
+/// each list position, and one arena holding every relay's child slots.
 struct TreeRoute {
   /// A list position (the root's is list.size()); kNoPos marks "none".
   using Pos = std::uint32_t;
   static constexpr Pos kNoPos = UINT32_MAX;
+  /// An index into `slots`.
+  using SlotIndex = std::uint32_t;
 
+  /// One child of one relay: the child, the subtree it was handed (list
+  /// positions [begin, end)), and the completion watchdog armed once it
+  /// accepted.
   struct ChildSlot {
     NodeId child = net::kNoNode;
-    Range subtree;
+    Pos begin = 0;
+    Pos end = 0;
     bool done = false;
     sim::EventId watchdog = sim::kInvalidEvent;
+
+    Range subtree() const { return Range{begin, end}; }
   };
   /// Relay context of the node at one list position.  Reset when that
-  /// node takes its first relay; `slots` keeps its capacity across
-  /// broadcasts.
+  /// node takes its first relay.
   struct NodeCtx {
-    Pos parent = kNoPos;  ///< kNoPos marks the root
-    std::vector<ChildSlot> slots;
-    std::size_t pending = 0;
-    bool done_sent = false;
+    Pos parent = kNoPos;        ///< kNoPos marks the root
+    SlotIndex parent_slot = 0;  ///< the parent's slot this node fills
+    std::uint32_t pending = 0;  ///< this node's slots not yet done
     // Subtree aggregates reported upward with the completion message.
-    std::size_t agg_unreachable = 0;
+    std::uint32_t agg_unreachable = 0;
     int agg_repairs = 0;
+    bool done_sent = false;
 
-    void reset(Pos parent_pos) {
+    void reset(Pos parent_pos, SlotIndex slot) {
       parent = parent_pos;
-      slots.clear();
+      parent_slot = slot;
       pending = 0;
-      done_sent = false;
       agg_unreachable = 0;
       agg_repairs = 0;
+      done_sent = false;
     }
   };
+  // Both are touched at random on every relay and completion: keep them small.
+  static_assert(sizeof(NodeCtx) <= 24 && sizeof(ChildSlot) <= 24);
 
   std::vector<NodeCtx> ctx;  ///< indexed by position; only [0, n] in use
+  /// Every relay's child slots, in creation order; cleared (capacity
+  /// kept) by each broadcast.  fan_out may grow it, so hold indices,
+  /// never references, across a fan_out.
+  std::vector<ChildSlot> slots;
+  /// Completion watchdog per level of subtree depth:
+  /// contact_budget * (retries + 1), fixed for the broadcast.
+  SimTime watchdog_unit = 0;
 };
 
 class TreeBroadcaster : public PooledBroadcaster<TreeRoute> {
@@ -135,6 +155,7 @@ class TreeBroadcaster : public PooledBroadcaster<TreeRoute> {
  private:
   using Pos = TreeRoute::Pos;
   static constexpr Pos kNoPos = TreeRoute::kNoPos;
+  using SlotIndex = TreeRoute::SlotIndex;
   using ChildSlot = TreeRoute::ChildSlot;
   using NodeCtx = TreeRoute::NodeCtx;
 
@@ -142,15 +163,23 @@ class TreeBroadcaster : public PooledBroadcaster<TreeRoute> {
     std::uint64_t broadcast_id;
     std::uint32_t record;
     Pos parent;
-    Range subtree;
+    SlotIndex slot;  ///< the parent's slot the receiver fills
+    Pos begin;       ///< subtree [begin, end)
+    Pos end;
   };
   struct DoneBody {
     std::uint64_t broadcast_id;
     std::uint32_t record;
     Pos parent;
-    std::size_t unreachable;
+    SlotIndex slot;  ///< the parent's slot this completion closes
+    std::uint32_t unreachable;
     int repairs;
   };
+  // Over the inline budget, every relay and completion takes InplaceAny's heap fallback.
+  static_assert(std::is_trivially_copyable_v<RelayBody> &&
+                sizeof(RelayBody) <= net::kMessageInlineBytes);
+  static_assert(std::is_trivially_copyable_v<DoneBody> &&
+                sizeof(DoneBody) <= net::kMessageInlineBytes);
 
   static NodeId node_at(const Record& record, Pos pos) {
     return pos == record.list->size() ? record.root : (*record.list)[pos];
@@ -158,15 +187,15 @@ class TreeBroadcaster : public PooledBroadcaster<TreeRoute> {
   void on_relay(NodeId self, const net::Message& msg);
   void on_done(NodeId self, const net::Message& msg);
   void fan_out(InFlight& record, Pos pos, Range range);
-  void attempt_child(InFlight& record, Pos pos, std::uint32_t slot_index, int attempts_left);
-  void child_accepted(std::uint64_t id, std::uint32_t index, Pos pos,
-                      std::uint32_t slot_index, int attempts_left, bool ok);
-  void watchdog_fired(std::uint64_t id, std::uint32_t index, Pos pos,
-                      std::uint32_t slot_index);
-  void child_finished(InFlight& record, Pos pos, std::size_t slot_index,
-                      std::size_t unreachable, int repairs);
+  void attempt_child(InFlight& record, Pos pos, SlotIndex slot, int attempts_left);
+  void child_accepted(std::uint64_t id, std::uint32_t index, Pos pos, SlotIndex slot,
+                      int attempts_left, bool ok);
+  void watchdog_fired(std::uint64_t id, std::uint32_t index, Pos pos, SlotIndex slot);
+  void child_finished(InFlight& record, Pos pos, SlotIndex slot, std::uint32_t unreachable,
+                      int repairs);
   void maybe_finish_node(InFlight& record, Pos pos);
-  void send_done(InFlight& record, Pos from, Pos to, std::size_t unreachable, int repairs);
+  void send_done(InFlight& record, Pos from, Pos to, SlotIndex slot,
+                 std::uint32_t unreachable, int repairs);
 
   net::ReliableTransport* transport_;
   net::MessageType relay_type_;

@@ -17,7 +17,8 @@
 //     nothing and allocates nothing (one test also checks that reliable
 //     sends to many receivers grow no per-peer state);
 //   * tree broadcast through the transport: recycled broadcast state
-//     (position-indexed relay contexts, child slots, delivered bitmap);
+//     (position-indexed relay contexts, the child-slot arena, delivered
+//     bitmap), also when a dead relay's subtree is adopted every round;
 //   * "policy" scheduler pass plus limit audit: dense user/account
 //     tables, cached fair-tree child lists and reused usage snapshots;
 //   * a whole ESLURM world (satellite dispatch, HA snapshots): every
@@ -547,6 +548,53 @@ TEST(ZeroAllocation, TreeBroadcastThroughTransport) {
   EXPECT_EQ(engine.event_pool_capacity(), warm_events);
   EXPECT_EQ(engine.heap_fallback_events(), 0u);
   EXPECT_EQ(transport.sends(), 3 * 2 * kTargets);  // one relay + one done per target
+}
+
+TEST(ZeroAllocation, TreeBroadcastWithRepairs) {
+  if (!ESLURM_ALLOC_HOOK) GTEST_SKIP() << "allocation hook disabled under sanitizers";
+
+  // The broadcast above with the root's first child -- an internal relay
+  // at width 50 -- dead: every round retries it through the transport,
+  // declares it unreachable and adopts its subtree, appending the new
+  // children's slots to the recycled slot arena.
+  constexpr std::size_t kTargets = 4096;
+  constexpr net::NodeId kDeadRelay = 1;
+  sim::Engine engine;
+  net::LinkModel model;
+  model.jitter_frac = 0.0;
+  net::Network network(engine, kTargets + 1, model, Rng(42));
+  network.set_liveness([](net::NodeId n) { return n != kDeadRelay; });
+  net::ReliableTransport transport(network, Rng(43));
+  comm::TreeBroadcaster tree(network, "tree", &transport);
+
+  std::vector<net::NodeId> list(kTargets);
+  for (std::size_t i = 0; i < kTargets; ++i) list[i] = static_cast<net::NodeId>(i + 1);
+  const auto targets = std::make_shared<const std::vector<net::NodeId>>(std::move(list));
+  const comm::BroadcastOptions options;
+
+  comm::BroadcastResult last;
+  auto broadcast_once = [&] {
+    tree.broadcast(0, targets, options,
+                   [out = &last](const comm::BroadcastResult& r) { *out = r; });
+    engine.run();
+  };
+  broadcast_once();  // warm-up: state, channels and pools reach capacity
+  broadcast_once();
+  const std::uint64_t warm_repairs = tree.total_repairs();
+
+  std::uint64_t allocated;
+  {
+    CountingScope scope;
+    broadcast_once();
+    allocated = CountingScope::count();
+  }
+  EXPECT_EQ(allocated, 0u) << "a steady-state tree broadcast that adopts a subtree "
+                              "must recycle all of its state";
+  EXPECT_EQ(last.delivered, kTargets - 1);
+  EXPECT_EQ(last.unreachable, 1u);
+  EXPECT_EQ(last.repairs, 1);
+  EXPECT_EQ(tree.total_repairs(), warm_repairs + 1);
+  EXPECT_EQ(engine.heap_fallback_events(), 0u);
 }
 
 TEST(ZeroAllocation, PolicySchedulerPassAndAudit) {
