@@ -60,8 +60,13 @@ struct BroadcastResult {
   SimTime finished = 0;
   std::size_t targets = 0;      ///< requested target count
   std::size_t delivered = 0;    ///< distinct targets that got the payload
-  std::size_t unreachable = 0;  ///< targets declared dead
-  int repairs = 0;              ///< tree re-parenting events
+  /// Children a parent gave up on: failed sends (after every retry) and
+  /// completion watchdogs that fired.  A live child whose completion
+  /// arrives after its watchdog is counted too, although it got the
+  /// payload, so `delivered + unreachable` can exceed `targets`; the
+  /// missed targets are `targets - delivered`, not this count.
+  std::size_t unreachable = 0;
+  int repairs = 0;              ///< subtree adoptions (tree structures)
 
   SimTime elapsed() const { return finished - started; }
 };

@@ -108,12 +108,7 @@ void TreeBroadcaster::child_accepted(std::uint64_t id, std::uint32_t index, Pos 
   }
   // Child unreachable: adopt its subtree directly.  fan_out may grow the
   // arena, so `s` is not used past this point.
-  const Range subtree = s.subtree();
-  if (subtree.size() > 0) {
-    ++st->route.ctx[pos].agg_repairs;
-    ++total_repairs_;
-    fan_out(*st, pos, subtree);
-  }
+  adopt(*st, pos, s.subtree());
   child_finished(*st, pos, slot, /*unreachable=*/1, /*repairs=*/0);
 }
 
@@ -123,11 +118,17 @@ void TreeBroadcaster::watchdog_fired(std::uint64_t id, std::uint32_t index, Pos 
   if (!st) return;
   const ChildSlot& s = st->route.slots[slot];
   if (s.done) return;
-  ++st->route.ctx[pos].agg_repairs;
-  ++total_repairs_;
-  const Range subtree = s.subtree();
-  if (subtree.size() > 0) fan_out(*st, pos, subtree);
+  adopt(*st, pos, s.subtree());
   child_finished(*st, pos, slot, /*unreachable=*/1, /*repairs=*/0);
+}
+
+void TreeBroadcaster::adopt(InFlight& record, Pos pos, Range subtree) {
+  // Only an adoption is a repair: a leaf child that times out or cannot
+  // be reached leaves nothing to re-parent.
+  if (subtree.size() == 0) return;
+  ++record.route.ctx[pos].agg_repairs;
+  ++total_repairs_;
+  fan_out(record, pos, subtree);
 }
 
 void TreeBroadcaster::child_finished(InFlight& record, Pos pos, SlotIndex slot,

@@ -143,7 +143,7 @@ class TreeBroadcaster : public PooledBroadcaster<TreeRoute> {
                  const BroadcastOptions& options, Callback done) override;
   using Broadcaster::broadcast;
 
-  /// Number of subtree adoptions across all finished broadcasts.
+  /// Number of non-empty subtree adoptions, across all broadcasts.
   std::uint64_t total_repairs() const { return total_repairs_; }
 
  protected:
@@ -191,6 +191,9 @@ class TreeBroadcaster : public PooledBroadcaster<TreeRoute> {
   void child_accepted(std::uint64_t id, std::uint32_t index, Pos pos, SlotIndex slot,
                       int attempts_left, bool ok);
   void watchdog_fired(std::uint64_t id, std::uint32_t index, Pos pos, SlotIndex slot);
+  /// Re-partitions a given-up child's subtree among new children of
+  /// `pos`; one repair when the subtree holds any node, none otherwise.
+  void adopt(InFlight& record, Pos pos, Range subtree);
   void child_finished(InFlight& record, Pos pos, SlotIndex slot, std::uint32_t unreachable,
                       int repairs);
   void maybe_finish_node(InFlight& record, Pos pos);

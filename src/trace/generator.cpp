@@ -53,7 +53,11 @@ std::vector<std::pair<std::string, std::string>> account_hierarchy(
 }
 
 TraceGenerator::TraceGenerator(WorkloadProfile profile)
-    : profile_(std::move(profile)), rng_(profile_.seed) {
+    : profile_(std::move(profile)),
+      rng_(profile_.seed),
+      user_zipf_(profile_.user_zipf),
+      app_zipf_(profile_.app_zipf),
+      size_zipf_(profile_.large_job_zipf) {
   // Global application catalog: the same code has a characteristic
   // runtime scale no matter who runs it (this is what makes the job name
   // a predictive feature, Table IV).
@@ -74,6 +78,10 @@ TraceGenerator::TraceGenerator(WorkloadProfile profile)
     apps_.push_back(std::move(app));
   }
   drift_.resize(apps_.size());
+  // Node counts are powers of two up to the profile's cap.
+  int max_exp = 0;
+  while ((1 << (max_exp + 1)) <= profile_.max_nodes_per_job) ++max_exp;
+  size_ranks_ = static_cast<std::size_t>(max_exp) + 1;
 }
 
 double TraceGenerator::diurnal_rate_multiplier(SimTime t, bool long_job) const {
@@ -102,16 +110,11 @@ double TraceGenerator::app_drift(std::size_t app_index, SimTime at) {
 TraceGenerator::JobConfig TraceGenerator::fresh_config() {
   JobConfig config;
   // Popular codes are reused by many users (Zipf over the catalog).
-  const std::size_t app_index = rng_.zipf(apps_.size(), profile_.app_zipf);
+  const std::size_t app_index = app_zipf_.draw(rng_, apps_.size());
   const AppInfo& app = apps_[app_index];
   config.app_index = app_index;
-  config.app_name = app.name;
   // Node counts are power-of-two-ish and heavily skewed toward small.
-  int max_exp = 0;
-  while ((1 << (max_exp + 1)) <= profile_.max_nodes_per_job) ++max_exp;
-  const auto exp_rank = rng_.zipf(static_cast<std::size_t>(max_exp) + 1,
-                                  profile_.large_job_zipf);
-  config.nodes = 1 << exp_rank;
+  config.nodes = 1 << size_zipf_.draw(rng_, size_ranks_);
   config.long_job = app.long_job;
   // A user's input deck scales the app's characteristic runtime modestly,
   // and the node count moves it along the app's scaling curve.
@@ -137,16 +140,13 @@ double TraceGenerator::draw_estimate_ratio() {
   return std::clamp(p, 1.1, 100.0);
 }
 
-TraceJob TraceGenerator::materialize(UserState& user,
-                                                     const JobConfig& config,
-                                                     SimTime submit, sched::JobId id) {
-  TraceJob job;
-  job.id = id;
-  job.user = user.name;
-  job.name = config.app_name;
+TraceGenerator::Draft TraceGenerator::draft(std::size_t user_index,
+                                            const JobConfig& config, SimTime submit) {
+  Draft job;
+  job.submit = submit;
+  job.user_index = static_cast<std::uint32_t>(user_index);
+  job.app_index = static_cast<std::uint32_t>(config.app_index);
   job.nodes = config.nodes;
-  job.cores = config.nodes * 12;
-  job.submit_time = submit;
   const double runtime_s = config.runtime_median_min * 60.0 *
                            app_drift(config.app_index, submit) *
                            std::exp(rng_.normal(0.0, config.runtime_sigma));
@@ -167,7 +167,7 @@ std::vector<TraceJob> TraceGenerator::generate(SimTime duration) {
       users[u].configs.push_back(fresh_config());
   }
 
-  std::vector<TraceJob> jobs;
+  std::vector<Draft> drafts;
   const double max_rate_per_s = profile_.jobs_per_hour * kMaxDiurnal / 3600.0;
   double t = 0.0;
   const double horizon = to_seconds(duration);
@@ -205,12 +205,12 @@ std::vector<TraceJob> TraceGenerator::generate(SimTime duration) {
       user_index = follow.user_index;
       config_idx = follow.config_index;
     } else {
-      user_index = rng_.zipf(users.size(), profile_.user_zipf);
+      user_index = user_zipf_.draw(rng_, users.size());
       UserState& user = users[user_index];
       if (!user.recent.empty() && rng_.chance(profile_.resubmit_prob)) {
         // Repeat a recent configuration, biased toward the most recent
         // (HPC users iterate on what they just ran).
-        const std::size_t rank = rng_.zipf(user.recent.size(), 1.0);
+        const std::size_t rank = recent_zipf_.draw(rng_, user.recent.size());
         config_idx = user.recent[user.recent.size() - 1 - rank];
       } else {
         config_idx = static_cast<std::size_t>(
@@ -248,7 +248,7 @@ std::vector<TraceJob> TraceGenerator::generate(SimTime duration) {
       if (submit >= duration) submit = now;  // keep inside the horizon
     }
 
-    jobs.push_back(materialize(user, config, submit, /*id=*/0));
+    drafts.push_back(draft(user_index, config, submit));
     user.recent.push_back(config_idx);
     if (user.recent.size() > 8) user.recent.erase(user.recent.begin());
 
@@ -261,28 +261,42 @@ std::vector<TraceJob> TraceGenerator::generate(SimTime duration) {
   }
 
   // Deferrals perturb the order; ids are assigned in final submit order.
-  std::stable_sort(jobs.begin(), jobs.end(),
-                   [](const TraceJob& a, const TraceJob& b) {
-                     return a.submit_time < b.submit_time;
-                   });
-  for (std::size_t i = 0; i < jobs.size(); ++i) jobs[i].id = i + 1;
+  // Sorting (submit, draw index) keys orders the drafts as a stable sort
+  // by submit time would, without moving a job.
+  std::vector<std::pair<SimTime, std::uint32_t>> order(drafts.size());
+  for (std::size_t i = 0; i < drafts.size(); ++i)
+    order[i] = {drafts[i].submit, static_cast<std::uint32_t>(i)};
+  std::sort(order.begin(), order.end());
 
   // Policy tags ride on top of the finished trace: accounts are a pure
   // function of the user name, QoS draws come from policy_rng_ in id
-  // order.  With the knobs at zero this loop changes nothing and draws
+  // order.  With the knobs at zero this changes nothing and draws
   // nothing, so the base stream (and the golden hash) is untouched.
+  std::vector<std::string> accounts;
+  if (profile_.account_count > 0) {
+    accounts.reserve(users.size());
+    for (const UserState& user : users) accounts.push_back(account_for_user(profile_, user.name));
+  }
   const bool qos_mix = profile_.qos_high_frac > 0.0 || profile_.qos_low_frac > 0.0;
-  if (qos_mix || profile_.account_count > 0) {
-    for (auto& job : jobs) {
-      if (profile_.account_count > 0)
-        job.account = account_for_user(profile_, job.user);
-      if (qos_mix) {
-        const double r = policy_rng_.uniform(0.0, 1.0);
-        if (r < profile_.qos_high_frac)
-          job.qos = "high";
-        else if (r < profile_.qos_high_frac + profile_.qos_low_frac)
-          job.qos = "low";
-      }
+  std::vector<TraceJob> jobs(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const Draft& drafted = drafts[order[i].second];
+    TraceJob& job = jobs[i];
+    job.id = i + 1;
+    job.user = users[drafted.user_index].name;
+    job.name = apps_[drafted.app_index].name;
+    job.nodes = drafted.nodes;
+    job.cores = drafted.nodes * 12;
+    job.submit_time = drafted.submit;
+    job.actual_runtime = drafted.actual_runtime;
+    job.user_estimate = drafted.user_estimate;
+    if (!accounts.empty()) job.account = accounts[drafted.user_index];
+    if (qos_mix) {
+      const double r = policy_rng_.uniform(0.0, 1.0);
+      if (r < profile_.qos_high_frac)
+        job.qos = "high";
+      else if (r < profile_.qos_high_frac + profile_.qos_low_frac)
+        job.qos = "low";
     }
   }
   return jobs;

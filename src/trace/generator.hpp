@@ -14,6 +14,7 @@
 //     15-minute wall-clock value, as users actually do.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,7 +56,6 @@ class TraceGenerator {
  private:
   struct JobConfig {
     std::size_t app_index = 0;
-    std::string app_name;
     int nodes = 1;
     double runtime_median_min = 30.0;
     double runtime_sigma = 0.35;  ///< within-config jitter (repeats correlate)
@@ -75,9 +75,19 @@ class TraceGenerator {
     bool long_job = false;
   };
 
+  /// A drawn job before the submit-time sort: every random quantity, no
+  /// strings.  Names are copied in once, into the job's final position.
+  struct Draft {
+    SimTime submit = 0;
+    SimTime actual_runtime = 0;
+    SimTime user_estimate = 0;
+    std::uint32_t user_index = 0;
+    std::uint32_t app_index = 0;
+    int nodes = 1;
+  };
+
   JobConfig fresh_config();
-  TraceJob materialize(UserState& user, const JobConfig& config, SimTime submit,
-                       sched::JobId id);
+  Draft draft(std::size_t user_index, const JobConfig& config, SimTime submit);
   double draw_estimate_ratio();
   double diurnal_rate_multiplier(SimTime t, bool long_job) const;
 
@@ -88,6 +98,11 @@ class TraceGenerator {
   WorkloadProfile profile_;
   Rng rng_;
   std::vector<AppInfo> apps_;  ///< global application catalog
+  std::size_t size_ranks_ = 1;  ///< job sizes 1, 2, 4, ... up to max_nodes_per_job
+  ZipfTable user_zipf_;
+  ZipfTable app_zipf_;
+  ZipfTable size_zipf_;
+  ZipfTable recent_zipf_{1.0};  ///< rank among a user's recent configurations
   std::vector<std::vector<double>> drift_;  ///< per app, per day
   Rng drift_rng_{0xD21F7};
   /// QoS tags draw from their own stream (like drift_rng_): enabling a

@@ -1,5 +1,6 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace eslurm {
@@ -82,23 +83,17 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * mag * std::cos(2.0 * M_PI * u2);
 }
 
-std::size_t Rng::zipf(std::size_t n, double s) {
-  if (n == 0) return 0;
-  // Inverse-CDF over the (small) harmonic table would cost O(n) per draw;
-  // use rejection-free cumulative search on demand for modest n, or the
-  // approximation for large n.  Workload generation uses n <= a few
-  // thousand, so a direct cumulative walk is fine and exact.
-  double h = 0.0;
-  for (std::size_t i = 1; i <= n; ++i) h += 1.0 / std::pow(static_cast<double>(i), s);
-  double u = next_double() * h;
-  double acc = 0.0;
-  for (std::size_t i = 1; i <= n; ++i) {
-    acc += 1.0 / std::pow(static_cast<double>(i), s);
-    if (u <= acc) return i - 1;
-  }
-  return n - 1;
-}
-
 Rng Rng::fork() { return Rng(next_u64()); }
+
+std::size_t ZipfTable::draw(Rng& rng, std::size_t n) {
+  if (n == 0) return 0;
+  for (std::size_t i = cum_.size() + 1; i <= n; ++i)
+    cum_.push_back((cum_.empty() ? 0.0 : cum_.back()) +
+                   1.0 / std::pow(static_cast<double>(i), s_));
+  const double u = rng.next_double() * cum_[n - 1];
+  const double* first = cum_.data();
+  const auto rank = static_cast<std::size_t>(std::lower_bound(first, first + n, u) - first);
+  return std::min(rank, n - 1);
+}
 
 }  // namespace eslurm

@@ -45,10 +45,6 @@ class Rng {
   /// Standard normal via Box-Muller (cached spare).
   double normal(double mean = 0.0, double stddev = 1.0);
 
-  /// Zipf-like rank selection over n items, exponent s (>= 0).
-  /// Rank 0 is the most popular.  Used for user/application popularity.
-  std::size_t zipf(std::size_t n, double s);
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {
@@ -66,6 +62,28 @@ class Rng {
   std::uint64_t s_[4];
   double spare_normal_ = 0.0;
   bool has_spare_ = false;
+};
+
+/// Zipf rank selection for one exponent s (>= 0): rank k of n items has
+/// weight 1/(k+1)^s, so rank 0 is the most popular.  Used for user,
+/// application and job-size popularity.
+///
+/// The table keeps the prefix sums cum[i] = cum[i-1] + 1/(i+1)^s, added
+/// in index order and extended on demand, so the table for n items is a
+/// prefix of the table for any larger n and one table serves every n.
+/// A draw is one next_double() scaled by cum[n-1] and a binary search:
+/// the rank is the first i with u <= cum[i], exactly the rank a linear
+/// walk of the same running sum returns.  Not shared between threads.
+class ZipfTable {
+ public:
+  explicit ZipfTable(double s) : s_(s) {}
+
+  /// A rank in [0, n); 0 without drawing when n == 0.
+  std::size_t draw(Rng& rng, std::size_t n);
+
+ private:
+  double s_;
+  std::vector<double> cum_;
 };
 
 }  // namespace eslurm

@@ -112,6 +112,11 @@ TEST_F(TreeCompletionFixture, EmptyCompletionsCloseExactlyTheAdoptingParentsSlot
   EXPECT_EQ(result.delivered, kTargets);
   EXPECT_EQ(result.unreachable, 1u);
   EXPECT_EQ(result.repairs, 1);
+  // Two adoptions, each of a non-empty subtree: the root's of nodes 2..5,
+  // and the slow relay's own of node 3 when its watchdog for node 2
+  // fires.  Its watchdogs for the leaves 4 and 5 adopt nothing and count
+  // nothing; the relay never reports, so only the root's reaches `result`.
+  EXPECT_EQ(tree.total_repairs(), 2u);
   EXPECT_LT(result.elapsed(), seconds(13));
   for (NodeId n = 1; n <= kTargets; ++n) EXPECT_EQ(hits[n], 1) << "node " << n;
 }

@@ -192,6 +192,74 @@ TEST(PolicyTagsTest, AccountHierarchyGroupsProjectsUnderDivisions) {
   EXPECT_TRUE(account_hierarchy(profile).empty());
 }
 
+/// FNV-1a over every field of every job, in trace order.  Strings are
+/// folded with their length first, so adjacent fields cannot alias.
+std::uint64_t trace_digest(const std::vector<sched::Job>& jobs) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  const auto byte = [&](unsigned char c) {
+    hash ^= c;
+    hash *= 0x100000001b3ull;
+  };
+  const auto word = [&](std::uint64_t value) {
+    for (int b = 0; b < 8; ++b) byte(static_cast<unsigned char>(value >> (8 * b)));
+  };
+  const auto text = [&](const std::string& s) {
+    word(s.size());
+    for (const unsigned char c : s) byte(c);
+  };
+  const auto sword = [&](std::int64_t value) { word(static_cast<std::uint64_t>(value)); };
+  word(jobs.size());
+  for (const sched::Job& job : jobs) {
+    word(job.id);
+    text(job.user);
+    text(job.name);
+    sword(job.nodes);
+    sword(job.cores);
+    text(job.partition);
+    text(job.account);
+    text(job.qos);
+    word(job.depends_on);
+    sword(job.submit_time);
+    sword(job.actual_runtime);
+    sword(job.user_estimate);
+    sword(job.estimate_used);
+    sword(job.model_estimate);
+    sword(job.start_time);
+    sword(job.end_time);
+    sword(job.release_time);
+    sword(job.preempt_count);
+    sword(job.retry_count);
+    sword(job.checkpoint_progress);
+    word(static_cast<std::uint64_t>(job.state));
+    sword(job.user_key);
+    sword(job.account_key);
+    sword(job.qos_key);
+  }
+  return hash;
+}
+
+TEST(GeneratorTest, GoldenTraceDigest) {
+  // Pins the generator's output bit for bit, the way GoldenSequence.*
+  // pins the engine: a change to Zipf draws, the submit-time sort or any
+  // copy into a job that alters one field of one job changes a digest.
+  WorkloadProfile base = tianhe2a_profile();
+  EXPECT_EQ(trace_digest(TraceGenerator(base).generate_jobs(2000, days(2))),
+            0xde9d2f39e14fbd23ull);
+  base.seed = 0x7ea5e + 7;
+  EXPECT_EQ(trace_digest(TraceGenerator(base).generate_jobs(2000, days(2))),
+            0xaa0af713c01c9f2cull);
+  // Account tree, QoS mix and a job-width cap, as a policy backlog sets them.
+  WorkloadProfile policy = tianhe2a_profile();
+  policy.seed = 0x7ea5e + 1;
+  policy.max_nodes_per_job = 256;
+  policy.qos_high_frac = 0.10;
+  policy.qos_low_frac = 0.20;
+  policy.account_count = 8;
+  policy.account_depth = 2;
+  EXPECT_EQ(trace_digest(TraceGenerator(policy).generate_jobs(3000, hours(96))),
+            0x2cc5ade829563d6full);
+}
+
 TEST(StatisticsTest, CorrelationPredicate) {
   sched::Job a, b;
   a.name = b.name = "app1";

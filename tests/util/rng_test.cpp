@@ -81,17 +81,72 @@ TEST(Rng, ChanceExtremes) {
   }
 }
 
-TEST(Rng, ZipfRankZeroMostPopular) {
+/// The Zipf draw ZipfTable replaced, kept as the bit-identity oracle: it
+/// sums 1/k^s over all n items for the normaliser, then walks the same
+/// running sum until it passes u.
+std::size_t reference_zipf(Rng& rng, std::size_t n, double s) {
+  if (n == 0) return 0;
+  double h = 0.0;
+  for (std::size_t i = 1; i <= n; ++i) h += 1.0 / std::pow(static_cast<double>(i), s);
+  const double u = rng.next_double() * h;
+  double acc = 0.0;
+  for (std::size_t i = 1; i <= n; ++i) {
+    acc += 1.0 / std::pow(static_cast<double>(i), s);
+    if (u <= acc) return i - 1;
+  }
+  return n - 1;
+}
+
+TEST(ZipfTable, RankZeroMostPopular) {
   Rng rng(19);
+  ZipfTable table(1.2);
   std::vector<int> counts(10, 0);
-  for (int i = 0; i < 50000; ++i) ++counts[rng.zipf(10, 1.2)];
+  for (int i = 0; i < 50000; ++i) ++counts[table.draw(rng, 10)];
   EXPECT_GT(counts[0], counts[4]);
   EXPECT_GT(counts[0], counts[9]);
 }
 
-TEST(Rng, ZipfWithinBounds) {
+TEST(ZipfTable, WithinBounds) {
   Rng rng(23);
-  for (int i = 0; i < 1000; ++i) EXPECT_LT(rng.zipf(7, 0.8), 7u);
+  ZipfTable table(0.8);
+  for (int i = 0; i < 1000; ++i) EXPECT_LT(table.draw(rng, 7), 7u);
+}
+
+TEST(ZipfTable, EmptyRangeDrawsNothing) {
+  Rng rng(29), untouched(29);
+  ZipfTable table(1.0);
+  EXPECT_EQ(table.draw(rng, 0), 0u);
+  EXPECT_EQ(rng.next_u64(), untouched.next_u64());
+}
+
+TEST(ZipfTable, DrawsEqualTheLinearWalk) {
+  // Same rank and same generator state after every draw, for each n on a
+  // fresh table and with sizes interleaved on one table (the prefix of a
+  // grown table must serve every smaller n unchanged).
+  const std::vector<std::size_t> sizes{1, 2, 7, 9, 120, 350, 1000};
+  const std::vector<double> exponents{0.0, 0.8, 0.9, 1.0, 1.2, 1.35, 1.4, 1.5};
+  for (const double s : exponents) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      for (const std::size_t n : sizes) {
+        Rng rng(seed), oracle(seed);
+        ZipfTable table(s);
+        for (int i = 0; i < 20; ++i) {
+          ASSERT_EQ(table.draw(rng, n), reference_zipf(oracle, n, s))
+              << "s=" << s << " seed=" << seed << " n=" << n << " draw " << i;
+        }
+        ASSERT_EQ(rng.next_u64(), oracle.next_u64());
+      }
+      Rng rng(seed), oracle(seed);
+      ZipfTable shared(s);
+      for (int i = 0; i < 70; ++i) {
+        // Grows, shrinks and regrows: 9, 1000, 7, 350, 2, 120, 1, 9, ...
+        const std::size_t n = sizes[(i * 3 + 3) % sizes.size()];
+        ASSERT_EQ(shared.draw(rng, n), reference_zipf(oracle, n, s))
+            << "s=" << s << " seed=" << seed << " n=" << n << " draw " << i;
+      }
+      ASSERT_EQ(rng.next_u64(), oracle.next_u64());
+    }
+  }
 }
 
 TEST(Rng, ShufflePreservesElements) {
